@@ -55,11 +55,13 @@ lint:
 # root has a testing.AllocsPerRun gate asserting the warm operation
 # allocates zero times (see DESIGN.md §5.7). Covers the dispatch
 # kernel, the time-wheel calendar, and the binary trace sink's emit
-# path.
+# path. Also bounds the allocations of a fixed 48-task hot fleet
+# Decide, the deterministic guard against the capacity repair going
+# quadratic again.
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc' \
+	$(GO) test -count=1 -run 'ZeroAlloc|FleetDecideAllocs' \
 		./internal/mckp ./internal/sched ./internal/sched/eventq \
-		./internal/trace ./internal/admitd ./internal/dbf
+		./internal/trace ./internal/admitd ./internal/dbf ./internal/core
 
 # Short liveness run of the admission-control service: a couple of
 # deterministic churn streams through cmd/admitd's bench mode.
@@ -87,13 +89,14 @@ smoke-campaign:
 	cmp $(CAMP_SMOKE_DIR)/resumed.txt $(CAMP_SMOKE_DIR)/fresh.txt
 	@rm -rf $(CAMP_SMOKE_DIR)
 
-# Fleet-campaign kill-and-resume smoke: a small multi-server fleet
-# scenario sweep end-to-end through the fleet-aware decision manager,
-# interrupted with -campaign-limit, resumed from its checkpoint, and
-# required to match an uninterrupted run byte for byte.
+# Fleet-campaign kill-and-resume smoke: the fleet differential oracles
+# (single-server and reference capacity repair), then a small
+# multi-server fleet scenario sweep end-to-end through the fleet-aware
+# decision manager, interrupted with -campaign-limit, resumed from its
+# checkpoint, and required to match an uninterrupted run byte for byte.
 smoke-fleet:
 	@rm -rf $(FLEET_SMOKE_DIR) && mkdir -p $(FLEET_SMOKE_DIR)
-	$(GO) test -count=1 ./internal/core -run 'TestFleetSingleServerOracle'
+	$(GO) test -count=1 ./internal/core -run 'TestFleetSingleServerOracle|TestFleetRepairMatchesReference'
 	$(GO) run ./cmd/ablations $(FLEET_SMOKE_ARGS) \
 		-checkpoint $(FLEET_SMOKE_DIR)/ckpt.jsonl -campaign-limit 4 > $(FLEET_SMOKE_DIR)/partial.txt
 	grep -q 'campaign interrupted: 4/' $(FLEET_SMOKE_DIR)/partial.txt

@@ -299,11 +299,11 @@ func (a *Admission) redecide(tasks task.Set, classes []mckp.Class, maps [][]clas
 	}
 	d := assembleDecision(tasks, maps, sol, a.opts.Solver)
 	theorem3 := func(cs []Choice) (*big.Rat, bool) { return theorem3Cached(cs, locals, levels) }
-	fleetOn := !a.opts.Fleet.Empty()
-	if fleetOn {
+	var ledger *poolLedger
+	if !a.opts.Fleet.Empty() {
 		// Step-identical to decideFleet's repair: Theorem 3 first, then
 		// the exact capacity pools.
-		if err := repairFleetDecision(d, a.opts.Fleet, theorem3); err != nil {
+		if ledger, err = repairFleetDecision(d, a.opts.Fleet, theorem3); err != nil {
 			return fail(err)
 		}
 	} else if err := repairDecision(d, theorem3); err != nil {
@@ -325,9 +325,9 @@ func (a *Admission) redecide(tasks task.Set, classes []mckp.Class, maps [][]clas
 		az = a.syncedAnalyzer(want, op)
 	}
 	if az != nil {
-		var guard func([]Choice, int, int) bool
-		if fleetOn {
-			guard = capacityGuard(a.opts.Fleet)
+		var guard upgradeGuard
+		if ledger != nil {
+			guard = ledger
 		}
 		improveLoop(out, az, levels, guard)
 		want = demandsFromCaches(out.Choices, locals, levels)
@@ -335,8 +335,8 @@ func (a *Admission) redecide(tasks task.Set, classes []mckp.Class, maps [][]clas
 	a.az = az
 	total, _ := theorem3(out.Choices)
 	out.Theorem3Total = total
-	if fleetOn {
-		out.ServerLoads = decisionLoads(out.Choices, a.opts.Fleet)
+	if ledger != nil {
+		out.ServerLoads = ledger.emit()
 	}
 	return out, want, nil
 }

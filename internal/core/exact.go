@@ -100,12 +100,19 @@ func newUpgradeState(choices []Choice) (*dbf.Analyzer, [][]dbf.Demand, error) {
 	return az, levelDemands, nil
 }
 
+// upgradeGuard vetoes exact-upgrade candidates before the feasibility
+// probe and is told of every upgrade applied, so a stateful guard (the
+// fleet's poolLedger) stays in sync with the decision.
+type upgradeGuard interface {
+	allows(i, lv int) bool
+	commit(i, lv int)
+}
+
 // improveLoop applies the greedy best-gain upgrade until no candidate
 // passes the exact test, keeping the Analyzer in sync with out. A
 // non-nil guard vetoes candidates before the feasibility probe — the
 // fleet path uses it to keep upgrades within the capacity pools.
-func improveLoop(out *Decision, az *dbf.Analyzer, levelDemands [][]dbf.Demand,
-	guard func(choices []Choice, i, lv int) bool) {
+func improveLoop(out *Decision, az *dbf.Analyzer, levelDemands [][]dbf.Demand, guard upgradeGuard) {
 	feasible := (*dbf.Analyzer).Feasible
 	for {
 		bestIdx, bestLevel := -1, 0
@@ -128,7 +135,7 @@ func improveLoop(out *Decision, az *dbf.Analyzer, levelDemands [][]dbf.Demand,
 				if cand == nil {
 					continue
 				}
-				if guard != nil && !guard(out.Choices, i, lv) {
+				if guard != nil && !guard.allows(i, lv) {
 					continue
 				}
 				if az.With(i, cand, feasible) != nil {
@@ -149,6 +156,9 @@ func improveLoop(out *Decision, az *dbf.Analyzer, levelDemands [][]dbf.Demand,
 		c.Level = bestLevel
 		c.Expected = c.Task.EffectiveWeight() * c.Task.Levels[bestLevel].Benefit
 		out.TotalExpected += c.Expected - old
+		if guard != nil {
+			guard.commit(bestIdx, bestLevel)
+		}
 	}
 }
 

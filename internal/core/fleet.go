@@ -55,7 +55,8 @@ func decideFleet(set task.Set, opts Options) (*Decision, error) {
 		return nil, err
 	}
 	d := assembleDecision(derived, maps, sol, opts.Solver)
-	if err := repairFleetDecision(d, opts.Fleet, theorem3Of); err != nil {
+	ledger, err := repairFleetDecision(d, opts.Fleet, theorem3Of)
+	if err != nil {
 		return nil, err
 	}
 	if !opts.ExactUpgrade {
@@ -73,36 +74,12 @@ func decideFleet(set task.Set, opts Options) (*Decision, error) {
 		ExactVerified: true,
 	}
 	if az, levelDemands, err := newUpgradeState(out.Choices); err == nil {
-		improveLoop(out, az, levelDemands, capacityGuard(opts.Fleet))
+		improveLoop(out, az, levelDemands, ledger)
 	}
 	total, _ := theorem3Of(out.Choices)
 	out.Theorem3Total = total
-	out.ServerLoads = decisionLoads(out.Choices, opts.Fleet)
+	out.ServerLoads = ledger.emit()
 	return out, nil
-}
-
-// decisionLoads folds the decision's offloaded choices into the
-// fleet's capacity pools: each choice contributes its exact occupancy
-// Ri/Ti and Theorem-3 weight to the server it routes to (and to that
-// server's group).
-func decisionLoads(choices []Choice, f fleet.Fleet) []fleet.Load {
-	us := make([]fleet.Usage, 0, len(choices))
-	for _, c := range choices {
-		if !c.Offload {
-			continue
-		}
-		t := c.Task
-		w, err := t.OffloadWeight(c.Level)
-		if err != nil {
-			w = new(big.Rat) // unreachable for certified choices
-		}
-		us = append(us, fleet.Usage{
-			Server:    t.Levels[c.Level].ServerID,
-			Occupancy: rtime.Ratio(t.Levels[c.Level].Response, t.Period),
-			Weight:    w,
-		})
-	}
-	return f.Accumulate(us)
 }
 
 // repairFleetDecision is the fleet decision's combined exact repair:
@@ -123,23 +100,34 @@ func decisionLoads(choices []Choice, f fleet.Fleet) []fleet.Load {
 // count. The pass is deterministic — candidates are ordered by benefit
 // loss with index tie-breaks — which is what keeps the incremental
 // admission path bit-identical to a from-scratch Decide.
-func repairFleetDecision(d *Decision, f fleet.Fleet, theorem3 func([]Choice) (*big.Rat, bool)) error {
+//
+// The pools live in a poolLedger built once from the repaired
+// choices: a candidate move is judged by its exact delta on the at
+// most four pools it touches (old and new server, old and new group)
+// instead of by re-accumulating every pool, and each committed reroute
+// or downgrade is applied to the running account. The verdicts are
+// exact rational comparisons, and the pools a move does not touch keep
+// their account, so the decisions stay bit-identical to the
+// from-scratch pass kept in fleet_reference_test.go. The returned
+// ledger matches d.Choices and serves as the exact-upgrade capacity
+// guard.
+func repairFleetDecision(d *Decision, f fleet.Fleet, theorem3 func([]Choice) (*big.Rat, bool)) (*poolLedger, error) {
 	if err := repairDecision(d, theorem3); err != nil {
-		return err
+		return nil, err
 	}
+	l := newPoolLedger(f, d.Choices)
 	for {
-		loads := decisionLoads(d.Choices, f)
-		oi := fleet.FirstOver(loads)
+		oi := l.firstOver()
 		if oi < 0 {
-			d.ServerLoads = loads
-			return nil
+			d.ServerLoads = l.emit()
+			return l, nil
 		}
-		if rerouteCheapest(d, f, loads, oi) {
+		if l.rerouteCheapest(d, oi) {
 			continue
 		}
-		idx := cheapestDowngradeIn(d.Choices, f, loads[oi])
+		idx := l.cheapestDowngradeIn(d.Choices, oi)
 		if idx < 0 {
-			return ErrInfeasible
+			return nil, ErrInfeasible
 		}
 		c := &d.Choices[idx]
 		d.TotalExpected -= c.Expected
@@ -148,65 +136,315 @@ func repairFleetDecision(d *Decision, f fleet.Fleet, theorem3 func([]Choice) (*b
 		c.Expected = c.Task.EffectiveWeight() * c.Task.LocalBenefit
 		d.TotalExpected += c.Expected
 		d.Repaired++
+		l.commit(idx, -1)
 		if err := repairDecision(d, theorem3); err != nil {
-			return err
+			return nil, err
+		}
+		l.sync(d.Choices) // the Theorem-3 repair may downgrade more
+	}
+}
+
+// poolLedger is the exact incremental account of a fleet decision's
+// capacity pools. It caches, per (choice, point), the pools the point
+// routes to and its exact contributions, and keeps one running
+// fleet.Load per pool in fleet.Accumulate's layout (servers in fleet
+// order, then groups). The task of every choice is fixed for the
+// ledger's lifetime; only the chosen points move.
+type poolLedger struct {
+	f       fleet.Fleet
+	tasks   []*task.Task
+	loads   []fleet.Load
+	room    []big.Rat // Capacity − Occupancy per capped pool
+	groupOf []int     // server index → its group's pool index, or −1
+	start   []int     // choice i's points are pts[start[i]:start[i+1]]
+	pts     []poolPoint
+	cur     []int // point each choice is accounted at, −1 for local
+
+	// Cross-multiplication scratch of cmp and cmpDiff.
+	//rtlint:arena
+	x, y, z big.Int
+	//rtlint:arena
+	t3room big.Rat // 1 − Σ Theorem 3 during one reroute scan
+}
+
+// poolPoint is one (server, budget) point's cached contribution,
+// resolved on first use.
+type poolPoint struct {
+	ready  bool
+	split  bool     // the point has a valid split demand model
+	server int      // server pool index, −1 when routed to no fleet server
+	group  int      // group pool index, −1 when the server has no group
+	occ    *big.Rat // Ri/Ti, charged to the server pool
+	gocc   *big.Rat // coupling weight · Ri/Ti, charged to the group pool
+	weight *big.Rat // Theorem-3 OffloadWeight, nil when the point has none
+}
+
+// share returns the point's contribution to pool k, or nil when the
+// point (nil: local execution) does not route into k.
+func (p *poolPoint) share(k int) *big.Rat {
+	switch {
+	case p == nil || k < 0:
+		return nil
+	case k == p.server:
+		return p.occ
+	case k == p.group:
+		return p.gocc
+	}
+	return nil
+}
+
+// newPoolLedger accounts the offloaded choices into fresh pools.
+func newPoolLedger(f fleet.Fleet, choices []Choice) *poolLedger {
+	ns, np := len(f.Servers), len(f.Servers)+len(f.Groups)
+	l := &poolLedger{
+		f:       f,
+		tasks:   make([]*task.Task, len(choices)),
+		loads:   make([]fleet.Load, 0, np),
+		room:    make([]big.Rat, np),
+		groupOf: make([]int, ns),
+		start:   make([]int, len(choices)+1),
+		cur:     make([]int, len(choices)),
+	}
+	for si, s := range f.Servers {
+		l.loads = append(l.loads, fleet.Load{
+			Pool: s.ID, Server: true,
+			Occupancy: new(big.Rat), Theorem3: new(big.Rat),
+			Capacity: s.Cap(),
+		})
+		l.groupOf[si] = -1
+		for gi, g := range f.Groups {
+			if s.Group != "" && g.ID == s.Group {
+				l.groupOf[si] = ns + gi
+			}
 		}
 	}
+	for _, g := range f.Groups {
+		l.loads = append(l.loads, fleet.Load{
+			Pool:      g.ID,
+			Occupancy: new(big.Rat), Theorem3: new(big.Rat),
+			Capacity: g.Cap(),
+		})
+	}
+	for k, ld := range l.loads {
+		if ld.Capacity != nil {
+			l.room[k].Set(ld.Capacity)
+		}
+	}
+	n := 0
+	for i, c := range choices {
+		l.tasks[i] = c.Task
+		l.start[i] = n
+		l.cur[i] = -1
+		n += len(c.Task.Levels)
+	}
+	l.start[len(choices)] = n
+	l.pts = make([]poolPoint, n)
+	l.sync(choices)
+	return l
 }
 
-// contributes reports whether choice c (offloaded) routes load into
-// the given pool.
-func contributes(f fleet.Fleet, c Choice, pool fleet.Load) bool {
-	si := f.ServerIndex(c.Task.Levels[c.Level].ServerID)
-	if si < 0 {
+// point returns choice i's cached point lv, resolving it on first use.
+func (l *poolLedger) point(i, lv int) *poolPoint {
+	p := &l.pts[l.start[i]+lv]
+	if p.ready {
+		return p
+	}
+	t := l.tasks[i]
+	p.ready = true
+	p.server, p.group = -1, -1
+	p.occ = rtime.Ratio(t.Levels[lv].Response, t.Period)
+	p.gocc = p.occ
+	if si := l.f.ServerIndex(t.Levels[lv].ServerID); si >= 0 {
+		p.server, p.group = si, l.groupOf[si]
+		if s := l.f.Servers[si]; p.group >= 0 && (s.WeightNum != 0 || s.WeightDen != 0) {
+			p.gocc = new(big.Rat).Mul(s.CouplingWeight(), p.occ)
+		}
+	}
+	if w, err := t.OffloadWeight(lv); err == nil {
+		p.weight = w
+		_, err := demandOf(Choice{Task: t, Offload: true, Level: lv})
+		p.split = err == nil
+	}
+	return p
+}
+
+// cmp compares a and b exactly, as a.Cmp(b) would, by
+// cross-multiplying into the ledger's scratch integers: no
+// normalization, and no allocation once the scratch has grown.
+func (l *poolLedger) cmp(a, b *big.Rat) int {
+	l.x.Mul(a.Num(), denom(b))
+	l.y.Mul(b.Num(), denom(a))
+	return l.x.Cmp(&l.y)
+}
+
+// cmpDiff compares a − b with c exactly, like cmp:
+// (an·bd − bn·ad)·cd against cn·ad·bd, all denominators positive.
+func (l *poolLedger) cmpDiff(a, b, c *big.Rat) int {
+	l.x.Mul(a.Num(), denom(b))
+	l.y.Mul(b.Num(), denom(a))
+	l.x.Sub(&l.x, &l.y)
+	l.z.Mul(&l.x, denom(c))
+	l.x.Mul(c.Num(), denom(a))
+	l.y.Mul(&l.x, denom(b))
+	return l.z.Cmp(&l.y)
+}
+
+// intOne stands in for an integer Rat's denominator: Rat.Denom
+// allocates a fresh 1 for those.
+var intOne = big.NewInt(1)
+
+func denom(r *big.Rat) *big.Int {
+	if r.IsInt() {
+		return intOne
+	}
+	return r.Denom()
+}
+
+// account adds (sign +1) or removes (sign −1) point p's contribution
+// to its pools.
+func (l *poolLedger) account(p *poolPoint, sign int) {
+	if p.server < 0 {
+		return // fleet.Accumulate ignores unknown servers too
+	}
+	l.accountPool(p.server, p.occ, p.weight, sign)
+	if p.group >= 0 {
+		l.accountPool(p.group, p.gocc, p.weight, sign)
+	}
+}
+
+func (l *poolLedger) accountPool(k int, occ, w *big.Rat, sign int) {
+	ld := &l.loads[k]
+	ld.Tasks += sign
+	addSigned(ld.Occupancy, occ, sign)
+	if w != nil {
+		addSigned(ld.Theorem3, w, sign)
+	}
+	if ld.Capacity != nil {
+		addSigned(&l.room[k], occ, -sign)
+	}
+}
+
+// addSigned sets z to z + sign·x.
+func addSigned(z, x *big.Rat, sign int) {
+	if sign > 0 {
+		z.Add(z, x)
+	} else {
+		z.Sub(z, x)
+	}
+}
+
+// commit re-accounts choice i at point lv (−1: local execution): a
+// committed reroute, downgrade or exact upgrade.
+func (l *poolLedger) commit(i, lv int) {
+	if l.cur[i] == lv {
+		return
+	}
+	if l.cur[i] >= 0 {
+		l.account(l.point(i, l.cur[i]), -1)
+	}
+	if lv >= 0 {
+		l.account(l.point(i, lv), +1)
+	}
+	l.cur[i] = lv
+}
+
+// sync re-accounts every choice whose point differs from the ledger's.
+func (l *poolLedger) sync(choices []Choice) {
+	for i, c := range choices {
+		lv := -1
+		if c.Offload {
+			lv = c.Level
+		}
+		l.commit(i, lv)
+	}
+}
+
+// firstOver returns the index of the first over-capacity pool, or −1
+// (fleet.FirstOver on the running account).
+func (l *poolLedger) firstOver() int {
+	for k := range l.loads {
+		if l.loads[k].Capacity != nil && l.room[k].Sign() < 0 {
+			return k
+		}
+	}
+	return -1
+}
+
+// contributes reports whether choice i is offloaded into pool k.
+func (l *poolLedger) contributes(i, k int) bool {
+	if l.cur[i] < 0 {
 		return false
 	}
-	if pool.Server {
-		return f.Servers[si].ID == pool.Pool
-	}
-	return f.Servers[si].Group == pool.Pool
+	p := l.point(i, l.cur[i])
+	return p.server == k || p.group == k
 }
 
-// rerouteCheapest moves one choice off the violated pool loads[oi]
-// onto the alternative point with the smallest expected-benefit loss
-// (ties: lower task index, then lower point index). It updates the
-// decision's objective and exact Theorem-3 total in place and reports
-// whether a qualifying reroute existed.
-func rerouteCheapest(d *Decision, f fleet.Fleet, loads []fleet.Load, oi int) bool {
+// fits reports whether moving a choice from point from (nil: local)
+// to point to keeps pool k within its cap, if k is capped. A pool only
+// the target routes into grows by the target's share, one both route
+// into by the difference of the shares.
+func (l *poolLedger) fits(k int, from, to *poolPoint) bool {
+	if k < 0 || l.loads[k].Capacity == nil {
+		return true
+	}
+	if old := from.share(k); old != nil {
+		return l.cmpDiff(to.share(k), old, &l.room[k]) <= 0
+	}
+	return l.cmp(to.share(k), &l.room[k]) <= 0
+}
+
+// drains reports whether moving a contributor of the violated pool oi
+// from point from to point to strictly decreases oi's occupancy
+// without pushing any within-capacity pool over its cap. Pools the
+// move does not route into keep their account or drain, so checking
+// the target's pools decides exactly what a full re-accumulation
+// would; oi drains by the source's full share unless the target
+// routes back into it.
+func (l *poolLedger) drains(oi int, from, to *poolPoint) bool {
+	if add := to.share(oi); add != nil && l.cmp(add, from.share(oi)) >= 0 {
+		return false
+	}
+	for _, k := range [2]int{to.server, to.group} {
+		if k >= 0 && k != oi && l.room[k].Sign() >= 0 && !l.fits(k, from, to) {
+			return false
+		}
+	}
+	return true
+}
+
+// rerouteCheapest moves one choice off the violated pool oi onto the
+// alternative point with the smallest expected-benefit loss (ties:
+// lower task index, then lower point index). It updates the decision's
+// objective, its exact Theorem-3 total and the ledger in place and
+// reports whether a qualifying reroute existed.
+func (l *poolLedger) rerouteCheapest(d *Decision, oi int) bool {
 	bestIdx, bestLv := -1, 0
 	bestLoss := 0.0
-	var bestW *big.Rat
+	// Σ − wOld + wNew ≤ 1  ⇔  wNew − wOld ≤ 1 − Σ.
+	l.t3room.Sub(ratOne, d.Theorem3Total)
 	for i, c := range d.Choices {
-		if !c.Offload || !contributes(f, c, loads[oi]) {
+		if !l.contributes(i, oi) {
+			continue
+		}
+		from := l.point(i, c.Level)
+		if from.weight == nil {
 			continue
 		}
 		t := c.Task
-		wOld, err := t.OffloadWeight(c.Level)
-		if err != nil {
-			continue
-		}
 		for lv := range t.Levels {
 			if lv == c.Level {
 				continue
 			}
-			wNew, err := t.OffloadWeight(lv)
-			if err != nil {
-				continue
-			}
-			if _, err := demandOf(Choice{Task: t, Offload: true, Level: lv}); err != nil {
+			to := l.point(i, lv)
+			if to.weight == nil || !to.split {
 				continue // no valid split model: theorem3 would reject it
 			}
-			total := new(big.Rat).Sub(d.Theorem3Total, wOld)
-			total.Add(total, wNew)
-			if total.Cmp(ratOne) > 0 {
-				continue
-			}
-			if !moveKeepsPools(d, f, loads, oi, i, lv) {
+			if !l.drains(oi, from, to) || l.cmpDiff(to.weight, from.weight, &l.t3room) > 0 {
 				continue
 			}
 			loss := c.Expected - t.EffectiveWeight()*t.Levels[lv].Benefit
 			if bestIdx == -1 || loss < bestLoss {
-				bestIdx, bestLv, bestLoss, bestW = i, lv, loss, total
+				bestIdx, bestLv, bestLoss = i, lv, loss
 			}
 		}
 	}
@@ -214,42 +452,25 @@ func rerouteCheapest(d *Decision, f fleet.Fleet, loads []fleet.Load, oi int) boo
 		return false
 	}
 	c := &d.Choices[bestIdx]
+	// Exact incremental update: big.Rat keeps the sum normalized, so
+	// the value matches a from-scratch dbf.Theorem3 evaluation.
+	total := new(big.Rat).Sub(d.Theorem3Total, l.point(bestIdx, c.Level).weight)
+	d.Theorem3Total = total.Add(total, l.point(bestIdx, bestLv).weight)
 	d.TotalExpected -= c.Expected
 	c.Level = bestLv
 	c.Expected = c.Task.EffectiveWeight() * c.Task.Levels[bestLv].Benefit
 	d.TotalExpected += c.Expected
-	// Exact incremental update: big.Rat keeps the sum normalized, so
-	// the value matches a from-scratch dbf.Theorem3 evaluation.
-	d.Theorem3Total = bestW
+	l.commit(bestIdx, bestLv)
 	return true
 }
 
-// moveKeepsPools simulates rerouting choice i to point lv and checks
-// the capacity conditions: the violated pool's occupancy strictly
-// decreases and no within-capacity pool goes over.
-func moveKeepsPools(d *Decision, f fleet.Fleet, loads []fleet.Load, oi, i, lv int) bool {
-	old := d.Choices[i]
-	d.Choices[i].Level = lv
-	after := decisionLoads(d.Choices, f)
-	d.Choices[i] = old
-	if after[oi].Occupancy.Cmp(loads[oi].Occupancy) >= 0 {
-		return false
-	}
-	for k := range after {
-		if !loads[k].Over() && after[k].Over() {
-			return false
-		}
-	}
-	return true
-}
-
-// cheapestDowngradeIn picks the offloaded choice contributing to the
-// given pool whose switch to local costs the least expected benefit;
-// −1 when the pool has no offloaded contributors.
-func cheapestDowngradeIn(choices []Choice, f fleet.Fleet, pool fleet.Load) int {
+// cheapestDowngradeIn picks the offloaded choice contributing to pool
+// k whose switch to local costs the least expected benefit; −1 when
+// the pool has no offloaded contributors.
+func (l *poolLedger) cheapestDowngradeIn(choices []Choice, k int) int {
 	best, bestLoss := -1, 0.0
 	for i, c := range choices {
-		if !c.Offload || !contributes(f, c, pool) {
+		if !l.contributes(i, k) {
 			continue
 		}
 		loss := c.Expected - c.Task.EffectiveWeight()*c.Task.LocalBenefit
@@ -260,16 +481,33 @@ func cheapestDowngradeIn(choices []Choice, f fleet.Fleet, pool fleet.Load) int {
 	return best
 }
 
-// capacityGuard returns the exact-upgrade guard for a fleet: an
-// upgrade candidate is admissible only if routing choice i to point lv
-// leaves every capacity pool within its cap.
-func capacityGuard(f fleet.Fleet) func([]Choice, int, int) bool {
-	return func(choices []Choice, i, lv int) bool {
-		old := choices[i]
-		choices[i].Offload = true
-		choices[i].Level = lv
-		loads := decisionLoads(choices, f)
-		choices[i] = old
-		return fleet.FirstOver(loads) < 0
+// allows is the exact-upgrade capacity guard: routing choice i to
+// point lv is admissible only if every pool stays within its cap. Only
+// the target's pools are checked. That is exact because the guarded
+// decision is within every pool before each upgrade — the repair
+// leaves it so, and every committed upgrade passed this check — and a
+// pool the move does not route into keeps its account or drains.
+func (l *poolLedger) allows(i, lv int) bool {
+	var from *poolPoint
+	if l.cur[i] >= 0 {
+		from = l.point(i, l.cur[i])
 	}
+	to := l.point(i, lv)
+	return l.fits(to.server, from, to) && l.fits(to.group, from, to)
+}
+
+// emit snapshots the running account into fresh memory.
+func (l *poolLedger) emit() []fleet.Load {
+	out := make([]fleet.Load, len(l.loads))
+	for k, ld := range l.loads {
+		out[k] = fleet.Load{
+			Pool: ld.Pool, Server: ld.Server, Tasks: ld.Tasks,
+			Occupancy: new(big.Rat).Set(ld.Occupancy),
+			Theorem3:  new(big.Rat).Set(ld.Theorem3),
+		}
+		if ld.Capacity != nil {
+			out[k].Capacity = new(big.Rat).Set(ld.Capacity)
+		}
+	}
+	return out
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"testing"
 
 	"rtoffload/internal/fleet"
@@ -163,7 +165,7 @@ func TestFleetCapacityRespected(t *testing.T) {
 			}
 			// The recorded loads must match a recomputation from the
 			// choices — the account is part of the decision's contract.
-			re := decisionLoads(d.Choices, tight)
+			re := refDecisionLoads(d.Choices, tight)
 			for i := range re {
 				if re[i].Occupancy.Cmp(d.ServerLoads[i].Occupancy) != 0 ||
 					re[i].Tasks != d.ServerLoads[i].Tasks {
@@ -247,5 +249,136 @@ func TestFleetInvalidFleetRejected(t *testing.T) {
 	}
 	if a.Len() != 0 {
 		t.Fatal("rejected fleet admission mutated state")
+	}
+}
+
+// requireSameFleetDecision is requireSameDecision plus the fleet
+// account: bitwise-equal objective and Cmp-equal pool loads.
+func requireSameFleetDecision(t *testing.T, got, want *Decision, ctx string) {
+	t.Helper()
+	requireSameDecision(t, got, want, ctx)
+	if math.Float64bits(got.TotalExpected) != math.Float64bits(want.TotalExpected) {
+		t.Fatalf("%s: TotalExpected bits %x vs reference %x", ctx,
+			math.Float64bits(got.TotalExpected), math.Float64bits(want.TotalExpected))
+	}
+	if len(got.ServerLoads) != len(want.ServerLoads) {
+		t.Fatalf("%s: %d pools, reference has %d", ctx, len(got.ServerLoads), len(want.ServerLoads))
+	}
+	for k, g := range got.ServerLoads {
+		w := want.ServerLoads[k]
+		same := g.Pool == w.Pool && g.Server == w.Server && g.Tasks == w.Tasks &&
+			g.Occupancy.Cmp(w.Occupancy) == 0 && g.Theorem3.Cmp(w.Theorem3) == 0 &&
+			(g.Capacity == nil) == (w.Capacity == nil) &&
+			(g.Capacity == nil || g.Capacity.Cmp(w.Capacity) == 0)
+		if !same {
+			t.Fatalf("%s: pool %d differs: got {%s tasks=%d occ=%v t3=%v cap=%v} want {%s tasks=%d occ=%v t3=%v cap=%v}",
+				ctx, k, g.Pool, g.Tasks, g.Occupancy, g.Theorem3, g.Capacity,
+				w.Pool, w.Tasks, w.Occupancy, w.Theorem3, w.Capacity)
+		}
+	}
+}
+
+// requireMatchesReference checks a fleet decision (or its error)
+// against the from-scratch reference repair on the same input.
+func requireMatchesReference(t *testing.T, set task.Set, opts Options, got *Decision, gotErr error, ctx string) {
+	t.Helper()
+	ctx = fmt.Sprintf("%s (solver %v exact=%v)", ctx, opts.Solver, opts.ExactUpgrade)
+	want, wantErr := refDecideFleet(set, opts)
+	if (gotErr == nil) != (wantErr == nil) {
+		t.Fatalf("%s: error mismatch: %v vs reference %v", ctx, gotErr, wantErr)
+	}
+	if wantErr == nil {
+		requireSameFleetDecision(t, got, want, ctx)
+	}
+}
+
+// mirrorFleet couples two servers whose points carry equal group
+// shares: b doubles every budget but counts half in the group, so
+// rerouting a task from a to b leaves the group's occupancy unchanged
+// and must not count as draining it.
+func mirrorFleet() fleet.Fleet {
+	return fleet.Fleet{
+		Servers: []fleet.Server{
+			{ID: "a", Group: "g"},
+			{ID: "b", ScaleNum: 2, ScaleDen: 1, WeightNum: 1, WeightDen: 2, Group: "g"},
+		},
+		Groups: []fleet.Group{{ID: "g", CapNum: 1, CapDen: 8}},
+	}
+}
+
+// TestFleetRepairMatchesReference is the differential oracle of the
+// pool ledger: across seeds, the five campaign fleet shapes (plus the
+// churn fleet, whose tight pools force downgrades where hot only
+// reroutes, and the mirror fleet's zero-delta reroutes), task counts
+// up to 96 and the exact upgrade on and off,
+// the shipped Decide and a fleet Admission fed the same tasks must
+// match the from-scratch reference repair bit for bit — choices,
+// objective bits, exact Theorem-3 total, pool account and repair
+// count. The reference is quadratic in the offloaded choices, so the
+// larger task counts run fewer seeds, and the admission replay (one
+// re-decision per task) runs on the first seed of the small counts.
+func TestFleetRepairMatchesReference(t *testing.T) {
+	seeds := map[int]uint64{12: 3, 24: 3, 48: 2, 96: 1}
+	shapes := map[string]fleet.Fleet{"churn": churnFleet(), "mirror": mirrorFleet()}
+	names := append(append([]string(nil), campaignFleetShapes...), "churn", "mirror")
+	for _, name := range campaignFleetShapes {
+		shapes[name] = campaignFleetShape(name)
+	}
+	repaired := 0
+	for _, name := range names {
+		for _, n := range []int{12, 24, 48, 96} {
+			for _, exact := range []bool{false, true} {
+				opts := Options{Solver: SolverDP, ExactUpgrade: exact, Fleet: shapes[name]}
+				for seed := uint64(1); seed <= seeds[n]; seed++ {
+					ctx := fmt.Sprintf("%s/n=%d/exact=%v/seed=%d", name, n, exact, seed)
+					set := campaignShapeSet(stats.NewRNG(stats.DeriveSeed(seed, 78)), n)
+					got, err := Decide(set, opts)
+					requireMatchesReference(t, set, opts, got, err, ctx)
+					if err != nil {
+						continue
+					}
+					repaired += got.Repaired
+					if n > 24 || seed > 1 {
+						continue
+					}
+					a := NewAdmission(opts)
+					for _, tk := range set {
+						_ = a.Add(tk) // a rejected task leaves the admission untouched
+					}
+					if a.Len() > 0 {
+						requireMatchesReference(t, a.Tasks(), opts, a.Decision(), nil, ctx+"/admission")
+					}
+				}
+			}
+		}
+	}
+	if repaired == 0 {
+		t.Fatal("no case downgraded a choice: the capacity repair went unexercised")
+	}
+}
+
+// TestFleetRepairCascadeMatchesReference pins the capacity repair's
+// hand-off to the Theorem-3 repair. Task 0 is the cheapest capacity
+// downgrade, but its local density (40/100) exceeds its offload weight
+// (5/70), so running it locally lifts the Theorem-3 sum to ≈1.014. The
+// Theorem-3 repair then downgrades task 1 as well, and the pool
+// account must follow both downgrades.
+func TestFleetRepairCascadeMatchesReference(t *testing.T) {
+	set := task.Set{
+		{ID: 0, Period: ms(100), Deadline: ms(100), LocalWCET: ms(40), Setup: ms(2), Compensation: ms(3),
+			LocalBenefit: 1, Levels: []task.Level{{Response: ms(30), Benefit: 1.5}}},
+		{ID: 1, Period: ms(100), Deadline: ms(100), LocalWCET: ms(10), Setup: ms(5), Compensation: ms(10),
+			LocalBenefit: 1, Levels: []task.Level{{Response: ms(30), Benefit: 5}}},
+		{ID: 2, Period: ms(100), Deadline: ms(100), LocalWCET: ms(40), LocalBenefit: 1},
+	}
+	opts := Options{Solver: SolverCore, Fleet: fleet.Fleet{Servers: []fleet.Server{{ID: "s", CapNum: 1, CapDen: 2}}}}
+	got, err := Decide(set, opts)
+	requireMatchesReference(t, set, opts, got, err, "cascade")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Repaired != 2 || got.OffloadedCount() != 0 || got.ServerLoads[0].Tasks != 0 {
+		t.Fatalf("cascade: repaired %d, offloaded %d, pool tasks %d; want 2, 0, 0",
+			got.Repaired, got.OffloadedCount(), got.ServerLoads[0].Tasks)
 	}
 }

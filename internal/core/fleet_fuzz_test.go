@@ -44,6 +44,9 @@ func fuzzFleet(rng *stats.RNG, nRaw uint8) fleet.Fleet {
 // FuzzFleetDecide is the fleet decision fuzz target. For every input
 // it derives a random task system and fleet, then checks:
 //
+//   - the reference oracle: every fleet decision, with and without
+//     the exact upgrade, is bit-identical to the from-scratch
+//     reference repair (fleet_reference_test.go);
 //   - cross-solver agreement: every solver's fleet decision satisfies
 //     the exact Theorem-3 bound and every capacity pool, and the exact
 //     solvers (core, BnB) agree on the pre-repair objective;
@@ -69,6 +72,7 @@ func FuzzFleetDecide(f *testing.F) {
 		var coreDec, bnbDec *Decision
 		for _, sv := range []Solver{SolverCore, SolverBnB, SolverDP, SolverHEU} {
 			d, err := Decide(set, Options{Solver: sv, Fleet: fl})
+			requireMatchesReference(t, set, Options{Solver: sv, Fleet: fl}, d, err, "fuzz")
 			if err != nil {
 				continue // infeasible for this solver's grid: nothing to check
 			}
@@ -99,6 +103,11 @@ func FuzzFleetDecide(f *testing.F) {
 					coreDec.TotalExpected, bnbDec.TotalExpected)
 			}
 		}
+
+		// The guarded exact upgrade against the reference guard.
+		exactOpts := Options{Solver: SolverCore, ExactUpgrade: true, Fleet: fl}
+		d, err := Decide(set, exactOpts)
+		requireMatchesReference(t, set, exactOpts, d, err, "fuzz")
 
 		// Single-server oracle on the same system.
 		plain, plainErr := Decide(set, Options{Solver: SolverCore})
