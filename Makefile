@@ -70,10 +70,11 @@ smoke-admitd:
 
 # Fast functional pass over the core-solver differential tests: the
 # solver-vs-BnB/brute agreement, the incremental bit-identity churn,
-# and the admission wiring, without the full suite's simulation cost.
+# the admission wiring, and Decide against its from-scratch reference,
+# without the full suite's simulation cost.
 smoke-mckp:
 	$(GO) test -count=1 ./internal/mckp -run 'TestSolver|TestFleetInstanceSolvable|FuzzMCKPSolverAgreement'
-	$(GO) test -count=1 ./internal/core -run 'TestAdmissionMatchesRebuild|TestAdmissionCore'
+	$(GO) test -count=1 ./internal/core -run 'TestAdmissionMatchesRebuild|TestAdmissionCore|TestDecideMatchesReference'
 
 # Campaign kill-and-resume smoke: interrupt a small checkpointed
 # sweep with -campaign-limit, resume it, and require the resumed

@@ -166,23 +166,14 @@ func parseSolver(s string) (core.Solver, error) {
 	}
 }
 
-// decide runs the selected decision procedure, optionally upgrading
-// with the exact processor-demand test.
+// decide runs the selected decision procedure; exact upgrades the
+// decision with the exact processor-demand test (ignored by the
+// server-faster baseline, which runs no schedulability test).
 func decide(set task.Set, solver core.Solver, exact bool) (*core.Decision, error) {
-	var dec *core.Decision
-	var err error
 	if solver == core.SolverServerFaster {
-		dec, err = core.DecideServerFaster(set)
-	} else {
-		dec, err = core.Decide(set, core.Options{Solver: solver})
+		return core.DecideServerFaster(set)
 	}
-	if err != nil {
-		return nil, err
-	}
-	if exact && solver != core.SolverServerFaster {
-		return core.ImproveWithExact(dec, set)
-	}
-	return dec, nil
+	return core.Decide(set, core.Options{Solver: solver, ExactUpgrade: exact})
 }
 
 func cmdGen(args []string) error {

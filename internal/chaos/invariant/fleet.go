@@ -3,6 +3,7 @@ package invariant
 import (
 	"errors"
 	"fmt"
+	"math/big"
 
 	"rtoffload/internal/chaos"
 	"rtoffload/internal/core"
@@ -22,11 +23,12 @@ import (
 // elsewhere) it checks:
 //
 //	I6  Capacity coupling is never exceeded: every per-server and
-//	    per-group occupancy pool of the admitted decision stays within
-//	    its cap, and the simulation routes every offloaded job to
-//	    exactly the server the decision chose. Routing is fixed at
-//	    admission, so the two checks together bound the load on every
-//	    pool at every instant of the trace.
+//	    per-group occupancy pool of the admitted decision, recomputed
+//	    from its choices, stays within its cap and matches the
+//	    decision's reported account, and the simulation routes every
+//	    offloaded job to exactly the server the decision chose.
+//	    Routing is fixed at admission, so the two checks together
+//	    bound the load on every pool at every instant of the trace.
 type FleetTrial struct {
 	Trial
 	Fleet fleet.Fleet
@@ -210,20 +212,32 @@ func (ft *FleetTrial) Run() ([]*chaos.Schedule, error) {
 }
 
 // CheckFleet asserts invariant I6 against a simulation result: the
-// admitted decision's capacity account is present and within every
-// cap, it matches a recomputation from the choices, and the engine's
-// routing attribution agrees with the decision for every task.
-// Because routing is fixed at admission, decision-level pool bounds
-// plus routing consistency bound the occupancy of every pool over the
-// whole trace.
+// admitted decision's capacity account is present, a recomputation of
+// every pool from the choices (fleet.Accumulate over each offloaded
+// choice's Ri/Ti and Theorem-3 weight) is within every cap and agrees
+// with the reported account pool by pool, and the engine's routing
+// attribution agrees with the decision for every task. Because routing
+// is fixed at admission, decision-level pool bounds plus routing
+// consistency bound the occupancy of every pool over the whole trace.
 func (ft *FleetTrial) CheckFleet(res *sched.Result) error {
 	loads := ft.Decision.ServerLoads
 	if loads == nil {
 		return ft.fail("I6: fleet decision carries no server loads")
 	}
-	if over := fleet.FirstOver(loads); over >= 0 {
+	want := recomputeLoads(ft.Fleet, ft.Decision.Choices)
+	if over := fleet.FirstOver(want); over >= 0 {
 		return ft.fail("I6: pool %q over capacity: %v > %v",
-			loads[over].Pool, loads[over].Occupancy, loads[over].Capacity)
+			want[over].Pool, want[over].Occupancy, want[over].Capacity)
+	}
+	if len(loads) != len(want) {
+		return ft.fail("I6: decision reports %d pools, the fleet has %d", len(loads), len(want))
+	}
+	for k, w := range want {
+		g := loads[k]
+		if g.Pool != w.Pool || g.Tasks != w.Tasks || g.Occupancy == nil || g.Occupancy.Cmp(w.Occupancy) != 0 {
+			return ft.fail("I6: pool %d reported as {%q tasks=%d occ=%v}, recomputed {%q tasks=%d occ=%v}",
+				k, g.Pool, g.Tasks, g.Occupancy, w.Pool, w.Tasks, w.Occupancy)
+		}
 	}
 	for _, c := range ft.Decision.Choices {
 		st := res.PerTask[c.Task.ID]
@@ -246,6 +260,30 @@ func (ft *FleetTrial) CheckFleet(res *sched.Result) error {
 		}
 	}
 	return nil
+}
+
+// recomputeLoads rebuilds a decision's capacity pools from its
+// choices alone: each offloaded choice charges its exact occupancy
+// Ri/Ti and its Theorem-3 weight to the server it routes to (and to
+// that server's group).
+func recomputeLoads(f fleet.Fleet, choices []core.Choice) []fleet.Load {
+	var us []fleet.Usage
+	for _, c := range choices {
+		if !c.Offload {
+			continue
+		}
+		t := c.Task
+		w, err := t.OffloadWeight(c.Level)
+		if err != nil {
+			w = new(big.Rat) // no Theorem-3 weight: charge occupancy only
+		}
+		us = append(us, fleet.Usage{
+			Server:    t.Levels[c.Level].ServerID,
+			Occupancy: rtime.Ratio(t.Levels[c.Level].Response, t.Period),
+			Weight:    w,
+		})
+	}
+	return f.Accumulate(us)
 }
 
 // FleetCheck runs one full randomized fleet trial from its seed:

@@ -150,6 +150,19 @@ func TestFleetCheckRejectsCorruptedResult(t *testing.T) {
 	ft.Decision.ServerLoads[0].Occupancy = wasOcc
 	ft.Decision.ServerLoads[0].Capacity = wasCap
 
+	for k, ld := range ft.Decision.ServerLoads {
+		if ld.Tasks == 0 {
+			continue
+		}
+		was := ld.Occupancy
+		ft.Decision.ServerLoads[k].Occupancy = new(big.Rat)
+		if err := ft.CheckFleet(res); err == nil {
+			t.Errorf("I6 did not catch pool %q under-reported as empty", ld.Pool)
+		}
+		ft.Decision.ServerLoads[k].Occupancy = was
+		break
+	}
+
 	loads := ft.Decision.ServerLoads
 	ft.Decision.ServerLoads = nil
 	if err := ft.CheckFleet(res); err == nil {

@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math/big"
 
 	"rtoffload/internal/dbf"
 	"rtoffload/internal/mckp"
@@ -27,13 +26,14 @@ var (
 // shrunk system the decision pipeline cannot certify schedulable.
 //
 // Every re-decision is incremental: per-task MCKP classes and exact
-// demand models are cached at admission time, and with
-// Options.ExactUpgrade the exact QPA oracle runs over one persistent
-// dbf.Analyzer that is kept in sync with the current decision by O(1)
-// append/remove/swap deltas instead of being rebuilt from scratch. The
-// decisions produced are nevertheless bit-identical to a from-scratch
-// Decide over the same task set — that is the differential contract
-// TestAdmissionMatchesRebuild enforces.
+// demand models are cached at admission time, the MCKP is re-solved on
+// one persistent mckp.Solver, and with Options.ExactUpgrade the exact
+// QPA oracle runs over one persistent dbf.Analyzer that is kept in
+// sync with the current decision by O(1) append/remove/swap deltas
+// instead of being rebuilt from scratch. Everything after the solve is
+// Decide's own certify step, so the decisions are bit-identical to a
+// from-scratch Decide over the same task set — the differential
+// contract TestAdmissionMatchesRebuild enforces.
 //
 // Atomicity invariant: Add, Update, and Remove either commit fully —
 // the task set, the caches, the analyzer, and the decision all advance
@@ -51,11 +51,9 @@ type Admission struct {
 	// working form). Nil without a fleet.
 	origs task.Set
 
-	// Per-task caches, index-aligned with tasks.
-	classes []mckp.Class
-	maps    [][]classMap
-	locals  []dbf.Demand
-	levels  [][]dbf.Demand
+	// caches holds each task's decision state, index-aligned with
+	// tasks.
+	caches []taskCache
 
 	// Exact-upgrade state (maintained only when opts.ExactUpgrade):
 	// az's slot i always holds azDemands[i], the exact demand of
@@ -66,7 +64,7 @@ type Admission struct {
 
 	// Persistent MCKP solver (maintained for the solvers that profit
 	// from cached per-class preprocessing: SolverCore, SolverDP,
-	// SolverHEU). Its class i always mirrors the committed classes[i];
+	// SolverHEU). Its class i always mirrors the committed caches[i];
 	// redecide advances it by one structural delta before solving and
 	// rolls the delta back if the re-decision is rejected, mirroring
 	// the analyzer's sync discipline. A nil mk is rebuilt from the
@@ -134,22 +132,16 @@ func (a *Admission) Add(t *task.Task) error {
 	if err != nil {
 		return fmt.Errorf("core: admission of task %d rejected: %w", orig.ID, err)
 	}
-	tc := buildTaskCache(t)
 	n := len(a.tasks)
 	origs := a.origs
 	if !a.opts.Fleet.Empty() {
 		origs = append(a.origs[:n:n], orig)
 	}
 	tasks := append(a.tasks[:n:n], t)
-	classes := append(a.classes[:n:n], tc.class)
-	maps := append(a.maps[:n:n], tc.cm)
-	locals := append(a.locals[:n:n], tc.local)
-	levels := append(a.levels[:n:n], tc.levels)
-	dec, azd, err := a.redecide(tasks, classes, maps, locals, levels, structOp{kind: opGrow})
-	if err != nil {
+	caches := append(a.caches[:n:n], buildTaskCache(t))
+	if err := a.redecide(origs, tasks, caches, structOp{kind: opGrow}); err != nil {
 		return fmt.Errorf("core: admission of task %d rejected: %w", t.ID, err)
 	}
-	a.commit(origs, tasks, classes, maps, locals, levels, dec, azd)
 	return nil
 }
 
@@ -172,7 +164,6 @@ func (a *Admission) Update(t *task.Task) error {
 	if err != nil {
 		return fmt.Errorf("core: update of task %d rejected: %w", orig.ID, err)
 	}
-	tc := buildTaskCache(t)
 	origs := a.origs
 	if !a.opts.Fleet.Empty() {
 		origs = a.origs.Clone()
@@ -180,19 +171,11 @@ func (a *Admission) Update(t *task.Task) error {
 	}
 	tasks := a.tasks.Clone()
 	tasks[idx] = t
-	classes := append([]mckp.Class(nil), a.classes...)
-	classes[idx] = tc.class
-	maps := append([][]classMap(nil), a.maps...)
-	maps[idx] = tc.cm
-	locals := append([]dbf.Demand(nil), a.locals...)
-	locals[idx] = tc.local
-	levels := append([][]dbf.Demand(nil), a.levels...)
-	levels[idx] = tc.levels
-	dec, azd, err := a.redecide(tasks, classes, maps, locals, levels, structOp{kind: opSame, idx: idx})
-	if err != nil {
+	caches := append([]taskCache(nil), a.caches...)
+	caches[idx] = buildTaskCache(t)
+	if err := a.redecide(origs, tasks, caches, structOp{kind: opSame, idx: idx}); err != nil {
 		return fmt.Errorf("core: update of task %d rejected: %w", t.ID, err)
 	}
-	a.commit(origs, tasks, classes, maps, locals, levels, dec, azd)
 	return nil
 }
 
@@ -209,8 +192,8 @@ func (a *Admission) Remove(id int) (bool, error) {
 		return false, nil
 	}
 	if len(a.tasks) == 1 {
-		a.commit(nil, nil, nil, nil, nil, nil, nil, nil)
-		a.az = nil
+		a.origs, a.tasks, a.caches, a.dec = nil, nil, nil, nil
+		a.az, a.azDemands = nil, nil
 		if a.mk != nil {
 			a.mk.Reset() // keep the arenas warm for the next admission
 		}
@@ -221,15 +204,10 @@ func (a *Admission) Remove(id int) (bool, error) {
 		origs = append(a.origs[:idx:idx].Clone(), a.origs[idx+1:].Clone()...)
 	}
 	tasks := append(a.tasks[:idx:idx].Clone(), a.tasks[idx+1:].Clone()...)
-	classes := removeAt(a.classes, idx)
-	maps := removeAt(a.maps, idx)
-	locals := removeAt(a.locals, idx)
-	levels := removeAt(a.levels, idx)
-	dec, azd, err := a.redecide(tasks, classes, maps, locals, levels, structOp{kind: opShrink, idx: idx})
-	if err != nil {
+	caches := removeAt(a.caches, idx)
+	if err := a.redecide(origs, tasks, caches, structOp{kind: opShrink, idx: idx}); err != nil {
 		return false, fmt.Errorf("core: re-decision after removing %d failed: %w", id, err)
 	}
-	a.commit(origs, tasks, classes, maps, locals, levels, dec, azd)
 	return true, nil
 }
 
@@ -250,19 +228,6 @@ func removeAt[T any](xs []T, i int) []T {
 	return append(out, xs[i+1:]...)
 }
 
-// commit installs a fully re-decided configuration.
-func (a *Admission) commit(origs, tasks task.Set, classes []mckp.Class, maps [][]classMap,
-	locals []dbf.Demand, levels [][]dbf.Demand, dec *Decision, azd []dbf.Demand) {
-	a.origs = origs
-	a.tasks = tasks
-	a.classes = classes
-	a.maps = maps
-	a.locals = locals
-	a.levels = levels
-	a.dec = dec
-	a.azDemands = azd
-}
-
 // structOp describes how the tentative configuration relates to the
 // committed one, so the analyzer sync can apply the matching
 // structural delta.
@@ -277,68 +242,34 @@ const (
 	opShrink        // task at idx removed, order preserved
 )
 
-// redecide runs the decision pipeline — solve, assemble, repair, and
-// (with ExactUpgrade) the warm-started exact upgrade — over a
-// tentative configuration. All fallible steps (solver, repair) run
-// before any shared state is touched, so a returned error implies a
-// has not been mutated; the analyzer is only advanced afterwards,
-// during the infallible upgrade phase, and the caller always commits
-// on success.
-func (a *Admission) redecide(tasks task.Set, classes []mckp.Class, maps [][]classMap,
-	locals []dbf.Demand, levels [][]dbf.Demand, op structOp) (*Decision, []dbf.Demand, error) {
-	in := &mckp.Instance{Capacity: 1, Classes: classes}
-	sol, synced, err := a.solveIncremental(in, classes, op)
-	fail := func(err error) (*Decision, []dbf.Demand, error) {
+// redecide re-decides a tentative configuration — the persistent
+// solve, then Decide's certify step over the tentative caches with the
+// synced analyzer — and installs it on success. All fallible steps
+// (solver, repairs) run before any shared state other than the solver
+// is touched, and a rejected solve rolls the solver back, so a
+// returned error implies a has not been mutated; the analyzer is only
+// advanced afterwards, during certify's infallible upgrade phase.
+func (a *Admission) redecide(origs, tasks task.Set, caches []taskCache, op structOp) error {
+	sol, synced, err := a.solveIncremental(caches, op)
+	var dec *Decision
+	if err == nil {
+		dec, err = certify(tasks, caches, sol, a.opts, func(want []dbf.Demand) *dbf.Analyzer {
+			a.az = a.syncedAnalyzer(want, op)
+			return a.az
+		})
+	}
+	if err != nil {
 		if synced {
 			a.rollbackSolver(op)
 		}
-		return nil, nil, err
+		return err
 	}
-	if err != nil {
-		return fail(err)
+	a.origs, a.tasks, a.caches, a.dec = origs, tasks, caches, dec
+	a.azDemands = nil
+	if a.opts.ExactUpgrade {
+		a.azDemands = choiceDemands(caches, dec.Choices)
 	}
-	d := assembleDecision(tasks, maps, sol, a.opts.Solver)
-	theorem3 := func(cs []Choice) (*big.Rat, bool) { return theorem3Cached(cs, locals, levels) }
-	var ledger *poolLedger
-	if !a.opts.Fleet.Empty() {
-		// Step-identical to decideFleet's repair: Theorem 3 first, then
-		// the exact capacity pools.
-		if ledger, err = repairFleetDecision(d, a.opts.Fleet, theorem3); err != nil {
-			return fail(err)
-		}
-	} else if err := repairDecision(d, theorem3); err != nil {
-		return fail(err)
-	}
-	if !a.opts.ExactUpgrade {
-		return d, nil, nil
-	}
-	out := &Decision{
-		Choices:       append([]Choice(nil), d.Choices...),
-		TotalExpected: d.TotalExpected,
-		Solver:        d.Solver,
-		Repaired:      d.Repaired,
-		ExactVerified: true,
-	}
-	want := demandsFromCaches(out.Choices, locals, levels)
-	var az *dbf.Analyzer
-	if want != nil {
-		az = a.syncedAnalyzer(want, op)
-	}
-	if az != nil {
-		var guard upgradeGuard
-		if ledger != nil {
-			guard = ledger
-		}
-		improveLoop(out, az, levels, guard)
-		want = demandsFromCaches(out.Choices, locals, levels)
-	}
-	a.az = az
-	total, _ := theorem3(out.Choices)
-	out.Theorem3Total = total
-	if ledger != nil {
-		out.ServerLoads = ledger.emit()
-	}
-	return out, want, nil
+	return nil
 }
 
 // usesPersistentSolver reports whether the configured solver runs on
@@ -361,12 +292,12 @@ func (a *Admission) usesPersistentSolver() bool {
 // touched the solver. The solutions are bit-identical to the stateless
 // path: that is the persistent solver's warm/cold contract, enforced
 // here by TestAdmissionMatchesRebuild.
-func (a *Admission) solveIncremental(in *mckp.Instance, classes []mckp.Class, op structOp) (sol mckp.Solution, mutated bool, err error) {
+func (a *Admission) solveIncremental(caches []taskCache, op structOp) (sol mckp.Solution, mutated bool, err error) {
 	if !a.usesPersistentSolver() {
-		sol, err = solveMCKP(in, a.opts)
+		sol, err = solveMCKP(instanceOf(caches), a.opts)
 		return sol, false, err
 	}
-	if err := a.syncSolver(in, classes, op); err != nil {
+	if err := a.syncSolver(caches, op); err != nil {
 		return mckp.Solution{}, false, err
 	}
 	switch a.opts.Solver {
@@ -389,9 +320,9 @@ func (a *Admission) solveIncremental(in *mckp.Instance, classes []mckp.Class, op
 // a stateless solver would pay. A missing or desynchronized solver is
 // rebuilt from the tentative classes; a sync error leaves a.mk exactly
 // as it was.
-func (a *Admission) syncSolver(in *mckp.Instance, classes []mckp.Class, op structOp) error {
-	if a.mk == nil || a.mk.Len() != len(a.classes) {
-		mk, err := mckp.NewSolverFrom(in)
+func (a *Admission) syncSolver(caches []taskCache, op structOp) error {
+	if a.mk == nil || a.mk.Len() != len(a.caches) {
+		mk, err := mckp.NewSolverFrom(instanceOf(caches))
 		if err != nil {
 			return err
 		}
@@ -400,9 +331,9 @@ func (a *Admission) syncSolver(in *mckp.Instance, classes []mckp.Class, op struc
 	}
 	switch op.kind {
 	case opGrow:
-		return a.mk.Append(classes[len(classes)-1])
+		return a.mk.Append(caches[len(caches)-1].class)
 	case opSame:
-		return a.mk.Swap(op.idx, classes[op.idx])
+		return a.mk.Swap(op.idx, caches[op.idx].class)
 	case opShrink:
 		return a.mk.Remove(op.idx)
 	}
@@ -410,7 +341,7 @@ func (a *Admission) syncSolver(in *mckp.Instance, classes []mckp.Class, op struc
 }
 
 // rollbackSolver undoes the structural delta syncSolver applied, using
-// the still-committed a.classes as the source of truth. The inverse
+// the still-committed a.caches as the source of truth. The inverse
 // delta is correct even when syncSolver rebuilt the solver from the
 // tentative classes: applying it to the tentative configuration yields
 // the committed one either way. The inverse operations cannot fail on
@@ -422,9 +353,9 @@ func (a *Admission) rollbackSolver(op structOp) {
 	case opGrow:
 		err = a.mk.Remove(a.mk.Len() - 1)
 	case opSame:
-		err = a.mk.Swap(op.idx, a.classes[op.idx])
+		err = a.mk.Swap(op.idx, a.caches[op.idx].class)
 	case opShrink:
-		err = a.mk.Insert(op.idx, a.classes[op.idx])
+		err = a.mk.Insert(op.idx, a.caches[op.idx].class)
 	default:
 		err = fmt.Errorf("core: unknown struct op %d", op.kind)
 	}
@@ -492,48 +423,4 @@ func (a *Admission) syncedAnalyzer(want []dbf.Demand, op structOp) *dbf.Analyzer
 		az = fresh
 	}
 	return az
-}
-
-// demandsFromCaches resolves every choice to its cached exact demand;
-// nil when any choice lacks a valid demand model (which mirrors the
-// from-scratch path's analyzer-construction failure).
-func demandsFromCaches(choices []Choice, locals []dbf.Demand, levels [][]dbf.Demand) []dbf.Demand {
-	out := make([]dbf.Demand, len(choices))
-	for i, c := range choices {
-		var d dbf.Demand
-		if c.Offload {
-			d = levels[i][c.Level]
-		} else {
-			d = locals[i]
-		}
-		if d == nil {
-			return nil
-		}
-		out[i] = d
-	}
-	return out
-}
-
-// theorem3Cached evaluates the exact Theorem-3 test from the cached
-// demand models, value-identical to theorem3Of (same constructors,
-// same summation order, exact rational arithmetic throughout).
-func theorem3Cached(choices []Choice, locals []dbf.Demand, levels [][]dbf.Demand) (*big.Rat, bool) {
-	var off []dbf.Offloaded
-	var loc []dbf.Sporadic
-	for i, c := range choices {
-		if c.Offload {
-			o, ok := levels[i][c.Level].(dbf.Offloaded)
-			if !ok {
-				return big.NewRat(2, 1), false // invalid split: over-dense
-			}
-			off = append(off, o)
-		} else {
-			s, ok := locals[i].(dbf.Sporadic)
-			if !ok {
-				return big.NewRat(2, 1), false
-			}
-			loc = append(loc, s)
-		}
-	}
-	return dbf.Theorem3(off, loc)
 }

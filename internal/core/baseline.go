@@ -44,7 +44,7 @@ func DecideServerFaster(set task.Set) (*Decision, error) {
 		d.Choices = append(d.Choices, ch)
 		d.TotalExpected += ch.Expected
 	}
-	total, _ := theorem3Of(d.Choices)
-	d.Theorem3Total = total
+	ds, _ := demandsOf(d.Choices) // an invalid model fails theorem3Over
+	d.Theorem3Total, _ = theorem3Over(ds)
 	return d, nil
 }

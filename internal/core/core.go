@@ -11,10 +11,14 @@
 //  2. The Offloading Decision Manager (this file) reduces the choice of
 //     which tasks to offload — and with which estimated worst-case
 //     response time Ri — to a multiple-choice knapsack instance whose
-//     weights are the Theorem-3 terms (§5.2), solves it with the DP or
-//     HEU-OE solver, and verifies the selected configuration against
-//     the exact rational Theorem-3 test (repairing the rare float
-//     rounding slip by downgrading choices).
+//     weights are the Theorem-3 terms (§5.2) and solves it. One certify
+//     step then turns the solution into a decision: it verifies the
+//     configuration against the exact rational Theorem-3 test
+//     (repairing the rare float rounding slip by downgrading choices),
+//     repairs the capacity pools of a multi-server fleet (fleet.go),
+//     and optionally upgrades levels with the exact QPA test
+//     (exact.go). Decide and the online Admission manager differ only
+//     in how they solve and which analyzer they hand to certify.
 //  3. The Local Compensation Manager is realized by the scheduler
 //     (package sched): the setup sub-job gets the proportional split
 //     deadline Di,1, a timer fires at Ri, and the compensation runs
@@ -224,6 +228,22 @@ type taskCache struct {
 	levels []dbf.Demand
 }
 
+// taskDemands builds the exact demand models of every choice of one
+// task (the local and levels fields of its taskCache) through
+// demandOf; a choice without a valid model keeps a nil entry.
+func taskDemands(t *task.Task) taskCache {
+	c := taskCache{levels: make([]dbf.Demand, len(t.Levels))}
+	if d, err := demandOf(Choice{Task: t}); err == nil {
+		c.local = d
+	}
+	for j := range t.Levels {
+		if d, err := demandOf(Choice{Task: t, Offload: true, Level: j}); err == nil {
+			c.levels[j] = d
+		}
+	}
+	return c
+}
+
 // buildTaskCache constructs one task's MCKP class per §5.2 — item 0 is
 // local execution (wi,1 = Ci/Di, profit weight·Gi(0)), plus one item
 // per offloading level j with wi,j = (Ci,1+Ci,2)/(Di−ri,j) and profit
@@ -231,21 +251,14 @@ type taskCache struct {
 // wi,j > 1) are excluded, as they can never satisfy Theorem 3 — along
 // with the cached demand models of every choice.
 func buildTaskCache(t *task.Task) taskCache {
-	c := taskCache{class: mckp.Class{Label: t.Name}}
+	c := taskDemands(t)
+	c.class.Label = t.Name
 	localW, _ := t.Density().Float64() //rtlint:allow floatexact -- exact→float handoff: MCKP weights are float64 by design; feasibility is re-certified exactly
 	c.class.Items = append(c.class.Items, mckp.Item{Weight: localW, Profit: t.EffectiveWeight() * t.LocalBenefit})
 	c.cm = append(c.cm, classMap{offload: false})
-	if s, err := dbf.NewSporadic(t.LocalWCET, t.Deadline, t.Period); err == nil {
-		c.local = s
-	}
-	c.levels = make([]dbf.Demand, len(t.Levels))
 	for j := range t.Levels {
-		o, errSplit := dbf.NewOffloaded(t.SetupAt(j), t.SecondPhaseAt(j), t.Deadline, t.Period, t.Levels[j].Response)
-		if errSplit == nil {
-			c.levels[j] = o
-		}
 		w, err := t.OffloadWeight(j)
-		if err != nil || errSplit != nil {
+		if err != nil || c.levels[j] == nil {
 			continue // budget ≥ deadline or invalid split: never feasible
 		}
 		if w.Cmp(ratOne) > 0 {
@@ -258,26 +271,26 @@ func buildTaskCache(t *task.Task) taskCache {
 	return c
 }
 
-// buildInstance constructs the MCKP instance of §5.2 over the whole
-// set (see buildTaskCache for the per-task reduction).
-func buildInstance(set task.Set) (*mckp.Instance, [][]classMap, error) {
-	in := &mckp.Instance{Capacity: 1}
-	maps := make([][]classMap, len(set))
-	for i, t := range set {
-		tc := buildTaskCache(t)
-		in.Classes = append(in.Classes, tc.class)
-		maps[i] = tc.cm
+// instanceOf is the MCKP instance of §5.2 over the cached classes.
+func instanceOf(caches []taskCache) *mckp.Instance {
+	in := &mckp.Instance{Capacity: 1, Classes: make([]mckp.Class, len(caches))}
+	for i := range caches {
+		in.Classes[i] = caches[i].class
 	}
-	return in, maps, nil
+	return in
 }
 
 // Decide selects, for every task, local execution or an offloading
 // level, maximizing total weighted benefit subject to the paper's
 // schedulability test. The returned decision always satisfies the
-// exact rational Theorem-3 test.
+// exact rational Theorem-3 test (or, with ExactUpgrade, the exact
+// processor-demand test) and, with a Fleet, every capacity pool.
 func Decide(set task.Set, opts Options) (*Decision, error) {
-	if !opts.Fleet.Empty() {
-		return decideFleet(set, opts)
+	fleetOn := !opts.Fleet.Empty()
+	if fleetOn {
+		if err := opts.Fleet.Validate(); err != nil {
+			return nil, err
+		}
 	}
 	if err := set.Validate(); err != nil {
 		return nil, err
@@ -285,22 +298,68 @@ func Decide(set task.Set, opts Options) (*Decision, error) {
 	if len(set) == 0 {
 		return nil, errors.New("core: empty task set")
 	}
-	in, maps, err := buildInstance(set)
+	if fleetOn {
+		var err error
+		if set, err = opts.Fleet.ExpandSet(set); err != nil {
+			return nil, err
+		}
+	}
+	caches := make([]taskCache, len(set))
+	for i, t := range set {
+		caches[i] = buildTaskCache(t)
+	}
+	sol, err := solveMCKP(instanceOf(caches), opts)
 	if err != nil {
 		return nil, err
 	}
-	sol, err := solveMCKP(in, opts)
+	return certify(set, caches, sol, opts, freshAnalyzer)
+}
+
+// freshAnalyzer builds a new dbf.Analyzer over ds; nil when some
+// demand cannot be analyzed, which skips the exact upgrade.
+func freshAnalyzer(ds []dbf.Demand) *dbf.Analyzer {
+	az, err := dbf.NewAnalyzer(ds)
 	if err != nil {
-		return nil, err
+		return nil
 	}
-	d := assembleDecision(set, maps, sol, opts.Solver)
-	if err := repairDecision(d, theorem3Of); err != nil {
-		return nil, err
+	return az
+}
+
+// certify is the decision pipeline after the MCKP solve, shared by
+// Decide and Admission: assemble the solver's choices, repair them
+// until the exact Theorem-3 test passes, then (with a fleet) repair
+// the capacity pools. With ExactUpgrade the certified decision is then
+// upgraded by the exact QPA test, on the dbf.Analyzer that analyzer
+// returns for its demands and under the pool ledger's guard when a
+// fleet is set. analyzer is only called once every fallible step has
+// passed, so an error leaves whatever state it closes over untouched.
+func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options,
+	analyzer func([]dbf.Demand) *dbf.Analyzer) (*Decision, error) {
+	d := assembleDecision(tasks, caches, sol, opts.Solver)
+	theorem3 := func(cs []Choice) (*big.Rat, bool) { return theorem3Over(choiceDemands(caches, cs)) }
+	var ledger *poolLedger
+	if opts.Fleet.Empty() {
+		if err := repairDecision(d, theorem3); err != nil {
+			return nil, err
+		}
+	} else {
+		var err error
+		if ledger, err = repairFleetDecision(d, opts.Fleet, theorem3); err != nil {
+			return nil, err
+		}
 	}
-	if opts.ExactUpgrade {
-		return ImproveWithExact(d, set)
+	if !opts.ExactUpgrade {
+		return d, nil
 	}
-	return d, nil
+	var guard upgradeGuard
+	if ledger != nil {
+		guard = ledger
+	}
+	out := exactUpgrade(d, caches, analyzer, guard)
+	if ledger != nil {
+		out.ServerLoads = ledger.emit()
+	}
+	return out, nil
 }
 
 // solveMCKP runs the configured MCKP solver, mapping the solver's
@@ -337,10 +396,10 @@ func solveMCKP(in *mckp.Instance, opts Options) (mckp.Solution, error) {
 // accumulating TotalExpected in set order (float accumulation order is
 // part of the decision's bit-identity contract between the from-scratch
 // and incremental paths).
-func assembleDecision(set task.Set, maps [][]classMap, sol mckp.Solution, solver Solver) *Decision {
+func assembleDecision(set task.Set, caches []taskCache, sol mckp.Solution, solver Solver) *Decision {
 	d := &Decision{Solver: solver}
 	for i, t := range set {
-		cm := maps[i][sol.Choice[i]]
+		cm := caches[i].cm[sol.Choice[i]]
 		ch := Choice{Task: t, Offload: cm.offload, Level: cm.level}
 		if cm.offload {
 			ch.Expected = t.EffectiveWeight() * t.Levels[cm.level].Benefit
@@ -356,8 +415,7 @@ func assembleDecision(set task.Set, maps [][]classMap, sol mckp.Solution, solver
 // repairDecision is the exact verification + repair pass: float
 // accumulation in the solvers can, in principle, admit a configuration
 // a hair over 1. Downgrade the offloaded choice with the smallest
-// benefit loss until the exact test (evaluated by theorem3, which must
-// agree with theorem3Of) passes.
+// benefit loss until the exact test (evaluated by theorem3) passes.
 func repairDecision(d *Decision, theorem3 func([]Choice) (*big.Rat, bool)) error {
 	for {
 		total, ok := theorem3(d.Choices)
@@ -379,27 +437,34 @@ func repairDecision(d *Decision, theorem3 func([]Choice) (*big.Rat, bool)) error
 	}
 }
 
-// theorem3Of evaluates the exact test for a choice vector.
-func theorem3Of(choices []Choice) (*big.Rat, bool) {
+// choiceDemands resolves every choice to its cached exact demand; an
+// entry is nil where the choice has no valid demand model.
+func choiceDemands(caches []taskCache, choices []Choice) []dbf.Demand {
+	ds := make([]dbf.Demand, len(choices))
+	for i, c := range choices {
+		if c.Offload {
+			ds[i] = caches[i].levels[c.Level]
+		} else {
+			ds[i] = caches[i].local
+		}
+	}
+	return ds
+}
+
+// theorem3Over evaluates the exact Theorem-3 test over the demands of
+// a choice vector. A nil demand (no valid model: over-dense) fails the
+// test with total 2.
+func theorem3Over(ds []dbf.Demand) (*big.Rat, bool) {
 	var off []dbf.Offloaded
 	var loc []dbf.Sporadic
-	for _, c := range choices {
-		t := c.Task
-		if c.Offload {
-			o, err := dbf.NewOffloaded(t.SetupAt(c.Level), t.SecondPhaseAt(c.Level),
-				t.Deadline, t.Period, t.Levels[c.Level].Response)
-			if err != nil {
-				// Excluded in buildInstance; a failure here means the
-				// choice is over-dense — report as infeasible.
-				return big.NewRat(2, 1), false
-			}
-			off = append(off, o)
-		} else {
-			s, err := dbf.NewSporadic(t.LocalWCET, t.Deadline, t.Period)
-			if err != nil {
-				return big.NewRat(2, 1), false
-			}
-			loc = append(loc, s)
+	for _, d := range ds {
+		switch d := d.(type) {
+		case dbf.Offloaded:
+			off = append(off, d)
+		case dbf.Sporadic:
+			loc = append(loc, d)
+		default:
+			return big.NewRat(2, 1), false
 		}
 	}
 	return dbf.Theorem3(off, loc)

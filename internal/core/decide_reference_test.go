@@ -1,0 +1,200 @@
+package core
+
+import (
+	"errors"
+	"fmt"
+	"math/big"
+	"testing"
+
+	"rtoffload/internal/dbf"
+	"rtoffload/internal/mckp"
+	"rtoffload/internal/stats"
+	"rtoffload/internal/task"
+)
+
+// This file keeps the original from-scratch single-server decision
+// path as a test-only oracle. It shares the MCKP reduction
+// (buildTaskCache), the solvers and the repair/upgrade loops with the
+// shipped pipeline, but evaluates Theorem 3 and builds the exact
+// upgrade's demands from the choices on every call instead of reading
+// the per-task caches certify works on. TestDecideMatchesReference
+// holds Decide bit-identical to it; without it, the admission
+// differentials would only compare two callers of the same certify.
+
+// buildInstance constructs the MCKP instance of §5.2 over the whole
+// set (see buildTaskCache for the per-task reduction).
+func buildInstance(set task.Set) (*mckp.Instance, [][]classMap, error) {
+	in := &mckp.Instance{Capacity: 1}
+	maps := make([][]classMap, len(set))
+	for i, t := range set {
+		tc := buildTaskCache(t)
+		in.Classes = append(in.Classes, tc.class)
+		maps[i] = tc.cm
+	}
+	return in, maps, nil
+}
+
+// mapCaches wraps item maps in taskCaches for assembleDecision.
+func mapCaches(maps [][]classMap) []taskCache {
+	cs := make([]taskCache, len(maps))
+	for i, cm := range maps {
+		cs[i].cm = cm
+	}
+	return cs
+}
+
+// theorem3Of evaluates the exact test for a choice vector, building
+// every demand model from scratch.
+func theorem3Of(choices []Choice) (*big.Rat, bool) {
+	var off []dbf.Offloaded
+	var loc []dbf.Sporadic
+	for _, c := range choices {
+		t := c.Task
+		if c.Offload {
+			o, err := dbf.NewOffloaded(t.SetupAt(c.Level), t.SecondPhaseAt(c.Level),
+				t.Deadline, t.Period, t.Levels[c.Level].Response)
+			if err != nil {
+				// Excluded in buildInstance; a failure here means the
+				// choice is over-dense — report as infeasible.
+				return big.NewRat(2, 1), false
+			}
+			off = append(off, o)
+		} else {
+			s, err := dbf.NewSporadic(t.LocalWCET, t.Deadline, t.Period)
+			if err != nil {
+				return big.NewRat(2, 1), false
+			}
+			loc = append(loc, s)
+		}
+	}
+	return dbf.Theorem3(off, loc)
+}
+
+// newUpgradeState builds the Analyzer over the decision's current
+// demands plus the candidate demand of every (task, level) pair, in
+// the per-task layout improveLoop reads. Levels that cannot form a
+// valid split model stay nil — they are never feasible.
+func newUpgradeState(choices []Choice) (*dbf.Analyzer, []taskCache, error) {
+	ds, err := demandsOf(choices)
+	if err != nil {
+		return nil, nil, err
+	}
+	az, err := dbf.NewAnalyzer(ds)
+	if err != nil {
+		return nil, nil, err
+	}
+	levelDemands := make([]taskCache, len(choices))
+	for i, c := range choices {
+		t := c.Task
+		levelDemands[i].levels = make([]dbf.Demand, len(t.Levels))
+		for lv := range t.Levels {
+			o, err := dbf.NewOffloaded(t.SetupAt(lv), t.SecondPhaseAt(lv),
+				t.Deadline, t.Period, t.Levels[lv].Response)
+			if err != nil {
+				continue
+			}
+			levelDemands[i].levels[lv] = o
+		}
+	}
+	return az, levelDemands, nil
+}
+
+// refImproveWithExact is the from-scratch ImproveWithExact: the
+// upgrade state is rebuilt from the choices, and the final total is
+// evaluated by theorem3Of. guard may be nil.
+func refImproveWithExact(d *Decision, guard func(out *Decision) upgradeGuard) *Decision {
+	out := &Decision{
+		Choices:       append([]Choice(nil), d.Choices...),
+		TotalExpected: d.TotalExpected,
+		Solver:        d.Solver,
+		Repaired:      d.Repaired,
+		ExactVerified: true,
+	}
+	if az, levelDemands, err := newUpgradeState(out.Choices); err == nil {
+		var g upgradeGuard
+		if guard != nil {
+			g = guard(out)
+		}
+		improveLoop(out, az, levelDemands, g)
+	}
+	total, _ := theorem3Of(out.Choices)
+	out.Theorem3Total = total
+	return out
+}
+
+// refDecide is the from-scratch single-server Decide: build the
+// instance, solve, repair against theorem3Of, and optionally upgrade
+// through refImproveWithExact.
+func refDecide(set task.Set, opts Options) (*Decision, error) {
+	if err := set.Validate(); err != nil {
+		return nil, err
+	}
+	if len(set) == 0 {
+		return nil, errors.New("core: empty task set")
+	}
+	in, maps, err := buildInstance(set)
+	if err != nil {
+		return nil, err
+	}
+	sol, err := solveMCKP(in, opts)
+	if err != nil {
+		return nil, err
+	}
+	d := assembleDecision(set, mapCaches(maps), sol, opts.Solver)
+	if err := repairDecision(d, theorem3Of); err != nil {
+		return nil, err
+	}
+	if opts.ExactUpgrade {
+		return refImproveWithExact(d, nil), nil
+	}
+	return d, nil
+}
+
+// TestDecideMatchesReference is the independent oracle of the shipped
+// single-server pipeline: for every solver, with and without the exact
+// upgrade, Decide must match the from-scratch refDecide bit for bit —
+// or fail exactly when it fails. Half the sets come from the §6.2
+// random generator at utilizations up to 0.95, half from the churn
+// generator (constrained deadlines, post-processing, weights).
+func TestDecideMatchesReference(t *testing.T) {
+	solvers := []Solver{SolverDP, SolverHEU, SolverBrute, SolverGreedy, SolverBnB, SolverCore}
+	rng := stats.NewRNG(4242)
+	compared := 0
+	for trial := 0; trial < 40; trial++ {
+		n := rng.IntN(6) + 2
+		var set task.Set
+		if trial%2 == 0 {
+			p := task.DefaultRandomSetParams()
+			p.N = n
+			p.Q = rng.IntN(4) + 1
+			p.TotalUtil = rng.Uniform(0.2, 0.95)
+			p.RespLoFrac = 0.2
+			p.RespHiFrac = 0.9
+			var err error
+			if set, err = task.GenerateRandomSet(rng.Fork(), p); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			set = randomFleetSet(rng, n)
+		}
+		for _, s := range solvers {
+			for _, exact := range []bool{false, true} {
+				opts := Options{Solver: s, ExactUpgrade: exact}
+				ctx := fmt.Sprintf("trial %d (solver %v exact=%v)", trial, s, exact)
+				got, gotErr := Decide(set, opts)
+				want, wantErr := refDecide(set, opts)
+				if (gotErr == nil) != (wantErr == nil) {
+					t.Fatalf("%s: error mismatch: %v vs reference %v", ctx, gotErr, wantErr)
+				}
+				if wantErr != nil {
+					continue
+				}
+				requireSameDecision(t, got, want, ctx)
+				compared++
+			}
+		}
+	}
+	if compared == 0 {
+		t.Fatal("no decision was compared")
+	}
+}

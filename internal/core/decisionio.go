@@ -89,7 +89,8 @@ func ReadDecisionJSON(r io.Reader, set task.Set) (*Decision, error) {
 		d.Choices = append(d.Choices, ch)
 		d.TotalExpected += ch.Expected
 	}
-	total, ok := theorem3Of(d.Choices)
+	ds, _ := demandsOf(d.Choices) // an invalid model fails theorem3Over
+	total, ok := theorem3Over(ds)
 	d.Theorem3Total = total
 	if f.Exact {
 		if err := VerifyExact(d); err != nil {

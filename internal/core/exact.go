@@ -9,7 +9,8 @@ import (
 
 // demandOf builds the exact demand model of one choice: a
 // dbf.Offloaded (split sub-jobs, suspension ≤ Ri) when offloading,
-// else a dbf.Sporadic.
+// else a dbf.Sporadic. It is the one demand constructor of the
+// package; taskDemands caches its results per task.
 func demandOf(c Choice) (dbf.Demand, error) {
 	t := c.Task
 	if c.Offload {
@@ -19,17 +20,23 @@ func demandOf(c Choice) (dbf.Demand, error) {
 	return dbf.NewSporadic(t.LocalWCET, t.Deadline, t.Period)
 }
 
-// demandsOf builds the exact demand model of a choice vector.
+// demandsOf builds the exact demand model of a choice vector. A choice
+// without a valid model keeps a nil entry (which theorem3Over rejects),
+// and the first construction error is returned alongside.
 func demandsOf(choices []Choice) ([]dbf.Demand, error) {
-	ds := make([]dbf.Demand, 0, len(choices))
-	for _, c := range choices {
+	ds := make([]dbf.Demand, len(choices))
+	var first error
+	for i, c := range choices {
 		d, err := demandOf(c)
 		if err != nil {
-			return nil, err
+			if first == nil {
+				first = err
+			}
+			continue
 		}
-		ds = append(ds, d)
+		ds[i] = d
 	}
-	return ds, nil
+	return ds, first
 }
 
 // ImproveWithExact upgrades a Theorem-3 decision using the exact
@@ -48,7 +55,8 @@ func demandsOf(choices []Choice) ([]dbf.Demand, error) {
 // The result may exceed 1 on the Theorem-3 scale (that is the point);
 // its ExactVerified flag is set, and the per-claim guarantee is the
 // same as the paper's: every deadline is met even if no result ever
-// returns. The input decision is not modified.
+// returns. The input decision is not modified. Decide runs the same
+// pass when Options.ExactUpgrade is set.
 func ImproveWithExact(d *Decision, set task.Set) (*Decision, error) {
 	if d == nil {
 		return nil, fmt.Errorf("core: nil decision")
@@ -56,6 +64,18 @@ func ImproveWithExact(d *Decision, set task.Set) (*Decision, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
+	caches := make([]taskCache, len(d.Choices))
+	for i, c := range d.Choices {
+		caches[i] = taskDemands(c.Task)
+	}
+	return exactUpgrade(d, caches, freshAnalyzer, nil), nil
+}
+
+// exactUpgrade runs the exact-upgrade pass on a copy of d: analyzer
+// supplies the dbf.Analyzer over the copy's current demands (nil skips
+// the upgrade), improveLoop applies the upgrades under guard, and the
+// exact Theorem-3 total of the result is recorded.
+func exactUpgrade(d *Decision, caches []taskCache, analyzer func([]dbf.Demand) *dbf.Analyzer, guard upgradeGuard) *Decision {
 	out := &Decision{
 		Choices:       append([]Choice(nil), d.Choices...),
 		TotalExpected: d.TotalExpected,
@@ -63,41 +83,11 @@ func ImproveWithExact(d *Decision, set task.Set) (*Decision, error) {
 		Repaired:      d.Repaired,
 		ExactVerified: true,
 	}
-	if az, levelDemands, err := newUpgradeState(out.Choices); err == nil {
-		improveLoop(out, az, levelDemands, nil)
+	if az := analyzer(choiceDemands(caches, out.Choices)); az != nil {
+		improveLoop(out, az, caches, guard)
 	}
-	total, _ := theorem3Of(out.Choices)
-	out.Theorem3Total = total
-	return out, nil
-}
-
-// newUpgradeState builds the Analyzer over the decision's current
-// demands plus the candidate demand of every (task, level) pair.
-// Levels that cannot form a valid split model stay nil — they are
-// never feasible, matching the rebuild-from-scratch behavior.
-func newUpgradeState(choices []Choice) (*dbf.Analyzer, [][]dbf.Demand, error) {
-	ds, err := demandsOf(choices)
-	if err != nil {
-		return nil, nil, err
-	}
-	az, err := dbf.NewAnalyzer(ds)
-	if err != nil {
-		return nil, nil, err
-	}
-	levelDemands := make([][]dbf.Demand, len(choices))
-	for i, c := range choices {
-		t := c.Task
-		levelDemands[i] = make([]dbf.Demand, len(t.Levels))
-		for lv := range t.Levels {
-			o, err := dbf.NewOffloaded(t.SetupAt(lv), t.SecondPhaseAt(lv),
-				t.Deadline, t.Period, t.Levels[lv].Response)
-			if err != nil {
-				continue
-			}
-			levelDemands[i][lv] = o
-		}
-	}
-	return az, levelDemands, nil
+	out.Theorem3Total, _ = theorem3Over(choiceDemands(caches, out.Choices))
+	return out
 }
 
 // upgradeGuard vetoes exact-upgrade candidates before the feasibility
@@ -112,7 +102,7 @@ type upgradeGuard interface {
 // passes the exact test, keeping the Analyzer in sync with out. A
 // non-nil guard vetoes candidates before the feasibility probe — the
 // fleet path uses it to keep upgrades within the capacity pools.
-func improveLoop(out *Decision, az *dbf.Analyzer, levelDemands [][]dbf.Demand, guard upgradeGuard) {
+func improveLoop(out *Decision, az *dbf.Analyzer, caches []taskCache, guard upgradeGuard) {
 	feasible := (*dbf.Analyzer).Feasible
 	for {
 		bestIdx, bestLevel := -1, 0
@@ -131,7 +121,7 @@ func improveLoop(out *Decision, az *dbf.Analyzer, levelDemands [][]dbf.Demand, g
 				if gain <= bestGain {
 					continue
 				}
-				cand := levelDemands[i][lv]
+				cand := caches[i].levels[lv]
 				if cand == nil {
 					continue
 				}
@@ -147,7 +137,7 @@ func improveLoop(out *Decision, az *dbf.Analyzer, levelDemands [][]dbf.Demand, g
 		if bestIdx < 0 {
 			return
 		}
-		if err := az.Swap(bestIdx, levelDemands[bestIdx][bestLevel]); err != nil {
+		if err := az.Swap(bestIdx, caches[bestIdx].levels[bestLevel]); err != nil {
 			return
 		}
 		c := &out.Choices[bestIdx]

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"math/big"
 
 	"rtoffload/internal/fleet"
@@ -10,77 +9,22 @@ import (
 )
 
 // This file generalizes the Offloading Decision Manager to a fleet of
-// timing-unreliable servers (Options.Fleet). The pipeline is the
-// paper's, run over the fleet-expanded choice sets:
-//
-//  1. fleet.ExpandSet turns every probed budget into one
-//     (server, budget) point per server — server-scaled budgets,
-//     reliability-discounted benefits, ServerID routing.
-//  2. The MCKP solvers and the exact Theorem-3 repair run unchanged
-//     over the expanded classes (a point is just a level).
-//  3. A capacity repair pass then enforces the per-server and
-//     per-group occupancy pools exactly: over-capacity pools are
-//     drained by rerouting choices to alternative points that keep
-//     Theorem 3 satisfied, falling back to downgrading the
-//     cheapest-loss choice to local execution.
-//  4. With ExactUpgrade, the QPA upgrade runs with a capacity guard so
-//     upgrades never push a pool over its cap.
+// timing-unreliable servers (Options.Fleet). Decide expands every
+// task with fleet.ExpandSet — each probed budget becomes one
+// (server, budget) point per server, with server-scaled budgets,
+// reliability-discounted benefits and ServerID routing — and then runs
+// the paper's pipeline over the expanded classes (a point is just a
+// level). The one fleet-specific step sits in certify, after the
+// Theorem-3 repair: repairFleetDecision enforces the per-server and
+// per-group occupancy pools exactly, draining each over-capacity pool
+// by rerouting choices to alternative points that keep Theorem 3
+// satisfied, falling back to downgrading the cheapest-loss choice to
+// local execution. Its pool ledger then guards the exact upgrade, so
+// no upgrade pushes a pool over its cap.
 //
 // A 1-server neutral fleet reproduces the single-server pipeline
 // bit-for-bit (the expansion is verbatim and the capacity pass finds
 // nothing to do) — fleet_diff_test.go proves this differentially.
-
-// decideFleet is Decide's fleet path: expand, solve, repair Theorem 3,
-// repair capacity, optionally exact-upgrade under the capacity guard.
-func decideFleet(set task.Set, opts Options) (*Decision, error) {
-	if err := opts.Fleet.Validate(); err != nil {
-		return nil, err
-	}
-	if err := set.Validate(); err != nil {
-		return nil, err
-	}
-	if len(set) == 0 {
-		return nil, errors.New("core: empty task set")
-	}
-	derived, err := opts.Fleet.ExpandSet(set)
-	if err != nil {
-		return nil, err
-	}
-	in, maps, err := buildInstance(derived)
-	if err != nil {
-		return nil, err
-	}
-	sol, err := solveMCKP(in, opts)
-	if err != nil {
-		return nil, err
-	}
-	d := assembleDecision(derived, maps, sol, opts.Solver)
-	ledger, err := repairFleetDecision(d, opts.Fleet, theorem3Of)
-	if err != nil {
-		return nil, err
-	}
-	if !opts.ExactUpgrade {
-		return d, nil
-	}
-	// Mirror of ImproveWithExact, minus its set re-validation (expanded
-	// tasks intentionally break benefit monotonicity) and plus the
-	// capacity guard. The admission path in redecide must stay
-	// step-identical to this sequence.
-	out := &Decision{
-		Choices:       append([]Choice(nil), d.Choices...),
-		TotalExpected: d.TotalExpected,
-		Solver:        d.Solver,
-		Repaired:      d.Repaired,
-		ExactVerified: true,
-	}
-	if az, levelDemands, err := newUpgradeState(out.Choices); err == nil {
-		improveLoop(out, az, levelDemands, ledger)
-	}
-	total, _ := theorem3Of(out.Choices)
-	out.Theorem3Total = total
-	out.ServerLoads = ledger.emit()
-	return out, nil
-}
 
 // repairFleetDecision is the fleet decision's combined exact repair:
 // first the Theorem-3 repair (identical to the single-server pass),

@@ -17,7 +17,8 @@ import (
 // one: TestFleetRepairMatchesReference and FuzzFleetDecide hold it to
 // that.
 
-// refDecideFleet is decideFleet with the reference repair and the
+// refDecideFleet is the from-scratch fleet Decide (decide_reference_test.go's
+// refDecide over the expanded set) with the reference repair and the
 // reference capacity guard.
 func refDecideFleet(set task.Set, opts Options) (*Decision, error) {
 	if err := opts.Fleet.Validate(); err != nil {
@@ -41,25 +42,16 @@ func refDecideFleet(set task.Set, opts Options) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := assembleDecision(derived, maps, sol, opts.Solver)
+	d := assembleDecision(derived, mapCaches(maps), sol, opts.Solver)
 	if err := refRepairFleetDecision(d, opts.Fleet, theorem3Of); err != nil {
 		return nil, err
 	}
 	if !opts.ExactUpgrade {
 		return d, nil
 	}
-	out := &Decision{
-		Choices:       append([]Choice(nil), d.Choices...),
-		TotalExpected: d.TotalExpected,
-		Solver:        d.Solver,
-		Repaired:      d.Repaired,
-		ExactVerified: true,
-	}
-	if az, levelDemands, err := newUpgradeState(out.Choices); err == nil {
-		improveLoop(out, az, levelDemands, refGuard{out: out, allow: refCapacityGuard(opts.Fleet)})
-	}
-	total, _ := theorem3Of(out.Choices)
-	out.Theorem3Total = total
+	out := refImproveWithExact(d, func(out *Decision) upgradeGuard {
+		return refGuard{out: out, allow: refCapacityGuard(opts.Fleet)}
+	})
 	out.ServerLoads = refDecisionLoads(out.Choices, opts.Fleet)
 	return out, nil
 }
