@@ -57,16 +57,19 @@ lint:
 # kernel, the time-wheel calendar, and the binary trace sink's emit
 # path. Also bounds the allocations of a fixed 48-task hot fleet
 # Decide, the deterministic guard against the capacity repair going
-# quadratic again.
+# quadratic again, and of a fixed-seed exact-upgrade admission churn
+# replay, which holds the upgrade's candidate buffer to reuse.
 alloc-gate:
-	$(GO) test -count=1 -run 'ZeroAlloc|FleetDecideAllocs' \
+	$(GO) test -count=1 -run 'ZeroAlloc|FleetDecideAllocs|AdmissionExactAllocs' \
 		./internal/mckp ./internal/sched ./internal/sched/eventq \
 		./internal/trace ./internal/admitd ./internal/dbf ./internal/core
 
 # Short liveness run of the admission-control service: a couple of
-# deterministic churn streams through cmd/admitd's bench mode.
+# deterministic churn streams through cmd/admitd's bench mode, on the
+# default core solver and on the DP the paper's figures use.
 smoke-admitd:
 	$(GO) run ./cmd/admitd -bench -tenants 2 -ops 40 -seed 7 > /dev/null
+	$(GO) run ./cmd/admitd -bench -tenants 1 -ops 40 -seed 7 -solver dp > /dev/null
 
 # Fast functional pass over the core-solver differential tests: the
 # solver-vs-BnB/brute agreement, the incremental bit-identity churn,

@@ -390,33 +390,82 @@ func BenchmarkExactUpgrade(b *testing.B) {
 // BenchmarkImproveWithExact isolates the QPA-driven upgrade pass: the
 // Theorem-3 decision is computed once outside the loop, so ns/op and
 // allocs/op measure only the exact-feasibility search — the hot path
-// of every exact ablation and of online re-decision.
+// of every exact ablation and of online re-decision. small is an
+// 8-task §6.2 set that takes a few upgrades; large is shaped like an
+// admitd large tenant (thirty light near-edge tasks, 1–3 levels each,
+// setup C/5 and compensation 4C/5 of the local WCET), where the
+// upgrade rounds and their QPA probes dominate a re-decision.
 func BenchmarkImproveWithExact(b *testing.B) {
 	p := task.DefaultRandomSetParams()
 	p.N = 8
 	p.TotalUtil = 0.5
 	p.RespLoFrac = 0.3
 	p.RespHiFrac = 0.8
-	set, err := task.GenerateRandomSet(stats.NewRNG(17), p)
+	small, err := task.GenerateRandomSet(stats.NewRNG(17), p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	base, err := core.Decide(set, core.Options{Solver: core.SolverDP})
-	if err != nil {
-		b.Fatal(err)
+	for _, tc := range []struct {
+		name   string
+		set    task.Set
+		solver core.Solver
+	}{
+		{"small", small, core.SolverDP},
+		{"large", lightEdgeSet(stats.NewRNG(29), 30), core.SolverCore},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			base, err := core.Decide(tc.set, core.Options{Solver: tc.solver})
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var improved *core.Decision
+			for i := 0; i < b.N; i++ {
+				improved, err = core.ImproveWithExact(base, tc.set)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+			if improved != nil && base.TotalExpected > 0 {
+				b.ReportMetric(improved.TotalExpected/base.TotalExpected, "gain-vs-thm3")
+			}
+		})
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var improved *core.Decision
-	for i := 0; i < b.N; i++ {
-		improved, err = core.ImproveWithExact(base, set)
-		if err != nil {
-			b.Fatal(err)
+}
+
+// lightEdgeSet draws n light offloadable tasks in the admitd
+// large-tenant shape: local density 1–5%, so thirty fill most of a
+// processor, and one to three offloading levels of increasing budget
+// and benefit.
+func lightEdgeSet(rng *stats.RNG, n int) task.Set {
+	set := make(task.Set, 0, n)
+	for len(set) < n {
+		period := rtime.FromMillis(rng.UniformInt(20, 800))
+		deadline := period
+		if rng.Bool(0.25) {
+			deadline = period/2 + rtime.Duration(rng.Int64N(int64(period/2)))
+		}
+		c := rtime.Duration(rng.Uniform(0.01, 0.05)*float64(deadline)) + 1
+		tk := &task.Task{
+			ID: len(set), Period: period, Deadline: deadline,
+			LocalWCET: c, Setup: c/5 + 1, Compensation: c * 4 / 5, PostProcess: c / 8,
+			LocalBenefit: rng.Uniform(0, 3),
+			Weight:       rng.Uniform(0.5, 3),
+		}
+		nlv := rng.IntN(3) + 1
+		prevR, prevB := rtime.Duration(0), tk.LocalBenefit
+		for j := 0; j < nlv; j++ {
+			r := prevR + rtime.Duration(rng.Int64N(int64(deadline)))/rtime.Duration(nlv+1) + 1
+			b := prevB + rng.Uniform(0.1, 2)
+			tk.Levels = append(tk.Levels, task.Level{Response: r, Benefit: b})
+			prevR, prevB = r, b
+		}
+		if tk.Validate() == nil {
+			set = append(set, tk)
 		}
 	}
-	if improved != nil && base.TotalExpected > 0 {
-		b.ReportMetric(improved.TotalExpected/base.TotalExpected, "gain-vs-thm3")
-	}
+	return set
 }
 
 // BenchmarkAdmissionChurn measures online admission churn: a rolling

@@ -2,8 +2,13 @@
 //
 // Usage:
 //
-//	admitd [-addr :8080] [-solver dp|heu|bnb|core] [-exact] [-fleet SPEC]   serve HTTP
+//	admitd [-addr :8080] [-solver core|dp|heu|bnb] [-exact] [-fleet SPEC]   serve HTTP
 //	admitd -bench [-tenants N] [-ops N] [-seed N] [-maxlive N]              sustained-load benchmark
+//
+// The default solver is core, the exact MCKP solver: its optimum is
+// never below the DP's, which rounds capacity on a grid, and a warm
+// re-solve costs tens of microseconds where the DP's costs
+// milliseconds.
 //
 // With -fleet, every tenant's choice sets span (server, budget) pairs
 // of the given fleet (see internal/fleet.ParseSpec for the spec
@@ -42,7 +47,7 @@ func Run(w io.Writer, args []string) error {
 	fs := flag.NewFlagSet("admitd", flag.ContinueOnError)
 	var (
 		addr    = fs.String("addr", ":8080", "listen address (serve mode)")
-		solver  = fs.String("solver", "dp", "MCKP solver: dp, heu, bnb, or core")
+		solver  = fs.String("solver", "core", "MCKP solver: core (exact), dp, heu, or bnb")
 		exact   = fs.Bool("exact", true, "run the exact-upgrade pass on every re-decision")
 		bench   = fs.Bool("bench", false, "run the sustained-load benchmark instead of serving")
 		tenants = fs.Int("tenants", 8, "concurrent churn streams (bench mode)")

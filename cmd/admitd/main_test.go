@@ -35,8 +35,8 @@ func runBench(t *testing.T, args ...string) string {
 	}
 	out := buf.String()
 	header, _, _ := strings.Cut(out, "\n")
-	if !strings.HasPrefix(header, "solver") || !strings.HasSuffix(header, "dp (exact=true)") {
-		t.Fatalf("solver header %q, want a solver line ending in %q", header, "dp (exact=true)")
+	if !strings.HasPrefix(header, "solver") || !strings.HasSuffix(header, "core (exact=true)") {
+		t.Fatalf("solver header %q, want a solver line ending in %q", header, "core (exact=true)")
 	}
 	for _, field := range []string{"committed", "rejected", "live tasks", "ops/sec"} {
 		if !strings.Contains(out, "\n"+field) {

@@ -56,11 +56,12 @@ type Admission struct {
 	caches []taskCache
 
 	// Exact-upgrade state (maintained only when opts.ExactUpgrade):
-	// az's slot i always holds azDemands[i], the exact demand of
-	// dec.Choices[i]. A nil az is rebuilt from the caches on the next
-	// re-decision.
-	az        *dbf.Analyzer
-	azDemands []dbf.Demand
+	// az's slot i always holds the exact demand of dec.Choices[i]. A
+	// nil az is rebuilt from the caches on the next re-decision.
+	az *dbf.Analyzer
+	// upgradeBuf is the exact upgrade's candidate scratch, kept across
+	// re-decisions so a warm upgrade pass does not allocate it.
+	upgradeBuf []upgradeCand
 
 	// Persistent MCKP solver (maintained for the solvers that profit
 	// from cached per-class preprocessing: SolverCore, SolverDP,
@@ -193,7 +194,7 @@ func (a *Admission) Remove(id int) (bool, error) {
 	}
 	if len(a.tasks) == 1 {
 		a.origs, a.tasks, a.caches, a.dec = nil, nil, nil, nil
-		a.az, a.azDemands = nil, nil
+		a.az = nil
 		if a.mk != nil {
 			a.mk.Reset() // keep the arenas warm for the next admission
 		}
@@ -256,7 +257,7 @@ func (a *Admission) redecide(origs, tasks task.Set, caches []taskCache, op struc
 		dec, err = certify(tasks, caches, sol, a.opts, func(want []dbf.Demand) *dbf.Analyzer {
 			a.az = a.syncedAnalyzer(want, op)
 			return a.az
-		})
+		}, &a.upgradeBuf)
 	}
 	if err != nil {
 		if synced {
@@ -265,10 +266,6 @@ func (a *Admission) redecide(origs, tasks task.Set, caches []taskCache, op struc
 		return err
 	}
 	a.origs, a.tasks, a.caches, a.dec = origs, tasks, caches, dec
-	a.azDemands = nil
-	if a.opts.ExactUpgrade {
-		a.azDemands = choiceDemands(caches, dec.Choices)
-	}
 	return nil
 }
 
@@ -366,26 +363,19 @@ func (a *Admission) rollbackSolver(op structOp) {
 
 // syncedAnalyzer brings the persistent analyzer in line with want (the
 // demands of the freshly repaired decision) using O(1) structural and
-// swap deltas against azDemands; any inconsistency falls back to a
-// fresh build. It returns nil only when want contains a demand the
+// swap deltas against its current slots; any inconsistency falls back
+// to a fresh build. It returns nil only when want contains a demand the
 // caches could not model — then the upgrade is skipped, exactly as the
 // from-scratch path skips it when its analyzer construction fails.
 func (a *Admission) syncedAnalyzer(want []dbf.Demand, op structOp) *dbf.Analyzer {
 	az := a.az
-	cur := a.azDemands
-	curAt := func(i int) dbf.Demand {
-		if op.kind == opShrink && i >= op.idx {
-			return cur[i+1]
-		}
-		return cur[i]
-	}
 	expectLen := len(want)
 	if op.kind == opGrow {
 		expectLen--
 	} else if op.kind == opShrink {
 		expectLen++
 	}
-	if az == nil || len(cur) != expectLen || az.Len() != expectLen {
+	if az != nil && az.Len() != expectLen {
 		az = nil
 	}
 	if az != nil {
@@ -401,15 +391,11 @@ func (a *Admission) syncedAnalyzer(want []dbf.Demand, op structOp) *dbf.Analyzer
 		}
 	}
 	if az != nil {
-		limit := len(want)
-		if op.kind == opGrow {
-			limit-- // the appended slot already holds want's tail
-		}
-		for i := 0; i < limit; i++ {
-			if want[i] == curAt(i) {
+		for i, d := range want {
+			if d == az.At(i) {
 				continue
 			}
-			if az.Swap(i, want[i]) != nil {
+			if az.Swap(i, d) != nil {
 				az = nil
 				break
 			}

@@ -312,7 +312,7 @@ func Decide(set task.Set, opts Options) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	return certify(set, caches, sol, opts, freshAnalyzer)
+	return certify(set, caches, sol, opts, freshAnalyzer, nil)
 }
 
 // freshAnalyzer builds a new dbf.Analyzer over ds; nil when some
@@ -331,10 +331,11 @@ func freshAnalyzer(ds []dbf.Demand) *dbf.Analyzer {
 // the capacity pools. With ExactUpgrade the certified decision is then
 // upgraded by the exact QPA test, on the dbf.Analyzer that analyzer
 // returns for its demands and under the pool ledger's guard when a
-// fleet is set. analyzer is only called once every fallible step has
-// passed, so an error leaves whatever state it closes over untouched.
+// fleet is set; buf is the upgrade's candidate scratch (nil allocates
+// one). analyzer is only called once every fallible step has passed,
+// so an error leaves whatever state it closes over untouched.
 func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options,
-	analyzer func([]dbf.Demand) *dbf.Analyzer) (*Decision, error) {
+	analyzer func([]dbf.Demand) *dbf.Analyzer, buf *[]upgradeCand) (*Decision, error) {
 	d := assembleDecision(tasks, caches, sol, opts.Solver)
 	theorem3 := func(cs []Choice) (*big.Rat, bool) { return theorem3Over(choiceDemands(caches, cs)) }
 	var ledger *poolLedger
@@ -355,7 +356,7 @@ func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options
 	if ledger != nil {
 		guard = ledger
 	}
-	out := exactUpgrade(d, caches, analyzer, guard)
+	out := exactUpgrade(d, caches, analyzer, guard, buf)
 	if ledger != nil {
 		out.ServerLoads = ledger.emit()
 	}

@@ -14,12 +14,14 @@ import (
 
 // This file keeps the original from-scratch single-server decision
 // path as a test-only oracle. It shares the MCKP reduction
-// (buildTaskCache), the solvers and the repair/upgrade loops with the
+// (buildTaskCache), the solvers and the Theorem-3 repair loop with the
 // shipped pipeline, but evaluates Theorem 3 and builds the exact
 // upgrade's demands from the choices on every call instead of reading
-// the per-task caches certify works on. TestDecideMatchesReference
-// holds Decide bit-identical to it; without it, the admission
-// differentials would only compare two callers of the same certify.
+// the per-task caches certify works on, and it runs its own
+// index-order upgrade loop (refImproveLoop) instead of the shipped
+// gain-ordered scan. TestDecideMatchesReference holds Decide
+// bit-identical to it; without it, the admission differentials would
+// only compare two callers of the same certify.
 
 // buildInstance constructs the MCKP instance of §5.2 over the whole
 // set (see buildTaskCache for the per-task reduction).
@@ -99,6 +101,61 @@ func newUpgradeState(choices []Choice) (*dbf.Analyzer, []taskCache, error) {
 	return az, levelDemands, nil
 }
 
+// refImproveLoop is the original exact-upgrade loop: every round
+// probes the candidates in (task, level) index order and runs QPA on
+// each one whose gain beats the running best, so the strict > hands
+// gain ties to the earliest index. The shipped improveLoop must pick
+// the same upgrade every round from a gain-ordered scan.
+func refImproveLoop(out *Decision, az *dbf.Analyzer, caches []taskCache, guard upgradeGuard) {
+	feasible := (*dbf.Analyzer).Feasible
+	for {
+		bestIdx, bestLevel := -1, 0
+		bestGain := 0.0
+		for i, c := range out.Choices {
+			t := c.Task
+			from := -1 // local
+			cur := t.EffectiveWeight() * t.LocalBenefit
+			if c.Offload {
+				from = c.Level
+				cur = t.EffectiveWeight() * t.Levels[c.Level].Benefit
+			}
+			for lv := from + 1; lv < len(t.Levels); lv++ {
+				gain := t.EffectiveWeight()*t.Levels[lv].Benefit - cur
+				//rtlint:allow floatexact -- benefit objective is float64 by design; exactness guards time arithmetic only
+				if gain <= bestGain {
+					continue
+				}
+				cand := caches[i].levels[lv]
+				if cand == nil {
+					continue
+				}
+				if guard != nil && !guard.allows(i, lv) {
+					continue
+				}
+				if az.With(i, cand, feasible) != nil {
+					continue
+				}
+				bestIdx, bestLevel, bestGain = i, lv, gain
+			}
+		}
+		if bestIdx < 0 {
+			return
+		}
+		if err := az.Swap(bestIdx, caches[bestIdx].levels[bestLevel]); err != nil {
+			return
+		}
+		c := &out.Choices[bestIdx]
+		old := c.Expected
+		c.Offload = true
+		c.Level = bestLevel
+		c.Expected = c.Task.EffectiveWeight() * c.Task.Levels[bestLevel].Benefit
+		out.TotalExpected += c.Expected - old
+		if guard != nil {
+			guard.commit(bestIdx, bestLevel)
+		}
+	}
+}
+
 // refImproveWithExact is the from-scratch ImproveWithExact: the
 // upgrade state is rebuilt from the choices, and the final total is
 // evaluated by theorem3Of. guard may be nil.
@@ -115,7 +172,7 @@ func refImproveWithExact(d *Decision, guard func(out *Decision) upgradeGuard) *D
 		if guard != nil {
 			g = guard(out)
 		}
-		improveLoop(out, az, levelDemands, g)
+		refImproveLoop(out, az, levelDemands, g)
 	}
 	total, _ := theorem3Of(out.Choices)
 	out.Theorem3Total = total

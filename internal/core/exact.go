@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"rtoffload/internal/dbf"
 	"rtoffload/internal/task"
@@ -68,14 +69,15 @@ func ImproveWithExact(d *Decision, set task.Set) (*Decision, error) {
 	for i, c := range d.Choices {
 		caches[i] = taskDemands(c.Task)
 	}
-	return exactUpgrade(d, caches, freshAnalyzer, nil), nil
+	return exactUpgrade(d, caches, freshAnalyzer, nil, nil), nil
 }
 
 // exactUpgrade runs the exact-upgrade pass on a copy of d: analyzer
 // supplies the dbf.Analyzer over the copy's current demands (nil skips
-// the upgrade), improveLoop applies the upgrades under guard, and the
-// exact Theorem-3 total of the result is recorded.
-func exactUpgrade(d *Decision, caches []taskCache, analyzer func([]dbf.Demand) *dbf.Analyzer, guard upgradeGuard) *Decision {
+// the upgrade), improveLoop applies the upgrades under guard with buf
+// as its candidate scratch, and the exact Theorem-3 total of the
+// result is recorded.
+func exactUpgrade(d *Decision, caches []taskCache, analyzer func([]dbf.Demand) *dbf.Analyzer, guard upgradeGuard, buf *[]upgradeCand) *Decision {
 	out := &Decision{
 		Choices:       append([]Choice(nil), d.Choices...),
 		TotalExpected: d.TotalExpected,
@@ -84,7 +86,7 @@ func exactUpgrade(d *Decision, caches []taskCache, analyzer func([]dbf.Demand) *
 		ExactVerified: true,
 	}
 	if az := analyzer(choiceDemands(caches, out.Choices)); az != nil {
-		improveLoop(out, az, caches, guard)
+		improveLoop(out, az, caches, guard, buf)
 	}
 	out.Theorem3Total, _ = theorem3Over(choiceDemands(caches, out.Choices))
 	return out
@@ -98,45 +100,95 @@ type upgradeGuard interface {
 	commit(i, lv int)
 }
 
+// upgradeCand is one exact-upgrade candidate of a round: moving choice
+// i to offloading level lv gains gain in weighted benefit.
+type upgradeCand struct {
+	gain  float64
+	i, lv int
+}
+
+// byGain orders upgrade candidates by descending gain, ties by
+// ascending task index, then ascending level.
+func byGain(a, b upgradeCand) int {
+	//rtlint:allow floatexact -- benefit objective is float64 by design; exactness guards time arithmetic only
+	if a.gain != b.gain {
+		//rtlint:allow floatexact -- benefit objective is float64 by design; exactness guards time arithmetic only
+		if a.gain > b.gain {
+			return -1
+		}
+		return 1
+	}
+	if a.i != b.i {
+		return a.i - b.i
+	}
+	return a.lv - b.lv
+}
+
+// upgradeCands refills buf with every candidate upgrade of choices
+// that has a positive gain and a demand model, in byGain order. buf
+// grows at most once per call, to hold every level of every task.
+func upgradeCands(buf []upgradeCand, choices []Choice, caches []taskCache) []upgradeCand {
+	n := 0
+	for i := range caches {
+		n += len(caches[i].levels)
+	}
+	buf = slices.Grow(buf[:0], n)
+	for i, c := range choices {
+		t := c.Task
+		from := -1 // local
+		cur := t.EffectiveWeight() * t.LocalBenefit
+		if c.Offload {
+			from = c.Level
+			cur = t.EffectiveWeight() * t.Levels[c.Level].Benefit
+		}
+		for lv := from + 1; lv < len(t.Levels); lv++ {
+			gain := t.EffectiveWeight()*t.Levels[lv].Benefit - cur
+			//rtlint:allow floatexact -- benefit objective is float64 by design; exactness guards time arithmetic only
+			if !(gain > 0) || caches[i].levels[lv] == nil {
+				continue
+			}
+			buf = append(buf, upgradeCand{gain: gain, i: i, lv: lv})
+		}
+	}
+	slices.SortFunc(buf, byGain)
+	return buf
+}
+
 // improveLoop applies the greedy best-gain upgrade until no candidate
 // passes the exact test, keeping the Analyzer in sync with out. A
 // non-nil guard vetoes candidates before the feasibility probe — the
 // fleet path uses it to keep upgrades within the capacity pools.
-func improveLoop(out *Decision, az *dbf.Analyzer, caches []taskCache, guard upgradeGuard) {
+//
+// Each round scans its candidates in byGain order and applies the
+// first one the guard allows and QPA admits. That is the argmax of
+// gain over the admissible candidates, ties going to the earliest
+// (task, level), and it costs one probe per candidate ranked above
+// the winner instead of one per running-best improvement in index
+// order. Task validation keeps every weighted benefit finite, so no
+// gain is NaN and the order is total. buf is the candidate scratch,
+// reused across rounds and — when the caller keeps it — across calls;
+// nil allocates one.
+func improveLoop(out *Decision, az *dbf.Analyzer, caches []taskCache, guard upgradeGuard, buf *[]upgradeCand) {
+	if buf == nil {
+		buf = new([]upgradeCand)
+	}
 	feasible := (*dbf.Analyzer).Feasible
 	for {
-		bestIdx, bestLevel := -1, 0
-		bestGain := 0.0
-		for i, c := range out.Choices {
-			t := c.Task
-			from := -1 // local
-			cur := t.EffectiveWeight() * t.LocalBenefit
-			if c.Offload {
-				from = c.Level
-				cur = t.EffectiveWeight() * t.Levels[c.Level].Benefit
+		*buf = upgradeCands(*buf, out.Choices, caches)
+		best := -1
+		for k, c := range *buf {
+			if guard != nil && !guard.allows(c.i, c.lv) {
+				continue
 			}
-			for lv := from + 1; lv < len(t.Levels); lv++ {
-				gain := t.EffectiveWeight()*t.Levels[lv].Benefit - cur
-				//rtlint:allow floatexact -- benefit objective is float64 by design; exactness guards time arithmetic only
-				if gain <= bestGain {
-					continue
-				}
-				cand := caches[i].levels[lv]
-				if cand == nil {
-					continue
-				}
-				if guard != nil && !guard.allows(i, lv) {
-					continue
-				}
-				if az.With(i, cand, feasible) != nil {
-					continue
-				}
-				bestIdx, bestLevel, bestGain = i, lv, gain
+			if az.With(c.i, caches[c.i].levels[c.lv], feasible) == nil {
+				best = k
+				break
 			}
 		}
-		if bestIdx < 0 {
+		if best < 0 {
 			return
 		}
+		bestIdx, bestLevel := (*buf)[best].i, (*buf)[best].lv
 		if err := az.Swap(bestIdx, caches[bestIdx].levels[bestLevel]); err != nil {
 			return
 		}

@@ -1,0 +1,157 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"testing"
+
+	"rtoffload/internal/dbf"
+	"rtoffload/internal/stats"
+	"rtoffload/internal/task"
+)
+
+// tiedEdgeSet draws n light near-edge tasks with integer benefits and
+// weights in {1, 2}, so equal upgrade gains — across tasks and across
+// the levels of one task — are common.
+func tiedEdgeSet(rng *stats.RNG, n int) task.Set {
+	set := make(task.Set, n)
+	for i := range set {
+		tk := lightEdgeTask(rng, i)
+		tk.Weight = float64(rng.IntN(2) + 1)
+		tk.LocalBenefit = math.Round(tk.LocalBenefit)
+		for j := range tk.Levels {
+			tk.Levels[j].Benefit = math.Round(tk.Levels[j].Benefit)
+		}
+		set[i] = tk
+	}
+	return set
+}
+
+// upgradeCoverage counts the ordering hazards an upgrade pass met.
+type upgradeCoverage struct {
+	tieTasks, tieLevels, infeasibleTop, vetoed int
+}
+
+// note replays the upgrade rounds over a copy of d's choices and
+// classifies each: whether the winner shares its gain with another
+// admissible candidate of a different task or of another level of its
+// own task, whether a higher-ranked candidate failed QPA, and whether
+// one was vetoed by the guard.
+func (cv *upgradeCoverage) note(d *Decision, caches []taskCache, guard upgradeGuard) {
+	choices := append([]Choice(nil), d.Choices...)
+	az := freshAnalyzer(choiceDemands(caches, choices))
+	if az == nil {
+		return
+	}
+	feasible := (*dbf.Analyzer).Feasible
+	for {
+		cands := upgradeCands(nil, choices, caches)
+		admissible := make([]bool, len(cands))
+		win := -1
+		for k, c := range cands {
+			if guard != nil && !guard.allows(c.i, c.lv) {
+				if win < 0 {
+					cv.vetoed++
+				}
+				continue
+			}
+			if az.With(c.i, caches[c.i].levels[c.lv], feasible) != nil {
+				if win < 0 {
+					cv.infeasibleTop++
+				}
+				continue
+			}
+			admissible[k] = true
+			if win < 0 {
+				win = k
+			}
+		}
+		if win < 0 {
+			return
+		}
+		w := cands[win]
+		for k, c := range cands {
+			if k == win || !admissible[k] || c.gain != w.gain {
+				continue
+			}
+			if c.i != w.i {
+				cv.tieTasks++
+			} else {
+				cv.tieLevels++
+			}
+		}
+		if az.Swap(w.i, caches[w.i].levels[w.lv]) != nil {
+			return
+		}
+		choices[w.i].Offload, choices[w.i].Level = true, w.lv
+		if guard != nil {
+			guard.commit(w.i, w.lv)
+		}
+	}
+}
+
+// TestImproveLoopMatchesReference holds the gain-ordered upgrade scan
+// to the frozen index-order refImproveLoop, on single-server sets with
+// many exact gain ties and on fleet sets whose tight pools make the
+// ledger veto upgrades. Both start from the same certified Theorem-3
+// decision; choices, the bitwise objective and the exact Theorem-3
+// total must agree. The coverage counters prove the sweep met each
+// ordering hazard: gain ties across tasks and across levels, a
+// top-ranked candidate QPA rejects, and a pool-ledger veto.
+func TestImproveLoopMatchesReference(t *testing.T) {
+	var cv upgradeCoverage
+	rng := stats.NewRNG(90210)
+	for trial := 0; trial < 40; trial++ {
+		set := tiedEdgeSet(rng, 24+rng.IntN(12))
+		for _, shape := range []string{"", "hot", "uniform"} {
+			opts := Options{Solver: SolverCore}
+			if shape != "" {
+				opts.Fleet = campaignFleetShape(shape)
+			}
+			d, err := Decide(set, opts)
+			if err != nil {
+				continue
+			}
+			caches := make([]taskCache, len(d.Choices))
+			for i, c := range d.Choices {
+				caches[i] = taskDemands(c.Task)
+			}
+			var guard upgradeGuard
+			if shape != "" {
+				guard = newPoolLedger(opts.Fleet, d.Choices)
+				cv.note(d, caches, newPoolLedger(opts.Fleet, d.Choices))
+			} else {
+				cv.note(d, caches, nil)
+			}
+			got := exactUpgrade(d, caches, freshAnalyzer, guard, nil)
+			want := refImproveWithExact(d, func(out *Decision) upgradeGuard {
+				if shape == "" {
+					return nil
+				}
+				return newPoolLedger(opts.Fleet, out.Choices)
+			})
+			ctx := fmt.Sprintf("trial %d fleet %q", trial, shape)
+			if len(got.Choices) != len(want.Choices) {
+				t.Fatalf("%s: %d choices, reference has %d", ctx, len(got.Choices), len(want.Choices))
+			}
+			for i := range got.Choices {
+				g, w := got.Choices[i], want.Choices[i]
+				if g.Task != w.Task || g.Offload != w.Offload || g.Level != w.Level ||
+					math.Float64bits(g.Expected) != math.Float64bits(w.Expected) {
+					t.Fatalf("%s: choice %d: got {off=%v lv=%d exp=%x}, reference {off=%v lv=%d exp=%x}",
+						ctx, i, g.Offload, g.Level, g.Expected, w.Offload, w.Level, w.Expected)
+				}
+			}
+			if math.Float64bits(got.TotalExpected) != math.Float64bits(want.TotalExpected) {
+				t.Fatalf("%s: TotalExpected %x, reference %x", ctx, got.TotalExpected, want.TotalExpected)
+			}
+			if got.Theorem3Total.Cmp(want.Theorem3Total) != 0 {
+				t.Fatalf("%s: Theorem3Total %v, reference %v", ctx, got.Theorem3Total, want.Theorem3Total)
+			}
+		}
+	}
+	t.Logf("coverage: %+v", cv)
+	if cv.tieTasks == 0 || cv.tieLevels == 0 || cv.infeasibleTop == 0 || cv.vetoed == 0 {
+		t.Fatalf("sweep missed an ordering hazard: %+v", cv)
+	}
+}

@@ -191,6 +191,9 @@ func NewAnalyzer(ds []Demand) (*Analyzer, error) {
 // Len returns the number of demands.
 func (a *Analyzer) Len() int { return len(a.ds) }
 
+// At returns the demand in slot i.
+func (a *Analyzer) At(i int) Demand { return a.ds[i] }
+
 // Demands returns a copy of the current configuration.
 func (a *Analyzer) Demands() []Demand { return append([]Demand(nil), a.ds...) }
 

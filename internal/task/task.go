@@ -14,6 +14,7 @@ package task
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 
 	"rtoffload/internal/rtime"
@@ -201,6 +202,16 @@ func (t *Task) Validate() error {
 	if t.Setup < 0 || t.Compensation < 0 || t.PostProcess < 0 {
 		return fmt.Errorf("task %d: negative WCET", t.ID)
 	}
+	// NaN compares false with everything, and an infinite weighted
+	// benefit turns benefit differences into NaN (Inf − Inf), so
+	// either would leave the objective the decision pipeline
+	// maximizes without an order.
+	if !finite(t.Weight) {
+		return fmt.Errorf("task %d: weight %g must be finite", t.ID, t.Weight)
+	}
+	if !finite(t.LocalBenefit) || !finite(t.EffectiveWeight()*t.LocalBenefit) {
+		return fmt.Errorf("task %d: local benefit %g (weight %g) must be finite", t.ID, t.LocalBenefit, t.Weight)
+	}
 	if t.ServerWCRT < 0 {
 		return fmt.Errorf("task %d: negative server response bound", t.ID)
 	}
@@ -212,6 +223,9 @@ func (t *Task) Validate() error {
 		}
 	}
 	for j, lv := range t.Levels {
+		if !finite(lv.Benefit) || !finite(t.EffectiveWeight()*lv.Benefit) {
+			return fmt.Errorf("task %d level %d: benefit %g (weight %g) must be finite", t.ID, j, lv.Benefit, t.Weight)
+		}
 		if lv.Response <= 0 {
 			return fmt.Errorf("task %d level %d: response budget %v must be positive", t.ID, j, lv.Response)
 		}
@@ -240,6 +254,9 @@ func (t *Task) Validate() error {
 	}
 	return nil
 }
+
+// finite reports whether x is neither NaN nor ±Inf.
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // String returns a compact human-readable summary.
 func (t *Task) String() string {

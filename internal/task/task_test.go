@@ -1,6 +1,7 @@
 package task
 
 import (
+	"math"
 	"math/big"
 	"strings"
 	"testing"
@@ -53,6 +54,16 @@ func TestValidateRejections(t *testing.T) {
 		{"no compensation", func(x *Task) { x.Compensation = 0 }, "compensation WCET"},
 		{"post > compensation", func(x *Task) { x.PostProcess = x.Compensation + 1 }, "post-processing"},
 		{"negative payload", func(x *Task) { x.Levels[0].PayloadBytes = -1 }, "payload"},
+		{"NaN weight", func(x *Task) { x.Weight = math.NaN() }, "weight NaN must be finite"},
+		{"+Inf weight", func(x *Task) { x.Weight = math.Inf(1) }, "weight +Inf must be finite"},
+		{"-Inf weight", func(x *Task) { x.Weight = math.Inf(-1) }, "weight -Inf must be finite"},
+		{"NaN local benefit", func(x *Task) { x.LocalBenefit = math.NaN() }, "local benefit NaN"},
+		{"+Inf local benefit", func(x *Task) { x.LocalBenefit = math.Inf(1) }, "local benefit +Inf"},
+		{"-Inf local benefit", func(x *Task) { x.LocalBenefit = math.Inf(-1) }, "local benefit -Inf"},
+		{"NaN level benefit", func(x *Task) { x.Levels[1].Benefit = math.NaN() }, "level 1: benefit NaN"},
+		{"+Inf level benefit", func(x *Task) { x.Levels[1].Benefit = math.Inf(1) }, "level 1: benefit +Inf"},
+		{"-Inf level benefit", func(x *Task) { x.Levels[0].Benefit = math.Inf(-1) }, "level 0: benefit -Inf"},
+		{"weighted benefit overflow", func(x *Task) { x.Weight = 1e300; x.Levels[1].Benefit = 1e300 }, "level 1: benefit 1e+300 (weight 1e+300) must be finite"},
 	}
 	for _, c := range cases {
 		x := validTask()
