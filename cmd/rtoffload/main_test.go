@@ -1,8 +1,12 @@
 package main
 
 import (
+	"bytes"
+	"flag"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"rtoffload/internal/core"
@@ -95,5 +99,47 @@ func TestDecideIsTheLibraryPipeline(t *testing.T) {
 			t.Fatal(err)
 		}
 		requireSame(t, got, want, fmt.Sprintf("server-faster exact=%v", exact))
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the golden files")
+
+// TestSimulateGanttGolden locks the exact stdout bytes of simulate
+// with -gantt on a small hand-built set (testdata/tasks.json) whose
+// charts show local, setup, post-processing and compensation runs.
+// Refresh with
+//
+//	go test ./cmd/rtoffload -run TestSimulateGanttGolden -update
+func TestSimulateGanttGolden(t *testing.T) {
+	set := filepath.Join("testdata", "tasks.json")
+	cases := []struct {
+		name string
+		args []string
+	}{
+		{"gantt-cdf", []string{"-solver", "dp", "-horizon", "1", "-gantt", "240", set}},
+		{"gantt-lost-abort", []string{"-solver", "dp", "-horizon", "1", "-scenario", "lost",
+			"-onmiss", "abort", "-gantt", "120", set}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := cmdSimulate(&buf, tc.args); err != nil {
+				t.Fatal(err)
+			}
+			golden := filepath.Join("testdata", tc.name+".golden")
+			if *update {
+				if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(golden)
+			if err != nil {
+				t.Fatalf("%v (run with -update to create)", err)
+			}
+			if !bytes.Equal(buf.Bytes(), want) {
+				t.Errorf("stdout differs from %s (refresh with -update if intended)\ngot:\n%s", golden, buf.String())
+			}
+		})
 	}
 }
