@@ -17,9 +17,8 @@ MCKPBASE = BenchmarkMCKPBaselineBnB|BenchmarkMCKPBaselineDP
 
 # The fleet-campaign benchmarks tracked in BENCH_9.json: streaming
 # cells (one-pass checker, wheel queues) and the 100k-task on-disk
-# sink endpoint, against the materialize-and-validate baseline.
+# sink endpoint.
 CAMPBENCH = BenchmarkCampaignCellStreaming|BenchmarkCampaignCellDisk100k
-CAMPBASE = BenchmarkCampaignCellBaseline
 
 # Scratch directory for the campaign kill-and-resume smoke.
 CAMP_SMOKE_DIR = .smoke-campaign
@@ -153,18 +152,16 @@ bench-mckp:
 	rm -f BENCH_7.base.txt
 
 # Fleet-campaign benchmarks: streaming cells at 1k/10k tasks plus the
-# 100k-task on-disk endpoint, against the materialize-and-validate
-# baseline (regenerated each run — the baseline path still exists in
-# tree), recorded as BENCH_9.txt / BENCH_9.json. The 100k fixed-memory
-# ceiling assertion runs alongside.
+# 100k-task on-disk endpoint, recorded like `bench`: text in
+# BENCH_9.txt, a JSON session appended to BENCH_9.json (which already
+# holds the materialize-and-validate baseline entry, whose code path is
+# gone — do not overwrite it). The 100k fixed-memory ceiling assertion
+# runs alongside.
 bench-campaign:
 	$(GO) test -count=1 -run Test100kUnderMemoryCeiling ./internal/sched
-	$(GO) test -run='^$$' -bench='$(CAMPBASE)' -benchmem -count=3 -benchtime=2x ./internal/sched > BENCH_9.base.txt
 	$(GO) test -run='^$$' -bench='$(CAMPBENCH)' -benchmem -count=3 -benchtime=2x ./internal/sched | tee BENCH_9.txt
-	$(GO) run ./cmd/benchjson -label baseline < BENCH_9.base.txt > BENCH_9.json
 	$(GO) run ./cmd/benchjson -label current -merge BENCH_9.json < BENCH_9.txt > BENCH_9.json.tmp
 	mv BENCH_9.json.tmp BENCH_9.json
-	rm -f BENCH_9.base.txt
 
 # Smoke-run every benchmark once (no timing value, just liveness).
 bench-all:
@@ -207,6 +204,7 @@ fuzz-smoke:
 	$(GO) test ./internal/chaos/invariant -run='^$$' -fuzz=FuzzChaosHardGuarantee -fuzztime=10s
 	$(GO) test ./internal/mckp -run='^$$' -fuzz=FuzzMCKPSolverAgreement -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzFleetDecide -fuzztime=10s
+	$(GO) test ./internal/trace -run='^$$' -fuzz=FuzzValidateMatchesReference -fuzztime=10s
 
 fmt:
 	gofmt -l -w .

@@ -20,6 +20,7 @@ import (
 	"rtoffload/internal/server"
 	"rtoffload/internal/stats"
 	"rtoffload/internal/task"
+	"rtoffload/internal/trace"
 )
 
 // benchCaseConfig trims probe counts so a single iteration stays in
@@ -248,12 +249,14 @@ func benchSchedRun(b *testing.B, n int, util float64, policy sched.Policy, onMis
 		Horizon:     rtime.FromSeconds(2),
 		Policy:      policy,
 		OnMiss:      onMiss,
-		RecordTrace: rec,
 	}
 	var jobs int
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if rec {
+			cfg.TraceSink = &trace.Trace{}
+		}
 		res, err := sched.Run(cfg)
 		if err != nil {
 			b.Fatal(err)

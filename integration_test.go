@@ -16,6 +16,7 @@ import (
 	"rtoffload/internal/server"
 	"rtoffload/internal/stats"
 	"rtoffload/internal/task"
+	"rtoffload/internal/trace"
 )
 
 // TestREADMEPipeline follows the README quickstart: a task set is
@@ -53,11 +54,12 @@ func TestREADMEPipeline(t *testing.T) {
 	if dec.CmpTheorem3() > 0 {
 		t.Fatalf("decision over capacity: %v", dec.Theorem3Total)
 	}
+	var tr trace.Trace
 	res, err := sched.Run(sched.Config{
 		Assignments: dec.Assignments(),
 		Server:      server.Fixed{Lost: true},
 		Horizon:     rtime.FromSeconds(10),
-		RecordTrace: true,
+		TraceSink:   &tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -65,7 +67,7 @@ func TestREADMEPipeline(t *testing.T) {
 	if res.Misses != 0 {
 		t.Fatalf("%d misses", res.Misses)
 	}
-	if err := res.Trace.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
 

@@ -12,6 +12,7 @@ import (
 	"rtoffload/internal/sched"
 	"rtoffload/internal/server"
 	"rtoffload/internal/stats"
+	"rtoffload/internal/trace"
 )
 
 // FleetTrial is one randomized multi-server trial: a random fleet of
@@ -164,10 +165,13 @@ func randomFleet(rng *stats.RNG) fleet.Fleet {
 }
 
 // Simulate builds the per-server fault injectors, hands the engine a
-// named-server routing table, and runs the split-EDF engine once. It
-// returns the raw result plus one recorded fault schedule per server
-// (fleet order) for replay; it does not check invariants — Run does.
-func (ft *FleetTrial) Simulate() (*sched.Result, []*chaos.Schedule, error) {
+// named-server routing table, and runs the split-EDF engine once with
+// the trace streaming to sink (nil records none). It returns the raw
+// result plus one recorded fault schedule per server (fleet order) for
+// replay; it checks no invariant beyond what sink verifies — Run does.
+// A violation reported by a StreamChecker sink comes back as the
+// error, already naming the seed, with the schedules still returned.
+func (ft *FleetTrial) Simulate(sink trace.Sink) (*sched.Result, []*chaos.Schedule, error) {
 	byID := make(map[string]server.Server, len(ft.specs))
 	recs := make([]*chaos.Schedule, len(ft.specs))
 	for i := range ft.specs {
@@ -190,22 +194,21 @@ func (ft *FleetTrial) Simulate() (*sched.Result, []*chaos.Schedule, error) {
 
 	cfg := ft.SimConfig(nil)
 	cfg.Servers = byID
+	cfg.TraceSink = sink
 	res, err := sched.Run(cfg)
-	if err != nil {
-		return nil, nil, fmt.Errorf("invariant: fleet seed %d: %w", ft.Seed, err)
-	}
-	return res, recs, nil
+	return res, recs, err
 }
 
-// Run simulates the trial and checks I1–I5 plus the fleet-specific
-// I6, returning the per-server fault schedules for replay. The error
-// is the first violation (or an infrastructure error).
+// Run simulates the trial with the trace streaming through a
+// StreamChecker and checks I1–I5 plus the fleet-specific I6, returning
+// the per-server fault schedules for replay. The error is the first
+// violation (or an infrastructure error).
 func (ft *FleetTrial) Run() ([]*chaos.Schedule, error) {
-	res, recs, err := ft.Simulate()
+	res, recs, err := ft.Simulate(NewStreamChecker(&ft.Trial))
 	if err != nil {
-		return nil, err
+		return recs, err
 	}
-	if err := ft.CheckResult(res); err != nil {
+	if err := ft.CheckAggregates(res); err != nil {
 		return recs, err
 	}
 	return recs, ft.CheckFleet(res)

@@ -120,7 +120,7 @@ func TestFleetCheckRejectsCorruptedResult(t *testing.T) {
 		}
 	}
 
-	res, _, err := ft.Simulate()
+	res, _, err := ft.Simulate(nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,8 @@
 //	I3  The realized benefit is never below the all-local baseline —
 //	    per job and in aggregate (Gi is non-decreasing and the
 //	    compensation path earns at least Gi(0)).
-//	I4  The recorded execution trace satisfies the independent EDF
-//	    invariant checkers of package trace.
+//	I4  The execution trace satisfies the independent EDF invariant
+//	    checker of package trace (trace.StreamChecker).
 //	I5  The scheduler's per-task accounting is coherent: every
 //	    released job finishes, and outcomes partition the job count.
 //
@@ -252,6 +252,7 @@ func (tr *Trial) newInner() (server.Server, error) {
 }
 
 // SimConfig assembles the scheduler configuration around a server.
+// It records no trace; set TraceSink to stream or materialize one.
 func (tr *Trial) SimConfig(srv server.Server) sched.Config {
 	return sched.Config{
 		Assignments:   tr.Decision.Assignments(),
@@ -260,31 +261,43 @@ func (tr *Trial) SimConfig(srv server.Server) sched.Config {
 		Policy:        sched.SplitEDF,
 		ReleaseJitter: tr.Jitter,
 		RNG:           stats.NewRNG(stats.DeriveSeed(tr.Seed, streamSim, 1)),
-		RecordTrace:   true,
 	}
+}
+
+// Simulate runs the trial once under its fault schedule with the
+// trace streaming to sink (nil records none), returning the raw result
+// and the recorded fault schedule for replay. It checks no invariant
+// beyond what sink verifies — Run does. A violation reported by a
+// StreamChecker sink comes back as the error, already naming the
+// seed, with the schedule still returned.
+func (tr *Trial) Simulate(sink trace.Sink) (*sched.Result, *chaos.Schedule, error) {
+	inner, err := tr.newInner()
+	if err != nil {
+		return nil, nil, fmt.Errorf("invariant: seed %d: %w", tr.Seed, err)
+	}
+	inj, err := chaos.New(inner, tr.Chaos, stats.NewRNG(stats.DeriveSeed(tr.Seed, streamChaos, 1)))
+	if err != nil {
+		return nil, nil, fmt.Errorf("invariant: seed %d: %w", tr.Seed, err)
+	}
+	rec := inj.StartRecording()
+	cfg := tr.SimConfig(inj)
+	cfg.TraceSink = sink
+	res, err := sched.Run(cfg)
+	return res, rec, err
 }
 
 // Run simulates the trial under its fault schedule and checks every
 // invariant, returning the recorded fault schedule for replay. The
-// returned error is the first violation (or an infrastructure error).
+// trace streams through a StreamChecker (I4, I2), so it never
+// materializes; the per-job log is kept, so CheckAggregates runs its
+// per-job I1/I3 checks too. The returned error is the first violation
+// (or an infrastructure error).
 func (tr *Trial) Run() (*chaos.Schedule, error) {
-	inner, err := tr.newInner()
+	res, rec, err := tr.Simulate(NewStreamChecker(tr))
 	if err != nil {
-		return nil, fmt.Errorf("invariant: seed %d: %w", tr.Seed, err)
-	}
-	inj, err := chaos.New(inner, tr.Chaos, stats.NewRNG(stats.DeriveSeed(tr.Seed, streamChaos, 1)))
-	if err != nil {
-		return nil, fmt.Errorf("invariant: seed %d: %w", tr.Seed, err)
-	}
-	rec := inj.StartRecording()
-	res, err := sched.Run(tr.SimConfig(inj))
-	if err != nil {
-		return nil, fmt.Errorf("invariant: seed %d: %w", tr.Seed, err)
-	}
-	if err := tr.CheckResult(res); err != nil {
 		return rec, err
 	}
-	return rec, nil
+	return rec, tr.CheckAggregates(res)
 }
 
 // jobKey identifies one job across its sub-job records.
@@ -299,40 +312,17 @@ func (tr *Trial) fail(format string, args ...any) error {
 }
 
 // CheckResult asserts invariants I1–I5 against a simulation result
-// with a materialized trace. The streaming twin is StreamChecker +
-// CheckAggregates (see stream.go), which verifies the same predicates
-// without holding the trace in memory.
-func (tr *Trial) CheckResult(res *sched.Result) error {
+// and the trace the caller recorded for it (a *trace.Trace passed as
+// Config.TraceSink): the aggregates as in Run, then I4 and I2 by
+// replaying the trace through the same StreamChecker Run streams into.
+func (tr *Trial) CheckResult(res *sched.Result, recorded *trace.Trace) error {
 	if err := tr.CheckAggregates(res); err != nil {
 		return err
 	}
-
-	// I4 — independent EDF trace checkers.
-	if res.Trace == nil {
+	if recorded == nil {
 		return tr.fail("I4: trial ran without a trace")
 	}
-	if err := res.Trace.Validate(); err != nil {
-		return tr.fail("I4: trace invalid: %v", err)
-	}
-
-	// I2 — compensation fires exactly at the Ri timer. Index each
-	// offloaded job's setup completion, then check the second phase.
-	budgets := tr.offloadBudgets()
-	setupDone := make(map[jobKey]rtime.Instant)
-	for i := range res.Trace.Subs {
-		rec := &res.Trace.Subs[i]
-		if rec.Sub.Kind == trace.Setup && rec.Completed {
-			setupDone[jobKey{rec.Sub.TaskID, rec.Sub.Seq}] = rec.Completion
-		}
-	}
-	for i := range res.Trace.Subs {
-		rec := &res.Trace.Subs[i]
-		done, ok := setupDone[jobKey{rec.Sub.TaskID, rec.Sub.Seq}]
-		if err := tr.checkSecondPhase(rec, done, ok, budgets); err != nil {
-			return err
-		}
-	}
-	return nil
+	return recorded.Replay(NewStreamChecker(tr))
 }
 
 // offloadBudgets maps each offloaded task to its response budget Ri.
@@ -346,8 +336,8 @@ func (tr *Trial) offloadBudgets() map[int]rtime.Duration {
 	return budgets
 }
 
-// checkSecondPhase is the per-record I2 predicate, shared by the
-// materialized and streaming checkers: compensation releases exactly
+// checkSecondPhase is the per-record I2 predicate StreamChecker
+// applies as each second phase closes: compensation releases exactly
 // at the Ri timer, post-processing within [setup-done, setup-done+Ri].
 func (tr *Trial) checkSecondPhase(rec *trace.SubRecord, done rtime.Instant, haveSetup bool, budgets map[int]rtime.Duration) error {
 	switch rec.Sub.Kind {
@@ -443,8 +433,9 @@ func (tr *Trial) CheckAggregates(res *sched.Result) error {
 }
 
 // Check runs one full randomized trial from its seed: derive, admit,
-// simulate under chaos, and verify I1–I5. Skipped (infeasible) trials
-// return nil.
+// simulate under chaos, and verify I1–I5 with the trace streamed
+// through the one-pass checker. Skipped (infeasible) trials return
+// nil.
 func Check(seed uint64) error {
 	tr, ok, err := NewTrial(seed)
 	if err != nil || !ok {
@@ -454,12 +445,13 @@ func Check(seed uint64) error {
 	return err
 }
 
-// CheckAllPassIdentity asserts the bit-identity guarantee: the trial's
-// workload run through an all-pass Injector produces a Result —
-// including per-task statistics and the full execution trace —
-// deep-equal to the same workload run against the unwrapped server.
-// The caller compares; this helper returns both results.
-func (tr *Trial) AllPassPair() (wrapped, bare *sched.Result, err error) {
+// AllPassPair serves the bit-identity guarantee: the trial's workload
+// run through an all-pass Injector must produce a Result — including
+// per-task statistics — and a trace deep-equal to the same workload
+// run against the unwrapped server. It runs both, streaming the
+// wrapped run's trace to wrappedSink and the bare run's to bareSink
+// (pass two *trace.Trace to compare full traces); the caller compares.
+func (tr *Trial) AllPassPair(wrappedSink, bareSink trace.Sink) (wrapped, bare *sched.Result, err error) {
 	inner, err := tr.newInner()
 	if err != nil {
 		return nil, nil, err
@@ -468,7 +460,9 @@ func (tr *Trial) AllPassPair() (wrapped, bare *sched.Result, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	wrapped, err = sched.Run(tr.SimConfig(inj))
+	cfg := tr.SimConfig(inj)
+	cfg.TraceSink = wrappedSink
+	wrapped, err = sched.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -476,7 +470,9 @@ func (tr *Trial) AllPassPair() (wrapped, bare *sched.Result, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	bare, err = sched.Run(tr.SimConfig(inner2))
+	cfg = tr.SimConfig(inner2)
+	cfg.TraceSink = bareSink
+	bare, err = sched.Run(cfg)
 	if err != nil {
 		return nil, nil, err
 	}

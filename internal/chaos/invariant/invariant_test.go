@@ -82,8 +82,8 @@ func TestTrialsExerciseFaults(t *testing.T) {
 
 // TestAllPassBitIdentity asserts the transparency guarantee on full
 // simulations: with the zero (all-pass) chaos config, the complete
-// sched.Result — jobs, per-task statistics, benefit totals and the
-// recorded execution trace — is deep-equal to running the identical
+// sched.Result — jobs, per-task statistics, benefit totals — and the
+// recorded execution trace are deep-equal to running the identical
 // workload against the unwrapped server.
 func TestAllPassBitIdentity(t *testing.T) {
 	checked := 0
@@ -96,12 +96,16 @@ func TestAllPassBitIdentity(t *testing.T) {
 		if !ok {
 			continue
 		}
-		wrapped, bare, err := tr.AllPassPair()
+		var wrappedTr, bareTr trace.Trace
+		wrapped, bare, err := tr.AllPassPair(&wrappedTr, &bareTr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(wrapped, bare) {
 			t.Fatalf("seed %d: all-pass chaos result differs from unwrapped server", seed)
+		}
+		if len(bareTr.Segments) == 0 || !reflect.DeepEqual(wrappedTr, bareTr) {
+			t.Fatalf("seed %d: all-pass chaos trace differs from unwrapped server", seed)
 		}
 		checked++
 	}
@@ -135,14 +139,17 @@ func TestScheduleReplayMatchesRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sched.Run(tr.SimConfig(player))
+		var recorded trace.Trace
+		cfg := tr.SimConfig(player)
+		cfg.TraceSink = &recorded
+		res, err := sched.Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := player.Err(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := tr.CheckResult(res); err != nil {
+		if err := tr.CheckResult(res, &recorded); err != nil {
 			t.Fatalf("seed %d: replayed schedule violates invariants: %v", seed, err)
 		}
 		replayed++
@@ -167,11 +174,12 @@ func TestCheckRejectsCorruptedResult(t *testing.T) {
 			break
 		}
 	}
-	_, bare, err := tr.AllPassPair()
+	var bareTr trace.Trace
+	_, bare, err := tr.AllPassPair(nil, &bareTr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tr.CheckResult(bare); err != nil {
+	if err := tr.CheckResult(bare, &bareTr); err != nil {
 		t.Fatalf("pristine result should pass: %v", err)
 	}
 	if len(bare.Jobs) == 0 {
@@ -179,12 +187,13 @@ func TestCheckRejectsCorruptedResult(t *testing.T) {
 	}
 
 	corrupt := func(mutate func(r *sched.Result)) error {
-		_, res, err := tr.AllPassPair()
+		var recorded trace.Trace
+		_, res, err := tr.AllPassPair(nil, &recorded)
 		if err != nil {
 			t.Fatal(err)
 		}
 		mutate(res)
-		return tr.CheckResult(res)
+		return tr.CheckResult(res, &recorded)
 	}
 
 	if err := corrupt(func(r *sched.Result) { r.Misses = 1 }); err == nil {
@@ -196,7 +205,7 @@ func TestCheckRejectsCorruptedResult(t *testing.T) {
 	if err := corrupt(func(r *sched.Result) { r.Jobs[0].Benefit = -1 }); err == nil {
 		t.Error("I3 did not catch a below-baseline benefit")
 	}
-	if err := corrupt(func(r *sched.Result) { r.Trace = nil }); err == nil {
+	if err := tr.CheckResult(bare, nil); err == nil {
 		t.Error("I4 did not catch a missing trace")
 	}
 	if err := corrupt(func(r *sched.Result) {
@@ -228,7 +237,9 @@ func TestCheckRejectsCorruptedResult(t *testing.T) {
 // TestCheckRejectsCorruptedTrace tampers with the timing records
 // themselves: a compensation shifted off the Ri timer or a
 // post-processing release outside [setup-done, setup-done+Ri] must
-// trip I2. Trials are searched until both record kinds appear.
+// trip a violation in both CheckResult and the materialized reference
+// (RefCheckResult). Trials are searched until both record kinds
+// appear.
 func TestCheckRejectsCorruptedTrace(t *testing.T) {
 	type mutation struct {
 		name string
@@ -251,12 +262,13 @@ func TestCheckRejectsCorruptedTrace(t *testing.T) {
 			if !ok {
 				continue
 			}
-			_, res, err := tr.AllPassPair()
+			var recorded trace.Trace
+			_, res, err := tr.AllPassPair(nil, &recorded)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for j := range res.Trace.Subs {
-				rec := &res.Trace.Subs[j]
+			for j := range recorded.Subs {
+				rec := &recorded.Subs[j]
 				if rec.Sub.Kind == m.kind {
 					m.run(rec)
 					found = true
@@ -266,8 +278,11 @@ func TestCheckRejectsCorruptedTrace(t *testing.T) {
 			if !found {
 				continue
 			}
-			if err := tr.CheckResult(res); err == nil {
+			if err := tr.CheckResult(res, &recorded); err == nil {
 				t.Errorf("%s: corrupted trace passed the invariant check", m.name)
+			}
+			if err := tr.RefCheckResult(res, &recorded); err == nil {
+				t.Errorf("%s: corrupted trace passed the reference check", m.name)
 			}
 		}
 		if !found {

@@ -1,19 +1,16 @@
-// Streaming invariant verification. At campaign scale a trial cannot
-// materialize its trace, so StreamChecker verifies I4 (the EDF trace
-// invariants, via trace.StreamChecker) and I2 (the Ri timer law) in
-// one pass as the simulation emits events, and RunStreaming wires it
-// into the engine as the trace sink. The aggregate invariants I1, I3,
-// and I5 read only the result's counters (CheckAggregates), so the
-// whole trial runs in memory bounded by the in-flight job count —
-// stream_test.go pins accept/reject agreement with the materialized
-// Run/CheckResult path.
+// Streaming invariant verification. StreamChecker is the only I2/I4
+// implementation: it verifies I4 (the EDF trace invariants, via
+// trace.StreamChecker) and I2 (the Ri timer law) in one pass as the
+// simulation emits events — Trial.Run and FleetTrial.Run wire it into
+// the engine as the trace sink — or as CheckResult replays a
+// caller-held trace. Trace memory is bounded by the in-flight job
+// count; the aggregate invariants I1, I3 and I5 read the result
+// (CheckAggregates). stream_test.go pins accept/reject agreement with
+// a materialized reference of the I2 loop.
 package invariant
 
 import (
-	"rtoffload/internal/chaos"
 	"rtoffload/internal/rtime"
-	"rtoffload/internal/sched"
-	"rtoffload/internal/stats"
 	"rtoffload/internal/trace"
 )
 
@@ -72,54 +69,10 @@ func (c *StreamChecker) CloseSub(r trace.SubRecord) {
 	}
 }
 
-// Finish implements trace.Sink: the first I4 violation wins (matching
-// CheckResult's order), then I2.
+// Finish implements trace.Sink: the first I4 violation wins, then I2.
 func (c *StreamChecker) Finish() error {
 	if err := c.inner.Finish(); err != nil {
 		return c.tr.fail("I4: trace invalid: %v", err)
 	}
 	return c.err
-}
-
-// RunStreaming is Run in bounded memory: the trace streams through a
-// StreamChecker instead of materializing, the per-job log is
-// discarded, and the aggregate invariants check the counters. The
-// returned error is the first violation (or an infrastructure error);
-// the fault schedule comes back for replay either way.
-func (tr *Trial) RunStreaming() (*chaos.Schedule, error) {
-	inner, err := tr.newInner()
-	if err != nil {
-		return nil, tr.fail("%v", err)
-	}
-	inj, err := chaos.New(inner, tr.Chaos, stats.NewRNG(stats.DeriveSeed(tr.Seed, streamChaos, 1)))
-	if err != nil {
-		return nil, tr.fail("%v", err)
-	}
-	rec := inj.StartRecording()
-	cfg := tr.SimConfig(inj)
-	cfg.RecordTrace = false
-	cfg.TraceSink = NewStreamChecker(tr)
-	cfg.DiscardJobResults = true
-	res, err := sched.Run(cfg)
-	if err != nil {
-		// Violations found by the sink surface here, already carrying
-		// the trial seed.
-		return rec, err
-	}
-	if err := tr.CheckAggregates(res); err != nil {
-		return rec, err
-	}
-	return rec, nil
-}
-
-// CheckStreaming is Check's bounded-memory twin: derive the trial from
-// its seed, simulate under chaos, verify I1–I5 one-pass. Skipped
-// (infeasible) trials return nil.
-func CheckStreaming(seed uint64) error {
-	tr, ok, err := NewTrial(seed)
-	if err != nil || !ok {
-		return err
-	}
-	_, err = tr.RunStreaming()
-	return err
 }

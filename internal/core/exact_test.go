@@ -10,6 +10,7 @@ import (
 	"rtoffload/internal/server"
 	"rtoffload/internal/stats"
 	"rtoffload/internal/task"
+	"rtoffload/internal/trace"
 )
 
 // largeBudgetTask has levels whose Theorem-3 weights are pessimistic:
@@ -77,11 +78,12 @@ func TestImproveWithExact(t *testing.T) {
 
 	// The upgraded configuration must still be miss-free under the
 	// adversarial server — QPA's guarantee, checked by simulation.
+	var tr trace.Trace
 	res, err := sched.Run(sched.Config{
 		Assignments: improved.Assignments(),
 		Server:      server.Fixed{Lost: true},
 		Horizon:     rtime.FromSeconds(2),
-		RecordTrace: true,
+		TraceSink:   &tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -89,7 +91,7 @@ func TestImproveWithExact(t *testing.T) {
 	if res.Misses != 0 {
 		t.Fatalf("%d misses after exact upgrade", res.Misses)
 	}
-	if err := res.Trace.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }

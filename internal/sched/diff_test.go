@@ -24,8 +24,9 @@ import (
 // generators use (internal/exp): a handful of sporadic tasks at a
 // total load spanning under- and overload, a random subset offloaded
 // with one response level each. Both engines get their own Config —
-// servers and RNGs carry state, so each run needs fresh instances
-// seeded identically.
+// servers, RNGs and the in-memory trace sink carry state, so each run
+// needs fresh instances seeded identically. sinkTrace reads the
+// recorded trace back.
 func genDiffConfig(seed uint64, policy Policy, miss MissPolicy) Config {
 	rng := stats.NewRNG(seed)
 	n := 2 + rng.IntN(6)
@@ -73,7 +74,7 @@ func genDiffConfig(seed uint64, policy Policy, miss MissPolicy) Config {
 		Horizon:          8 * maxT,
 		Policy:           policy,
 		OnMiss:           miss,
-		RecordTrace:      true,
+		TraceSink:        &trace.Trace{},
 		CollectLatencies: true,
 	}
 	if rng.Bool(0.5) {
@@ -111,23 +112,32 @@ func genDiffConfig(seed uint64, policy Policy, miss MissPolicy) Config {
 	return cfg
 }
 
+// sinkTrace returns the in-memory trace a config records into, or nil
+// when its sink is not a *trace.Trace.
+func sinkTrace(cfg Config) *trace.Trace {
+	tr, _ := cfg.TraceSink.(*trace.Trace)
+	return tr
+}
+
 // diffOnce runs both dispatchers on identically-seeded configurations
 // and returns a description of the first divergence, or "" if the
-// results are bit-identical.
+// results and traces are bit-identical.
 func diffOnce(seed uint64, policy Policy, miss MissPolicy) string {
-	got, errG := Run(genDiffConfig(seed, policy, miss))
-	want, errW := runReference(genDiffConfig(seed, policy, miss))
+	gotCfg, wantCfg := genDiffConfig(seed, policy, miss), genDiffConfig(seed, policy, miss)
+	got, errG := Run(gotCfg)
+	want, errW := runReference(wantCfg)
 	if (errG != nil) != (errW != nil) {
 		return fmt.Sprintf("error mismatch: engine %v, reference %v", errG, errW)
 	}
 	if errG != nil {
 		return ""
 	}
-	return describeDiff(got, want)
+	return describeDiff(got, want, sinkTrace(gotCfg), sinkTrace(wantCfg))
 }
 
-// describeDiff pinpoints the first field where two results diverge.
-func describeDiff(got, want *Result) string {
+// describeDiff pinpoints the first field where two results, or the
+// traces they recorded (nil when not recorded), diverge.
+func describeDiff(got, want *Result, gotTr, wantTr *trace.Trace) string {
 	if got.Misses != want.Misses {
 		return fmt.Sprintf("Misses: %d != %d", got.Misses, want.Misses)
 	}
@@ -159,11 +169,11 @@ func describeDiff(got, want *Result) string {
 			return fmt.Sprintf("task %d stats: %+v != %+v", id, *g, *w)
 		}
 	}
-	if (got.Trace == nil) != (want.Trace == nil) {
+	if (gotTr == nil) != (wantTr == nil) {
 		return "trace presence mismatch"
 	}
-	if got.Trace != nil {
-		if d := describeTraceDiff(got.Trace, want.Trace); d != "" {
+	if gotTr != nil {
+		if d := describeTraceDiff(gotTr, wantTr); d != "" {
 			return d
 		}
 	}
@@ -217,11 +227,11 @@ func TestEngineMatchesReference(t *testing.T) {
 // satisfied by two dispatchers sharing the same bug class.
 func TestEngineTraceValid(t *testing.T) {
 	for seed := uint64(1); seed <= 8; seed++ {
-		res, err := Run(genDiffConfig(seed, SplitEDF, ContinueLate))
-		if err != nil {
+		cfg := genDiffConfig(seed, SplitEDF, ContinueLate)
+		if _, err := Run(cfg); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if err := res.Trace.Validate(); err != nil {
+		if err := sinkTrace(cfg).Validate(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

@@ -127,8 +127,8 @@ type sim struct {
 	deadlines eventq.Calendar
 	releases  eventq.Calendar
 
-	// sink receives the execution trace as it happens (nil when neither
-	// RecordTrace nor TraceSink is set). pend is the engine-level
+	// sink receives the execution trace as it happens (Config.TraceSink;
+	// nil records nothing). pend is the engine-level
 	// coalescing buffer: dispatch slices are merged here and flushed as
 	// maximal same-sub segments, while lifecycle events stream through
 	// immediately — the causal order trace.Sink documents.
@@ -230,11 +230,11 @@ func (s *sim) init() {
 	if !cfg.DiscardJobResults {
 		s.res.Jobs = make([]JobResult, 0, est)
 	}
-	if s.res.Trace != nil {
+	if tr, ok := s.sink.(*trace.Trace); ok {
 		// Segment count ≈ sub-jobs (≤ 2 per job) plus preemption slack;
 		// reserving here removes the steady-state reallocation that
 		// dominated long-horizon recording.
-		s.res.Trace.Reserve(2*est+est/2, 2*est)
+		tr.Reserve(2*est+est/2, 2*est)
 	}
 
 	if s.fixedPrio {

@@ -5,6 +5,7 @@ import (
 
 	"rtoffload/internal/rtime"
 	"rtoffload/internal/server"
+	"rtoffload/internal/trace"
 )
 
 // overloadedAssignments builds a system that must miss deadlines:
@@ -65,11 +66,12 @@ func TestContinueLateCascades(t *testing.T) {
 }
 
 func TestAbortAtDeadline(t *testing.T) {
+	var tr trace.Trace
 	res, err := Run(Config{
 		Assignments: overloadedAssignments(),
 		Horizon:     ms(100),
 		OnMiss:      AbortAtDeadline,
-		RecordTrace: true,
+		TraceSink:   &tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -96,16 +98,7 @@ func TestAbortAtDeadline(t *testing.T) {
 		}
 	}
 	// Trace checkers understand abandoned sub-jobs.
-	if err := res.Trace.CheckWellFormed(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Trace.CheckNoOverlap(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Trace.CheckBudgets(); err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Trace.CheckWorkConserving(); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -208,11 +201,12 @@ func (maliciousServer) Respond(rtime.Instant, int, int64) server.Response {
 
 func TestNegativeLatencyClamped(t *testing.T) {
 	tk := offloadTask(1, ms(2), ms(6), ms(1), ms(30), ms(30), ms(8), 5)
+	var tr trace.Trace
 	res, err := Run(Config{
 		Assignments: []Assignment{{Task: tk, Offload: true}},
 		Server:      maliciousServer{},
 		Horizon:     ms(90),
-		RecordTrace: true,
+		TraceSink:   &tr,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +223,7 @@ func TestNegativeLatencyClamped(t *testing.T) {
 			t.Fatalf("finish %v, want release+3ms", j.Finish)
 		}
 	}
-	if err := res.Trace.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
 }

@@ -124,6 +124,10 @@ func (q *refDeadlines) Pop() interface{} {
 type refSim struct {
 	cfg *Config
 	res *Result
+	// tr records the trace when Config.TraceSink is a *trace.Trace
+	// (the reference writes the in-memory trace directly; other sinks
+	// record nothing).
+	tr *trace.Trace
 
 	now    rtime.Instant
 	ready  refReady
@@ -145,9 +149,7 @@ func runReference(cfg Config) (*Result, error) {
 		Horizon: cfg.Horizon,
 		Policy:  cfg.Policy,
 	}}
-	if cfg.RecordTrace {
-		s.res.Trace = &trace.Trace{}
-	}
+	s.tr, _ = cfg.TraceSink.(*trace.Trace)
 	s.run()
 	return s.res, nil
 }
@@ -216,8 +218,8 @@ func (s *refSim) run() {
 		s.now = s.now.Add(slice)
 		j.remaining -= slice
 		s.res.CPUBusy += slice
-		if s.res.Trace != nil {
-			s.res.Trace.Append(trace.Segment{
+		if s.tr != nil {
+			s.tr.Append(trace.Segment{
 				Start: start, End: s.now,
 				Sub: trace.SubID{TaskID: j.asg.Task.ID, Seq: j.seq, Kind: j.kind},
 			})
@@ -282,10 +284,10 @@ func (s *refSim) abort(j *refJob) {
 }
 
 func (s *refSim) recordSubAbandoned(j *refJob) {
-	if s.res.Trace == nil {
+	if s.tr == nil {
 		return
 	}
-	s.res.Trace.Subs = append(s.res.Trace.Subs, trace.SubRecord{
+	s.tr.Subs = append(s.tr.Subs, trace.SubRecord{
 		Sub:         trace.SubID{TaskID: j.asg.Task.ID, Seq: j.seq, Kind: j.kind},
 		Release:     j.subRelease,
 		Deadline:    j.subDeadline,
@@ -435,7 +437,7 @@ func (s *refSim) resume(j *refJob) {
 }
 
 func (s *refSim) recordSub(j *refJob, completed bool) {
-	if s.res.Trace == nil {
+	if s.tr == nil {
 		return
 	}
 	rec := trace.SubRecord{
@@ -448,7 +450,7 @@ func (s *refSim) recordSub(j *refJob, completed bool) {
 		rec.Completed = true
 		rec.Completion = s.now
 	}
-	s.res.Trace.Subs = append(s.res.Trace.Subs, rec)
+	s.tr.Subs = append(s.tr.Subs, rec)
 }
 
 func (s *refSim) finishJob(j *refJob, out Outcome, benefit float64) {

@@ -125,14 +125,12 @@ type Config struct {
 	ReleaseJitter rtime.Duration
 	// RNG drives sporadic jitter; may be nil for periodic releases.
 	RNG *stats.RNG
-	// RecordTrace captures the full execution trace in memory (costly
-	// for long runs; see TraceSink for the streaming alternative).
-	RecordTrace bool
 	// TraceSink streams the execution trace — coalesced segments plus
 	// sub-job lifecycle events — to a trace.Sink as the run progresses,
 	// so long horizons verify (trace.StreamChecker) or persist
-	// (trace.BinarySink) in bounded memory. Mutually exclusive with
-	// RecordTrace; the sink's Finish error surfaces from Run.
+	// (trace.BinarySink) in bounded memory. A *trace.Trace sink
+	// materializes the trace in memory for the caller to read. The
+	// sink's Finish error surfaces from Run.
 	TraceSink trace.Sink
 	// OnMiss selects the overrun policy (default ContinueLate).
 	OnMiss MissPolicy
@@ -210,9 +208,6 @@ func (cfg *Config) validate() error {
 	}
 	if cfg.EventQueue != AutoQueue && cfg.EventQueue != ForceHeap && cfg.EventQueue != ForceWheel {
 		return fmt.Errorf("sched: unknown event queue mode %d", int(cfg.EventQueue))
-	}
-	if cfg.RecordTrace && cfg.TraceSink != nil {
-		return fmt.Errorf("sched: RecordTrace and TraceSink are mutually exclusive; pass a *trace.Trace as the sink to materialize")
 	}
 	return nil
 }
@@ -319,7 +314,6 @@ type Result struct {
 	CPUBusy   rtime.Duration
 	RadioBusy rtime.Duration
 	Makespan  rtime.Duration
-	Trace     *trace.Trace
 }
 
 // NormalizedBenefit returns TotalBenefit/TotalBaseline (1.0 = no
@@ -345,19 +339,11 @@ func Run(cfg Config) (*Result, error) {
 
 // newSim builds an engine for a validated configuration.
 func newSim(cfg *Config) *sim {
-	s := &sim{cfg: cfg, res: &Result{
+	return &sim{cfg: cfg, sink: cfg.TraceSink, res: &Result{
 		PerTask: make(map[int]*TaskStats, len(cfg.Assignments)),
 		Horizon: cfg.Horizon,
 		Policy:  cfg.Policy,
 	}}
-	switch {
-	case cfg.RecordTrace:
-		s.res.Trace = &trace.Trace{}
-		s.sink = s.res.Trace
-	case cfg.TraceSink != nil:
-		s.sink = cfg.TraceSink
-	}
-	return s
 }
 
 // LatencyPercentile returns the p-th percentile (0..100) of a task's

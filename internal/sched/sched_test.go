@@ -9,6 +9,7 @@ import (
 	"rtoffload/internal/server"
 	"rtoffload/internal/stats"
 	"rtoffload/internal/task"
+	"rtoffload/internal/trace"
 )
 
 func ms(v int64) rtime.Duration { return rtime.FromMillis(v) }
@@ -68,13 +69,14 @@ func TestConfigValidation(t *testing.T) {
 
 func TestLocalEDFSchedule(t *testing.T) {
 	// τ1: C=3, D=T=10; τ2: C=4, D=T=20. EDF: τ1 first each time.
+	var tr trace.Trace
 	cfg := Config{
 		Assignments: []Assignment{
 			{Task: localTask(1, ms(3), ms(10), ms(10))},
 			{Task: localTask(2, ms(4), ms(20), ms(20))},
 		},
-		Horizon:     ms(40),
-		RecordTrace: true,
+		Horizon:   ms(40),
+		TraceSink: &tr,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -83,7 +85,7 @@ func TestLocalEDFSchedule(t *testing.T) {
 	if res.Misses != 0 {
 		t.Fatalf("misses = %d", res.Misses)
 	}
-	if err := res.Trace.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace invalid: %v", err)
 	}
 	st1, st2 := res.PerTask[1], res.PerTask[2]
@@ -97,7 +99,7 @@ func TestLocalEDFSchedule(t *testing.T) {
 		t.Fatalf("outcome counts wrong: %+v", st1)
 	}
 	// Busy time = 4·3 + 2·4 = 20ms.
-	if b := res.Trace.TotalBusy(); b != ms(20) {
+	if b := tr.TotalBusy(); b != ms(20) {
 		t.Fatalf("busy = %v", b)
 	}
 }
@@ -105,11 +107,12 @@ func TestLocalEDFSchedule(t *testing.T) {
 func TestOffloadHitPath(t *testing.T) {
 	// Server returns in 5ms, budget 8ms → post-processing runs.
 	tk := offloadTask(1, ms(2), ms(6), ms(1), ms(30), ms(30), ms(8), 5)
+	var tr trace.Trace
 	cfg := Config{
 		Assignments: []Assignment{{Task: tk, Offload: true}},
 		Server:      server.Fixed{Latency: ms(5)},
 		Horizon:     ms(90),
-		RecordTrace: true,
+		TraceSink:   &tr,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -132,7 +135,7 @@ func TestOffloadHitPath(t *testing.T) {
 			t.Fatalf("job %d outcome %v benefit %g", j.Seq, j.Outcome, j.Benefit)
 		}
 	}
-	if err := res.Trace.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
 	// Benefit: 3 jobs × benefit 5 = 15; baseline 3 × 1.
@@ -147,11 +150,12 @@ func TestOffloadHitPath(t *testing.T) {
 func TestOffloadTimeoutCompensation(t *testing.T) {
 	// Server never responds: every job compensates, still no misses.
 	tk := offloadTask(1, ms(2), ms(6), ms(1), ms(30), ms(30), ms(8), 5)
+	var tr trace.Trace
 	cfg := Config{
 		Assignments: []Assignment{{Task: tk, Offload: true}},
 		Server:      server.Fixed{Lost: true},
 		Horizon:     ms(90),
-		RecordTrace: true,
+		TraceSink:   &tr,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -173,7 +177,7 @@ func TestOffloadTimeoutCompensation(t *testing.T) {
 			t.Fatalf("outcome %v benefit %g", j.Outcome, j.Benefit)
 		}
 	}
-	if err := res.Trace.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
 }
@@ -215,11 +219,12 @@ func TestBoundaryResponseExactlyAtBudget(t *testing.T) {
 func TestZeroPostProcessing(t *testing.T) {
 	// C3 = 0: job completes the instant the result arrives.
 	tk := offloadTask(1, ms(2), ms(6), 0, ms(30), ms(30), ms(8), 5)
+	var tr trace.Trace
 	cfg := Config{
 		Assignments: []Assignment{{Task: tk, Offload: true}},
 		Server:      server.Fixed{Latency: ms(4)},
 		Horizon:     ms(30),
-		RecordTrace: true,
+		TraceSink:   &tr,
 	}
 	res, err := Run(cfg)
 	if err != nil {
@@ -228,7 +233,7 @@ func TestZeroPostProcessing(t *testing.T) {
 	if res.Jobs[0].Finish != rtime.Instant(ms(6)) { // setup 2 + latency 4
 		t.Fatalf("finish = %v, want 6ms", res.Jobs[0].Finish)
 	}
-	if err := res.Trace.Validate(); err != nil {
+	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace: %v", err)
 	}
 }
@@ -240,34 +245,35 @@ func TestSplitBeatsNaiveEDF(t *testing.T) {
 	// τ2 local, constrained: C=8, D=10, T=20.
 	t1 := offloadTask(1, ms(2), ms(8), 0, ms(20), ms(20), ms(10), 5)
 	t2 := localTask(2, ms(8), ms(10), ms(20))
-	mk := func(p Policy) *Result {
+	mk := func(p Policy) (*Result, *trace.Trace) {
+		var tr trace.Trace
 		res, err := Run(Config{
 			Assignments: []Assignment{
 				{Task: t1, Offload: true},
 				{Task: t2},
 			},
-			Server:      server.Fixed{Lost: true}, // worst case: always compensate
-			Horizon:     ms(40),
-			Policy:      p,
-			RecordTrace: true,
+			Server:    server.Fixed{Lost: true}, // worst case: always compensate
+			Horizon:   ms(40),
+			Policy:    p,
+			TraceSink: &tr,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		return res, &tr
 	}
-	naive := mk(NaiveEDF)
+	naive, naiveTr := mk(NaiveEDF)
 	if naive.Misses == 0 {
 		t.Fatal("naive EDF unexpectedly schedulable")
 	}
-	split := mk(SplitEDF)
+	split, splitTr := mk(SplitEDF)
 	if split.Misses != 0 {
 		t.Fatalf("split EDF missed %d deadlines", split.Misses)
 	}
-	if err := split.Trace.Validate(); err != nil {
+	if err := splitTr.Validate(); err != nil {
 		t.Fatalf("split trace: %v", err)
 	}
-	if err := naive.Trace.Validate(); err != nil {
+	if err := naiveTr.Validate(); err != nil {
 		t.Fatalf("naive trace: %v", err)
 	}
 }
@@ -324,13 +330,14 @@ func TestTheorem3ImpliesNoSimMisses(t *testing.T) {
 			server.Fixed{Latency: ms(rng.UniformInt(1, 100))},
 		}
 		for si, srv := range servers {
+			var tr trace.Trace
 			res, err := Run(Config{
 				Assignments:   asgs,
 				Server:        srv,
 				Horizon:       8 * maxT,
 				ReleaseJitter: ms(rng.UniformInt(0, 10)),
 				RNG:           rng.Fork(),
-				RecordTrace:   trial%10 == 0, // traces are O(n²) to check
+				TraceSink:     &tr,
 			})
 			if err != nil {
 				t.Fatalf("trial %d server %d: %v", trial, si, err)
@@ -338,10 +345,8 @@ func TestTheorem3ImpliesNoSimMisses(t *testing.T) {
 			if res.Misses != 0 {
 				t.Fatalf("trial %d server %d: %d misses despite Theorem 3", trial, si, res.Misses)
 			}
-			if res.Trace != nil {
-				if err := res.Trace.Validate(); err != nil {
-					t.Fatalf("trial %d server %d: trace: %v", trial, si, err)
-				}
+			if err := tr.Validate(); err != nil {
+				t.Fatalf("trial %d server %d: trace: %v", trial, si, err)
 			}
 		}
 	}

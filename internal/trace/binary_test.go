@@ -20,6 +20,7 @@ func TestBinaryRoundTrip(t *testing.T) {
 		{"suspension", suspensionTrace()},
 		{"abandoned", abandonedTrace()},
 		{"zero-wcet", zeroWCETTrace()},
+		{"zero-wcet-at-segment-end", zeroWCETAtSegmentEndTrace()},
 		{"empty", &Trace{}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -1,9 +1,9 @@
-// Streaming one-pass trace verification. The in-memory checkers in
-// trace.go replay a materialized Trace; at campaign scale the trace
-// never materializes — it streams through a Sink — so this file
-// re-derives the same invariants as a single forward pass whose state
-// is bounded by the number of *in-flight* sub-jobs, not by the
-// horizon:
+// Streaming one-pass trace verification. StreamChecker is the
+// package's only trace verifier: it consumes the Sink event stream —
+// live from the simulator, replayed from a materialized Trace
+// (Validate), or read back from disk (ReadBinary) — and checks the
+// scheduling invariants as a single forward pass whose state is
+// bounded by the number of *in-flight* sub-jobs, not by the horizon:
 //
 //   - exclusivity: segments arrive in execution order, so overlap is a
 //     one-instant comparison against the previous segment's end;
@@ -15,9 +15,10 @@
 //     around it — the Sink contract (see Sink) guarantees every open
 //     and close that could overlap a segment precedes it.
 //
-// stream_test.go pins the equivalence: over a shared corpus of
-// engine-produced traces and seeded violations, the streaming checker
-// accepts and rejects exactly the traces the in-memory checkers do.
+// Its test oracle is the original materialized checker family
+// (reference_test.go, RefValidate), which rescans the whole trace per
+// invariant; stream_test.go and engine_diff_test.go pin that both
+// accept and reject exactly the same traces.
 package trace
 
 import (
@@ -283,8 +284,14 @@ func (c *StreamChecker) Finish() error {
 // order the Sink contract requires — opens sorted by release, closes
 // by end instant, segments by start, with every lifecycle event that
 // could overlap a segment emitted before it — and returns
-// sink.Finish(). Replaying into a StreamChecker verifies a Trace
-// one-pass; replaying into a BinarySink serializes it.
+// sink.Finish(). Before a segment ending at E it emits every open with
+// release ≤ E and every close with end ≤ E, opens first on ties, so a
+// sub-job is always opened before it is closed: a zero-WCET sub-job
+// released and completed exactly at E (a zero-cost post-processing
+// phase whose result arrives the instant setup completes) opens and
+// closes before that segment. Replaying into a StreamChecker verifies
+// a Trace one-pass (Validate); replaying into a BinarySink serializes
+// it.
 func (tr *Trace) Replay(sink Sink) error {
 	opens := make([]int, len(tr.Subs))
 	for i := range opens {
@@ -310,12 +317,14 @@ func (tr *Trace) Replay(sink Sink) error {
 	segs := tr.sortedSegments()
 
 	oi, ci := 0, 0
-	// emit delivers opens with release < openLim and closes with end
-	// ≤ closeLim, merged in time order (opens first on ties).
-	emit := func(openLim, closeLim rtime.Instant) {
+	// emit delivers opens with release ≤ lim and closes with end ≤ lim,
+	// merged in time order (opens first on ties). The open bound must
+	// be inclusive: every close due at lim has release ≤ lim (closeAt
+	// clamps to the release), so its open is due too.
+	emit := func(lim rtime.Instant) {
 		for {
-			openDue := oi < len(opens) && tr.Subs[opens[oi]].Release < openLim
-			closeDue := ci < len(closes) && closeAt(closes[ci]) <= closeLim
+			openDue := oi < len(opens) && tr.Subs[opens[oi]].Release <= lim
+			closeDue := ci < len(closes) && closeAt(closes[ci]) <= lim
 			switch {
 			case openDue && (!closeDue || tr.Subs[opens[oi]].Release <= closeAt(closes[ci])):
 				r := &tr.Subs[opens[oi]]
@@ -330,16 +339,9 @@ func (tr *Trace) Replay(sink Sink) error {
 		}
 	}
 	for _, s := range segs {
-		emit(s.End, s.End)
+		emit(s.End)
 		sink.AppendSegment(s)
 	}
-	emit(rtime.Forever, rtime.Forever)
+	emit(rtime.Forever)
 	return sink.Finish()
-}
-
-// ValidateStreaming runs the one-pass checkers over the trace. It is
-// the streaming twin of Validate: stream_test.go proves both accept
-// and reject exactly the same traces.
-func (tr *Trace) ValidateStreaming() error {
-	return tr.Replay(NewStreamChecker())
 }

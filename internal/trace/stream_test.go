@@ -37,6 +37,22 @@ func zeroWCETTrace() *Trace {
 	return tr
 }
 
+// zeroWCETAtSegmentEndTrace is the engine shape that once broke
+// Replay: the offload result arrives the instant setup completes, so a
+// zero-cost post-processing sub-job is released and completed at the
+// end of the setup segment. Replay must open it before closing it.
+func zeroWCETAtSegmentEndTrace() *Trace {
+	setup := SubID{TaskID: 1, Kind: Setup}
+	post := SubID{TaskID: 1, Kind: Post}
+	return &Trace{
+		Segments: []Segment{{Start: ms(0), End: ms(2), Sub: setup}},
+		Subs: []SubRecord{
+			{Sub: setup, Release: ms(0), Deadline: ms(4), WCET: msd(2), Completed: true, Completion: ms(2)},
+			{Sub: post, Release: ms(2), Deadline: ms(10), WCET: 0, Completed: true, Completion: ms(2)},
+		},
+	}
+}
+
 // suspensionTrace mirrors TestCheckEDFOrderSuspension: a late-released
 // compensation sub-job whose preceding idle-priority run is legal.
 func suspensionTrace() *Trace {
@@ -58,7 +74,7 @@ func suspensionTrace() *Trace {
 }
 
 // corpus returns the shared labeled corpus: the valid fixtures plus
-// every seeded violation the in-memory checker unit tests pin.
+// every seeded violation the reference checker unit tests pin.
 func corpus() []struct {
 	name string
 	tr   *Trace
@@ -76,6 +92,7 @@ func corpus() []struct {
 		{"suspension", suspensionTrace()},
 		{"abandoned", abandonedTrace()},
 		{"zero-wcet", zeroWCETTrace()},
+		{"zero-wcet-at-segment-end", zeroWCETAtSegmentEndTrace()},
 		{"empty-trace", &Trace{}},
 		{"empty-segment", mutate(func(tr *Trace) { tr.Segments[0].End = tr.Segments[0].Start })},
 		{"unknown-sub", mutate(func(tr *Trace) { tr.Segments[0].Sub.TaskID = 99 })},
@@ -116,28 +133,38 @@ func corpus() []struct {
 }
 
 // TestStreamMatchesInMemoryCorpus is the accept/reject differential on
-// the shared corpus: the streaming one-pass checker must agree with
-// the in-memory checkers on every fixture and every seeded violation.
+// the shared corpus: Validate (the streaming one-pass checker) must
+// agree with the materialized reference checkers on every fixture and
+// every seeded violation.
 func TestStreamMatchesInMemoryCorpus(t *testing.T) {
 	for _, tc := range corpus() {
 		t.Run(tc.name, func(t *testing.T) {
-			mem := tc.tr.Validate()
-			str := tc.tr.ValidateStreaming()
-			if (mem == nil) != (str == nil) {
-				t.Fatalf("in-memory says %v, streaming says %v", mem, str)
+			ref := tc.tr.RefValidate()
+			str := tc.tr.Validate()
+			if (ref == nil) != (str == nil) {
+				t.Fatalf("reference says %v, streaming says %v", ref, str)
 			}
 		})
 	}
 }
 
-// TestStreamMatchesInMemoryFuzz mutates the valid fixtures with random
-// time and lifecycle perturbations and asserts the two checker suites
-// keep agreeing on accept/reject.
-func TestStreamMatchesInMemoryFuzz(t *testing.T) {
-	bases := []func() *Trace{validTrace, suspensionTrace, abandonedTrace, zeroWCETTrace}
+// FuzzValidateMatchesReference mutates a valid fixture (picked by
+// base) with random time and lifecycle perturbations drawn from seed
+// and asserts Validate keeps agreeing with the reference checkers on
+// accept/reject. The seed corpus is the 400 (seed, seed mod 4) cases
+// of the original table-driven test plus 100 mutations of the
+// segment-end zero-WCET fixture.
+func FuzzValidateMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 400; seed++ {
+		f.Add(seed, uint8(seed%4))
+	}
+	for seed := int64(0); seed < 100; seed++ {
+		f.Add(seed, uint8(4))
+	}
+	bases := []func() *Trace{validTrace, suspensionTrace, abandonedTrace, zeroWCETTrace, zeroWCETAtSegmentEndTrace}
+	f.Fuzz(func(t *testing.T, seed int64, base uint8) {
 		rng := rand.New(rand.NewSource(seed))
-		tr := bases[int(seed)%len(bases)]()
+		tr := bases[int(base)%len(bases)]()
 		for n := 1 + rng.Intn(3); n > 0; n-- {
 			delta := rtime.Duration(rng.Int63n(5) - 2)
 			switch rng.Intn(8) {
@@ -164,12 +191,12 @@ func TestStreamMatchesInMemoryFuzz(t *testing.T) {
 				r.AbandonTime = rtime.Instant(rng.Int63n(12_000))
 			}
 		}
-		mem := tr.Validate()
-		str := tr.ValidateStreaming()
-		if (mem == nil) != (str == nil) {
-			t.Fatalf("seed %d: in-memory says %v, streaming says %v\ntrace: %+v", seed, mem, str, tr)
+		ref := tr.RefValidate()
+		str := tr.Validate()
+		if (ref == nil) != (str == nil) {
+			t.Fatalf("seed %d base %d: reference says %v, streaming says %v\ntrace: %+v", seed, base, ref, str, tr)
 		}
-	}
+	})
 }
 
 // TestReplayIntoTraceRoundTrips proves Replay's causal ordering is a
@@ -184,6 +211,7 @@ func TestReplayIntoTraceRoundTrips(t *testing.T) {
 		{"suspension", suspensionTrace()},
 		{"abandoned", abandonedTrace()},
 		{"zero-wcet", zeroWCETTrace()},
+		{"zero-wcet-at-segment-end", zeroWCETAtSegmentEndTrace()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var got Trace
@@ -215,8 +243,8 @@ func TestStreamCheckerCounts(t *testing.T) {
 }
 
 // TestStreamCheckerStrictStreamErrors covers the stream-contract
-// violations that have no in-memory counterpart: they can only happen
-// when a recorder misbehaves.
+// violations that have no reference-checker counterpart: they can
+// only happen when a recorder misbehaves.
 func TestStreamCheckerStrictStreamErrors(t *testing.T) {
 	id := SubID{TaskID: 1}
 	t.Run("duplicate-open", func(t *testing.T) {

@@ -3,11 +3,12 @@
 //
 // The simulator (package sched) emits a Trace: the sequence of
 // processor-time segments plus one record per sub-job with its
-// release, deadline and completion. The checkers in this package
-// replay a trace against the scheduling invariants — single-processor
-// exclusivity, EDF priority order, work conservation, and execution
-// budget accounting — giving the test suite an oracle that is
-// independent of the simulator's own bookkeeping.
+// release, deadline and completion. StreamChecker verifies a trace
+// against the scheduling invariants — single-processor exclusivity,
+// EDF priority order, work conservation, and execution budget
+// accounting — in one pass, live as the simulator emits it or over a
+// materialized Trace (Validate), giving the test suite an oracle that
+// is independent of the simulator's own bookkeeping.
 package trace
 
 import (
@@ -128,9 +129,8 @@ type Trace struct {
 //   - Finish marks the end of the trace and reports the sink's
 //     deferred error, if any.
 //
-// *Trace is the in-memory Sink (today's semantics), BinarySink the
-// zero-allocation on-disk one, and StreamChecker the one-pass
-// invariant verifier.
+// *Trace is the in-memory Sink, BinarySink the zero-allocation on-disk
+// one, and StreamChecker the one-pass invariant verifier.
 type Sink interface {
 	OpenSub(id SubID, release, deadline rtime.Instant, wcet rtime.Duration)
 	AppendSegment(s Segment)
@@ -190,168 +190,11 @@ func (tr *Trace) Append(s Segment) {
 	tr.Segments = append(tr.Segments, s)
 }
 
-// Validate runs every checker and returns the first violation.
+// Validate verifies the trace against every scheduling invariant in
+// one pass: it replays the trace into a StreamChecker (see Replay) and
+// returns the first violation.
 func (tr *Trace) Validate() error {
-	if err := tr.CheckWellFormed(); err != nil {
-		return err
-	}
-	if err := tr.CheckNoOverlap(); err != nil {
-		return err
-	}
-	if err := tr.CheckBudgets(); err != nil {
-		return err
-	}
-	if err := tr.CheckEDFOrder(); err != nil {
-		return err
-	}
-	return tr.CheckWorkConserving()
-}
-
-// CheckWellFormed verifies structural sanity: positive-length
-// segments, segments within their sub-job's [release, completion]
-// window, and every segment belonging to a recorded sub-job.
-func (tr *Trace) CheckWellFormed() error {
-	recs := tr.index()
-	for i, s := range tr.Segments {
-		if s.End <= s.Start {
-			return fmt.Errorf("trace: segment %d empty or inverted: [%v, %v)", i, s.Start, s.End)
-		}
-		r, ok := recs[s.Sub]
-		if !ok {
-			return fmt.Errorf("trace: segment %d references unknown sub-job %v", i, s.Sub)
-		}
-		if s.Start < r.Release {
-			return fmt.Errorf("trace: %v executes at %v before release %v", s.Sub, s.Start, r.Release)
-		}
-		if end := r.end(); s.End > end {
-			return fmt.Errorf("trace: %v executes past its end %v", s.Sub, end)
-		}
-	}
-	return nil
-}
-
-// CheckNoOverlap verifies single-processor exclusivity.
-func (tr *Trace) CheckNoOverlap() error {
-	segs := tr.sortedSegments()
-	for i := 1; i < len(segs); i++ {
-		if segs[i].Start < segs[i-1].End {
-			return fmt.Errorf("trace: segments overlap: %v in [%v,%v) and %v in [%v,%v)",
-				segs[i-1].Sub, segs[i-1].Start, segs[i-1].End,
-				segs[i].Sub, segs[i].Start, segs[i].End)
-		}
-	}
-	return nil
-}
-
-// CheckBudgets verifies that every completed sub-job executed exactly
-// its WCET and every incomplete one strictly less.
-func (tr *Trace) CheckBudgets() error {
-	exec := make(map[SubID]rtime.Duration, len(tr.Subs))
-	for _, s := range tr.Segments {
-		exec[s.Sub] += s.End.Sub(s.Start)
-	}
-	for _, r := range tr.Subs {
-		got := exec[r.Sub]
-		if r.Completed && got != r.WCET {
-			return fmt.Errorf("trace: %v executed %v, want WCET %v", r.Sub, got, r.WCET)
-		}
-		if !r.Completed && got >= r.WCET && r.WCET > 0 {
-			return fmt.Errorf("trace: %v executed full WCET %v but is not completed", r.Sub, r.WCET)
-		}
-		if r.Completed && r.Abandoned {
-			return fmt.Errorf("trace: %v both completed and abandoned", r.Sub)
-		}
-	}
-	return nil
-}
-
-// CheckEDFOrder verifies the EDF invariant: whenever a sub-job
-// executes, no other ready, unfinished sub-job has a strictly earlier
-// deadline. Readiness of sub-job k during segment s means
-// k.Release ≤ segment time < k's completion (or trace end if
-// unfinished).
-func (tr *Trace) CheckEDFOrder() error {
-	for _, s := range tr.Segments {
-		running := tr.find(s.Sub)
-		if running == nil {
-			return fmt.Errorf("trace: segment references unknown sub-job %v", s.Sub)
-		}
-		for i := range tr.Subs {
-			k := &tr.Subs[i]
-			if k.Sub == s.Sub {
-				continue
-			}
-			if k.Deadline >= running.Deadline {
-				continue
-			}
-			// k is ready during (start, end) if it released before the
-			// segment ends and completes after the segment starts.
-			kEnd := k.end()
-			overlapStart := rtime.MaxInstant(s.Start, k.Release)
-			overlapEnd := rtime.MinInstant(s.End, kEnd)
-			if overlapStart < overlapEnd {
-				return fmt.Errorf("trace: EDF violation: %v (deadline %v) ran during [%v,%v) while %v (deadline %v) was ready",
-					s.Sub, running.Deadline, overlapStart, overlapEnd, k.Sub, k.Deadline)
-			}
-		}
-	}
-	return nil
-}
-
-// CheckWorkConserving verifies the processor never idles while a
-// sub-job is ready: for every maximal idle gap between segments, no
-// sub-job may be ready anywhere inside it.
-func (tr *Trace) CheckWorkConserving() error {
-	segs := tr.sortedSegments()
-	checkGap := func(from, to rtime.Instant) error {
-		if to <= from {
-			return nil
-		}
-		for i := range tr.Subs {
-			k := &tr.Subs[i]
-			kEnd := k.end()
-			s := rtime.MaxInstant(from, k.Release)
-			e := rtime.MinInstant(to, kEnd)
-			if s < e {
-				return fmt.Errorf("trace: processor idle in [%v,%v) while %v was ready", s, e, k.Sub)
-			}
-		}
-		return nil
-	}
-	for i := 1; i < len(segs); i++ {
-		if err := checkGap(segs[i-1].End, segs[i].Start); err != nil {
-			return err
-		}
-	}
-	// Leading gap: from the earliest release to the first segment.
-	if len(tr.Subs) > 0 {
-		first := rtime.Forever
-		for _, r := range tr.Subs {
-			if r.Release < first {
-				first = r.Release
-			}
-		}
-		var firstSeg rtime.Instant = rtime.Forever
-		if len(segs) > 0 {
-			firstSeg = segs[0].Start
-		}
-		if err := checkGap(first, firstSeg); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// DeadlineMisses lists completed sub-jobs finishing after their
-// deadlines and unfinished sub-jobs (which can never meet them).
-func (tr *Trace) DeadlineMisses() []SubID {
-	var out []SubID
-	for _, r := range tr.Subs {
-		if !r.Completed || r.Completion > r.Deadline {
-			out = append(out, r.Sub)
-		}
-	}
-	return out
+	return tr.Replay(NewStreamChecker())
 }
 
 // TotalBusy sums all segment lengths.
@@ -361,23 +204,6 @@ func (tr *Trace) TotalBusy() rtime.Duration {
 		d += s.End.Sub(s.Start)
 	}
 	return d
-}
-
-func (tr *Trace) index() map[SubID]*SubRecord {
-	m := make(map[SubID]*SubRecord, len(tr.Subs))
-	for i := range tr.Subs {
-		m[tr.Subs[i].Sub] = &tr.Subs[i]
-	}
-	return m
-}
-
-func (tr *Trace) find(id SubID) *SubRecord {
-	for i := range tr.Subs {
-		if tr.Subs[i].Sub == id {
-			return &tr.Subs[i]
-		}
-	}
-	return nil
 }
 
 func (tr *Trace) sortedSegments() []Segment {

@@ -33,6 +33,9 @@ func TestValidTrace(t *testing.T) {
 	if err := validTrace().Validate(); err != nil {
 		t.Fatalf("valid trace rejected: %v", err)
 	}
+	if err := validTrace().RefValidate(); err != nil {
+		t.Fatalf("valid trace rejected by the reference: %v", err)
+	}
 }
 
 func TestKindSubIDStrings(t *testing.T) {
@@ -50,52 +53,50 @@ func TestKindSubIDStrings(t *testing.T) {
 	}
 }
 
+// rejectBoth asserts that the named reference checker and the
+// production Validate both reject tr.
+func rejectBoth(t *testing.T, tr *Trace, ref func(*Trace) error, what string) {
+	t.Helper()
+	if err := ref(tr); err == nil {
+		t.Errorf("%s accepted by the reference checker", what)
+	}
+	if err := tr.Validate(); err == nil {
+		t.Errorf("%s accepted by Validate", what)
+	}
+}
+
 func TestCheckWellFormed(t *testing.T) {
 	tr := validTrace()
 	tr.Segments[0].End = tr.Segments[0].Start // empty segment
-	if err := tr.CheckWellFormed(); err == nil {
-		t.Error("empty segment accepted")
-	}
+	rejectBoth(t, tr, (*Trace).refCheckWellFormed, "empty segment")
 
 	tr = validTrace()
 	tr.Segments[0].Sub.TaskID = 99
-	if err := tr.CheckWellFormed(); err == nil {
-		t.Error("unknown sub-job accepted")
-	}
+	rejectBoth(t, tr, (*Trace).refCheckWellFormed, "unknown sub-job")
 
 	tr = validTrace()
 	tr.Subs[0].Release = ms(1) // executes at 0 before release
-	if err := tr.CheckWellFormed(); err == nil {
-		t.Error("pre-release execution accepted")
-	}
+	rejectBoth(t, tr, (*Trace).refCheckWellFormed, "pre-release execution")
 
 	tr = validTrace()
 	tr.Subs[0].Completion = ms(3) // executes past completion
-	if err := tr.CheckWellFormed(); err == nil {
-		t.Error("post-completion execution accepted")
-	}
+	rejectBoth(t, tr, (*Trace).refCheckWellFormed, "post-completion execution")
 }
 
 func TestCheckNoOverlap(t *testing.T) {
 	tr := validTrace()
 	tr.Segments[1].Start = ms(3)
 	tr.Subs[1].Release = ms(2)
-	if err := tr.CheckNoOverlap(); err == nil {
-		t.Error("overlap accepted")
-	}
+	rejectBoth(t, tr, (*Trace).refCheckNoOverlap, "overlap")
 }
 
 func TestCheckBudgets(t *testing.T) {
 	tr := validTrace()
 	tr.Subs[0].WCET = msd(5) // executed 4, claims completion
-	if err := tr.CheckBudgets(); err == nil {
-		t.Error("under-execution accepted")
-	}
+	rejectBoth(t, tr, (*Trace).refCheckBudgets, "under-execution")
 	tr = validTrace()
 	tr.Subs[1].Completed = false // executed full WCET but "unfinished"
-	if err := tr.CheckBudgets(); err == nil {
-		t.Error("finished-but-unmarked accepted")
-	}
+	rejectBoth(t, tr, (*Trace).refCheckBudgets, "finished-but-unmarked")
 }
 
 func TestCheckEDFOrder(t *testing.T) {
@@ -112,17 +113,22 @@ func TestCheckEDFOrder(t *testing.T) {
 			{Sub: s2, Release: ms(0), Deadline: ms(20), WCET: msd(3), Completed: true, Completion: ms(3)},
 		},
 	}
-	err := tr.CheckEDFOrder()
-	if err == nil {
-		t.Fatal("EDF violation accepted")
-	}
-	if !strings.Contains(err.Error(), "EDF violation") {
-		t.Errorf("unexpected error %v", err)
-	}
-	// The valid trace passes: τ2 released at 2 but τ1 (earlier deadline)
-	// runs first.
-	if err := validTrace().CheckEDFOrder(); err != nil {
-		t.Fatalf("valid EDF order rejected: %v", err)
+	for name, check := range map[string]func(*Trace) error{
+		"reference": (*Trace).refCheckEDFOrder,
+		"Validate":  (*Trace).Validate,
+	} {
+		err := check(tr)
+		if err == nil {
+			t.Fatalf("%s: EDF violation accepted", name)
+		}
+		if !strings.Contains(err.Error(), "EDF violation") {
+			t.Errorf("%s: unexpected error %v", name, err)
+		}
+		// The valid trace passes: τ2 released at 2 but τ1 (earlier
+		// deadline) runs first.
+		if err := check(validTrace()); err != nil {
+			t.Fatalf("%s: valid EDF order rejected: %v", name, err)
+		}
 	}
 }
 
@@ -148,6 +154,9 @@ func TestCheckEDFOrderSuspension(t *testing.T) {
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("suspension schedule rejected: %v", err)
 	}
+	if err := tr.RefValidate(); err != nil {
+		t.Fatalf("suspension schedule rejected by the reference: %v", err)
+	}
 }
 
 func TestCheckWorkConserving(t *testing.T) {
@@ -156,26 +165,22 @@ func TestCheckWorkConserving(t *testing.T) {
 	tr.Segments[1].Start = ms(5)
 	tr.Segments[1].End = ms(8)
 	tr.Subs[1].Completion = ms(8)
-	if err := tr.CheckWorkConserving(); err == nil {
-		t.Error("idle-while-ready accepted")
-	}
+	rejectBoth(t, tr, (*Trace).refCheckWorkConserving, "idle-while-ready")
 	// Leading idle gap: first release at 0 but execution starts at 1.
 	tr = validTrace()
 	tr.Segments[0].Start = ms(1)
 	tr.Subs[0].WCET = msd(3)
-	if err := tr.CheckWorkConserving(); err == nil {
-		t.Error("leading idle gap accepted")
-	}
+	rejectBoth(t, tr, (*Trace).refCheckWorkConserving, "leading idle gap")
 }
 
 func TestDeadlineMisses(t *testing.T) {
 	tr := validTrace()
-	if m := tr.DeadlineMisses(); len(m) != 0 {
+	if m := tr.refDeadlineMisses(); len(m) != 0 {
 		t.Fatalf("misses = %v", m)
 	}
 	tr.Subs[0].Completion = ms(11)
 	tr.Subs[1].Completed = false
-	m := tr.DeadlineMisses()
+	m := tr.refDeadlineMisses()
 	if len(m) != 2 {
 		t.Fatalf("misses = %v, want 2", m)
 	}
@@ -195,6 +200,9 @@ func TestValidateOrderOfChecks(t *testing.T) {
 	}
 	if err := tr.Validate(); err == nil {
 		t.Fatal("trace with no sub records accepted")
+	}
+	if err := tr.RefValidate(); err == nil {
+		t.Fatal("trace with no sub records accepted by the reference")
 	}
 }
 
