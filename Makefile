@@ -16,9 +16,10 @@ MCKPBENCH = BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve|BenchmarkAdmitdChurn
 MCKPBASE = BenchmarkMCKPBaselineBnB|BenchmarkMCKPBaselineDP
 
 # The fleet-campaign benchmarks tracked in BENCH_9.json: streaming
-# cells (one-pass checker, wheel queues) and the 100k-task on-disk
-# sink endpoint.
-CAMPBENCH = BenchmarkCampaignCellStreaming|BenchmarkCampaignCellDisk100k
+# cells (one-pass checker inline, wheel queues) at 1k/10k/100k tasks,
+# the 100k-task on-disk sink endpoint, and the checker alone on a
+# recorded 4000-task cell.
+CAMPBENCH = BenchmarkCampaignCellStreaming|BenchmarkCampaignCellDisk100k|BenchmarkStreamCheckerCell
 
 # Scratch directory for the campaign kill-and-resume smoke.
 CAMP_SMOKE_DIR = .smoke-campaign
@@ -53,8 +54,8 @@ lint:
 # Dynamic twin of the //rtlint:hotpath annotations: every hot-path
 # root has a testing.AllocsPerRun gate asserting the warm operation
 # allocates zero times (see DESIGN.md §5.7). Covers the dispatch
-# kernel, the time-wheel calendar, and the binary trace sink's emit
-# path. Also bounds the allocations of a fixed 48-task hot fleet
+# kernel, the time-wheel calendar, the binary trace sink's emit path,
+# and the streaming trace checker's event path. Also bounds the allocations of a fixed 48-task hot fleet
 # Decide, the deterministic guard against the capacity repair going
 # quadratic again, and of a fixed-seed exact-upgrade admission churn
 # replay, which holds the upgrade's candidate buffer to reuse.
@@ -151,8 +152,8 @@ bench-mckp:
 	mv BENCH_7.json.tmp BENCH_7.json
 	rm -f BENCH_7.base.txt
 
-# Fleet-campaign benchmarks: streaming cells at 1k/10k tasks plus the
-# 100k-task on-disk endpoint, recorded like `bench`: text in
+# Fleet-campaign benchmarks: streaming cells at 1k/10k/100k tasks plus
+# the 100k-task on-disk endpoint, recorded like `bench`: text in
 # BENCH_9.txt, a JSON session appended to BENCH_9.json (which already
 # holds the materialize-and-validate baseline entry, whose code path is
 # gone — do not overwrite it). The 100k fixed-memory ceiling assertion

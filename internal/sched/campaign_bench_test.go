@@ -49,11 +49,17 @@ func BenchmarkCampaignCellStreaming10k(b *testing.B) {
 	benchStreamingCell(b, 10_000, AutoQueue)
 }
 
-// BenchmarkCampaignCellDisk100k is the fleet endpoint: at 100k tasks
-// the trace streams to the on-disk binary sink (the one-pass checker's
-// live-set scan is meant for cell-sized systems; a synchronous 100k
-// release keeps ~n subs live, see DESIGN.md §5.8), and verification
-// happens on replay of the recorded file.
+// BenchmarkCampaignCellStreaming100k is the fleet endpoint verified
+// inline: a synchronous 100k release keeps ~n sub-jobs in flight, and
+// the checker's O(log n) event cost keeps that affordable.
+func BenchmarkCampaignCellStreaming100k(b *testing.B) {
+	benchStreamingCell(b, 100_000, AutoQueue)
+}
+
+// BenchmarkCampaignCellDisk100k is the same endpoint recorded instead
+// of checked: the trace streams to the on-disk binary sink, which is
+// how Test100kUnderMemoryCeiling keeps the run's heap flat before it
+// verifies the file on replay.
 func BenchmarkCampaignCellDisk100k(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -80,7 +86,9 @@ func BenchmarkCampaignCellStreamingHeap10k(b *testing.B) {
 // disk, so memory stays proportional to the task count, not to
 // horizon × rate. An in-memory *trace.Trace sink would hold the full
 // segment/sub log (~56 B a segment before growth slack), which at this
-// scale dwarfs the ceiling.
+// scale dwarfs the ceiling. The recorded file is then read back
+// through the one-pass checker, so the endpoint's schedule is
+// verified, not only recorded.
 func Test100kUnderMemoryCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-sized simulation")
@@ -130,4 +138,69 @@ func Test100kUnderMemoryCeiling(t *testing.T) {
 	t.Logf("retained heap %d MiB for %d segments on disk (%d MiB ceiling)",
 		growth>>20, segs, int64(ceiling)>>20)
 	runtime.KeepAlive(res)
+
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	checker := trace.NewStreamChecker()
+	if err := trace.ReadBinary(f, checker); err != nil {
+		t.Fatalf("recorded 100k schedule fails verification: %v", err)
+	}
+	if gotSegs, gotSubs := checker.Counts(); gotSegs != segs || gotSubs != closes {
+		t.Fatalf("checker consumed %d segments and %d records, sink wrote %d and %d", gotSegs, gotSubs, segs, closes)
+	}
+}
+
+// sinkEvent is one recorded Sink call. Opens and closes keep their
+// record; a segment keeps its sub-job in Sub and [Start, End) in
+// Release and Deadline, so the log stays one flat slice.
+type sinkEvent struct {
+	tag byte // 'O' open, 'S' segment, 'C' close
+	rec trace.SubRecord
+}
+
+// eventLog is a Sink recording the event stream for replay.
+type eventLog []sinkEvent
+
+func (l *eventLog) OpenSub(id trace.SubID, release, deadline rtime.Instant, wcet rtime.Duration) {
+	*l = append(*l, sinkEvent{'O', trace.SubRecord{Sub: id, Release: release, Deadline: deadline, WCET: wcet}})
+}
+func (l *eventLog) AppendSegment(s trace.Segment) {
+	*l = append(*l, sinkEvent{'S', trace.SubRecord{Sub: s.Sub, Release: s.Start, Deadline: s.End}})
+}
+func (l *eventLog) CloseSub(r trace.SubRecord) { *l = append(*l, sinkEvent{'C', r}) }
+func (l *eventLog) Finish() error              { return nil }
+
+// BenchmarkStreamCheckerCell4k times the one-pass checker alone on the
+// recorded event stream of a 4000-task, 2 s cell (the campaign-sim cell
+// size), presized as the engine presizes it: ns/op is the checker's
+// share of a cell, B/op its own allocation.
+func BenchmarkStreamCheckerCell4k(b *testing.B) {
+	cfg := fleetConfig(4_000, 42)
+	cfg.DiscardJobResults = true
+	var log eventLog
+	cfg.TraceSink = &log
+	if _, err := Run(cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := trace.NewStreamChecker()
+		c.Reserve(len(cfg.Assignments))
+		for j := range log {
+			e := &log[j]
+			switch e.tag {
+			case 'O':
+				c.OpenSub(e.rec.Sub, e.rec.Release, e.rec.Deadline, e.rec.WCET)
+			case 'S':
+				c.AppendSegment(trace.Segment{Start: e.rec.Release, End: e.rec.Deadline, Sub: e.rec.Sub})
+			case 'C':
+				c.CloseSub(e.rec)
+			}
+		}
+		if err := c.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

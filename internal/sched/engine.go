@@ -235,6 +235,10 @@ func (s *sim) init() {
 		// reserving here removes the steady-state reallocation that
 		// dominated long-horizon recording.
 		tr.Reserve(2*est+est/2, 2*est)
+	} else if c, ok := s.sink.(*trace.StreamChecker); ok {
+		// The synchronous first release keeps about one sub-job per
+		// task in flight, the checker's peak.
+		c.Reserve(n)
 	}
 
 	if s.fixedPrio {

@@ -10,6 +10,7 @@ package trace_test
 // reference checkers (RefValidate).
 
 import (
+	"fmt"
 	"testing"
 
 	"rtoffload/internal/rtime"
@@ -61,6 +62,35 @@ type engineTrace struct {
 // engineTraces records one fixed-seed trace per engine shape.
 func engineTraces(t *testing.T) []engineTrace {
 	t.Helper()
+	out, err := recordEngineTraces()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// The split-EDF and abort-at-deadline traces — dozens of sub-jobs,
+// preemptions and abandonments — are also FuzzValidateMatchesReference
+// bases, so the fuzzer exercises the checker's heap reordering, slot
+// reuse and stale entries, which the 2–3 sub-job fixtures never reach.
+func init() {
+	trace.EngineFuzzBases = func() []*trace.Trace {
+		all, err := recordEngineTraces()
+		if err != nil {
+			panic(err)
+		}
+		var out []*trace.Trace
+		for _, c := range all {
+			if c.name == "split-edf" || c.name == "abort-at-deadline" {
+				out = append(out, c.tr)
+			}
+		}
+		return out
+	}
+}
+
+// recordEngineTraces runs every engine shape once.
+func recordEngineTraces() ([]engineTrace, error) {
 	// An instant server returns each result the moment setup
 	// completes: with a zero post-processing phase, that is the
 	// zero-WCET sub-job released and completed at a segment's end.
@@ -99,11 +129,11 @@ func engineTraces(t *testing.T) []engineTrace {
 		tr := &trace.Trace{}
 		cfg.TraceSink = tr
 		if _, err := sched.Run(cfg); err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			return nil, fmt.Errorf("%s: %w", c.name, err)
 		}
 		out[i] = engineTrace{c.name, tr}
 	}
-	return out
+	return out, nil
 }
 
 // clone deep-copies a trace so each mutation starts from the original.

@@ -53,6 +53,18 @@ func zeroWCETAtSegmentEndTrace() *Trace {
 	}
 }
 
+// reopenAfterRetireTrace records one SubID twice: zeroWCETTrace's
+// zero-budget τ3 sub-job retires when the segment at 4 ms starts past
+// its end, and the same ID opens again at 8 ms. The checker forgets a
+// retired ID, so the second lifecycle is accepted like any new one.
+func reopenAfterRetireTrace() *Trace {
+	tr := zeroWCETTrace()
+	z := tr.Subs[len(tr.Subs)-1]
+	z.Release, z.Completion = ms(8), ms(8)
+	tr.Subs = append(tr.Subs, z)
+	return tr
+}
+
 // suspensionTrace mirrors TestCheckEDFOrderSuspension: a late-released
 // compensation sub-job whose preceding idle-priority run is legal.
 func suspensionTrace() *Trace {
@@ -93,6 +105,7 @@ func corpus() []struct {
 		{"abandoned", abandonedTrace()},
 		{"zero-wcet", zeroWCETTrace()},
 		{"zero-wcet-at-segment-end", zeroWCETAtSegmentEndTrace()},
+		{"reopen-after-retire", reopenAfterRetireTrace()},
 		{"empty-trace", &Trace{}},
 		{"empty-segment", mutate(func(tr *Trace) { tr.Segments[0].End = tr.Segments[0].Start })},
 		{"unknown-sub", mutate(func(tr *Trace) { tr.Segments[0].Sub.TaskID = 99 })},
@@ -148,20 +161,43 @@ func TestStreamMatchesInMemoryCorpus(t *testing.T) {
 	}
 }
 
+// EngineFuzzBases returns fixed-seed engine traces for
+// FuzzValidateMatchesReference to mutate. This package cannot import
+// the simulator, so engine_diff_test.go (package trace_test) installs
+// it from init.
+var EngineFuzzBases func() []*Trace
+
+// cloneTrace deep-copies a trace so each fuzz input starts from the
+// original.
+func cloneTrace(tr *Trace) *Trace {
+	return &Trace{
+		Segments: append([]Segment(nil), tr.Segments...),
+		Subs:     append([]SubRecord(nil), tr.Subs...),
+	}
+}
+
 // FuzzValidateMatchesReference mutates a valid fixture (picked by
 // base) with random time and lifecycle perturbations drawn from seed
 // and asserts Validate keeps agreeing with the reference checkers on
 // accept/reject. The seed corpus is the 400 (seed, seed mod 4) cases
-// of the original table-driven test plus 100 mutations of the
-// segment-end zero-WCET fixture.
+// of the original table-driven test, 100 mutations of the segment-end
+// zero-WCET fixture, and 100 mutations of each engine trace (bases 5
+// and 6: split-EDF and abort-at-deadline).
 func FuzzValidateMatchesReference(f *testing.F) {
 	for seed := int64(0); seed < 400; seed++ {
 		f.Add(seed, uint8(seed%4))
 	}
-	for seed := int64(0); seed < 100; seed++ {
-		f.Add(seed, uint8(4))
+	for base := uint8(4); base <= 6; base++ {
+		for seed := int64(0); seed < 100; seed++ {
+			f.Add(seed, base)
+		}
 	}
 	bases := []func() *Trace{validTrace, suspensionTrace, abandonedTrace, zeroWCETTrace, zeroWCETAtSegmentEndTrace}
+	if EngineFuzzBases != nil {
+		for _, tr := range EngineFuzzBases() {
+			bases = append(bases, func() *Trace { return cloneTrace(tr) })
+		}
+	}
 	f.Fuzz(func(t *testing.T, seed int64, base uint8) {
 		rng := rand.New(rand.NewSource(seed))
 		tr := bases[int(base)%len(bases)]()
@@ -247,6 +283,19 @@ func TestStreamCheckerCounts(t *testing.T) {
 // only happen when a recorder misbehaves.
 func TestStreamCheckerStrictStreamErrors(t *testing.T) {
 	id := SubID{TaskID: 1}
+	t.Run("out-of-order-open", func(t *testing.T) {
+		c := NewStreamChecker()
+		c.OpenSub(id, ms(5), ms(10), msd(1))
+		c.OpenSub(SubID{TaskID: 2}, ms(4), ms(10), msd(1))
+		if c.Err() == nil {
+			t.Fatal("open released before its predecessor accepted")
+		}
+	})
+	t.Run("reopen-after-retire-accepted", func(t *testing.T) {
+		if err := reopenAfterRetireTrace().Validate(); err != nil {
+			t.Fatalf("re-open of a retired sub-job rejected: %v", err)
+		}
+	})
 	t.Run("duplicate-open", func(t *testing.T) {
 		c := NewStreamChecker()
 		c.OpenSub(id, ms(0), ms(10), msd(1))
@@ -283,22 +332,35 @@ func TestStreamCheckerStrictStreamErrors(t *testing.T) {
 }
 
 // TestStreamCheckerBoundedLiveSet pins the memory story: a long
-// sequential schedule streams through the checker with the live table
-// never growing past the in-flight count.
+// sequential schedule streams through the checker with the count of
+// in-use slots never growing past the in-flight count, so a sub-job
+// that is never retired fails it. Each job opens a period ahead of its
+// release, so the pending queue is never drained and only its
+// compaction keeps it bounded too.
 func TestStreamCheckerBoundedLiveSet(t *testing.T) {
 	c := NewStreamChecker()
 	const n = 10_000
+	open := func(i int) {
+		rel := ms(int64(i) * 10)
+		c.OpenSub(SubID{TaskID: 1, Seq: int64(i), Kind: Local}, rel, rel+rtime.Instant(msd(10)), msd(4))
+	}
+	open(0)
 	for i := 0; i < n; i++ {
+		if i+1 < n {
+			open(i + 1)
+		}
 		id := SubID{TaskID: 1, Seq: int64(i), Kind: Local}
 		rel := ms(int64(i) * 10)
-		c.OpenSub(id, rel, rel+rtime.Instant(msd(10)), msd(4))
 		c.AppendSegment(Segment{Start: rel, End: rel + rtime.Instant(msd(4)), Sub: id})
 		c.CloseSub(SubRecord{
 			Sub: id, Release: rel, Deadline: rel + rtime.Instant(msd(10)), WCET: msd(4),
 			Completed: true, Completion: rel + rtime.Instant(msd(4)),
 		})
-		if len(c.live) > 2 {
-			t.Fatalf("live table grew to %d at job %d; retirement is broken", len(c.live), i)
+		if c.live > 2 {
+			t.Fatalf("%d slots in use at job %d; retirement is broken", c.live, i)
+		}
+		if len(c.pending) > 2 {
+			t.Fatalf("pending queue holds %d entries at job %d; compaction is broken", len(c.pending), i)
 		}
 	}
 	if err := c.Finish(); err != nil {
@@ -331,5 +393,45 @@ func TestReserveStopsAppendReallocation(t *testing.T) {
 	if cap(fresh.Segments) < segs || cap(fresh.Subs) < subs {
 		t.Fatalf("Reserve capacities (%d, %d), want at least (%d, %d)",
 			cap(fresh.Segments), cap(fresh.Subs), segs, subs)
+	}
+}
+
+// TestStreamCheckerZeroAlloc gates the //rtlint:hotpath contract on
+// the checker's event path: once warm, a steady-state window of
+// opens, preempting segments and closes — with slot reuse, stale heap
+// entries and pending-queue compaction — allocates nothing.
+func TestStreamCheckerZeroAlloc(t *testing.T) {
+	c := NewStreamChecker()
+	c.Reserve(4)
+	var round int64
+	// One round at base T: A (deadline T+50) runs [T,T+5), B released
+	// at T+5 with deadline T+20 preempts it for [T+5,T+10), and A
+	// finishes in [T+10,T+15). Events follow the Sink contract order.
+	step := func() {
+		base := ms(round * 100)
+		at := func(d int64) rtime.Instant { return base + rtime.Instant(msd(d)) }
+		a := SubID{TaskID: 1, Seq: round}
+		b := SubID{TaskID: 2, Seq: round}
+		c.OpenSub(a, at(0), at(50), msd(10))
+		c.OpenSub(b, at(5), at(20), msd(5))
+		c.AppendSegment(Segment{Start: at(0), End: at(5), Sub: a})
+		c.CloseSub(SubRecord{Sub: b, Release: at(5), Deadline: at(20), WCET: msd(5), Completed: true, Completion: at(10)})
+		c.AppendSegment(Segment{Start: at(5), End: at(10), Sub: b})
+		c.CloseSub(SubRecord{Sub: a, Release: at(0), Deadline: at(50), WCET: msd(10), Completed: true, Completion: at(15)})
+		c.AppendSegment(Segment{Start: at(10), End: at(15), Sub: a})
+		round++
+	}
+	for i := 0; i < 100; i++ {
+		step()
+	}
+	allocs := testing.AllocsPerRun(1000, step)
+	if allocs != 0 {
+		t.Fatalf("warm checker event path allocates %.1f times per run; the hotpath contract is 0", allocs)
+	}
+	if err := c.Finish(); err != nil {
+		t.Fatalf("steady-state schedule rejected: %v", err)
+	}
+	if c.live > 2 {
+		t.Fatalf("%d slots in use after the window; retirement is broken", c.live)
 	}
 }

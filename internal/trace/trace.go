@@ -117,7 +117,10 @@ type Trace struct {
 // an in-memory Trace. The recorder's event stream is causal:
 //
 //   - OpenSub announces a sub-job the moment it becomes ready, before
-//     any of its segments;
+//     any of its segments, and opens arrive in non-decreasing release
+//     order (the simulator opens at the current instant; Replay sorts
+//     by release) — StreamChecker rejects an open released before its
+//     predecessor;
 //   - AppendSegment delivers coalesced segments in execution order
 //     (non-decreasing Start); every OpenSub whose release precedes a
 //     segment's End, and every CloseSub whose end instant is at or
