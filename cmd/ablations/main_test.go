@@ -21,6 +21,7 @@ func TestRunGolden(t *testing.T) {
 		{"default", []string{"-per", "3"}},
 		{"chaos", []string{"-per", "3", "-chaos"}},
 		{"fleet", []string{"-fleet", "-campaign", "2", "-campaign-tasks", "12"}},
+		{"campaign", []string{"-campaign", "2", "-campaign-tasks", "12"}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
