@@ -79,36 +79,34 @@ smoke-mckp:
 	$(GO) test -count=1 ./internal/mckp -run 'TestSolver|TestFleetInstanceSolvable|FuzzMCKPSolverAgreement'
 	$(GO) test -count=1 ./internal/core -run 'TestAdmissionMatchesRebuild|TestAdmissionCore|TestDecideMatchesReference'
 
-# Campaign kill-and-resume smoke: interrupt a small checkpointed
-# sweep with -campaign-limit, resume it, and require the resumed
-# output to be byte-identical to an uninterrupted run.
+# Kill-and-resume smoke shared by smoke-campaign and smoke-fleet:
+# interrupt a small checkpointed sweep with -campaign-limit, resume it,
+# and require the resumed output to be byte-identical to an
+# uninterrupted run. $(1) is the scratch directory, $(2) the
+# cmd/ablations args.
+define resume_smoke
+	@rm -rf $(1) && mkdir -p $(1)
+	$(GO) run ./cmd/ablations $(2) \
+		-checkpoint $(1)/ckpt.jsonl -campaign-limit 4 > $(1)/partial.txt
+	grep -q 'campaign interrupted: 4/' $(1)/partial.txt
+	$(GO) run ./cmd/ablations $(2) \
+		-checkpoint $(1)/ckpt.jsonl > $(1)/resumed.txt
+	$(GO) run ./cmd/ablations $(2) > $(1)/fresh.txt
+	cmp $(1)/resumed.txt $(1)/fresh.txt
+	@rm -rf $(1)
+endef
+
+# Campaign kill-and-resume smoke over a single-server campaign.
 smoke-campaign:
-	@rm -rf $(CAMP_SMOKE_DIR) && mkdir -p $(CAMP_SMOKE_DIR)
-	$(GO) run ./cmd/ablations $(CAMP_SMOKE_ARGS) \
-		-checkpoint $(CAMP_SMOKE_DIR)/ckpt.jsonl -campaign-limit 4 > $(CAMP_SMOKE_DIR)/partial.txt
-	grep -q 'campaign interrupted: 4/' $(CAMP_SMOKE_DIR)/partial.txt
-	$(GO) run ./cmd/ablations $(CAMP_SMOKE_ARGS) \
-		-checkpoint $(CAMP_SMOKE_DIR)/ckpt.jsonl > $(CAMP_SMOKE_DIR)/resumed.txt
-	$(GO) run ./cmd/ablations $(CAMP_SMOKE_ARGS) > $(CAMP_SMOKE_DIR)/fresh.txt
-	cmp $(CAMP_SMOKE_DIR)/resumed.txt $(CAMP_SMOKE_DIR)/fresh.txt
-	@rm -rf $(CAMP_SMOKE_DIR)
+	$(call resume_smoke,$(CAMP_SMOKE_DIR),$(CAMP_SMOKE_ARGS))
 
 # Fleet-campaign kill-and-resume smoke: the fleet differential oracles
 # (single-server and reference capacity repair), then a small
 # multi-server fleet scenario sweep end-to-end through the fleet-aware
-# decision manager, interrupted with -campaign-limit, resumed from its
-# checkpoint, and required to match an uninterrupted run byte for byte.
+# decision manager, interrupted and resumed like smoke-campaign.
 smoke-fleet:
-	@rm -rf $(FLEET_SMOKE_DIR) && mkdir -p $(FLEET_SMOKE_DIR)
 	$(GO) test -count=1 ./internal/core -run 'TestFleetSingleServerOracle|TestFleetRepairMatchesReference'
-	$(GO) run ./cmd/ablations $(FLEET_SMOKE_ARGS) \
-		-checkpoint $(FLEET_SMOKE_DIR)/ckpt.jsonl -campaign-limit 4 > $(FLEET_SMOKE_DIR)/partial.txt
-	grep -q 'campaign interrupted: 4/' $(FLEET_SMOKE_DIR)/partial.txt
-	$(GO) run ./cmd/ablations $(FLEET_SMOKE_ARGS) \
-		-checkpoint $(FLEET_SMOKE_DIR)/ckpt.jsonl > $(FLEET_SMOKE_DIR)/resumed.txt
-	$(GO) run ./cmd/ablations $(FLEET_SMOKE_ARGS) > $(FLEET_SMOKE_DIR)/fresh.txt
-	cmp $(FLEET_SMOKE_DIR)/resumed.txt $(FLEET_SMOKE_DIR)/fresh.txt
-	@rm -rf $(FLEET_SMOKE_DIR)
+	$(call resume_smoke,$(FLEET_SMOKE_DIR),$(FLEET_SMOKE_ARGS))
 
 # The pre-merge gate.
 verify: vet lint build race alloc-gate smoke-mckp smoke-admitd smoke-campaign smoke-fleet

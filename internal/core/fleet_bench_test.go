@@ -39,8 +39,8 @@ func campaignFleetShape(name string) fleet.Fleet {
 var campaignFleetShapes = []string{"uniform", "hot", "skew", "degrade", "failover"}
 
 // campaignShapeSet rebuilds the fleet campaign's task draw
-// (internal/exp campaignFleetSet): light per-task load, every third
-// task offloadable with two service levels.
+// (internal/exp campaignSet on the two-level ladder): light per-task
+// load, every third task offloadable with two service levels.
 func campaignShapeSet(rng *stats.RNG, n int) task.Set {
 	shares := rng.UUniFast(n, 0.6)
 	set := make(task.Set, 0, n)

@@ -2,10 +2,10 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"rtoffload/internal/core"
 	"rtoffload/internal/dbf"
-	"rtoffload/internal/parallel"
 	"rtoffload/internal/rtime"
 	"rtoffload/internal/sched"
 	"rtoffload/internal/server"
@@ -28,11 +28,8 @@ type SolverAblationRow struct {
 // Figure-3 task sets (fanned out on `workers` goroutines;
 // 0 = GOMAXPROCS) and reports their quality relative to DP.
 func SolverAblation(seed uint64, trials, workers int) ([]SolverAblationRow, error) {
-	if trials <= 0 {
-		return nil, fmt.Errorf("exp: trials must be positive")
-	}
 	solvers := []core.Solver{core.SolverDP, core.SolverHEU, core.SolverGreedy}
-	qualities, err := parallel.Map(workers, trials, func(trial int) (map[core.Solver]float64, error) {
+	lv, err := sweepLevels(1, trials, workers, func(_, trial int) ([]float64, error) {
 		rng := stats.NewRNG(stats.DeriveSeed(seed, streamSolverAblation, uint64(trial)))
 		set, err := task.GenerateFigure3(rng, task.DefaultFigure3Params())
 		if err != nil {
@@ -45,39 +42,23 @@ func SolverAblation(seed uint64, trials, workers int) ([]SolverAblationRow, erro
 		if dp.TotalExpected <= 0 {
 			return nil, fmt.Errorf("exp: degenerate DP answer in trial %d", trial)
 		}
-		q := map[core.Solver]float64{core.SolverDP: 1}
+		q := []float64{1}
 		for _, s := range solvers[1:] {
 			d, err := core.Decide(set, core.Options{Solver: s})
 			if err != nil {
 				return nil, err
 			}
-			q[s] = d.TotalExpected / dp.TotalExpected
+			q = append(q, d.TotalExpected/dp.TotalExpected)
 		}
 		return q, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	sum := map[core.Solver]float64{}
-	worst := map[core.Solver]float64{}
-	for _, s := range solvers {
-		worst[s] = 1
-	}
-	for _, q := range qualities {
-		for _, s := range solvers {
-			sum[s] += q[s]
-			if q[s] < worst[s] {
-				worst[s] = q[s]
-			}
-		}
-	}
 	rows := make([]SolverAblationRow, 0, len(solvers))
-	for _, s := range solvers {
-		rows = append(rows, SolverAblationRow{
-			Solver:       s,
-			MeanQuality:  sum[s] / float64(trials),
-			WorstQuality: worst[s],
-		})
+	for si, s := range solvers {
+		worst := min(1, slices.Min(lv[0].col(si)))
+		rows = append(rows, SolverAblationRow{Solver: s, MeanQuality: lv[0].mean(si), WorstQuality: worst})
 	}
 	return rows, nil
 }
@@ -100,57 +81,38 @@ type NaiveEDFAblationRow struct {
 // compensates — the worst case for the second sub-job). Systems fan
 // out on `workers` goroutines (0 = GOMAXPROCS).
 func NaiveEDFAblation(seed uint64, loads []float64, perLoad, workers int) ([]NaiveEDFAblationRow, error) {
-	if len(loads) == 0 || perLoad <= 0 {
-		return nil, fmt.Errorf("exp: loads and perLoad must be non-empty")
-	}
 	for _, load := range loads {
 		if load <= 0 || load > 1 {
 			return nil, fmt.Errorf("exp: load %g out of (0,1]", load)
 		}
 	}
-	type sysResult struct {
-		ok, splitMiss, naiveMiss bool
-	}
-	results, err := parallel.Map(workers, len(loads)*perLoad, func(i int) (sysResult, error) {
-		li, sysi := i/perLoad, i%perLoad
+	lv, err := sweepLevels(len(loads), perLoad, workers, func(li, sysi int) ([]float64, error) {
 		rng := stats.NewRNG(stats.DeriveSeed(seed, streamNaiveEDF, uint64(li), uint64(sysi)))
 		asgs, ok := genOffloadSystem(rng, loads[li])
 		if !ok {
-			return sysResult{}, nil
+			return nil, nil
 		}
-		splitMiss, err := missUnderPolicy(asgs, sched.SplitEDF)
-		if err != nil {
-			return sysResult{}, err
+		var miss []float64
+		for _, p := range []sched.Policy{sched.SplitEDF, sched.NaiveEDF} {
+			res, err := runTenPeriods(asgs, p, server.Fixed{Lost: true})
+			if err != nil {
+				return nil, err
+			}
+			miss = append(miss, bit(res.Misses > 0))
 		}
-		naiveMiss, err := missUnderPolicy(asgs, sched.NaiveEDF)
-		if err != nil {
-			return sysResult{}, err
-		}
-		return sysResult{ok: true, splitMiss: splitMiss, naiveMiss: naiveMiss}, nil
+		return miss, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]NaiveEDFAblationRow, 0, len(loads))
 	for li, load := range loads {
-		row := NaiveEDFAblationRow{TargetLoad: load}
-		for _, r := range results[li*perLoad : (li+1)*perLoad] {
-			if !r.ok {
-				continue
-			}
-			row.Systems++
-			if r.splitMiss {
-				row.SplitMissRate++
-			}
-			if r.naiveMiss {
-				row.NaiveMissRate++
-			}
-		}
-		if row.Systems > 0 {
-			row.SplitMissRate /= float64(row.Systems)
-			row.NaiveMissRate /= float64(row.Systems)
-		}
-		rows = append(rows, row)
+		rows = append(rows, NaiveEDFAblationRow{
+			TargetLoad:    load,
+			Systems:       lv[li].count(),
+			SplitMissRate: lv[li].mean(0),
+			NaiveMissRate: lv[li].mean(1),
+		})
 	}
 	return rows, nil
 }
@@ -216,23 +178,21 @@ func genOffloadSystem(rng *stats.RNG, load float64) ([]sched.Assignment, bool) {
 	return asgs, true
 }
 
-func missUnderPolicy(asgs []sched.Assignment, p sched.Policy) (bool, error) {
+// runTenPeriods simulates asgs under policy p against srv for ten
+// periods of the longest-period task.
+func runTenPeriods(asgs []sched.Assignment, p sched.Policy, srv server.Server) (*sched.Result, error) {
 	maxT := rtime.Duration(0)
 	for _, a := range asgs {
 		if a.Task.Period > maxT {
 			maxT = a.Task.Period
 		}
 	}
-	res, err := sched.Run(sched.Config{
+	return sched.Run(sched.Config{
 		Assignments: asgs,
-		Server:      server.Fixed{Lost: true},
+		Server:      srv,
 		Horizon:     10 * maxT,
 		Policy:      p,
 	})
-	if err != nil {
-		return false, err
-	}
-	return res.Misses > 0, nil
 }
 
 // DBFAblationRow compares acceptance of the paper's Theorem-3 test
@@ -253,14 +213,7 @@ type DBFAblationRow struct {
 // is pessimistic (large Ri). Systems fan out on `workers` goroutines
 // (0 = GOMAXPROCS).
 func DBFAblation(seed uint64, loads []float64, perLoad, workers int) ([]DBFAblationRow, error) {
-	if len(loads) == 0 || perLoad <= 0 {
-		return nil, fmt.Errorf("exp: loads and perLoad must be non-empty")
-	}
-	type sysResult struct {
-		ok, thm3, exact bool
-	}
-	results, err := parallel.Map(workers, len(loads)*perLoad, func(i int) (sysResult, error) {
-		li, sysi := i/perLoad, i%perLoad
+	lv, err := sweepLevels(len(loads), perLoad, workers, func(li, sysi int) ([]float64, error) {
 		rng := stats.NewRNG(stats.DeriveSeed(seed, streamDBFAblation, uint64(li), uint64(sysi)))
 		n := rng.IntN(5) + 2
 		shares := rng.UUniFast(n, loads[li])
@@ -271,7 +224,7 @@ func DBFAblation(seed uint64, loads []float64, perLoad, workers int) ([]DBFAblat
 			r := rtime.Duration(rng.Int64N(int64(period * 3 / 4)))
 			budgetTotal := rtime.Duration(shares[i] * float64(period-r))
 			if budgetTotal < 2 || budgetTotal > period {
-				return sysResult{}, nil
+				return nil, nil
 			}
 			c1 := budgetTotal / 4
 			if c1 < 1 {
@@ -279,43 +232,29 @@ func DBFAblation(seed uint64, loads []float64, perLoad, workers int) ([]DBFAblat
 			}
 			o, err := dbf.NewOffloaded(c1, budgetTotal-c1, period, period, r)
 			if err != nil {
-				return sysResult{}, nil
+				return nil, nil
 			}
 			off = append(off, o)
 			ds = append(ds, o)
 		}
-		res := sysResult{ok: true}
-		if _, pass := dbf.Theorem3(off, nil); pass {
-			res.thm3 = true
-		}
+		_, thm3 := dbf.Theorem3(off, nil)
 		az, err := dbf.NewAnalyzer(ds)
 		if err != nil {
-			return sysResult{}, err
+			return nil, err
 		}
-		if az.Feasible() == nil {
-			res.exact = true
-		}
-		return res, nil
+		return []float64{bit(thm3), bit(az.Feasible() == nil)}, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]DBFAblationRow, 0, len(loads))
 	for li, load := range loads {
-		row := DBFAblationRow{TargetLoad: load}
-		for _, r := range results[li*perLoad : (li+1)*perLoad] {
-			if !r.ok {
-				continue
-			}
-			row.Systems++
-			if r.thm3 {
-				row.Theorem3Accepted++
-			}
-			if r.exact {
-				row.ExactAccepted++
-			}
-		}
-		rows = append(rows, row)
+		rows = append(rows, DBFAblationRow{
+			TargetLoad:       load,
+			Systems:          lv[li].count(),
+			Theorem3Accepted: int(lv[li].sum(0)),
+			ExactAccepted:    int(lv[li].sum(1)),
+		})
 	}
 	return rows, nil
 }

@@ -106,7 +106,7 @@ func (c CampaignConfig) withDefaults() CampaignConfig {
 		c.Tasks = 32
 	}
 	if c.Scenarios == nil && len(c.FleetScenarios) == 0 {
-		c.Scenarios = []server.Scenario{server.Busy, server.NotBusy, server.Idle}
+		c.Scenarios = append([]server.Scenario(nil), caseScenarios...)
 	}
 	if c.FaultScales == nil {
 		c.FaultScales = []float64{0, 0.5, 1}
@@ -164,6 +164,13 @@ func (c CampaignConfig) scenLabel(si int) string {
 // cell = (ts·|scenario axis| + si)·|FaultScales| + fi.
 func (c CampaignConfig) cells() int {
 	return c.TaskSets * c.scenAxis() * len(c.FaultScales)
+}
+
+// coords splits a cell index into its task-set, scenario-axis and
+// fault-axis coordinates (the inverse of the mapping above).
+func (c CampaignConfig) coords(cell int) (ts, si, fi int) {
+	nf, ns := len(c.FaultScales), c.scenAxis()
+	return cell / (nf * ns), (cell / nf) % ns, cell % nf
 }
 
 // campaignHeader is the checkpoint's first line: the campaign's
@@ -352,32 +359,27 @@ func RunCampaign(cfg CampaignConfig) (*CampaignResult, error) {
 // discarded and the trace streams through the one-pass checker, so a
 // cell's footprint is the task set plus in-flight jobs — independent
 // of the horizon. Every RNG stream derives from (Seed, ts, si, fi),
-// never from execution order.
+// never from execution order. Only the system differs by mode:
+// serverSystem builds single-server cells, fleetSystem fleet cells.
 func (c CampaignConfig) runCell(cell int, base chaos.Config) (CellResult, error) {
-	if len(c.FleetScenarios) > 0 {
-		return c.runFleetCell(cell, base)
-	}
-	nf, ns := len(c.FaultScales), len(c.Scenarios)
-	fi := cell % nf
-	si := (cell / nf) % ns
-	ts := cell / (nf * ns)
-
+	ts, si, fi := c.coords(cell)
 	key := func(stream uint64) uint64 {
 		return stats.DeriveSeed(c.Seed, streamCampaign,
 			uint64(ts), uint64(si), uint64(fi), stream)
 	}
-	asgs := campaignSystem(stats.NewRNG(key(1)), c.Tasks)
-	srv, err := server.NewScenario(stats.NewRNG(key(2)), c.Scenarios[si])
-	if err != nil {
-		return CellResult{}, err
+	fleetMode := len(c.FleetScenarios) > 0
+	build := c.serverSystem
+	if fleetMode {
+		build = c.fleetSystem
 	}
-	inj, err := chaos.New(srv, base.Scale(c.FaultScales[fi]), stats.NewRNG(key(3)))
+	asgs, srv, servers, err := build(si, base.Scale(c.FaultScales[fi]), key)
 	if err != nil {
-		return CellResult{}, err
+		return CellResult{}, fmt.Errorf("exp: campaign cell %d (%s): %w", cell, c.scenLabel(si), err)
 	}
 	res, err := sched.Run(sched.Config{
 		Assignments:       asgs,
-		Server:            inj,
+		Server:            srv,
+		Servers:           servers,
 		Horizon:           c.Horizon,
 		Policy:            sched.SplitEDF,
 		EventQueue:        sched.AutoQueue,
@@ -385,17 +387,24 @@ func (c CampaignConfig) runCell(cell int, base chaos.Config) (CellResult, error)
 		TraceSink:         trace.NewStreamChecker(),
 	})
 	if err != nil {
-		return CellResult{}, fmt.Errorf("exp: campaign cell %d: %w", cell, err)
+		return CellResult{}, fmt.Errorf("exp: campaign cell %d (%s): %w", cell, c.scenLabel(si), err)
 	}
 	out := CellResult{
 		Cell:     cell,
 		TaskSet:  ts,
-		Scenario: c.Scenarios[si].String(),
+		Scenario: c.scenLabel(si),
 		Fault:    c.FaultScales[fi],
 		Misses:   res.Misses,
 		Benefit:  res.NormalizedBenefit(),
 		CPUBusy:  int64(res.CPUBusy),
 		Makespan: int64(res.Makespan),
+	}
+	if fleetMode {
+		for _, a := range asgs {
+			if a.Offload {
+				out.Offloaded++
+			}
+		}
 	}
 	for id := 0; id < c.Tasks; id++ {
 		if st := res.PerTask[id]; st != nil {
@@ -406,12 +415,33 @@ func (c CampaignConfig) runCell(cell int, base chaos.Config) (CellResult, error)
 	return out, nil
 }
 
-// campaignSystem draws a fleet-shaped system: light per-task load,
-// every third task offloaded against the scenario server, the rest
-// local.
-func campaignSystem(rng *stats.RNG, n int) []sched.Assignment {
+// serverSystem builds a single-server cell: the drawn system with
+// every offloadable task offloaded as constructed (no decision
+// manager), against the scenario server wrapped in the fault
+// injector.
+func (c CampaignConfig) serverSystem(si int, faults chaos.Config, key func(uint64) uint64) ([]sched.Assignment, server.Server, map[string]server.Server, error) {
+	set := campaignSet(stats.NewRNG(key(1)), c.Tasks, [][2]float64{{0.4, 2}})
+	asgs := make([]sched.Assignment, len(set))
+	for i, tk := range set {
+		asgs[i] = sched.Assignment{Task: tk, Offload: len(tk.Levels) > 0}
+	}
+	srv, err := server.NewScenario(stats.NewRNG(key(2)), c.Scenarios[si])
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	inj, err := chaos.New(srv, faults, stats.NewRNG(key(3)))
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return asgs, inj, nil, nil
+}
+
+// campaignSet draws a campaign system: light per-task load, every
+// third task offloadable on the given ladder of (response budget as a
+// share of the period, benefit) levels, the rest local.
+func campaignSet(rng *stats.RNG, n int, ladder [][2]float64) task.Set {
 	shares := rng.UUniFast(n, 0.6)
-	asgs := make([]sched.Assignment, 0, n)
+	set := make(task.Set, 0, n)
 	for i := 0; i < n; i++ {
 		period := rtime.FromMillis(rng.UniformInt(20, 400))
 		c := rtime.Duration(shares[i] * float64(period))
@@ -423,16 +453,16 @@ func campaignSystem(rng *stats.RNG, n int) []sched.Assignment {
 			tk.Setup = c/4 + 1
 			tk.Compensation = c
 			tk.PostProcess = c / 6
-			tk.Levels = []task.Level{{
-				Response: rtime.Duration(float64(period) * 0.4),
-				Benefit:  2,
-			}}
-			asgs = append(asgs, sched.Assignment{Task: tk, Offload: true})
-		} else {
-			asgs = append(asgs, sched.Assignment{Task: tk})
+			for _, lv := range ladder {
+				tk.Levels = append(tk.Levels, task.Level{
+					Response: rtime.Duration(float64(period) * lv[0]),
+					Benefit:  lv[1],
+				})
+			}
 		}
+		set = append(set, tk)
 	}
-	return asgs
+	return set
 }
 
 // WriteCampaignTable prints the aggregate table: one row per
@@ -445,41 +475,38 @@ func WriteCampaignTable(w io.Writer, r *CampaignResult) error {
 		return fmt.Errorf("exp: campaign incomplete: %d/%d cells", len(r.Cells), r.Total)
 	}
 	cfg := r.Config
-	nf, ns := len(cfg.FaultScales), cfg.scenAxis()
+	nf := len(cfg.FaultScales)
 	fleetMode := len(cfg.FleetScenarios) > 0
-	var rows [][]string
-	for si := 0; si < ns; si++ {
-		for fi := range cfg.FaultScales {
-			var cells, jobs, finished, misses, offloaded int
-			var benefit float64
-			for ts := 0; ts < cfg.TaskSets; ts++ {
-				cell := (ts*ns+si)*nf + fi
-				rec := r.Cells[cell]
-				cells++
-				jobs += rec.Jobs
-				finished += rec.Finished
-				misses += rec.Misses
-				offloaded += rec.Offloaded
-				benefit += rec.Benefit
-			}
-			missRate := 0.0
-			if jobs > 0 {
-				missRate = float64(misses) / float64(jobs)
-			}
-			row := []string{
-				cfg.scenLabel(si),
-				fmt.Sprintf("%.2f", cfg.FaultScales[fi]),
-				fmt.Sprintf("%d", cells),
-				fmt.Sprintf("%d", jobs),
-				fmt.Sprintf("%d", misses),
-				fmt.Sprintf("%.4f", missRate),
-				fmt.Sprintf("%.4f", benefit/float64(cells)),
-			}
-			if fleetMode {
-				row = append(row, fmt.Sprintf("%d", offloaded))
-			}
-			rows = append(rows, row)
+	// One accumulator per (scenario, fault) row, summed over the
+	// task-set axis in ascending cell order.
+	sums := make([]CellResult, cfg.scenAxis()*nf)
+	for _, rec := range r.Cells {
+		_, si, fi := cfg.coords(rec.Cell)
+		s := &sums[si*nf+fi]
+		s.Jobs += rec.Jobs
+		s.Misses += rec.Misses
+		s.Offloaded += rec.Offloaded
+		s.Benefit += rec.Benefit
+	}
+	rows := make([][]string, 0, len(sums))
+	for i, s := range sums {
+		missRate := 0.0
+		if s.Jobs > 0 {
+			missRate = float64(s.Misses) / float64(s.Jobs)
 		}
+		row := []string{
+			cfg.scenLabel(i / nf),
+			fmt.Sprintf("%.2f", cfg.FaultScales[i%nf]),
+			fmt.Sprintf("%d", cfg.TaskSets),
+			fmt.Sprintf("%d", s.Jobs),
+			fmt.Sprintf("%d", s.Misses),
+			fmt.Sprintf("%.4f", missRate),
+			fmt.Sprintf("%.4f", s.Benefit/float64(cfg.TaskSets)),
+		}
+		if fleetMode {
+			row = append(row, fmt.Sprintf("%d", s.Offloaded))
+		}
+		rows = append(rows, row)
 	}
 	header := []string{"Scenario", "Fault", "Cells", "Jobs", "Misses", "MissRate", "Benefit"}
 	if fleetMode {

@@ -134,6 +134,20 @@ func CaseServerConfig(s server.Scenario) (server.QueueConfig, error) {
 	return cfg, nil
 }
 
+// caseScenarios is the case study's server-load axis, in table order.
+var caseScenarios = []server.Scenario{server.Busy, server.NotBusy, server.Idle}
+
+// caseServer builds the case-study queueing server for a scenario,
+// seeded from (seed, stream, scenario, idx...).
+func caseServer(s server.Scenario, seed, stream uint64, idx ...uint64) (*server.Queue, error) {
+	cfg, err := CaseServerConfig(s)
+	if err != nil {
+		return nil, err
+	}
+	key := append([]uint64{stream, uint64(s)}, idx...)
+	return server.NewQueue(stats.NewRNG(stats.DeriveSeed(seed, key...)), cfg)
+}
+
 // CaseTasks builds the four case-study tasks: the local image size is
 // set so each task's local utilization is cfg.LocalUtil; each offload
 // level ships a larger frame whose PSNR (measured by the real scaling
@@ -314,17 +328,12 @@ func Figure2(cfg CaseStudyConfig) (*Figure2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	scenarios := []server.Scenario{server.Busy, server.NotBusy, server.Idle}
 	perms := permutations4()
 	horizon := rtime.FromSeconds(cfg.HorizonSeconds)
-	points, err := parallel.Map(cfg.Parallel, len(scenarios)*len(perms), func(i int) (Figure2Point, error) {
-		scenario := scenarios[i/len(perms)]
+	points, err := parallel.Map(cfg.Parallel, len(caseScenarios)*len(perms), func(i int) (Figure2Point, error) {
+		scenario := caseScenarios[i/len(perms)]
 		wi := i % len(perms)
 		weights := perms[wi]
-		srvCfg, err := CaseServerConfig(scenario)
-		if err != nil {
-			return Figure2Point{}, err
-		}
 		ws := set.Clone()
 		for k := range ws {
 			ws[k].Weight = weights[k]
@@ -333,9 +342,8 @@ func Figure2(cfg CaseStudyConfig) (*Figure2Result, error) {
 		if err != nil {
 			return Figure2Point{}, fmt.Errorf("exp: work set %d: %w", wi+1, err)
 		}
-		seed := stats.DeriveSeed(cfg.Seed, streamFigure2, uint64(scenario), uint64(wi))
 		var srv server.Server
-		srv, err = server.NewQueue(stats.NewRNG(seed), srvCfg)
+		srv, err = caseServer(scenario, cfg.Seed, streamFigure2, uint64(wi))
 		if err != nil {
 			return Figure2Point{}, err
 		}

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"rtoffload/internal/chaos"
-	"rtoffload/internal/parallel"
-	"rtoffload/internal/rtime"
 	"rtoffload/internal/sched"
 	"rtoffload/internal/server"
 	"rtoffload/internal/stats"
@@ -37,9 +35,6 @@ type ChaosAblationRow struct {
 // holds the hard guarantee and sheds only benefit. Systems fan out on
 // `workers` goroutines (0 = GOMAXPROCS).
 func ChaosAblation(seed uint64, intensities []float64, perLevel, workers int) ([]ChaosAblationRow, error) {
-	if len(intensities) == 0 || perLevel <= 0 {
-		return nil, fmt.Errorf("exp: intensities and perLevel must be non-empty")
-	}
 	for _, x := range intensities {
 		if x < 0 || x > 1 {
 			return nil, fmt.Errorf("exp: intensity %g out of [0,1]", x)
@@ -49,92 +44,49 @@ func ChaosAblation(seed uint64, intensities []float64, perLevel, workers int) ([
 	if err != nil {
 		return nil, err
 	}
-	type sysResult struct {
-		ok                   bool
-		splitMiss, naiveMiss bool
-		splitBen, naiveBen   float64
-	}
-	results, err := parallel.Map(workers, len(intensities)*perLevel, func(i int) (sysResult, error) {
-		li, sysi := i/perLevel, i%perLevel
+	lv, err := sweepLevels(len(intensities), perLevel, workers, func(li, sysi int) ([]float64, error) {
 		rng := stats.NewRNG(stats.DeriveSeed(seed, streamChaosAblation, uint64(li), uint64(sysi)))
 		asgs, ok := genOffloadSystem(rng, rng.Uniform(0.5, 0.75))
 		if !ok {
-			return sysResult{}, nil
+			return nil, nil
 		}
-		res := sysResult{ok: true}
+		// A deterministic in-budget server: absent faults every request
+		// returns at half the budget (the hit path); every injected loss
+		// or delay beyond the budget forces the compensation path.
+		// genOffloadSystem puts its one offloaded task first.
+		fixed := server.Fixed{Latency: asgs[0].Task.Levels[0].Response / 2}
 		cfg := heavy.Scale(intensities[li])
+		// Columns: split miss, naive miss, split benefit, naive benefit.
+		out := make([]float64, 4)
 		for pi, policy := range []sched.Policy{sched.SplitEDF, sched.NaiveEDF} {
-			sim, err := runUnderChaos(asgs, policy, cfg,
-				stats.DeriveSeed(seed, streamChaosAblation, uint64(li), uint64(sysi), uint64(pi+1)))
+			srv, err := chaos.New(fixed, cfg, stats.NewRNG(
+				stats.DeriveSeed(seed, streamChaosAblation, uint64(li), uint64(sysi), uint64(pi+1))))
 			if err != nil {
-				return sysResult{}, err
+				return nil, err
 			}
-			if pi == 0 {
-				res.splitMiss = sim.Misses > 0
-				res.splitBen = sim.NormalizedBenefit()
-			} else {
-				res.naiveMiss = sim.Misses > 0
-				res.naiveBen = sim.NormalizedBenefit()
+			sim, err := runTenPeriods(asgs, policy, srv)
+			if err != nil {
+				return nil, err
 			}
+			out[pi] = bit(sim.Misses > 0)
+			out[2+pi] = sim.NormalizedBenefit()
 		}
-		return res, nil
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]ChaosAblationRow, 0, len(intensities))
 	for li, x := range intensities {
-		row := ChaosAblationRow{Intensity: x}
-		for _, r := range results[li*perLevel : (li+1)*perLevel] {
-			if !r.ok {
-				continue
-			}
-			row.Systems++
-			if r.splitMiss {
-				row.SplitMissRate++
-			}
-			if r.naiveMiss {
-				row.NaiveMissRate++
-			}
-			row.SplitBenefit += r.splitBen
-			row.NaiveBenefit += r.naiveBen
-		}
-		if row.Systems > 0 {
-			n := float64(row.Systems)
-			row.SplitMissRate /= n
-			row.NaiveMissRate /= n
-			row.SplitBenefit /= n
-			row.NaiveBenefit /= n
-		}
-		rows = append(rows, row)
+		l := lv[li]
+		rows = append(rows, ChaosAblationRow{
+			Intensity:     x,
+			Systems:       l.count(),
+			SplitMissRate: l.mean(0),
+			NaiveMissRate: l.mean(1),
+			SplitBenefit:  l.mean(2),
+			NaiveBenefit:  l.mean(3),
+		})
 	}
 	return rows, nil
-}
-
-// runUnderChaos simulates one admitted system under a policy against a
-// deterministic in-budget server wrapped in the fault injector: absent
-// faults every offload request returns at half its budget (the hit
-// path); every injected loss or delay beyond the budget forces the
-// compensation path.
-func runUnderChaos(asgs []sched.Assignment, p sched.Policy, cfg chaos.Config, seed uint64) (*sched.Result, error) {
-	maxT := rtime.Duration(0)
-	var budget rtime.Duration
-	for _, a := range asgs {
-		if a.Task.Period > maxT {
-			maxT = a.Task.Period
-		}
-		if a.Offload {
-			budget = a.Task.Levels[a.Level].Response
-		}
-	}
-	srv, err := chaos.New(server.Fixed{Latency: budget / 2}, cfg, stats.NewRNG(seed))
-	if err != nil {
-		return nil, err
-	}
-	return sched.Run(sched.Config{
-		Assignments: asgs,
-		Server:      srv,
-		Horizon:     10 * maxT,
-		Policy:      p,
-	})
 }

@@ -8,7 +8,6 @@ import (
 	"rtoffload/internal/rtime"
 	"rtoffload/internal/sched"
 	"rtoffload/internal/server"
-	"rtoffload/internal/stats"
 )
 
 // EnergyRow is one scenario's client-energy account for the case
@@ -59,15 +58,9 @@ func EnergyStudy(cfg CaseStudyConfig, pm sched.PowerModel) ([]EnergyRow, error) 
 		localAsgs[i] = sched.Assignment{Task: t}
 	}
 	horizon := rtime.FromSeconds(cfg.HorizonSeconds)
-	scenarios := []server.Scenario{server.Busy, server.NotBusy, server.Idle}
-	return parallel.Map(cfg.Parallel, len(scenarios), func(i int) (EnergyRow, error) {
-		scenario := scenarios[i]
-		srvCfg, err := CaseServerConfig(scenario)
-		if err != nil {
-			return EnergyRow{}, err
-		}
-		seed := stats.DeriveSeed(cfg.Seed, streamEnergy, uint64(scenario))
-		srv, err := server.NewQueue(stats.NewRNG(seed), srvCfg)
+	return parallel.Map(cfg.Parallel, len(caseScenarios), func(i int) (EnergyRow, error) {
+		scenario := caseScenarios[i]
+		srv, err := caseServer(scenario, cfg.Seed, streamEnergy)
 		if err != nil {
 			return EnergyRow{}, err
 		}

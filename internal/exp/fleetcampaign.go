@@ -19,8 +19,6 @@ import (
 	"rtoffload/internal/sched"
 	"rtoffload/internal/server"
 	"rtoffload/internal/stats"
-	"rtoffload/internal/task"
-	"rtoffload/internal/trace"
 )
 
 // FleetScenarioNames lists the fleet stress shapes, in table order:
@@ -63,29 +61,20 @@ func fleetFor(name string) (fleet.Fleet, error) {
 	return f, nil
 }
 
-// runFleetCell simulates one fleet cell in bounded memory, mirroring
-// runCell: job log discarded, trace streamed through the one-pass
-// checker. Every RNG stream derives from (Seed, ts, si, fi), never
-// from execution order, so cells are order- and worker-independent.
-func (c CampaignConfig) runFleetCell(cell int, base chaos.Config) (CellResult, error) {
-	nf, ns := len(c.FaultScales), len(c.FleetScenarios)
-	fi := cell % nf
-	si := (cell / nf) % ns
-	ts := cell / (nf * ns)
+// fleetSystem builds a fleet cell: the drawn system (every third task
+// offloadable on two levels) admitted and routed by core.Decide with
+// the scenario's fleet, against one scenario server and one fault
+// injector per fleet server.
+func (c CampaignConfig) fleetSystem(si int, faults chaos.Config, key func(uint64) uint64) ([]sched.Assignment, server.Server, map[string]server.Server, error) {
 	name := c.FleetScenarios[si]
 	fl, err := fleetFor(name)
 	if err != nil {
-		return CellResult{}, err
+		return nil, nil, nil, err
 	}
-
-	key := func(stream uint64) uint64 {
-		return stats.DeriveSeed(c.Seed, streamCampaign,
-			uint64(ts), uint64(si), uint64(fi), stream)
-	}
-	set := campaignFleetSet(stats.NewRNG(key(1)), c.Tasks)
+	set := campaignSet(stats.NewRNG(key(1)), c.Tasks, [][2]float64{{0.35, 2}, {0.6, 2.5}})
 	dec, err := core.Decide(set, core.Options{Solver: core.SolverDP, Fleet: fl})
 	if err != nil {
-		return CellResult{}, fmt.Errorf("exp: fleet cell %d (%s): %w", cell, name, err)
+		return nil, nil, nil, err
 	}
 
 	// One component and one fault injector per server: edge is idle,
@@ -96,9 +85,9 @@ func (c CampaignConfig) runFleetCell(cell int, base chaos.Config) (CellResult, e
 	for i, s := range fl.Servers {
 		inner, err := server.NewScenario(stats.NewRNG(key(uint64(10+i))), kinds[i%len(kinds)])
 		if err != nil {
-			return CellResult{}, err
+			return nil, nil, nil, err
 		}
-		cfg := base.Scale(c.FaultScales[fi])
+		cfg := faults
 		if name == "degrade" && i == 0 {
 			cfg.GE = chaos.GilbertElliott{
 				PGoodBad: 0.6, PBadGood: 0.1, BadLoss: 0.9, BadDelayMax: c.Horizon / 8,
@@ -106,7 +95,7 @@ func (c CampaignConfig) runFleetCell(cell int, base chaos.Config) (CellResult, e
 		}
 		inj, err := chaos.New(inner, cfg, stats.NewRNG(key(uint64(20+i))))
 		if err != nil {
-			return CellResult{}, err
+			return nil, nil, nil, err
 		}
 		srv := server.Server(inj)
 		if name == "failover" && i == 0 {
@@ -114,67 +103,5 @@ func (c CampaignConfig) runFleetCell(cell int, base chaos.Config) (CellResult, e
 		}
 		servers[s.ID] = srv
 	}
-
-	res, err := sched.Run(sched.Config{
-		Assignments:       dec.Assignments(),
-		Servers:           servers,
-		Horizon:           c.Horizon,
-		Policy:            sched.SplitEDF,
-		EventQueue:        sched.AutoQueue,
-		DiscardJobResults: true,
-		TraceSink:         trace.NewStreamChecker(),
-	})
-	if err != nil {
-		return CellResult{}, fmt.Errorf("exp: fleet cell %d (%s): %w", cell, name, err)
-	}
-	out := CellResult{
-		Cell:     cell,
-		TaskSet:  ts,
-		Scenario: name,
-		Fault:    c.FaultScales[fi],
-		Misses:   res.Misses,
-		Benefit:  res.NormalizedBenefit(),
-		CPUBusy:  int64(res.CPUBusy),
-		Makespan: int64(res.Makespan),
-	}
-	for _, ch := range dec.Choices {
-		if ch.Offload {
-			out.Offloaded++
-		}
-	}
-	for id := 0; id < c.Tasks; id++ {
-		if st := res.PerTask[id]; st != nil {
-			out.Jobs += st.Released
-			out.Finished += st.Finished
-		}
-	}
-	return out, nil
-}
-
-// campaignFleetSet draws the fleet twin of campaignSystem: light
-// per-task load, every third task offloadable with two service
-// levels, handed to the decision manager as a task set (the fleet
-// expansion and routing happen inside core.Decide).
-func campaignFleetSet(rng *stats.RNG, n int) task.Set {
-	shares := rng.UUniFast(n, 0.6)
-	set := make(task.Set, 0, n)
-	for i := 0; i < n; i++ {
-		period := rtime.FromMillis(rng.UniformInt(20, 400))
-		cwc := rtime.Duration(shares[i] * float64(period))
-		if cwc < 2 {
-			cwc = 2
-		}
-		tk := &task.Task{ID: i, Period: period, Deadline: period, LocalWCET: cwc, LocalBenefit: 1}
-		if i%3 == 0 {
-			tk.Setup = cwc/4 + 1
-			tk.Compensation = cwc
-			tk.PostProcess = cwc / 6
-			tk.Levels = []task.Level{
-				{Response: rtime.Duration(float64(period) * 0.35), Benefit: 2},
-				{Response: rtime.Duration(float64(period) * 0.6), Benefit: 2.5},
-			}
-		}
-		set = append(set, tk)
-	}
-	return set
+	return dec.Assignments(), nil, servers, nil
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"rtoffload/internal/dbf"
-	"rtoffload/internal/parallel"
 	"rtoffload/internal/rta"
 	"rtoffload/internal/rtime"
 	"rtoffload/internal/sched"
@@ -31,109 +30,75 @@ type FPAblationRow struct {
 // Σ(C1+C2)/T — suspensions come on top, which is what separates the
 // tests. Systems fan out on `workers` goroutines (0 = GOMAXPROCS).
 func FPAblation(seed uint64, loads []float64, perLoad, workers int) ([]FPAblationRow, error) {
-	if len(loads) == 0 || perLoad <= 0 {
-		return nil, fmt.Errorf("exp: loads and perLoad must be non-empty")
-	}
 	for _, load := range loads {
 		if load <= 0 || load > 1 {
 			return nil, fmt.Errorf("exp: load %g out of (0,1]", load)
 		}
 	}
-	type sysResult struct {
-		ok, fpObl, fpJit bool
-		// feasible marks systems whose split dbf objects could be
-		// built; only those count toward the EDF columns (the FP
-		// columns still count them, mirroring the sequential loop).
-		feasible, thm3, exact bool
-	}
-	results, err := parallel.Map(workers, len(loads)*perLoad, func(i int) (sysResult, error) {
-		li, sysi := i/perLoad, i%perLoad
+	lv, err := sweepLevels(len(loads), perLoad, workers, func(li, sysi int) ([]float64, error) {
 		rng := stats.NewRNG(stats.DeriveSeed(seed, streamFPAblation, uint64(li), uint64(sysi)))
 		asgs, ok := genMixedSystem(rng, loads[li])
 		if !ok {
-			return sysResult{}, nil
+			return nil, nil
 		}
-		res := sysResult{ok: true}
-
 		model, err := rta.FromAssignments(asgs)
 		if err != nil {
-			return sysResult{}, err
+			return nil, err
 		}
-		if r, err := rta.Analyze(model, rta.Oblivious); err == nil && r.Schedulable {
-			res.fpObl = true
-		}
-		if r, err := rta.Analyze(model, rta.Jitter); err == nil && r.Schedulable {
-			res.fpJit = true
+		// Columns: FP oblivious, FP jitter, EDF Theorem 3, EDF exact.
+		out := make([]float64, 4)
+		for i, m := range []rta.Method{rta.Oblivious, rta.Jitter} {
+			r, err := rta.Analyze(model, m)
+			out[i] = bit(err == nil && r.Schedulable)
 		}
 
+		// Systems whose split dbf objects cannot be built count toward
+		// the FP columns only.
 		var off []dbf.Offloaded
 		var loc []dbf.Sporadic
 		var ds []dbf.Demand
-		res.feasible = true
 		for _, a := range asgs {
 			t := a.Task
 			if a.Offload {
 				o, err := dbf.NewOffloaded(t.SetupAt(a.Level), t.SecondPhaseAt(a.Level),
 					t.Deadline, t.Period, a.Budget())
 				if err != nil {
-					res.feasible = false
-					break
+					return out, nil
 				}
 				off = append(off, o)
 				ds = append(ds, o)
 			} else {
 				s, err := dbf.NewSporadic(t.LocalWCET, t.Deadline, t.Period)
 				if err != nil {
-					res.feasible = false
-					break
+					return out, nil
 				}
 				loc = append(loc, s)
 				ds = append(ds, s)
 			}
 		}
-		if !res.feasible {
-			return res, nil
-		}
-		if _, ok := dbf.Theorem3(off, loc); ok {
-			res.thm3 = true
-		}
+		_, thm3 := dbf.Theorem3(off, loc)
+		out[2] = bit(thm3)
 		az, err := dbf.NewAnalyzer(ds)
 		if err != nil {
-			return sysResult{}, err
+			return nil, err
 		}
-		if az.Feasible() == nil {
-			res.exact = true
-		}
-		return res, nil
+		out[3] = bit(az.Feasible() == nil)
+		return out, nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]FPAblationRow, 0, len(loads))
 	for li, load := range loads {
-		row := FPAblationRow{TargetLoad: load}
-		for _, r := range results[li*perLoad : (li+1)*perLoad] {
-			if !r.ok {
-				continue
-			}
-			row.Systems++
-			if r.fpObl {
-				row.FPOblivious++
-			}
-			if r.fpJit {
-				row.FPJitter++
-			}
-			if !r.feasible {
-				continue
-			}
-			if r.thm3 {
-				row.EDFTheorem3++
-			}
-			if r.exact {
-				row.EDFExact++
-			}
-		}
-		rows = append(rows, row)
+		l := lv[li]
+		rows = append(rows, FPAblationRow{
+			TargetLoad:  load,
+			Systems:     l.count(),
+			FPOblivious: int(l.sum(0)),
+			FPJitter:    int(l.sum(1)),
+			EDFTheorem3: int(l.sum(2)),
+			EDFExact:    int(l.sum(3)),
+		})
 	}
 	return rows, nil
 }

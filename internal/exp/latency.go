@@ -3,12 +3,13 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"rtoffload/internal/core"
+	"rtoffload/internal/parallel"
 	"rtoffload/internal/rtime"
 	"rtoffload/internal/sched"
 	"rtoffload/internal/server"
-	"rtoffload/internal/stats"
 )
 
 // LatencyRow profiles one task's job response times under one server
@@ -39,13 +40,9 @@ func LatencyStudy(cfg CaseStudyConfig) ([]LatencyRow, error) {
 		return nil, err
 	}
 	horizon := rtime.FromSeconds(cfg.HorizonSeconds * 6) // more jobs for stable percentiles
-	var rows []LatencyRow
-	for _, scenario := range []server.Scenario{server.Busy, server.NotBusy, server.Idle} {
-		srvCfg, err := CaseServerConfig(scenario)
-		if err != nil {
-			return nil, err
-		}
-		srv, err := server.NewQueue(stats.NewRNG(stats.DeriveSeed(cfg.Seed, streamLatency, uint64(scenario))), srvCfg)
+	perScenario, err := parallel.Map(cfg.Parallel, len(caseScenarios), func(i int) ([]LatencyRow, error) {
+		scenario := caseScenarios[i]
+		srv, err := caseServer(scenario, cfg.Seed, streamLatency)
 		if err != nil {
 			return nil, err
 		}
@@ -61,6 +58,7 @@ func LatencyStudy(cfg CaseStudyConfig) ([]LatencyRow, error) {
 		if res.Misses != 0 {
 			return nil, fmt.Errorf("exp: latency study missed %d deadlines", res.Misses)
 		}
+		var rows []LatencyRow
 		for _, t := range set {
 			st := res.PerTask[t.ID]
 			p50, ok1 := res.LatencyPercentile(t.ID, 50)
@@ -79,8 +77,12 @@ func LatencyStudy(cfg CaseStudyConfig) ([]LatencyRow, error) {
 				Jobs:     st.Finished,
 			})
 		}
+		return rows, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return rows, nil
+	return slices.Concat(perScenario...), nil
 }
 
 // RenderLatency prints the latency profile table.

@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 
-	"rtoffload/internal/parallel"
 	"rtoffload/internal/server"
 	"rtoffload/internal/stats"
 )
@@ -34,11 +33,7 @@ type Figure2Stats struct {
 // additive offset `seed + run·7919` collided, e.g. base 7919 run 0
 // with base 0 run 1).
 func Figure2Multi(cfg CaseStudyConfig, seeds int) ([]Figure2Stats, error) {
-	if seeds <= 0 {
-		return nil, fmt.Errorf("exp: seeds must be positive")
-	}
-	scenarios := []server.Scenario{server.Busy, server.NotBusy, server.Idle}
-	runs, err := parallel.Map(cfg.Parallel, seeds, func(s int) (map[server.Scenario]float64, error) {
+	lv, err := sweepLevels(1, seeds, cfg.Parallel, func(_, s int) ([]float64, error) {
 		c := cfg
 		c.Seed = stats.DeriveSeed(cfg.Seed, streamMultiSeed, uint64(s))
 		c.Parallel = 1 // the fan-out is per run; don't oversubscribe
@@ -46,22 +41,18 @@ func Figure2Multi(cfg CaseStudyConfig, seeds int) ([]Figure2Stats, error) {
 		if err != nil {
 			return nil, fmt.Errorf("exp: seed %d: %w", s, err)
 		}
-		means := make(map[server.Scenario]float64, len(scenarios))
-		for _, scenario := range scenarios {
-			means[scenario] = stats.Mean(res.Series(scenario))
+		means := make([]float64, len(caseScenarios))
+		for si, scenario := range caseScenarios {
+			means[si] = stats.Mean(res.Series(scenario))
 		}
 		return means, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]Figure2Stats, 0, len(scenarios))
-	for _, scenario := range scenarios {
-		vals := make([]float64, len(runs))
-		for i, r := range runs {
-			vals[i] = r[scenario]
-		}
-		mean, half := stats.MeanCI(vals, stats.TCritical95(len(vals)))
+	out := make([]Figure2Stats, 0, len(caseScenarios))
+	for si, scenario := range caseScenarios {
+		mean, half := stats.MeanCI(lv[0].col(si), stats.TCritical95(seeds))
 		out = append(out, Figure2Stats{
 			Scenario: scenario, Mean: mean, CI95: half, Runs: seeds,
 		})

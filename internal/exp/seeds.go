@@ -3,10 +3,11 @@ package exp
 // Every RNG in the harness is seeded as
 // stats.DeriveSeed(cfg.Seed, stream, indices...), giving each consumer
 // a collision-free stream that depends only on the configured seed and
-// the unit of work — never on execution order. That independence is
-// what makes the parallel.Map rewiring of the hot loops bit-identical
-// to a sequential run: whichever worker picks up trial (s, wi), it
-// derives the same generator a sequential loop would have.
+// the unit of work — never on execution order. Seeds are derived at
+// the call sites, inside each draw, never inside sweepLevels or
+// parallel.Map: whichever worker picks up draw (li, di) derives the
+// generator a sequential loop would have, so every worker count gives
+// bit-identical output.
 //
 // The ids are part of every experiment's output identity: renumbering
 // them changes results exactly like changing the seed does, so new
