@@ -11,9 +11,8 @@ ADMITBENCH = BenchmarkAdmitdChurn|BenchmarkAdmitdService
 
 # The MCKP core-solver benchmarks tracked in BENCH_7.json: the
 # fleet-scale cold/warm solver curves plus the admission churn they
-# accelerate. The stateless BnB/DP runs double as the baseline label.
+# accelerate.
 MCKPBENCH = BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve|BenchmarkAdmitdChurn
-MCKPBASE = BenchmarkMCKPBaselineBnB|BenchmarkMCKPBaselineDP
 
 # The fleet-campaign benchmarks tracked in BENCH_9.json: streaming
 # cells (one-pass checker inline, wheel queues) at 1k/10k/100k tasks,
@@ -29,7 +28,7 @@ CAMP_SMOKE_ARGS = -campaign 3 -campaign-tasks 10 -parallel 2
 FLEET_SMOKE_DIR = .smoke-fleet
 FLEET_SMOKE_ARGS = -fleet -campaign 2 -campaign-tasks 10 -parallel 2
 
-.PHONY: build test vet race verify lint alloc-gate bench bench-sched bench-admitd bench-mckp bench-campaign bench-all bench-smoke smoke-admitd smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
+.PHONY: build test vet race verify lint alloc-gate bench bench-sched bench-admitd bench-mckp bench-campaign bench-smoke smoke-admitd smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -138,17 +137,14 @@ bench-admitd:
 	mv BENCH_6.json.tmp BENCH_6.json
 
 # MCKP core-solver benchmarks: fleet-scale cold solves and warm
-# incremental re-solves against the stateless BnB/DP baselines, plus
-# the admission churn that rides the persistent solver. The baseline
-# session is regenerated each run (the stateless solvers still exist in
-# tree), so BENCH_7.json is written fresh rather than merged.
+# incremental re-solves, plus the admission churn that rides the
+# persistent solver, recorded like `bench`: text in BENCH_7.txt, a JSON
+# session appended to BENCH_7.json (which already holds the stateless
+# BnB/DP baseline entry — do not overwrite it).
 bench-mckp:
-	$(GO) test -run='^$$' -bench='$(MCKPBASE)' -benchmem -count=5 ./internal/mckp > BENCH_7.base.txt
 	$(GO) test -run='^$$' -bench='$(MCKPBENCH)' -benchmem -count=5 ./internal/mckp . | tee BENCH_7.txt
-	$(GO) run ./cmd/benchjson -label baseline < BENCH_7.base.txt > BENCH_7.json
 	$(GO) run ./cmd/benchjson -label current -merge BENCH_7.json < BENCH_7.txt > BENCH_7.json.tmp
 	mv BENCH_7.json.tmp BENCH_7.json
-	rm -f BENCH_7.base.txt
 
 # Fleet-campaign benchmarks: streaming cells at 1k/10k/100k tasks plus
 # the 100k-task on-disk endpoint, recorded like `bench`: text in
@@ -162,13 +158,10 @@ bench-campaign:
 	$(GO) run ./cmd/benchjson -label current -merge BENCH_9.json < BENCH_9.txt > BENCH_9.json.tmp
 	mv BENCH_9.json.tmp BENCH_9.json
 
-# Smoke-run every benchmark once (no timing value, just liveness).
-bench-all:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ . ./internal/sched
-
-# CI alias for bench-all: every benchmark must still run to completion
-# on one iteration, catching bit-rot without paying for timing runs.
-bench-smoke: bench-all
+# Every benchmark in the module must still run to completion on one
+# iteration, catching bit-rot without paying for timing runs.
+bench-smoke:
+	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
 
 # Capture CPU+heap profiles of the benchmarks and of an ablations run;
 # inspect with e.g.

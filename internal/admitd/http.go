@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -96,13 +97,21 @@ func (s *Service) handleDecision(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
-// decodeTask parses the request body as one task; it rejects unknown
-// fields so schema typos fail loudly instead of admitting a default.
+// decodeTask parses the request body as exactly one task; it rejects
+// unknown fields so schema typos fail loudly instead of admitting a
+// default, and any bytes after the task so a body holding two tasks (or
+// a task and garbage) is never admitted as its first value.
 func decodeTask(w http.ResponseWriter, r *http.Request) (*task.Task, bool) {
 	var t task.Task
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&t); err != nil {
+	err := dec.Decode(&t)
+	if err == nil {
+		if _, tail := dec.Token(); tail != io.EOF {
+			err = errors.New("trailing data after the task")
+		}
+	}
+	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("admitd: decoding task: %w", err)))
 		return nil, false
 	}

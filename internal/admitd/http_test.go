@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -143,5 +144,32 @@ func TestHandlerErrors(t *testing.T) {
 	do(t, h, "GET", "/v1/tenants/edge/decision", nil, http.StatusOK, &view)
 	if view.Tasks != 1 || view.Seq != 1 {
 		t.Fatalf("state after rejected update: %+v", view)
+	}
+
+	// A body must hold exactly one JSON value: trailing bytes after an
+	// admissible task are a bad request, and must keep prior state.
+	body := func(tk *task.Task) string {
+		b, err := json.Marshal(tk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	for _, tc := range []struct{ method, path, body string }{
+		{"POST", "/v1/tenants/edge/tasks", body(heavyTask(2, 5)) + " junk"},
+		{"POST", "/v1/tenants/edge/tasks", body(heavyTask(2, 5)) + body(heavyTask(3, 5))},
+		{"PUT", "/v1/tenants/edge/tasks/1", body(heavyTask(1, 10)) + "\n{}"},
+	} {
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s %s with trailing data: %d", tc.method, tc.body, rec.Code)
+		}
+	}
+	var after DecisionView
+	do(t, h, "GET", "/v1/tenants/edge/decision", nil, http.StatusOK, &after)
+	if !reflect.DeepEqual(after, view) {
+		t.Fatalf("state after trailing-data bodies: %+v, want %+v", after, view)
 	}
 }

@@ -246,16 +246,6 @@ func isMutexType(t types.Type) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
-// isRWMutexType reports whether t is sync.RWMutex specifically.
-func isRWMutexType(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "RWMutex"
-}
-
 // cutLast splits s at the last occurrence of sep.
 func cutLast(s, sep string) (before, after string, found bool) {
 	for i := len(s) - len(sep); i >= 0; i-- {

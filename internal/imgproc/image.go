@@ -1,10 +1,12 @@
-// Package imgproc is the image-processing substrate for the paper's
-// robot-vision case study (§6.1): synthetic camera frames, bilinear
-// scaling, PSNR image-quality measurement, and the four application
-// kernels — stereo vision, edge detection, object recognition and
-// motion detection — together with a CPU/GPU cost model calibrated to
-// the paper's motivation example (SIFT on a 300×200 frame: ≈278 ms on
-// the i3 CPU vs ≈7 ms on the GT 630M GPU).
+// Package imgproc is the image substrate for the paper's robot-vision
+// case study (§6.1): synthetic camera frames, bilinear scaling, PSNR
+// image-quality measurement, a lossless codec for transfer payloads,
+// and a CPU/GPU cost model for the four applications — stereo vision,
+// edge detection, object recognition and motion detection — calibrated
+// to the paper's motivation example (SIFT on a 300×200 frame: ≈278 ms
+// on the i3 CPU vs ≈7 ms on the GT 630M GPU). The kernels themselves
+// are never run: each application is its cost model's operation
+// density.
 //
 // The case study scales captured frames to Qi quality levels; each
 // level's PSNR against the original frame is the benefit value Gi, and
@@ -62,13 +64,6 @@ func (im *Image) Set(x, y int, v uint8) {
 
 // Bytes reports the payload size of the raw image.
 func (im *Image) Bytes() int64 { return int64(im.W) * int64(im.H) }
-
-// Clone deep-copies the image.
-func (im *Image) Clone() *Image {
-	out := New(im.W, im.H)
-	copy(out.Pix, im.Pix)
-	return out
-}
 
 // Synthetic generates a deterministic camera-like test frame: a smooth
 // illumination gradient, value-noise texture, and a few rectangular
@@ -144,19 +139,6 @@ func Synthetic(rng *stats.RNG, w, h int) *Image {
 		}
 	}
 	return im
-}
-
-// Shift translates the image by (dx, dy), clamping at the borders —
-// used to fabricate consecutive frames for motion detection and the
-// right-eye view for stereo.
-func (im *Image) Shift(dx, dy int) *Image {
-	out := New(im.W, im.H)
-	for y := 0; y < im.H; y++ {
-		for x := 0; x < im.W; x++ {
-			out.Pix[y*im.W+x] = im.At(x-dx, y-dy)
-		}
-	}
-	return out
 }
 
 // Resize produces a bilinearly interpolated image of the given

@@ -82,19 +82,6 @@ func TestSyntheticHasStructure(t *testing.T) {
 	}
 }
 
-func TestCloneShift(t *testing.T) {
-	im := frame(t, 32, 32)
-	c := im.Clone()
-	c.Pix[0] = ^c.Pix[0]
-	if im.Pix[0] == c.Pix[0] {
-		t.Fatal("Clone aliases")
-	}
-	s := im.Shift(3, 0)
-	if s.At(10, 10) != im.At(7, 10) {
-		t.Fatal("Shift wrong")
-	}
-}
-
 func TestResizeIdentity(t *testing.T) {
 	im := frame(t, 40, 30)
 	same := im.Resize(40, 30)
@@ -129,17 +116,17 @@ func TestPSNR(t *testing.T) {
 	if p := PSNR(im, im); p != PSNRCap {
 		t.Fatalf("identical PSNR = %g, want cap", p)
 	}
-	noisy := im.Clone()
-	for i := range noisy.Pix {
-		noisy.Pix[i] ^= 1 // tiny distortion
+	noisy := New(im.W, im.H)
+	for i, p := range im.Pix {
+		noisy.Pix[i] = p ^ 1 // tiny distortion
 	}
 	p := PSNR(im, noisy)
 	if p >= PSNRCap || p < 40 {
 		t.Fatalf("tiny-noise PSNR = %g", p)
 	}
-	inverted := im.Clone()
-	for i := range inverted.Pix {
-		inverted.Pix[i] = 255 - inverted.Pix[i]
+	inverted := New(im.W, im.H)
+	for i, p := range im.Pix {
+		inverted.Pix[i] = 255 - p
 	}
 	if q := PSNR(im, inverted); q >= p {
 		t.Fatalf("heavy distortion PSNR %g not below light %g", q, p)
@@ -150,121 +137,6 @@ func TestPSNR(t *testing.T) {
 		}
 	}()
 	PSNR(im, New(5, 5))
-}
-
-func TestSobel(t *testing.T) {
-	// A vertical step edge: Sobel must fire along the edge column only.
-	im := New(16, 16)
-	for y := 0; y < 16; y++ {
-		for x := 8; x < 16; x++ {
-			im.Set(x, y, 200)
-		}
-	}
-	e := Sobel(im)
-	if e.At(8, 8) == 0 || e.At(7, 8) == 0 {
-		t.Fatal("edge not detected at step")
-	}
-	if e.At(2, 8) != 0 || e.At(13, 8) != 0 {
-		t.Fatal("false edge response in flat region")
-	}
-}
-
-func TestStereoDisparity(t *testing.T) {
-	left := frame(t, 64, 48)
-	d := 4
-	right := left.Shift(-d, 0) // right view sees objects shifted left
-	disp, err := StereoDisparity(left, right, 8, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The dominant recovered disparity (interior blocks) should be d.
-	scale := 255 / 8
-	counts := map[uint8]int{}
-	for y := 8; y < 40; y++ {
-		for x := 8; x < 56; x++ {
-			counts[disp.At(x, y)]++
-		}
-	}
-	bestV, bestC := uint8(0), 0
-	for v, c := range counts {
-		if c > bestC {
-			bestV, bestC = v, c
-		}
-	}
-	if int(bestV) != d*scale {
-		t.Fatalf("dominant disparity %d, want %d", bestV, d*scale)
-	}
-	if _, err := StereoDisparity(left, New(5, 5), 8, 4); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	if _, err := StereoDisparity(left, right, 0, 4); err == nil {
-		t.Error("maxDisp 0 accepted")
-	}
-}
-
-func TestMatchTemplate(t *testing.T) {
-	im := frame(t, 96, 72)
-	const tx, ty = 31, 22
-	tmpl := New(16, 16)
-	for y := 0; y < 16; y++ {
-		for x := 0; x < 16; x++ {
-			tmpl.Set(x, y, im.At(tx+x, ty+y))
-		}
-	}
-	m, err := MatchTemplate(im, tmpl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.X != tx || m.Y != ty {
-		t.Fatalf("match at (%d,%d) score %g, want (%d,%d)", m.X, m.Y, m.Score, tx, ty)
-	}
-	if m.Score < 0.99 {
-		t.Fatalf("exact template score %g", m.Score)
-	}
-	if _, err := MatchTemplate(tmpl, im); err == nil {
-		t.Error("oversized template accepted")
-	}
-}
-
-func TestMotionDetect(t *testing.T) {
-	a := frame(t, 64, 48)
-	b := a.Clone()
-	// Move a bright square.
-	for y := 10; y < 20; y++ {
-		for x := 10; x < 20; x++ {
-			b.Set(x, y, 255)
-		}
-	}
-	mask, frac, err := MotionDetect(a, b, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if frac <= 0 || frac > 0.1 {
-		t.Fatalf("changed fraction %g", frac)
-	}
-	inside, outside := 0, 0
-	for y := 0; y < 48; y++ {
-		for x := 0; x < 64; x++ {
-			if mask.At(x, y) == 255 {
-				if x >= 10 && x < 20 && y >= 10 && y < 20 {
-					inside++
-				} else {
-					outside++
-				}
-			}
-		}
-	}
-	if inside < 50 || outside > 5 {
-		t.Fatalf("mask localization: inside=%d outside=%d", inside, outside)
-	}
-	if _, _, err := MotionDetect(a, New(3, 3), 10); err == nil {
-		t.Error("dimension mismatch accepted")
-	}
-	// Identical frames: no motion.
-	_, frac, _ = MotionDetect(a, a, 10)
-	if frac != 0 {
-		t.Errorf("self-motion fraction %g", frac)
-	}
 }
 
 func TestCostModelCalibration(t *testing.T) {
@@ -380,35 +252,6 @@ func TestSetupTimeGrows(t *testing.T) {
 func benchFrame(b *testing.B, w, h int) *Image {
 	b.Helper()
 	return Synthetic(stats.NewRNG(1), w, h)
-}
-
-func BenchmarkSobel640x480(b *testing.B) {
-	im := benchFrame(b, 640, 480)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		Sobel(im)
-	}
-}
-
-func BenchmarkCanny640x480(b *testing.B) {
-	im := benchFrame(b, 640, 480)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := Canny(im, 1.2, 60, 140); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStereo320x240(b *testing.B) {
-	left := benchFrame(b, 320, 240)
-	right := left.Shift(-4, 0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := StereoDisparity(left, right, 16, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 func BenchmarkResizeHalf640x480(b *testing.B) {

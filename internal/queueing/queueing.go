@@ -7,10 +7,7 @@
 // GPU-server behaviour to textbook ground truth.
 package queueing
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // ErlangC returns the probability that an arriving M/M/c customer must
 // wait (all c servers busy), for arrival rate lambda and per-server
@@ -46,30 +43,4 @@ func MeanWait(c int, lambda, mu float64) (float64, error) {
 		return 0, err
 	}
 	return pc / (float64(c)*mu - lambda), nil
-}
-
-// MeanResponse returns the mean sojourn time Wq + 1/mu.
-func MeanResponse(c int, lambda, mu float64) (float64, error) {
-	wq, err := MeanWait(c, lambda, mu)
-	if err != nil {
-		return 0, err
-	}
-	return wq + 1/mu, nil
-}
-
-// MM1WaitQuantile returns the q-quantile of the M/M/1 waiting time:
-// P(W ≤ t) = 1 − ρ·e^{−(mu−lambda)·t}, so the quantile is
-// ln(ρ/(1−q)) / (mu−lambda) when positive.
-func MM1WaitQuantile(lambda, mu, q float64) (float64, error) {
-	if lambda <= 0 || mu <= 0 || lambda >= mu {
-		return 0, fmt.Errorf("queueing: need 0 < lambda < mu")
-	}
-	if q <= 0 || q >= 1 {
-		return 0, fmt.Errorf("queueing: quantile %g out of (0,1)", q)
-	}
-	rho := lambda / mu
-	if 1-q >= rho {
-		return 0, nil // the quantile falls in the no-wait mass
-	}
-	return math.Log(rho/(1-q)) / (mu - lambda), nil
 }

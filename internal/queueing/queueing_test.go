@@ -53,35 +53,6 @@ func TestMeanWaitMM1(t *testing.T) {
 	if math.Abs(wq-want) > 1e-12 {
 		t.Errorf("Wq = %g, want %g", wq, want)
 	}
-	wr, err := MeanResponse(1, lambda, mu)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(wr-(want+0.1)) > 1e-12 {
-		t.Errorf("W = %g", wr)
-	}
-}
-
-func TestMM1WaitQuantile(t *testing.T) {
-	lambda, mu := 8.0, 10.0
-	// Median: P(W ≤ t) = 0.5 → t = ln(0.8/0.5)/2 ≈ 0.235.
-	q, err := MM1WaitQuantile(lambda, mu, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(q-math.Log(0.8/0.5)/2) > 1e-12 {
-		t.Errorf("median = %g", q)
-	}
-	// Quantile in the atom at zero (P(W=0) = 1−ρ = 0.2).
-	q, err = MM1WaitQuantile(lambda, mu, 0.15)
-	if err != nil || q != 0 {
-		t.Errorf("zero-mass quantile = %g, %v", q, err)
-	}
-	for _, bad := range [][3]float64{{0, 1, 0.5}, {2, 1, 0.5}, {1, 2, 0}, {1, 2, 1}} {
-		if _, err := MM1WaitQuantile(bad[0], bad[1], bad[2]); err == nil {
-			t.Errorf("bad params %v accepted", bad)
-		}
-	}
 }
 
 // Cross-validation: internal/server's queueing simulator converges to

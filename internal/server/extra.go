@@ -8,34 +8,6 @@ import (
 	"rtoffload/internal/stats"
 )
 
-// Replay serves requests by cycling through a recorded latency trace —
-// the bridge from a real deployment: measure your GPU server once,
-// then drive decisions, analysis, and simulations from the recording.
-// A negative sample marks a lost request.
-type Replay struct {
-	samples []rtime.Duration
-	next    int
-}
-
-// NewReplay builds a replay server. The trace must be non-empty; it is
-// copied.
-func NewReplay(samples []rtime.Duration) (*Replay, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("server: empty replay trace")
-	}
-	return &Replay{samples: append([]rtime.Duration(nil), samples...)}, nil
-}
-
-// Respond implements Server.
-func (r *Replay) Respond(rtime.Instant, int, int64) Response {
-	s := r.samples[r.next]
-	r.next = (r.next + 1) % len(r.samples)
-	if s < 0 {
-		return Response{}
-	}
-	return Response{Latency: s, Arrives: true}
-}
-
 // GilbertConfig parameterizes the bursty two-state (Gilbert–Elliott)
 // server: in the Good state responses are fast; in the Bad state —
 // a congested network or a server busy with a burst of background

@@ -8,37 +8,6 @@ import (
 	"rtoffload/internal/stats"
 )
 
-func TestReplay(t *testing.T) {
-	trace := []rtime.Duration{ms(10), ms(20), -1, ms(30)}
-	r, err := NewReplay(trace)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []struct {
-		lat rtime.Duration
-		ok  bool
-	}{
-		{ms(10), true}, {ms(20), true}, {0, false}, {ms(30), true},
-		{ms(10), true}, // cycles
-	}
-	at := rtime.Instant(0)
-	for i, w := range want {
-		resp := r.Respond(at, 1, 0)
-		if resp.Arrives != w.ok || (w.ok && resp.Latency != w.lat) {
-			t.Fatalf("request %d: %+v, want %+v", i, resp, w)
-		}
-		at = at.Add(ms(5))
-	}
-	// Mutating the input trace must not affect the server.
-	trace[0] = ms(999)
-	if resp := r.Respond(at, 1, 0); resp.Latency != ms(20) {
-		t.Fatalf("replay aliases input: %+v", resp)
-	}
-	if _, err := NewReplay(nil); err == nil {
-		t.Error("empty trace accepted")
-	}
-}
-
 func TestGilbertValidate(t *testing.T) {
 	good := GilbertConfig{
 		GoodDuration: rtime.Second, BadDuration: rtime.Second,
