@@ -24,7 +24,8 @@ import (
 // Every mutation answers with the tenant's fresh DecisionView, so a
 // client streaming churn always knows the configuration its request
 // produced. Rejections map schedulability conflicts to 409, unknown
-// tenants or task IDs to 404, and malformed requests to 400.
+// tenants or task IDs to 404, bodies over maxTaskBody to 413, and
+// malformed requests to 400.
 func (s *Service) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -97,22 +98,37 @@ func (s *Service) handleDecision(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, view)
 }
 
+// maxTaskBody bounds a task request body. A task is a few hundred
+// bytes even with many offloading levels; the bound stops a client
+// from making the service buffer an arbitrarily large body before
+// validation rejects it.
+const maxTaskBody = 1 << 20
+
 // decodeTask parses the request body as exactly one task; it rejects
 // unknown fields so schema typos fail loudly instead of admitting a
 // default, and any bytes after the task so a body holding two tasks (or
-// a task and garbage) is never admitted as its first value.
+// a task and garbage) is never admitted as its first value. A body
+// longer than maxTaskBody is answered 413, any other decode error 400.
 func decodeTask(w http.ResponseWriter, r *http.Request) (*task.Task, bool) {
 	var t task.Task
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTaskBody))
 	dec.DisallowUnknownFields()
 	err := dec.Decode(&t)
 	if err == nil {
-		if _, tail := dec.Token(); tail != io.EOF {
+		switch _, tail := dec.Token(); {
+		case tail == io.EOF:
+		case errors.As(tail, new(*http.MaxBytesError)):
+			err = tail
+		default:
 			err = errors.New("trailing data after the task")
 		}
 	}
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody(fmt.Errorf("admitd: decoding task: %w", err)))
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, status, errorBody(fmt.Errorf("admitd: decoding task: %w", err)))
 		return nil, false
 	}
 	return &t, true

@@ -172,4 +172,25 @@ func TestHandlerErrors(t *testing.T) {
 	if !reflect.DeepEqual(after, view) {
 		t.Fatalf("state after trailing-data bodies: %+v, want %+v", after, view)
 	}
+
+	// A body over maxTaskBody is 413 however the task sits in it, and
+	// must keep prior state: the padding is whitespace, so without the
+	// bound each body would decode to one admissible task.
+	pad := strings.Repeat(" ", maxTaskBody)
+	for _, tc := range []struct{ method, path, body string }{
+		{"POST", "/v1/tenants/edge/tasks", pad + body(heavyTask(2, 5))},
+		{"POST", "/v1/tenants/edge/tasks", body(heavyTask(2, 5)) + pad},
+		{"PUT", "/v1/tenants/edge/tasks/1", body(heavyTask(1, 10)) + pad},
+	} {
+		req := httptest.NewRequest(tc.method, tc.path, strings.NewReader(tc.body))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("%s %s with a %d-byte body: %d", tc.method, tc.path, len(tc.body), rec.Code)
+		}
+	}
+	do(t, h, "GET", "/v1/tenants/edge/decision", nil, http.StatusOK, &after)
+	if !reflect.DeepEqual(after, view) {
+		t.Fatalf("state after over-limit bodies: %+v, want %+v", after, view)
+	}
 }

@@ -63,13 +63,12 @@ type Admission struct {
 	// re-decisions so a warm upgrade pass does not allocate it.
 	upgradeBuf []upgradeCand
 
-	// Persistent MCKP solver (maintained for the solvers that profit
-	// from cached per-class preprocessing: SolverCore, SolverDP,
-	// SolverHEU). Its class i always mirrors the committed caches[i];
-	// redecide advances it by one structural delta before solving and
-	// rolls the delta back if the re-decision is rejected, mirroring
-	// the analyzer's sync discipline. A nil mk is rebuilt from the
-	// tentative classes on the next re-decision.
+	// Persistent MCKP solver every re-decision solves on. Its class i
+	// always mirrors the committed caches[i]; redecide advances it by
+	// one structural delta before solving and rolls the delta back if
+	// the re-decision is rejected, mirroring the analyzer's sync
+	// discipline. A nil mk is rebuilt from the tentative classes on
+	// the next re-decision.
 	mk *mckp.Solver
 }
 
@@ -269,52 +268,26 @@ func (a *Admission) redecide(origs, tasks task.Set, caches []taskCache, op struc
 	return nil
 }
 
-// usesPersistentSolver reports whether the configured solver runs on
-// the persistent mckp.Solver (and so profits from its cached per-class
-// frontiers across re-decisions). The remaining solvers (brute, greedy,
-// branch-and-bound) keep the stateless per-call path.
-func (a *Admission) usesPersistentSolver() bool {
-	switch a.opts.Solver {
-	case SolverCore, SolverDP, SolverHEU:
-		return true
-	}
-	return false
-}
-
-// solveIncremental solves the tentative instance, routing through the
-// persistent solver when the configured algorithm supports it. mutated
-// reports whether a.mk was advanced to the tentative configuration (the
-// caller must roll it back if the re-decision is later rejected); it is
-// true even when the solve itself fails, and false when the sync never
-// touched the solver. The solutions are bit-identical to the stateless
-// path: that is the persistent solver's warm/cold contract, enforced
-// here by TestAdmissionMatchesRebuild.
+// solveIncremental syncs the persistent solver to the tentative
+// classes and solves on it. mutated reports whether a.mk was advanced
+// to the tentative configuration (the caller must roll it back if the
+// re-decision is later rejected); it is true even when the solve
+// itself fails, and false when the sync never touched the solver. The
+// solutions are bit-identical to Decide's fresh solver: that is the
+// persistent solver's warm/cold contract, enforced here by
+// TestAdmissionMatchesRebuild.
 func (a *Admission) solveIncremental(caches []taskCache, op structOp) (sol mckp.Solution, mutated bool, err error) {
-	if !a.usesPersistentSolver() {
-		sol, err = solveMCKP(instanceOf(caches), a.opts)
-		return sol, false, err
-	}
 	if err := a.syncSolver(caches, op); err != nil {
 		return mckp.Solution{}, false, err
 	}
-	switch a.opts.Solver {
-	case SolverCore:
-		sol, err = a.mk.Solve()
-	case SolverDP:
-		sol, err = a.mk.SolveDP(a.opts.DPResolution)
-	case SolverHEU:
-		sol, err = a.mk.SolveHEU()
-	}
-	if errors.Is(err, mckp.ErrInfeasible) {
-		err = ErrInfeasible
-	}
+	sol, err = solveOn(a.mk, a.opts.Solver)
 	return sol, true, err
 }
 
 // syncSolver advances the persistent solver from the committed classes
 // to the tentative ones by the single structural delta op describes —
 // O(1) class work plus an upgrade-pool merge, against the full rebuild
-// a stateless solver would pay. A missing or desynchronized solver is
+// a fresh solver would pay. A missing or desynchronized solver is
 // rebuilt from the tentative classes; a sync error leaves a.mk exactly
 // as it was.
 func (a *Admission) syncSolver(caches []taskCache, op structOp) error {

@@ -141,6 +141,8 @@ func TestAdmissionMatchesRebuild(t *testing.T) {
 		{"heu", Options{Solver: SolverHEU}},
 		{"bnb", Options{Solver: SolverBnB}},
 		{"core", Options{Solver: SolverCore}},
+		{"greedy", Options{Solver: SolverGreedy}},
+		{"brute", Options{Solver: SolverBrute}},
 		{"heu-exact", Options{Solver: SolverHEU, ExactUpgrade: true}},
 		{"bnb-exact", Options{Solver: SolverBnB, ExactUpgrade: true}},
 		{"core-exact", Options{Solver: SolverCore, ExactUpgrade: true}},

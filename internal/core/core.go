@@ -18,7 +18,8 @@
 //     repairs the capacity pools of a multi-server fleet (fleet.go),
 //     and optionally upgrades levels with the exact QPA test
 //     (exact.go). Decide and the online Admission manager differ only
-//     in how they solve and which analyzer they hand to certify.
+//     in which mckp.Solver they solve on (fresh or persistent) and
+//     which analyzer they hand to certify.
 //  3. The Local Compensation Manager is realized by the scheduler
 //     (package sched): the setup sub-job gets the proportional split
 //     deadline Di,1, a timer fires at Ri, and the compensation runs
@@ -94,9 +95,6 @@ func (s Solver) String() string {
 // Options configures Decide.
 type Options struct {
 	Solver Solver
-	// DPResolution is the capacity grid of the DP solver
-	// (0 = mckp.DefaultDPResolution).
-	DPResolution int
 	// ExactUpgrade post-processes every decision with ImproveWithExact:
 	// the exact QPA feasibility oracle (via the incremental
 	// dbf.Analyzer) upgrades offloading levels beyond what Theorem 3's
@@ -308,7 +306,11 @@ func Decide(set task.Set, opts Options) (*Decision, error) {
 	for i, t := range set {
 		caches[i] = buildTaskCache(t)
 	}
-	sol, err := solveMCKP(instanceOf(caches), opts)
+	mk, err := mckp.NewSolverFrom(instanceOf(caches))
+	if err != nil {
+		return nil, err
+	}
+	sol, err := solveOn(mk, opts.Solver)
 	if err != nil {
 		return nil, err
 	}
@@ -363,29 +365,29 @@ func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options
 	return out, nil
 }
 
-// solveMCKP runs the configured MCKP solver, mapping the solver's
-// infeasibility to ErrInfeasible.
-func solveMCKP(in *mckp.Instance, opts Options) (mckp.Solution, error) {
+// solveOn runs solver s on mk's current instance, mapping the
+// solver's infeasibility to ErrInfeasible. It is the one dispatch from
+// Solver to an MCKP algorithm: Decide calls it on a fresh mckp.Solver,
+// Admission on its persistent one. The returned Choice aliases mk's
+// storage for the solvers that run on it.
+func solveOn(mk *mckp.Solver, s Solver) (mckp.Solution, error) {
 	var sol mckp.Solution
 	var err error
-	switch opts.Solver {
+	switch s {
 	case SolverDP:
-		sol, err = mckp.SolveDP(in, opts.DPResolution)
+		sol, err = mk.SolveDP(0)
 	case SolverHEU:
-		sol, err = mckp.SolveHEU(in)
+		sol, err = mk.SolveHEU()
 	case SolverBrute:
-		sol, err = mckp.SolveBruteForce(in)
+		sol, err = mckp.SolveBruteForce(mk.Instance())
 	case SolverGreedy:
-		sol, err = mckp.SolveGreedy(in)
+		sol, err = mckp.SolveGreedy(mk.Instance())
 	case SolverBnB:
-		sol, err = mckp.SolveBnB(in)
+		sol, err = mckp.SolveBnB(mk.Instance())
 	case SolverCore:
-		var s *mckp.Solver
-		if s, err = mckp.NewSolverFrom(in); err == nil {
-			sol, err = s.Solve()
-		}
+		sol, err = mk.Solve()
 	default:
-		return sol, fmt.Errorf("core: unknown solver %d", int(opts.Solver))
+		return sol, fmt.Errorf("core: unknown solver %d", int(s))
 	}
 	if errors.Is(err, mckp.ErrInfeasible) {
 		return sol, ErrInfeasible

@@ -179,6 +179,37 @@ func refImproveWithExact(d *Decision, guard func(out *Decision) upgradeGuard) *D
 	return out
 }
 
+// refSolve is the reference's own solver dispatch over the stateless
+// package entry points, so the references stay independent of solveOn
+// and the persistent mckp.Solver it runs on.
+func refSolve(in *mckp.Instance, s Solver) (mckp.Solution, error) {
+	var sol mckp.Solution
+	var err error
+	switch s {
+	case SolverDP:
+		sol, err = mckp.SolveDP(in, 0)
+	case SolverHEU:
+		sol, err = mckp.SolveHEU(in)
+	case SolverBrute:
+		sol, err = mckp.SolveBruteForce(in)
+	case SolverGreedy:
+		sol, err = mckp.SolveGreedy(in)
+	case SolverBnB:
+		sol, err = mckp.SolveBnB(in)
+	case SolverCore:
+		var mk *mckp.Solver
+		if mk, err = mckp.NewSolverFrom(in); err == nil {
+			sol, err = mk.Solve()
+		}
+	default:
+		return sol, fmt.Errorf("core: unknown solver %d", int(s))
+	}
+	if errors.Is(err, mckp.ErrInfeasible) {
+		return sol, ErrInfeasible
+	}
+	return sol, err
+}
+
 // refDecide is the from-scratch single-server Decide: build the
 // instance, solve, repair against theorem3Of, and optionally upgrade
 // through refImproveWithExact.
@@ -193,7 +224,7 @@ func refDecide(set task.Set, opts Options) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol, err := solveMCKP(in, opts)
+	sol, err := refSolve(in, opts.Solver)
 	if err != nil {
 		return nil, err
 	}

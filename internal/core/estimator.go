@@ -116,37 +116,19 @@ func inflateBudget(base rtime.Duration, margin float64) rtime.Duration {
 // latencies, preserving benefit values and WCETs. Levels whose probes
 // all get lost keep their prior Response. The set is modified in
 // place; strict response monotonicity across levels is restored by
-// bumping ties (larger payloads cannot report smaller budgets).
+// bumping ties (larger payloads cannot report smaller budgets). srv
+// is the only server known, so a level that names one by ServerID is
+// an error; use EstimateBudgetsRouted for multi-component systems.
 func EstimateBudgets(srv server.Server, set task.Set, cfg EstimatorConfig) error {
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	clock := rtime.Instant(0)
-	for _, t := range set {
-		prev := rtime.Duration(0)
-		for j := range t.Levels {
-			var lats []rtime.Duration
-			lats, clock = server.ProbeFrom(srv, clock, cfg.Probes, t.Levels[j].PayloadBytes, cfg.Spacing)
-			// Idle gap between batches lets the server queue drain so
-			// each level measures steady state, not the previous
-			// batch's backlog tail.
-			//rtlint:allow overflowguard -- 20 probe spacings of validated config, far below the int64 horizon
-			clock = clock.Add(20 * cfg.Spacing)
-			if len(lats) > 0 {
-				t.Levels[j].Response = cfg.budgetFrom(lats)
-			}
-			if t.Levels[j].Response <= prev {
-				t.Levels[j].Response = prev + 1
-			}
-			prev = t.Levels[j].Response
-		}
-	}
-	return set.Validate()
+	return EstimateBudgetsRouted(srv, nil, set, cfg)
 }
 
 // EstimateBudgetsRouted is EstimateBudgets for multi-component systems:
 // levels with a ServerID are probed against their named server, others
-// against def. Each server keeps its own monotone probe clock.
+// against def. Each server keeps its own monotone probe clock, and an
+// idle gap of 20 spacings after every level's batch lets the server
+// queue drain, so each level measures steady state rather than the
+// previous batch's backlog tail.
 func EstimateBudgetsRouted(def server.Server, servers map[string]server.Server, set task.Set, cfg EstimatorConfig) error {
 	if err := cfg.Validate(); err != nil {
 		return err

@@ -38,7 +38,7 @@ func refDecideFleet(set task.Set, opts Options) (*Decision, error) {
 	if err != nil {
 		return nil, err
 	}
-	sol, err := solveMCKP(in, opts)
+	sol, err := refSolve(in, opts.Solver)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"rtoffload/internal/rtime"
@@ -111,6 +112,22 @@ func TestEstimateBudgetsRouted(t *testing.T) {
 	bad[0].Levels[0].ServerID = "nowhere"
 	if err := EstimateBudgetsRouted(nil, servers, bad, cfg); err == nil {
 		t.Error("unknown route accepted")
+	}
+}
+
+// TestEstimateBudgetsRejectsRoutedLevel: the single-server estimator
+// has no server for a level that names one, so it must refuse the set
+// rather than measure the level against the default server.
+func TestEstimateBudgetsRejectsRoutedLevel(t *testing.T) {
+	set := task.Set{edgeCloudTask(1)}
+	before := set[0].Levels[1].Response
+	cfg := EstimatorConfig{Probes: 10, Spacing: ms(5), Quantile: 0.9}
+	err := EstimateBudgets(server.Fixed{Latency: ms(10)}, set, cfg)
+	if err == nil || !strings.Contains(err.Error(), "routes to unknown server") {
+		t.Fatalf("routed level accepted by EstimateBudgets: err %v, cloud budget %v", err, set[0].Levels[1].Response)
+	}
+	if got := set[0].Levels[1].Response; got != before {
+		t.Fatalf("cloud budget %v overwritten (was %v)", got, before)
 	}
 }
 

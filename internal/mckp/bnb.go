@@ -30,15 +30,17 @@ func SolveBnB(in *Instance) (Solution, error) {
 // solveBnBNodeCap is SolveBnB with an explicit node budget, split out
 // so tests can force the capped-search DP fallback.
 func solveBnBNodeCap(in *Instance, nodeCap int) (Solution, error) {
-	if err := in.Validate(); err != nil {
+	hs, err := NewSolverFrom(in)
+	if err != nil {
 		return Solution{}, err
 	}
 	if !in.Feasible() {
 		return Solution{}, ErrInfeasible
 	}
 
-	// Seed the incumbent with HEU (feasible whenever the instance is).
-	best, err := SolveHEU(in)
+	// Seed the incumbent with HEU (feasible whenever the instance is);
+	// its solver's cached LP frontiers feed the suffix bounds below.
+	best, err := hs.SolveHEU()
 	if err != nil {
 		return Solution{}, err
 	}
@@ -96,20 +98,16 @@ func solveBnBNodeCap(in *Instance, nodeCap int) (Solution, error) {
 	// Suffix LP bound structures: for every depth k, the upgrades of
 	// the remaining classes pre-sorted by efficiency with prefix sums,
 	// so each bound evaluation is a binary search instead of a sort.
-	fronts := make([][]frontierItem, n)
-	for i, c := range in.Classes {
-		fronts[i] = lpFrontier(ipFrontier(c.Items))
-	}
 	baseP := make([]float64, n+1)
 	for k := n - 1; k >= 0; k-- {
-		baseP[k] = baseP[k+1] + fronts[order[k]][0].profit
+		baseP[k] = baseP[k+1] + hs.classes[order[k]].lpFront[0].profit
 	}
 	type upg struct{ dw, dp float64 }
 	suffixUps := make([][]upg, n+1)
 	suffixCumW := make([][]float64, n+1)
 	suffixCumP := make([][]float64, n+1)
 	for k := n - 1; k >= 0; k-- {
-		f := fronts[order[k]]
+		f := hs.classes[order[k]].lpFront
 		merged := append([]upg(nil), suffixUps[k+1]...)
 		for j := 1; j < len(f); j++ {
 			merged = append(merged, upg{dw: f[j].weight - f[j-1].weight, dp: f[j].profit - f[j-1].profit})

@@ -12,198 +12,70 @@ package mckp
 //     best incremental efficiency that still fits the residual
 //     capacity, until no upgrade fits.
 //
-// The running time is O(Σ|items| log n). The result is feasible
-// whenever the instance is feasible; otherwise ErrInfeasible.
+// It runs Solver.SolveHEU on a fresh Solver: O(Σ|items| log Σ|items|)
+// for the sorted upgrade pool, then one pass over it. The result is
+// feasible whenever the instance is feasible; otherwise ErrInfeasible.
 func SolveHEU(in *Instance) (Solution, error) {
-	if err := in.Validate(); err != nil {
+	s, err := NewSolverFrom(in)
+	if err != nil {
 		return Solution{}, err
 	}
-	n := len(in.Classes)
-	fronts := make([][]frontierItem, n)
-	for i, c := range in.Classes {
-		fronts[i] = lpFrontier(ipFrontier(c.Items))
-	}
-	pos := make([]int, n) // current frontier position per class
-	choice := make([]int, n)
-	var h upgradeHeap
-	if !heuRun(fronts, in.Capacity, pos, choice, &h) {
-		return Solution{}, ErrInfeasible
-	}
-	return in.Evaluate(choice)
+	return s.SolveHEU()
 }
 
-// heuRun executes the HEU-OE greedy loop over per-class LP frontiers.
-// pos and choice must have one entry per class; h is reused as heap
-// scratch. It reports false when even the all-lightest assignment does
-// not fit. On success, choice holds the selected item index per class.
-func heuRun(fronts [][]frontierItem, capacity float64, pos, choice []int, h *upgradeHeap) bool {
+// heuRun executes the HEU-OE greedy as one pass over the upgrade pool,
+// which must be built. The pool is sorted by (eff desc, class asc, pos
+// asc) and efficiencies decrease along every LP frontier, so each
+// class's upgrades appear in frontier order and the first pool entry
+// of an open class is the globally best next upgrade — the one a
+// priority queue keyed (eff desc, class asc) would pop. An upgrade
+// that does not fit closes its class: later upgrades of the class are
+// never more efficient and, frontier weights strictly increasing,
+// never lighter. It reports false when even the all-lightest
+// assignment does not fit; on success s.heu.choice holds the selected
+// item index per class.
+func (s *Solver) heuRun() bool {
+	n := len(s.classes)
+	h := &s.heu
+	h.closed = growBools(h.closed, n)
+	h.choice = growInts(h.choice, n)
 	weight := 0.0
-	for i := range fronts {
-		f0 := fronts[i][0]
-		pos[i] = 0
-		choice[i] = f0.idx
-		weight += f0.weight
+	for i := range s.classes {
+		h.closed[i] = false
+		h.choice[i] = s.classes[i].lpFront[0].idx
+		weight += s.classes[i].lpFront[0].weight
 	}
-	if weight > capacity+1e-12 {
+	if weight > s.capacity+1e-12 {
 		return false
 	}
-
-	// Max-heap of candidate upgrades, keyed by incremental efficiency.
-	*h = (*h)[:0]
-	for i := range fronts {
-		if u, ok := nextUpgrade(fronts[i], pos[i], i); ok {
-			h.push(u)
-		}
-	}
-	for h.Len() > 0 {
-		u := h.pop()
-		if u.pos != pos[u.class]+1 {
-			continue // stale entry
-		}
-		if weight+u.dw > capacity+1e-12 {
-			// This upgrade does not fit. Because per-class efficiencies
-			// decrease along the frontier, a later upgrade of the same
-			// class is never better, but it can be *lighter only if
-			// frontier weights increased* — they strictly increase, so
-			// the whole class is exhausted. Drop it.
+	for _, u := range s.ups {
+		if h.closed[u.class] {
 			continue
 		}
-		pos[u.class]++
-		f := fronts[u.class][pos[u.class]]
-		choice[u.class] = f.idx
-		weight += u.dw
-		if nu, ok := nextUpgrade(fronts[u.class], pos[u.class], u.class); ok {
-			h.push(nu)
+		if weight+u.dw > s.capacity+1e-12 {
+			h.closed[u.class] = true
+			continue
 		}
+		h.choice[u.class] = s.classes[u.class].lpFront[u.pos].idx
+		weight += u.dw
 	}
 	return true
 }
 
-// upgrade moves class `class` from frontier position pos−1 to pos.
-type upgrade struct {
-	class, pos int
-	dw, dp     float64
-	eff        float64
-}
-
-func nextUpgrade(front []frontierItem, cur, class int) (upgrade, bool) {
-	if cur+1 >= len(front) {
-		return upgrade{}, false
-	}
-	a, b := front[cur], front[cur+1]
-	dw := b.weight - a.weight
-	dp := b.profit - a.profit
-	eff := dp / dw // frontier weights strictly increase ⇒ dw > 0
-	return upgrade{class: class, pos: cur + 1, dw: dw, dp: dp, eff: eff}, true
-}
-
-// upgradeHeap is a typed binary max-heap (by Less) over upgrades. The
-// push/pop methods replicate container/heap's sift algorithms exactly
-// — same swap sequence, hence bit-identical pop order to the previous
-// container/heap implementation — without the per-Push interface
-// boxing allocation, so heap scratch can live in a solver arena.
-type upgradeHeap []upgrade
-
-func (h upgradeHeap) Len() int { return len(h) }
-func (h upgradeHeap) Less(i, j int) bool {
-	if h[i].eff != h[j].eff {
-		return h[i].eff > h[j].eff
-	}
-	return h[i].class < h[j].class // determinism on ties
-}
-func (h upgradeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *upgradeHeap) push(u upgrade) {
-	*h = append(*h, u)
-	h.up(len(*h) - 1)
-}
-
-func (h *upgradeHeap) pop() upgrade {
-	n := len(*h) - 1
-	h.Swap(0, n)
-	h.down(0, n)
-	u := (*h)[n]
-	*h = (*h)[:n]
-	return u
-}
-
-func (h upgradeHeap) up(j int) {
-	for {
-		i := (j - 1) / 2 // parent
-		if i == j || !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		j = i
-	}
-}
-
-func (h upgradeHeap) down(i0, n int) {
-	i := i0
-	for {
-		j1 := 2*i + 1
-		if j1 >= n || j1 < 0 { // j1 < 0 after int overflow
-			break
-		}
-		j := j1 // left child
-		if j2 := j1 + 1; j2 < n && h.Less(j2, j1) {
-			j = j2 // = 2*i + 2  // right child
-		}
-		if !h.Less(j, i) {
-			break
-		}
-		h.Swap(i, j)
-		i = j
-	}
-}
-
 // UpperBoundLP returns the LP-relaxation optimum of the instance: the
 // greedy fill as in SolveHEU but allowing the final, non-fitting
-// upgrade fractionally. It is an upper bound on every integral
-// solution's profit, used to sandwich solver answers in tests.
+// upgrade fractionally — the dual bound of Solver's LP step. It is an
+// upper bound on every integral solution's profit, used to sandwich
+// solver answers in tests.
 func UpperBoundLP(in *Instance) (float64, error) {
-	if err := in.Validate(); err != nil {
+	s, err := NewSolverFrom(in)
+	if err != nil {
 		return 0, err
 	}
-	n := len(in.Classes)
-	fronts := make([][]frontierItem, n)
-	pos := make([]int, n)
-	weight, profit := 0.0, 0.0
-	for i, c := range in.Classes {
-		fronts[i] = lpFrontier(ipFrontier(c.Items))
-		weight += fronts[i][0].weight
-		profit += fronts[i][0].profit
-	}
-	if weight > in.Capacity+1e-12 {
+	if !in.Feasible() {
 		return 0, ErrInfeasible
 	}
-	var h upgradeHeap
-	for i := range fronts {
-		if u, ok := nextUpgrade(fronts[i], pos[i], i); ok {
-			h.push(u)
-		}
-	}
-	for h.Len() > 0 {
-		u := h.pop()
-		if u.pos != pos[u.class]+1 {
-			continue
-		}
-		rem := in.Capacity - weight
-		if u.dw > rem {
-			if rem > 0 {
-				profit += u.eff * rem
-			}
-			// In the LP optimum at most one variable is fractional; the
-			// greedy may stop at the first non-fitting upgrade because
-			// efficiencies are globally sorted.
-			return profit, nil
-		}
-		pos[u.class]++
-		weight += u.dw
-		profit += u.dp
-		if nu, ok := nextUpgrade(fronts[u.class], pos[u.class], u.class); ok {
-			h.push(nu)
-		}
-	}
-	return profit, nil
+	s.buildUps()
+	_, dual, _ := s.solveLP()
+	return dual, nil
 }

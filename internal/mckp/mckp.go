@@ -152,17 +152,12 @@ type frontierItem struct {
 	profit float64
 }
 
-// ipFrontier removes IP-dominated items from a class: item b is
+// ipFrontierInto removes IP-dominated items from a class: item b is
 // dominated if some item a has weight ≤ b's and profit ≥ b's. The
 // result is sorted by strictly increasing weight and strictly
-// increasing profit.
-func ipFrontier(items []Item) []frontierItem {
-	return ipFrontierInto(make([]frontierItem, 0, len(items)), items)
-}
-
-// ipFrontierInto is ipFrontier writing into a reusable buffer (the
-// persistent Solver's per-class arena). dst is truncated and regrown;
-// the returned slice aliases it.
+// increasing profit. It writes into dst (the persistent Solver's
+// per-class arena), truncated and regrown; the returned slice aliases
+// it.
 func ipFrontierInto(dst []frontierItem, items []Item) []frontierItem {
 	f := dst[:0]
 	for idx, it := range items {
@@ -183,19 +178,11 @@ func ipFrontierInto(dst []frontierItem, items []Item) []frontierItem {
 	return out
 }
 
-// lpFrontier further removes LP-dominated items: points not on the
-// upper-left convex hull of (weight, profit). Input must be an
-// ipFrontier result. Along the output, incremental efficiencies
-// Δprofit/Δweight are strictly decreasing.
-func lpFrontier(f []frontierItem) []frontierItem {
-	if len(f) <= 2 {
-		return f
-	}
-	return lpFrontierInto(make([]frontierItem, 0, len(f)), f)
-}
-
-// lpFrontierInto is lpFrontier writing into a reusable buffer that
-// must not alias f. The returned slice aliases dst.
+// lpFrontierInto further removes LP-dominated items: points not on
+// the upper-left convex hull of (weight, profit). Input must be an
+// ipFrontierInto result. Along the output, incremental efficiencies
+// Δprofit/Δweight are strictly decreasing. It writes into dst, which
+// must not alias f; the returned slice aliases dst.
 func lpFrontierInto(dst []frontierItem, f []frontierItem) []frontierItem {
 	hull := dst[:0]
 	for _, x := range f {

@@ -89,13 +89,13 @@ func TestFrontiers(t *testing.T) {
 		{Weight: 0.1, Profit: 1},   // dominates (0.3,1): lighter, equal profit
 		{Weight: 0.45, Profit: 2},  // LP-dominated: below segment (0.1,1)-(0.5,5)
 	}
-	ip := ipFrontier(items)
+	ip := ipFrontierInto(nil, items)
 	// Expect (0.1,1) then (0.45,2) then (0.5,5); (0.3,1) killed by equal
 	// profit at lower weight, (0.4,0.5) killed outright.
 	if len(ip) != 3 || ip[0].weight != 0.1 || ip[1].weight != 0.45 || ip[2].weight != 0.5 {
 		t.Fatalf("ipFrontier = %+v", ip)
 	}
-	lp := lpFrontier(ip)
+	lp := lpFrontierInto(nil, ip)
 	if len(lp) != 2 || lp[0].weight != 0.1 || lp[1].weight != 0.5 {
 		t.Fatalf("lpFrontier = %+v", lp)
 	}
@@ -105,7 +105,7 @@ func TestFrontierEfficiencyDecreasesProperty(t *testing.T) {
 	f := func(seed uint64) bool {
 		rng := stats.NewRNG(seed)
 		in := randInstance(rng, 1, 12)
-		front := lpFrontier(ipFrontier(in.Classes[0].Items))
+		front := lpFrontierInto(nil, ipFrontierInto(nil, in.Classes[0].Items))
 		prevEff := math.Inf(1)
 		for k := 1; k < len(front); k++ {
 			dw := front[k].weight - front[k-1].weight

@@ -51,11 +51,10 @@ type Solver struct {
 	capacity float64
 	classes  []solverClass
 
-	// Materialized instance view and per-class LP-frontier views,
-	// refreshed on every mutation; handed to the cold solvers
-	// (SolveBnB and friends) and the cached HEU.
-	view   Instance
-	fronts [][]frontierItem
+	// Materialized instance view, refreshed on every mutation; handed
+	// to the quantized DP and to the cold solvers (SolveBnB and
+	// friends).
+	view Instance
 
 	// Global upgrade pool sorted by (eff desc, class asc, pos asc),
 	// built lazily on the first Solve and maintained incrementally by
@@ -129,11 +128,11 @@ type lpScratch struct {
 	phiGap []float64 // φ̂ − second-best φ; +Inf for single-item classes
 }
 
-// heuScratch holds the cached-frontier HEU state.
+// heuScratch holds the HEU pass state per class: whether an upgrade
+// that did not fit has closed it, and the chosen item index.
 type heuScratch struct {
-	pos    []int
+	closed []bool
 	choice []int
-	h      upgradeHeap
 }
 
 // NewSolver returns an empty Solver with the given capacity. Classes
@@ -313,22 +312,18 @@ func (sc *solverClass) set(label string, items []Item) {
 	sc.maxAbsP = maxAbs
 }
 
-// refreshViews rebuilds the materialized Instance and frontier views
-// (O(n) pointer copies, no allocation at steady state).
+// refreshViews rebuilds the materialized Instance view (O(n) pointer
+// copies, no allocation at steady state).
 func (s *Solver) refreshViews() {
 	s.view.Capacity = s.capacity
 	s.view.Classes = s.view.Classes[:0]
-	s.fronts = s.fronts[:0]
 	for i := range s.classes {
 		sc := &s.classes[i]
 		s.view.Classes = append(s.view.Classes, Class{Label: sc.label, Items: sc.items})
-		s.fronts = append(s.fronts, sc.lpFront)
 	}
 }
 
-// classUpgradeAt returns class ci's j-th hull upgrade (j ≥ 1), with
-// the same arithmetic as nextUpgrade so cached and cold frontiers
-// agree bit-for-bit.
+// classUpgradeAt returns class ci's j-th hull upgrade (j ≥ 1).
 func (s *Solver) classUpgradeAt(ci, j int) (solverUpgrade, bool) {
 	f := s.classes[ci].lpFront
 	if j < 1 || j >= len(f) {
@@ -444,20 +439,18 @@ func (s *Solver) evalInto(choice []int) (profit, weight float64, err error) {
 	return profit, weight, nil
 }
 
-// SolveHEU runs the HEU-OE greedy on the cached frontiers. The loop
-// and tie-breaking replicate the package-level SolveHEU exactly, so
-// the returned choice (and hence profit and weight) is bit-identical
-// to SolveHEU on the equivalent instance — only the per-call frontier
-// construction and allocations are gone. The returned Solution's
-// Choice aliases solver scratch, valid until the next call.
+// SolveHEU runs the HEU-OE greedy (see the package-level SolveHEU) as
+// one pass over the cached upgrade pool, building the pool first if no
+// Solve has. The returned Solution's Choice aliases solver scratch,
+// valid until the next call.
 func (s *Solver) SolveHEU() (Solution, error) {
-	n := len(s.classes)
-	if n == 0 {
+	if len(s.classes) == 0 {
 		return Solution{}, errors.New("mckp: no classes")
 	}
-	s.heu.pos = growInts(s.heu.pos, n)
-	s.heu.choice = growInts(s.heu.choice, n)
-	if !heuRun(s.fronts, s.capacity, s.heu.pos, s.heu.choice, &s.heu.h) {
+	if !s.upsValid {
+		s.buildUps()
+	}
+	if !s.heuRun() {
 		return Solution{}, ErrInfeasible
 	}
 	profit, weight, err := s.evalInto(s.heu.choice)

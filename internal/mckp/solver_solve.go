@@ -146,7 +146,7 @@ func (s *Solver) Solve() (Solution, error) {
 	cs.bestChoice = growInts(cs.bestChoice, n)
 
 	// Incumbent: the previous optimum when still valid and feasible,
-	// else the cached-frontier HEU. Its canonical profit ℓ is the
+	// else the pool-scan HEU. Its canonical profit ℓ is the
 	// warm-start pruning floor; the vector itself is only a fallback.
 	ranHEU, err := s.pickIncumbent()
 	if err != nil {
@@ -301,7 +301,7 @@ func (s *Solver) scanPhi(lambda float64) {
 // pickIncumbent fills s.srch.inc and its canonical profit s.srch.ell:
 // the warm-start hint (the previous optimum, index-adjusted across
 // edits — after a small edit usually a near-optimal floor, which is
-// what shrinks the warm core) when valid, else the cached-frontier
+// what shrinks the warm core) when valid, else the pool-scan
 // HEU. Returns whether the HEU was run (so Solve can lazily try it as
 // a better floor only when the hint leaves a large core, instead of
 // paying the O(n + U) greedy on every warm re-solve).
@@ -322,15 +322,12 @@ func (s *Solver) pickIncumbent() (ranHEU bool, err error) {
 	return true, nil
 }
 
-// raiseFloorHEU runs the cached-frontier HEU and, when it beats the
+// raiseFloorHEU runs the pool-scan HEU and, when it beats the
 // current incumbent, promotes it to s.srch.inc / s.srch.ell. With no
 // incumbent yet (cold solve), it is the incumbent.
 func (s *Solver) raiseFloorHEU() error {
 	cs := &s.srch
-	n := len(s.classes)
-	s.heu.pos = growInts(s.heu.pos, n)
-	s.heu.choice = growInts(s.heu.choice, n)
-	if !heuRun(s.fronts, s.capacity, s.heu.pos, s.heu.choice, &s.heu.h) {
+	if !s.heuRun() {
 		if cs.ell > math.Inf(-1) {
 			return nil // keep the existing incumbent
 		}

@@ -1,7 +1,6 @@
 package mckp
 
 import (
-	"container/heap"
 	"errors"
 	"math"
 	"testing"
@@ -332,23 +331,112 @@ func TestSolverErrors(t *testing.T) {
 	}
 }
 
-func TestSolverHEUMatchesSolveHEU(t *testing.T) {
-	rng := stats.NewRNG(stats.DeriveSeed(401, 6))
-	for trial := 0; trial < 200; trial++ {
-		in := randInstance(rng, 10, 8)
-		s, err := NewSolverFrom(in)
-		if err != nil {
-			t.Fatal(err)
+// textbookHEU is the HEU-OE oracle written straight from its
+// definition: at every step scan the open classes for the best next
+// frontier upgrade (eff desc, class asc), apply it when it fits and
+// otherwise close its class.
+func textbookHEU(in *Instance) (Solution, error) {
+	if err := in.Validate(); err != nil {
+		return Solution{}, err
+	}
+	n := len(in.Classes)
+	fronts := make([][]frontierItem, n)
+	pos := make([]int, n)
+	open := make([]bool, n)
+	weight := 0.0
+	for i, c := range in.Classes {
+		fronts[i] = lpFrontierInto(nil, ipFrontierInto(nil, c.Items))
+		weight += fronts[i][0].weight
+		open[i] = true
+	}
+	if weight > in.Capacity+1e-12 {
+		return Solution{}, ErrInfeasible
+	}
+	for {
+		best, bestEff, bestDW := -1, 0.0, 0.0
+		for i, f := range fronts {
+			if !open[i] || pos[i]+1 >= len(f) {
+				continue
+			}
+			a, b := f[pos[i]], f[pos[i]+1]
+			dw := b.weight - a.weight
+			if eff := (b.profit - a.profit) / dw; best < 0 || eff > bestEff {
+				best, bestEff, bestDW = i, eff, dw
+			}
 		}
-		got, errGot := s.SolveHEU()
-		want, errWant := SolveHEU(in)
+		if best < 0 {
+			break
+		}
+		if weight+bestDW > in.Capacity+1e-12 {
+			open[best] = false
+			continue
+		}
+		pos[best]++
+		weight += bestDW
+	}
+	choice := make([]int, n)
+	for i, f := range fronts {
+		choice[i] = f[pos[i]].idx
+	}
+	return in.Evaluate(choice)
+}
+
+// coarseInstance draws integer profits and weights in 1/16 steps, so
+// efficiencies tie across and within classes.
+func coarseInstance(rng *stats.RNG, maxClasses, maxItems int) *Instance {
+	n := rng.IntN(maxClasses) + 1
+	in := &Instance{Capacity: float64(rng.IntN(6*n)+1) / 16}
+	for i := 0; i < n; i++ {
+		c := Class{}
+		for j := rng.IntN(maxItems) + 1; j > 0; j-- {
+			c.Items = append(c.Items, Item{
+				Weight: float64(rng.IntN(13)) / 16,
+				Profit: float64(rng.IntN(8)),
+			})
+		}
+		in.Classes = append(in.Classes, c)
+	}
+	return in
+}
+
+// TestSolverHEUMatchesTextbook checks the pool-scan HEU against
+// textbookHEU bit for bit, on random and on tie-heavy coarse
+// instances: cold through package SolveHEU, and warm on a solver whose
+// pool a Solve built and an Update then merged.
+func TestSolverHEUMatchesTextbook(t *testing.T) {
+	rng := stats.NewRNG(stats.DeriveSeed(401, 6))
+	for trial := 0; trial < 400; trial++ {
+		in := randInstance(rng, 10, 8)
+		if trial%2 == 1 {
+			in = coarseInstance(rng, 10, 8)
+		}
+		want, errWant := textbookHEU(in)
+		got, errGot := SolveHEU(in)
 		if (errGot != nil) != (errWant != nil) {
-			t.Fatalf("trial %d: err %v vs %v", trial, errGot, errWant)
+			t.Fatalf("trial %d: err %v vs textbook %v", trial, errGot, errWant)
 		}
 		if errGot != nil {
 			continue
 		}
 		requireSameSolution(t, "heu", got, want)
+		s, err := NewSolverFrom(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Solve(); err != nil {
+			t.Fatalf("trial %d: Solve: %v", trial, err)
+		}
+		if err := s.Update(0, in.Classes[len(in.Classes)-1].Items); err != nil {
+			t.Fatal(err)
+		}
+		want, errWant = textbookHEU(s.Instance())
+		warm, errWarm := s.SolveHEU()
+		if (errWarm != nil) != (errWant != nil) {
+			t.Fatalf("trial %d: warm err %v vs textbook %v", trial, errWarm, errWant)
+		}
+		if errWarm == nil {
+			requireSameSolution(t, "heu-warm", warm, want)
+		}
 	}
 }
 
@@ -422,58 +510,6 @@ func TestSolverWarmResolveZeroAllocs(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("warm Update+Solve allocates %.2f allocs/op, want 0", avg)
-	}
-}
-
-// legacyHeap adapts upgradeHeap to container/heap for the reference
-// comparison below.
-type legacyHeap struct{ upgradeHeap }
-
-func (h *legacyHeap) Push(x interface{}) {
-	h.upgradeHeap = append(h.upgradeHeap, x.(upgrade))
-}
-func (h *legacyHeap) Pop() interface{} {
-	old := h.upgradeHeap
-	n := len(old)
-	x := old[n-1]
-	h.upgradeHeap = old[:n-1]
-	return x
-}
-
-// TestTypedHeapMatchesContainerHeap proves the hand-rolled sift
-// routines replicate container/heap exactly — same pop order on the
-// same push sequence — which is what keeps SolveHEU's tie-breaking
-// (and every golden output downstream of it) unchanged.
-func TestTypedHeapMatchesContainerHeap(t *testing.T) {
-	rng := stats.NewRNG(stats.DeriveSeed(401, 9))
-	for trial := 0; trial < 50; trial++ {
-		var typed upgradeHeap
-		ref := &legacyHeap{}
-		nOps := rng.IntN(200) + 10
-		for op := 0; op < nOps; op++ {
-			if rng.IntN(3) < 2 || typed.Len() == 0 {
-				u := upgrade{
-					class: rng.IntN(8),
-					pos:   rng.IntN(8),
-					eff:   float64(rng.IntN(12)), // coarse values force ties
-				}
-				typed.push(u)
-				heap.Push(ref, u)
-			} else {
-				got := typed.pop()
-				want := heap.Pop(ref).(upgrade)
-				if got != want {
-					t.Fatalf("trial %d op %d: pop %+v, container/heap %+v", trial, op, got, want)
-				}
-			}
-		}
-		for typed.Len() > 0 {
-			got := typed.pop()
-			want := heap.Pop(ref).(upgrade)
-			if got != want {
-				t.Fatalf("trial %d drain: pop %+v, container/heap %+v", trial, got, want)
-			}
-		}
 	}
 }
 
