@@ -112,16 +112,16 @@ verify: vet lint build race alloc-gate smoke-mckp smoke-admitd smoke-campaign sm
 
 # Micro-benchmarks of the incremental demand-analysis engine, recorded
 # for regression tracking: benchstat-friendly text in BENCH_2.txt and a
-# JSON session appended to BENCH_2.json (which already holds the
-# pre-Analyzer baseline entry — do not overwrite it).
+# JSON session that replaces the `current` entry of BENCH_2.json (its
+# pre-Analyzer baseline entry stays).
 bench:
 	$(GO) test -run='^$$' -bench='$(MICROBENCH)' -benchmem -count=5 . | tee BENCH_2.txt
 	$(GO) run ./cmd/benchjson -label current -merge BENCH_2.json < BENCH_2.txt > BENCH_2.json.tmp
 	mv BENCH_2.json.tmp BENCH_2.json
 
 # Scheduler-engine benchmarks, recorded like `bench`: text in
-# BENCH_4.txt, a JSON session appended to BENCH_4.json (which already
-# holds the pre-event-calendar baseline entry — do not overwrite it).
+# BENCH_4.txt, a JSON session that replaces the `current` entry of
+# BENCH_4.json (its pre-event-calendar baseline entry stays).
 bench-sched:
 	$(GO) test -run='^$$' -bench='$(SCHEDBENCH)' -benchmem -count=5 . | tee BENCH_4.txt
 	$(GO) run ./cmd/benchjson -label current -merge BENCH_4.json < BENCH_4.txt > BENCH_4.json.tmp
@@ -129,8 +129,8 @@ bench-sched:
 
 # Admission-churn benchmarks: incremental path vs full-rebuild
 # reference, recorded like `bench`: text in BENCH_6.txt, a JSON session
-# appended to BENCH_6.json (which already holds the rebuild-baseline
-# entry — do not overwrite it).
+# that replaces the `current` entry of BENCH_6.json (its
+# rebuild-baseline entry stays).
 bench-admitd:
 	$(GO) test -run='^$$' -bench='$(ADMITBENCH)' -benchmem -count=5 . | tee BENCH_6.txt
 	$(GO) run ./cmd/benchjson -label current -merge BENCH_6.json < BENCH_6.txt > BENCH_6.json.tmp
@@ -139,8 +139,8 @@ bench-admitd:
 # MCKP core-solver benchmarks: fleet-scale cold solves and warm
 # incremental re-solves, plus the admission churn that rides the
 # persistent solver, recorded like `bench`: text in BENCH_7.txt, a JSON
-# session appended to BENCH_7.json (which already holds the stateless
-# BnB/DP baseline entry — do not overwrite it).
+# session that replaces the `current` entry of BENCH_7.json (its
+# stateless BnB/DP baseline entry stays).
 bench-mckp:
 	$(GO) test -run='^$$' -bench='$(MCKPBENCH)' -benchmem -count=5 ./internal/mckp . | tee BENCH_7.txt
 	$(GO) run ./cmd/benchjson -label current -merge BENCH_7.json < BENCH_7.txt > BENCH_7.json.tmp
@@ -148,10 +148,10 @@ bench-mckp:
 
 # Fleet-campaign benchmarks: streaming cells at 1k/10k/100k tasks plus
 # the 100k-task on-disk endpoint, recorded like `bench`: text in
-# BENCH_9.txt, a JSON session appended to BENCH_9.json (which already
-# holds the materialize-and-validate baseline entry, whose code path is
-# gone — do not overwrite it). The 100k fixed-memory ceiling assertion
-# runs alongside.
+# BENCH_9.txt, a JSON session that replaces the `current` entry of
+# BENCH_9.json (its materialize-and-validate baseline entry, whose code
+# path is gone, stays). The 100k fixed-memory ceiling assertion runs
+# alongside.
 bench-campaign:
 	$(GO) test -count=1 -run Test100kUnderMemoryCeiling ./internal/sched
 	$(GO) test -run='^$$' -bench='$(CAMPBENCH)' -benchmem -count=3 -benchtime=2x ./internal/sched | tee BENCH_9.txt

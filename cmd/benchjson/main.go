@@ -10,8 +10,9 @@
 // the per-metric unit strings from the benchmark line (ns/op, B/op,
 // allocs/op and any custom b.ReportMetric units) are preserved. With
 // -merge, the existing JSON document is read first and the new entry
-// is appended to its entries list — that is how a before/after record
-// accumulates baselines alongside current numbers. The raw benchmark
+// replaces, in place, the entry with the same label, or is appended
+// when no entry has that label — that is how a before/after record
+// keeps its baselines next to one current session. The raw benchmark
 // text stays benchstat-friendly; keep it next to the JSON.
 package main
 
@@ -20,6 +21,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -51,7 +53,7 @@ type Document struct {
 func main() {
 	var (
 		label = flag.String("label", "current", "label for this benchmark session")
-		merge = flag.String("merge", "", "existing JSON document to append to")
+		merge = flag.String("merge", "", "existing JSON document to merge into, replacing the entry with the same label")
 	)
 	flag.Parse()
 
@@ -69,7 +71,7 @@ func main() {
 			fatal(fmt.Errorf("benchjson: %s: %w", *merge, err))
 		}
 	}
-	doc.Entries = append(doc.Entries, entry)
+	doc.merge(entry)
 	out, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		fatal(err)
@@ -77,12 +79,24 @@ func main() {
 	fmt.Println(string(out))
 }
 
+// merge replaces the entry labeled e.Label with e, or appends e when
+// no entry has that label.
+func (d *Document) merge(e Entry) {
+	for i := range d.Entries {
+		if d.Entries[i].Label == e.Label {
+			d.Entries[i] = e
+			return
+		}
+	}
+	d.Entries = append(d.Entries, e)
+}
+
 // parse reads `go test -bench` output: benchmark lines look like
 //
 //	BenchmarkName-8   1234   5678 ns/op   90 B/op   12 allocs/op
 //
 // with alternating value/unit pairs after the iteration count.
-func parse(f *os.File, label string) (Entry, error) {
+func parse(r io.Reader, label string) (Entry, error) {
 	type agg struct {
 		runs  int
 		iters int64
@@ -92,7 +106,7 @@ func parse(f *os.File, label string) (Entry, error) {
 	var order []string
 	entry := Entry{Label: label}
 
-	sc := bufio.NewScanner(f)
+	sc := bufio.NewScanner(r)
 	for sc.Scan() {
 		fields := strings.Fields(sc.Text())
 		if len(fields) < 2 || !strings.HasPrefix(fields[0], "Benchmark") {

@@ -6,16 +6,15 @@ import (
 	"go/types"
 )
 
-// OverflowGuard protects the int64 fast path of the demand
-// aggregates. Demand values are microsecond counts multiplied by job
-// counts over an analysis horizon — products and running sums approach
-// int64 range on adversarial task sets, and a silent wrap turns an
-// infeasible set into a "schedulable" verdict. All multiplication (and
-// shifting) of Duration/int64 demand values, and any addition of
-// *derived* demand values (call results or products), must go through
-// the checked helpers in internal/dbf/frac.go, which detect overflow
-// and fall back to the big.Int/big.Rat tiers or saturate
-// conservatively.
+// OverflowGuard protects the integer demand arithmetic. Demand values
+// are microsecond counts multiplied by job counts over an analysis
+// horizon — products and running sums approach int64 range on
+// adversarial task sets, and a silent wrap turns an infeasible set
+// into a "schedulable" verdict. All multiplication (and shifting) of
+// Duration/int64 demand values, and any addition of *derived* demand
+// values (call results or products), must go through the checked
+// helpers in internal/dbf/frac.go, which widen to 128 bits, detect
+// overflow, or saturate conservatively.
 var OverflowGuard = &Analyzer{
 	Name: "overflowguard",
 	Doc:  "forbid raw *, <<, and derived + on Duration/int64 demand values outside the checked helpers in frac.go",
@@ -86,7 +85,7 @@ func checkBinaryOverflow(pass *Pass, e *ast.BinaryExpr) {
 	}
 	switch e.Op {
 	case token.MUL:
-		pass.Reportf(e.OpPos, "unchecked %s multiplication can wrap int64 and flip a schedulability verdict; use mul64/mulDur from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(e.X))
+		pass.Reportf(e.OpPos, "unchecked %s multiplication can wrap int64 and flip a schedulability verdict; use mul128/mulDur/mulDiv64 from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(e.X))
 	case token.SHL:
 		pass.Reportf(e.OpPos, "unchecked %s left shift can wrap int64; use the checked helpers in internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(e.X))
 	case token.ADD:
@@ -102,7 +101,7 @@ func checkAssignOverflow(pass *Pass, s *ast.AssignStmt) {
 	}
 	switch s.Tok {
 	case token.MUL_ASSIGN:
-		pass.Reportf(s.TokPos, "unchecked %s *= can wrap int64; use mul64/mulDur from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(s.Lhs[0]))
+		pass.Reportf(s.TokPos, "unchecked %s *= can wrap int64; use mul128/mulDur/mulDiv64 from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(s.Lhs[0]))
 	case token.SHL_ASSIGN:
 		pass.Reportf(s.TokPos, "unchecked %s <<= can wrap int64; use the checked helpers in internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(s.Lhs[0]))
 	case token.ADD_ASSIGN:

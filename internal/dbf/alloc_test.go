@@ -1,45 +1,108 @@
 package dbf
 
-import "testing"
+import (
+	"testing"
 
-// TestSwapFeasibleNarrowZeroAlloc gates the //rtlint:hotpath contract
-// on Analyzer.Swap and Analyzer.Feasible: with every demand in the
-// narrow int64 tier, a trial swap plus the incremental QPA re-test
-// must not allocate. The alternates are pre-boxed Demand values so the
-// measured loop pays only the analyzer's own work.
-func TestSwapFeasibleNarrowZeroAlloc(t *testing.T) {
-	ds := []Demand{
-		Sporadic{C: 1000, D: 8000, T: 10000},
-		Sporadic{C: 2000, D: 16000, T: 20000},
-		Sporadic{C: 1500, D: 30000, T: 40000},
+	"rtoffload/internal/rtime"
+	"rtoffload/internal/stats"
+)
+
+// TestSwapFeasibleZeroAlloc gates the //rtlint:hotpath contract on
+// Analyzer.Swap and Analyzer.Feasible: a warm trial swap plus the
+// incremental QPA re-test must not allocate. The alternates are
+// pre-boxed Demand values so the measured loop pays only the
+// analyzer's own work.
+func TestSwapFeasibleZeroAlloc(t *testing.T) {
+	t.Run("three-sporadic", func(t *testing.T) {
+		ds := []Demand{
+			Sporadic{C: 1000, D: 8000, T: 10000},
+			Sporadic{C: 2000, D: 16000, T: 20000},
+			Sporadic{C: 1500, D: 30000, T: 40000},
+		}
+		assertSwapFeasibleZeroAlloc(t, ds, 0, [2]Demand{
+			Sporadic{C: 1200, D: 8000, T: 10000},
+			Sporadic{C: 1000, D: 8000, T: 10000},
+		})
+	})
+	t.Run("admit-large-shaped", func(t *testing.T) {
+		if raceEnabled {
+			// Multi-word big.Int division takes its temporaries from a
+			// sync.Pool, which the race detector empties at random.
+			t.Skip("the race detector's sync.Pool drops allocate; make alloc-gate runs this case without it")
+		}
+		// About 30 light mixed demands with whole-millisecond periods in
+		// [20, 800] ms, the admission service's shape: their lcm spans
+		// several words. Slot 0 alternates between a local and an
+		// offloaded choice of two periods already in the set, so both
+		// the same-period swap and the multiplier update are gated.
+		rng := stats.NewRNG(11)
+		var ds []Demand
+		var periods []rtime.Duration
+		for len(ds) < 30 {
+			p := ms(rng.UniformInt(20, 800))
+			if d := lightDemand(rng, p, len(ds)%2 == 0); d != nil {
+				ds = append(ds, d)
+				periods = append(periods, p)
+			}
+		}
+		alt := [2]Demand{
+			lightDemand(rng, periods[1], true),
+			lightDemand(rng, periods[2], false),
+		}
+		if alt[0] == nil || alt[1] == nil {
+			t.Fatal("alternate demand rejected")
+		}
+		assertSwapFeasibleZeroAlloc(t, ds, 0, alt)
+	})
+}
+
+// lightDemand draws a demand of period p using about 2% of it: a
+// sporadic task, or an offloaded one when offload is set. It returns
+// nil when the constructor rejects the draw.
+func lightDemand(rng *stats.RNG, p rtime.Duration, offload bool) Demand {
+	c := p/100 + rtime.Duration(rng.Int64N(int64(p/100)))
+	if !offload {
+		s, err := NewSporadic(c, p-rtime.Duration(rng.Int64N(int64(p/4))), p)
+		if err != nil {
+			return nil
+		}
+		return s
 	}
+	o, err := NewOffloaded(c/4+1, c, p, p, p/4)
+	if err != nil {
+		return nil
+	}
+	return o
+}
+
+// assertSwapFeasibleZeroAlloc warms an Analyzer over ds with both
+// alternates in slot i, then requires Swap+Feasible to allocate
+// nothing per run.
+func assertSwapFeasibleZeroAlloc(t *testing.T, ds []Demand, i int, alt [2]Demand) {
+	t.Helper()
 	a, err := NewAnalyzer(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	alt := [2]Demand{
-		Sporadic{C: 1200, D: 8000, T: 10000},
-		Sporadic{C: 1000, D: 8000, T: 10000},
-	}
 	for _, d := range alt {
-		if err := a.Swap(0, d); err != nil {
+		if err := a.Swap(i, d); err != nil {
 			t.Fatal(err)
 		}
 		if err := a.Feasible(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	i := 0
+	k := 0
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := a.Swap(0, alt[i&1]); err != nil {
+		if err := a.Swap(i, alt[k&1]); err != nil {
 			t.Error(err)
 		}
-		i++
+		k++
 		if err := a.Feasible(); err != nil {
 			t.Error(err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm narrow Swap+Feasible allocates %.1f times per run; the hotpath contract is 0", allocs)
+		t.Fatalf("warm Swap+Feasible allocates %.1f times per run; the hotpath contract is 0", allocs)
 	}
 }

@@ -8,132 +8,60 @@ import (
 )
 
 // demandStat is the cached per-demand analysis state of an Analyzer:
-// the demand's long-run rate and burst as integer fractions (the fast
-// path), the raw numerators over the demand's own denominator (the
-// scaled path), its first step, and — for Demand implementations
-// outside this package or int64 overflow — the exact big.Rat fallback
-// values.
+// the demand's long-run rate and burst as exact numerators over its
+// own period den (rate = rate/den, burst = burst/den), and its first
+// step.
 type demandStat struct {
-	rate, burst frac
-	// Raw (unreduced) numerators over rawDen: rate = rawRate/rawDen,
-	// burst = rawBurst/rawDen. rawDen == 0 marks a wide stat.
-	rawRate, rawBurst, rawDen int64
-	first                     rtime.Duration
-	// wide marks demands whose rate/burst exceed the int64 fast path;
-	// rateRat/burstRat then hold the exact values.
-	wide              bool
-	rateRat, burstRat *big.Rat
+	rate  int64
+	burst u128
+	den   int64
+	first rtime.Duration
 }
 
-// rateR returns the exact rate as a big.Rat (allocating only for
-// narrow stats that never cached one).
-func (st *demandStat) rateR() *big.Rat {
-	if st.rateRat == nil {
-		st.rateRat = st.rate.rat()
-	}
-	return st.rateRat
-}
-
-// burstR returns the exact burst as a big.Rat.
-func (st *demandStat) burstR() *big.Rat {
-	if st.burstRat == nil {
-		st.burstRat = st.burst.rat()
-	}
-	return st.burstRat
-}
-
-// newDemandStat derives the cached state of one demand. ok is false
-// only for a nil demand. Known demand types use pure integer
-// arithmetic; anything else (or an int64 overflow) records the exact
-// big.Rat values and marks the stat wide.
-func newDemandStat(d Demand) (demandStat, bool) {
-	switch v := d.(type) {
-	case nil:
+// stat derives the Analyzer's model of a sporadic demand, mirroring
+// Sporadic.Rate and Sporadic.Burst exactly. ok is false for
+// parameters NewSporadic rejects, whose numerators u128 cannot bound.
+func (s Sporadic) stat() (demandStat, bool) {
+	if s.C <= 0 || s.C > s.D || s.D > s.T {
 		return demandStat{}, false
-	case Sporadic:
-		if bn, ok := mul64(int64(v.C), int64(v.T-v.D)); ok {
-			return demandStat{
-				rate:    newFrac(int64(v.C), int64(v.T)),
-				burst:   newFrac(bn, int64(v.T)),
-				rawRate: int64(v.C), rawBurst: bn, rawDen: int64(v.T),
-				first: v.FirstStep(),
-			}, true
-		}
-	case Offloaded:
-		if st, ok := offloadedStat(v); ok {
-			return st, true
-		}
 	}
 	return demandStat{
-		wide:     true,
-		rateRat:  d.Rate(),  //rtlint:allow hotalloc -- wide tier: foreign or overflowing demands pay exact big.Rat costs
-		burstRat: d.Burst(), //rtlint:allow hotalloc -- wide tier: foreign or overflowing demands pay exact big.Rat costs
-		first:    d.FirstStep(),
+		rate:  int64(s.C),
+		burst: mul128(int64(s.C), int64(s.T-s.D)),
+		den:   int64(s.T),
+		first: s.D,
 	}, true
 }
 
-// offloadedStat computes the integer stat of an Offloaded demand,
-// mirroring Offloaded.Rate and Offloaded.Burst exactly: burst is the
-// larger of the two alignment constants, both over denominator T.
-func offloadedStat(o Offloaded) (demandStat, bool) {
-	t := int64(o.T)
-	cs, ok := add64(int64(o.C1), int64(o.C2))
-	if !ok {
+// stat derives the Analyzer's model of an offloaded demand, mirroring
+// Offloaded.Rate and Offloaded.Burst exactly: burst is the larger of
+// the two alignment constants, both over denominator T. ok is false
+// for parameters outside NewOffloaded's bounds C1 ≤ D1 and
+// C2 ≤ D−D1−R, which keep C1+C2 ≤ D ≤ T and every factor within [0, T].
+// The checks run in an order that keeps each subtraction in range.
+func (o Offloaded) stat() (demandStat, bool) {
+	if o.C1 <= 0 || o.C2 <= 0 || o.R < 0 || o.C1 > o.D1 || o.D1 > o.D ||
+		o.C2 > o.D-o.D1-o.R || o.D > o.T {
 		return demandStat{}, false
 	}
-	a1, ok := mul64(int64(o.C1), int64(o.T-o.D1))
-	if !ok {
-		return demandStat{}, false
-	}
-	a2, ok := mul64(int64(o.C2), int64(o.T-o.D))
-	if !ok {
-		return demandStat{}, false
-	}
-	a, ok := add64(a1, a2)
-	if !ok {
-		return demandStat{}, false
-	}
-	b1, ok := mul64(int64(o.C2), int64(o.T-o.D+o.D1+o.R))
-	if !ok {
-		return demandStat{}, false
-	}
-	b2, ok := mul64(int64(o.C1), int64(o.R))
-	if !ok {
-		return demandStat{}, false
-	}
-	b, ok := add64(b1, b2)
-	if !ok {
-		return demandStat{}, false
-	}
-	bn := a
-	if b > a {
-		bn = b
-	}
+	a := mul128(int64(o.C1), int64(o.T-o.D1)).add(mul128(int64(o.C2), int64(o.T-o.D)))
+	b := mul128(int64(o.C2), int64(o.T-(o.D-o.D1-o.R))).add(mul128(int64(o.C1), int64(o.R)))
 	return demandStat{
-		rate:    newFrac(cs, t),
-		burst:   newFrac(bn, t),
-		rawRate: cs, rawBurst: bn, rawDen: t,
+		rate:  int64(o.C1 + o.C2),
+		burst: a.max(b),
+		den:   int64(o.T),
 		first: o.FirstStep(),
 	}, true
 }
 
-// Aggregate representation tiers, cheapest first. The Analyzer starts
-// narrow and degrades only as far as the data forces it; every tier
-// is exact.
-const (
-	// modeNarrow: rate/burst sums fit reduced int64 fractions — zero
-	// allocation on swap and horizon.
-	modeNarrow = iota
-	// modeScaled: sums as big.Int numerators over a fixed common
-	// denominator lcm(T_i). No gcd normalization ever runs; swaps are
-	// O(1) big.Int multiply-adds into reused scratch, so steady-state
-	// allocation is zero. Valid while every demand has integer raw
-	// stats.
-	modeScaled
-	// modeWide: full big.Rat sums — only for foreign Demand
-	// implementations or int64-overflowing parameters.
-	modeWide
-)
+// newDemandStat derives the cached state of one demand; ok is false
+// for a nil demand or parameters outside its constructor's bounds.
+func newDemandStat(d Demand) (demandStat, bool) {
+	if d == nil {
+		return demandStat{}, false
+	}
+	return d.stat()
+}
 
 // Analyzer is an incremental demand-analysis engine: it holds a demand
 // configuration together with cached aggregates (rate and burst sums,
@@ -142,36 +70,32 @@ const (
 // a full rebuild. Verdicts — including the exact Violation window —
 // are identical to a fresh QPA over the same demands.
 //
-// Aggregates live on an integer fast path; when a reduced sum
-// overflows int64 the Analyzer switches to scaled big.Int numerators
-// over the fixed common denominator, and only foreign demand types
-// force full big.Rat arithmetic. Every tier is exact — overflow is
-// detected, never wrapped — so exactness is never compromised.
+// The sums are big.Int numerators over one common denominator, a
+// multiple of every demand's period. Updates add or subtract scaled
+// numerators and never normalise, so no gcd runs on a swap and the
+// reused scratch keeps the steady state allocation-free. The sums and
+// scratch are held by value, so an Analyzer must not be copied.
 type Analyzer struct {
 	ds    []Demand
 	stats []demandStat
-	mode  int
-	// Narrow aggregates (modeNarrow).
-	rate, burst frac
-	// Scaled aggregates (modeScaled): rateN/den and burstN/den with
-	// den = lcm of all rawDen. mult[i] = den/rawDen_i. t1..t3 are
-	// reusable scratch.
-	den, rateN, burstN *big.Int
+	// ΣRate = rateN/den and ΣBurst = burstN/den, where den is a common
+	// multiple of every stats[i].den and mult[i] = den/stats[i].den.
+	// t1..t3 are reusable scratch.
+	den, rateN, burstN big.Int
 	//rtlint:arena
 	mult []big.Int
 	//rtlint:arena
-	t1 *big.Int
+	t1 big.Int
 	//rtlint:arena
-	t2 *big.Int
+	t2 big.Int
 	//rtlint:arena
-	t3 *big.Int
-	// Wide aggregates (modeWide).
-	rateRat, burstRat *big.Rat
+	t3 big.Int
 }
 
 // NewAnalyzer builds the engine over a copy of ds. The configuration
 // may be infeasible or even overloaded — that is reported by Feasible,
-// not here. Only nil demands are rejected.
+// not here. Only nil demands and parameters their constructor rejects
+// are refused.
 func NewAnalyzer(ds []Demand) (*Analyzer, error) {
 	a := &Analyzer{
 		ds:    append([]Demand(nil), ds...),
@@ -180,7 +104,7 @@ func NewAnalyzer(ds []Demand) (*Analyzer, error) {
 	for i, d := range ds {
 		st, ok := newDemandStat(d)
 		if !ok {
-			return nil, fmt.Errorf("dbf: nil demand at index %d", i)
+			return nil, fmt.Errorf("dbf: nil or invalid demand at index %d", i)
 		}
 		a.stats[i] = st
 	}
@@ -197,236 +121,126 @@ func (a *Analyzer) At(i int) Demand { return a.ds[i] }
 // Demands returns a copy of the current configuration.
 func (a *Analyzer) Demands() []Demand { return append([]Demand(nil), a.ds...) }
 
-// recompute rebuilds the aggregates from the per-demand stats,
-// choosing the cheapest tier the data permits.
+// recompute rebuilds the aggregates from the per-demand stats: den
+// becomes the lcm of every stat's den and stays fixed while later
+// updates use denominators that divide it.
 func (a *Analyzer) recompute() {
-	if a.recomputeNarrow() {
-		return
-	}
-	if a.recomputeScaled() {
-		return
-	}
-	a.recomputeWide()
-}
-
-// recomputeNarrow tries the reduced-int64 tier.
-func (a *Analyzer) recomputeNarrow() bool {
-	rate, burst := fracZero, fracZero
-	for i := range a.stats {
-		st := &a.stats[i]
-		if st.wide {
-			return false
-		}
-		var ok bool
-		if rate, ok = rate.add(st.rate); !ok {
-			return false
-		}
-		if burst, ok = burst.add(st.burst); !ok {
-			return false
-		}
-	}
-	a.mode = modeNarrow
-	a.rate, a.burst = rate, burst
-	return true
-}
-
-// recomputeScaled builds the fixed-denominator big.Int tier: den is
-// the lcm of every demand's raw denominator and never changes while
-// swaps keep the same denominators, so later updates are gcd-free.
-func (a *Analyzer) recomputeScaled() bool {
-	for i := range a.stats {
-		if a.stats[i].rawDen == 0 {
-			return false
-		}
-	}
-	if a.den == nil {
-		a.den, a.rateN, a.burstN = new(big.Int), new(big.Int), new(big.Int)
-		a.t1, a.t2, a.t3 = new(big.Int), new(big.Int), new(big.Int)
-	}
 	if cap(a.mult) < len(a.stats) {
 		a.mult = make([]big.Int, len(a.stats))
 	}
 	a.mult = a.mult[:len(a.stats)]
 	a.den.SetInt64(1)
 	for i := range a.stats {
-		t := a.stats[i].rawDen
+		t := a.stats[i].den
 		// den = den · t / gcd(den mod t, t); the gcd operand fits int64.
-		rem := a.t1.Mod(a.den, a.t2.SetInt64(t)).Int64()
+		rem := a.t1.Mod(&a.den, a.t2.SetInt64(t)).Int64()
 		g := int64(rtime.GCD(rtime.Duration(rem), rtime.Duration(t)))
-		a.den.Mul(a.den, a.t2.SetInt64(t/g))
+		a.den.Mul(&a.den, a.t2.SetInt64(t/g))
 	}
 	a.rateN.SetInt64(0)
 	a.burstN.SetInt64(0)
 	for i := range a.stats {
-		st := &a.stats[i]
-		m := &a.mult[i]
-		m.Div(a.den, a.t1.SetInt64(st.rawDen))
-		a.rateN.Add(a.rateN, a.t1.Mul(a.t2.SetInt64(st.rawRate), m))
-		a.burstN.Add(a.burstN, a.t1.Mul(a.t2.SetInt64(st.rawBurst), m))
+		a.mult[i].Quo(&a.den, a.t1.SetInt64(a.stats[i].den))
+		a.account(i, false)
 	}
-	a.mode = modeScaled
-	return true
 }
 
-// recomputeWide builds the full big.Rat tier.
-func (a *Analyzer) recomputeWide() {
-	if a.rateRat == nil {
-		a.rateRat, a.burstRat = new(big.Rat), new(big.Rat)
+// account adds stat i's share — its numerators times mult[i] — to the
+// sums, or removes it when sub is set.
+func (a *Analyzer) account(i int, sub bool) {
+	st, m := &a.stats[i], &a.mult[i]
+	r := a.t1.Mul(a.t2.SetInt64(st.rate), m)
+	b := a.t3.Mul(st.burst.setBig(&a.t2, &a.t3), m)
+	if sub {
+		a.rateN.Sub(&a.rateN, r)
+		a.burstN.Sub(&a.burstN, b)
+		return
 	}
-	a.rateRat.SetInt64(0)
-	a.burstRat.SetInt64(0)
-	for i := range a.stats {
-		st := &a.stats[i]
-		a.rateRat.Add(a.rateRat, st.rateR())
-		a.burstRat.Add(a.burstRat, st.burstR())
+	a.rateN.Add(&a.rateN, r)
+	a.burstN.Add(&a.burstN, b)
+}
+
+// setMult sets mult[i] = den/stats[i].den and reports whether that
+// division is exact, i.e. whether den already covers the stat.
+func (a *Analyzer) setMult(i int) bool {
+	q, r := a.t1.QuoRem(&a.den, a.t2.SetInt64(a.stats[i].den), &a.t3)
+	if r.Sign() != 0 {
+		return false
 	}
-	a.mode = modeWide
+	a.mult[i].Set(q)
+	return true
 }
 
 // Swap replaces demand i, updating the cached aggregates in O(1).
 //
-//rtlint:hotpath -- O(1) aggregate delta behind every trial decision; the narrow tier must not allocate
+//rtlint:hotpath -- O(1) aggregate delta behind every trial decision; the warm steady state must not allocate
 func (a *Analyzer) Swap(i int, d Demand) error {
 	if i < 0 || i >= len(a.ds) {
 		return fmt.Errorf("dbf: demand index %d out of range [0,%d)", i, len(a.ds)) //rtlint:allow hotalloc -- invalid-input diagnostic, not the steady state
 	}
 	st, ok := newDemandStat(d)
 	if !ok {
-		return fmt.Errorf("dbf: nil demand") //rtlint:allow hotalloc -- invalid-input diagnostic, not the steady state
+		return fmt.Errorf("dbf: nil or invalid demand") //rtlint:allow hotalloc -- invalid-input diagnostic, not the steady state
 	}
 	a.swapStat(i, d, st)
 	return nil
 }
 
-// swapStat installs (d, st) at index i with an O(1) delta update of
-// the aggregates; a full recompute only happens when the current tier
-// cannot absorb the delta.
+// swapStat installs (d, st) at index i: it removes the old share and
+// adds the new one, recomputing only when den does not cover the new
+// period.
 func (a *Analyzer) swapStat(i int, d Demand, st demandStat) {
-	old := a.stats[i]
+	a.account(i, true) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
+	oldDen := a.stats[i].den
 	a.ds[i] = d
 	a.stats[i] = st
-	switch a.mode {
-	case modeNarrow:
-		if !st.wide {
-			if r, ok := a.rate.sub(old.rate); ok {
-				if r, ok = r.add(st.rate); ok {
-					if b, ok2 := a.burst.sub(old.burst); ok2 {
-						if b, ok2 = b.add(st.burst); ok2 {
-							a.rate, a.burst = r, b
-							return
-						}
-					}
-				}
-			}
-		}
-	case modeScaled:
-		if st.rawDen == old.rawDen && st.rawDen != 0 {
-			// Same denominator: numerator deltas times the cached
-			// multiplier — gcd-free, scratch-reusing.
-			m := &a.mult[i]
-			a.rateN.Add(a.rateN, a.t1.Mul(a.t2.SetInt64(st.rawRate-old.rawRate), m))     //rtlint:allow hotalloc -- scaled tier reuses big.Int scratch; word-slice growth is amortized
-			a.burstN.Add(a.burstN, a.t1.Mul(a.t2.SetInt64(st.rawBurst-old.rawBurst), m)) //rtlint:allow hotalloc -- scaled tier reuses big.Int scratch; word-slice growth is amortized
-			return
-		}
-	case modeWide:
-		// Exact rational delta: subtract the old component, add the new.
-		a.rateRat.Sub(a.rateRat, old.rateR())           //rtlint:allow hotalloc -- wide tier: exact big.Rat arithmetic for foreign demands
-		a.rateRat.Add(a.rateRat, a.stats[i].rateR())    //rtlint:allow hotalloc -- wide tier: exact big.Rat arithmetic for foreign demands
-		a.burstRat.Sub(a.burstRat, old.burstR())        //rtlint:allow hotalloc -- wide tier: exact big.Rat arithmetic for foreign demands
-		a.burstRat.Add(a.burstRat, a.stats[i].burstR()) //rtlint:allow hotalloc -- wide tier: exact big.Rat arithmetic for foreign demands
+	if st.den != oldDen && !a.setMult(i) { //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
+		a.recompute() //rtlint:allow hotalloc -- full rebuild when den must grow, not the O(1) steady-state delta
 		return
 	}
-	a.recompute() //rtlint:allow hotalloc -- full tier rebuild after a tier change, not the O(1) steady-state delta
+	a.account(i, false) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
 }
 
-// Append grows the configuration by one demand at the end, updating
-// the cached aggregates with an O(1) delta. The current tier absorbs
-// the new demand when it can (narrow: checked frac additions; scaled:
-// the new denominator must divide the cached common denominator); a
-// full recompute runs only when it cannot, and may re-select a
-// cheaper tier.
+// Append grows the configuration by one demand at the end, adding its
+// share in O(1) when den already covers its period and recomputing
+// otherwise.
 func (a *Analyzer) Append(d Demand) error {
 	st, ok := newDemandStat(d)
 	if !ok {
-		return fmt.Errorf("dbf: nil demand")
+		return fmt.Errorf("dbf: nil or invalid demand")
 	}
 	a.ds = append(a.ds, d)
 	a.stats = append(a.stats, st)
-	switch a.mode {
-	case modeNarrow:
-		if !st.wide {
-			if r, ok := a.rate.add(st.rate); ok {
-				if b, ok2 := a.burst.add(st.burst); ok2 {
-					a.rate, a.burst = r, b
-					return nil
-				}
-			}
-		}
-	case modeScaled:
-		if st.rawDen != 0 && a.t1.Mod(a.den, a.t2.SetInt64(st.rawDen)).Sign() == 0 {
-			// The cached lcm already covers the new denominator: extend
-			// the multiplier table and add the scaled numerators.
-			a.mult = append(a.mult, big.Int{})
-			m := &a.mult[len(a.mult)-1]
-			m.Div(a.den, a.t1.SetInt64(st.rawDen))
-			a.rateN.Add(a.rateN, a.t1.Mul(a.t2.SetInt64(st.rawRate), m))
-			a.burstN.Add(a.burstN, a.t1.Mul(a.t2.SetInt64(st.rawBurst), m))
-			return nil
-		}
-	case modeWide:
-		last := &a.stats[len(a.stats)-1]
-		a.rateRat.Add(a.rateRat, last.rateR())
-		a.burstRat.Add(a.burstRat, last.burstR())
-		return nil
+	a.mult = append(a.mult, big.Int{})
+	if i := len(a.stats) - 1; a.setMult(i) {
+		a.account(i, false)
+	} else {
+		a.recompute()
 	}
-	a.recompute()
 	return nil
 }
 
 // Remove deletes demand i, preserving the order of the remaining
-// demands, and updates the cached aggregates with an O(1) delta
-// (plus the slice shift). The scaled tier keeps its cached common
-// denominator — a superset lcm stays a valid exact denominator — so
-// removals never force a recompute there.
+// demands, and subtracts its share in O(1) (plus the slice shift).
+// den stays: a common multiple of a superset of the periods is still
+// a valid exact denominator, so removals never recompute.
 func (a *Analyzer) Remove(i int) error {
 	if i < 0 || i >= len(a.ds) {
 		return fmt.Errorf("dbf: demand index %d out of range [0,%d)", i, len(a.ds))
 	}
-	old := a.stats[i]
+	a.account(i, true)
 	copy(a.ds[i:], a.ds[i+1:])
 	a.ds[len(a.ds)-1] = nil
 	a.ds = a.ds[:len(a.ds)-1]
 	copy(a.stats[i:], a.stats[i+1:])
-	a.stats[len(a.stats)-1] = demandStat{}
 	a.stats = a.stats[:len(a.stats)-1]
-	switch a.mode {
-	case modeNarrow:
-		// Subtraction re-reduces through the denominators' lcm, which
-		// can itself overflow int64; fall back to a recompute then.
-		if r, ok := a.rate.sub(old.rate); ok {
-			if b, ok2 := a.burst.sub(old.burst); ok2 {
-				a.rate, a.burst = r, b
-				return nil
-			}
-		}
-	case modeScaled:
-		m := &a.mult[i]
-		a.rateN.Sub(a.rateN, a.t1.Mul(a.t2.SetInt64(old.rawRate), m))
-		a.burstN.Sub(a.burstN, a.t1.Mul(a.t2.SetInt64(old.rawBurst), m))
-		copy(a.mult[i:], a.mult[i+1:])
-		// Zero the vacated tail slot: the struct shift leaves it aliasing
-		// the last live entry's backing array, and a later recompute that
-		// re-slices mult and mutates the slot in place would corrupt that
-		// entry through the shared array.
-		a.mult[len(a.mult)-1] = big.Int{}
-		a.mult = a.mult[:len(a.mult)-1]
-		return nil
-	case modeWide:
-		a.rateRat.Sub(a.rateRat, old.rateR())
-		a.burstRat.Sub(a.burstRat, old.burstR())
-		return nil
-	}
-	a.recompute()
+	copy(a.mult[i:], a.mult[i+1:])
+	// Zero the vacated tail slot: the struct shift leaves it aliasing
+	// the last live entry's backing array, and a later recompute that
+	// re-slices mult and mutates the slot in place would corrupt that
+	// entry through the shared array.
+	a.mult[len(a.mult)-1] = big.Int{}
+	a.mult = a.mult[:len(a.mult)-1]
 	return nil
 }
 
@@ -440,7 +254,7 @@ func (a *Analyzer) With(i int, d Demand, f func(*Analyzer) error) error {
 	}
 	st, ok := newDemandStat(d)
 	if !ok {
-		return fmt.Errorf("dbf: nil demand")
+		return fmt.Errorf("dbf: nil or invalid demand")
 	}
 	oldD, oldSt := a.ds[i], a.stats[i]
 	a.swapStat(i, d, st)
@@ -450,39 +264,24 @@ func (a *Analyzer) With(i int, d Demand, f func(*Analyzer) error) error {
 }
 
 // Horizon returns the analysis horizon of the current configuration,
-// identical to dbf.Horizon over the same demands: the integer tiers
-// allocate nothing in steady state; big.Rat is the exact fallback.
+// identical to dbf.Horizon over the same demands:
+// max(1, ⌈burstN/(den−rateN)⌉), with overload iff rateN ≥ den
+// (⟺ ΣRate ≥ 1). It reuses the scratch and allocates nothing in
+// steady state.
 func (a *Analyzer) Horizon() (rtime.Duration, error) {
-	switch a.mode {
-	case modeNarrow:
-		if h, ok, err := horizonFromFracs(a.rate, a.burst); ok {
-			return h, err
-		}
-		// Quotient past int64: take the exact path for the right error.
-		return horizonFromRats(a.rate.rat(), a.burst.rat()) //rtlint:allow hotalloc -- int64-overflow fallback to exact big.Rat, off the narrow steady state
-	case modeScaled:
-		return a.horizonScaled() //rtlint:allow hotalloc -- scaled tier reuses big.Int scratch; word-slice growth is amortized
-	default:
-		return horizonFromRats(a.rateRat, a.burstRat) //rtlint:allow hotalloc -- wide tier: exact big.Rat arithmetic for foreign demands
-	}
-}
-
-// horizonScaled computes max(1, ⌈burstN/(den−rateN)⌉) with reused
-// scratch: overload iff rateN ≥ den (⟺ ΣRate ≥ 1).
-func (a *Analyzer) horizonScaled() (rtime.Duration, error) {
-	slack := a.t1.Sub(a.den, a.rateN)
+	slack := a.t1.Sub(&a.den, &a.rateN) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
 	if slack.Sign() <= 0 {
 		return 0, ErrOverloaded
 	}
 	if a.burstN.Sign() == 0 {
 		return 1, nil
 	}
-	q, r := a.t2.DivMod(a.burstN, slack, a.t3)
+	q, r := a.t2.QuoRem(&a.burstN, slack, &a.t3) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
 	if r.Sign() != 0 {
-		q.Add(q, bigIntOne)
+		q.Add(q, bigIntOne) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
 	}
 	if !q.IsInt64() {
-		return 0, errHorizonOverflow(q)
+		return 0, errHorizonOverflow(q) //rtlint:allow hotalloc -- overflow diagnostic, not the steady state
 	}
 	if h := q.Int64(); h >= 1 {
 		return rtime.Duration(h), nil
@@ -498,7 +297,7 @@ var bigIntOne = big.NewInt(1)
 // ErrOverloaded reports a long-run rate ≥ 1. The verdict — including
 // the Violation window — is identical to dbf.QPA on the same demands.
 //
-//rtlint:hotpath -- incremental QPA re-test behind every trial decision; the narrow tier must not allocate
+//rtlint:hotpath -- incremental QPA re-test behind every trial decision; the warm steady state must not allocate
 func (a *Analyzer) Feasible() error {
 	h, err := a.Horizon()
 	if err != nil {

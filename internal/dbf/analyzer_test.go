@@ -2,6 +2,7 @@ package dbf
 
 import (
 	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -9,17 +10,13 @@ import (
 	"rtoffload/internal/stats"
 )
 
-// foreignDemand wraps a Sporadic so the type switch in newDemandStat
-// does not recognize it, forcing the Analyzer's wide big.Rat tier.
-type foreignDemand struct{ Sporadic }
-
 // randomSwapDemand draws one replacement demand. A small fraction use
-// hour-scale periods (whose burst numerator overflows int64, forcing a
-// wide stat) or the foreign wrapper (forcing the wide tier outright),
-// so every aggregate tier and every tier transition gets exercised.
+// periods near 2^42 µs, so the common denominator and its multipliers
+// span several words and Append/Swap often have to recompute it.
 func randomSwapDemand(rng *stats.RNG) Demand {
 	if rng.Bool(0.08) {
-		// Huge parameters: C·(T−D) overflows int64.
+		// Huge periods with D = T: the lcm with the millisecond periods
+		// below passes int64 at once.
 		period := rtime.Duration(rng.Int64N(1e12)) + 4e12
 		c := period/3 + rtime.Duration(rng.Int64N(int64(period/3)))
 		s, err := NewSporadic(c, period, period)
@@ -34,9 +31,6 @@ func randomSwapDemand(rng *stats.RNG) Demand {
 		s, err := NewSporadic(c, d, period)
 		if err != nil {
 			return nil
-		}
-		if rng.Bool(0.15) {
-			return foreignDemand{s}
 		}
 		return s
 	}
@@ -80,15 +74,15 @@ func checkAnalyzerAgainstFresh(t *testing.T, az *Analyzer, ctx string) {
 	hGot, errGot := az.Horizon()
 	hWant, errWant := Horizon(ds)
 	if hGot != hWant || !sameVerdict(errGot, errWant) {
-		t.Fatalf("%s: Horizon: analyzer (%v, %v) vs fresh (%v, %v) [mode=%d]",
-			ctx, hGot, errGot, hWant, errWant, az.mode)
+		t.Fatalf("%s: Horizon: analyzer (%v, %v) vs fresh (%v, %v)",
+			ctx, hGot, errGot, hWant, errWant)
 	}
 
 	got := az.Feasible()
 	want := QPA(ds)
 	if !sameVerdict(got, want) {
-		t.Fatalf("%s: Feasible: analyzer %v vs fresh QPA %v [mode=%d]",
-			ctx, got, want, az.mode)
+		t.Fatalf("%s: Feasible: analyzer %v vs fresh QPA %v",
+			ctx, got, want)
 	}
 	// PDC is an equivalent exact test; the feasibility bits must agree
 	// (its witness window may legitimately differ from QPA's).
@@ -121,8 +115,8 @@ func runAnalyzerDifferential(t *testing.T, seed uint64, n, swaps int) {
 	checkAnalyzerAgainstFresh(t, az, "initial")
 	for s := 0; s < swaps; s++ {
 		// Churn ops first: grow and shrink the configuration so the
-		// append/remove delta paths (and their tier transitions) see the
-		// same differential scrutiny as swaps.
+		// append/remove delta paths (and their recomputes) see the same
+		// differential scrutiny as swaps.
 		if rng.Bool(0.2) {
 			if d := randomSwapDemand(rng); d != nil {
 				if err := az.Append(d); err != nil {
@@ -187,8 +181,8 @@ func TestAnalyzerDifferentialProperty(t *testing.T) {
 }
 
 // FuzzAnalyzerDifferential fuzzes the same property; the seeded corpus
-// covers every aggregate tier (narrow, scaled, wide via huge periods
-// and foreign demands) and both feasible and overloaded systems.
+// covers small and multi-word common denominators (via huge periods)
+// and both feasible and overloaded systems.
 func FuzzAnalyzerDifferential(f *testing.F) {
 	f.Add(uint64(1), uint8(3), uint8(6))
 	f.Add(uint64(2), uint8(1), uint8(3))
@@ -221,6 +215,17 @@ func TestAnalyzerArgumentErrors(t *testing.T) {
 	if err := az.Swap(0, nil); err == nil {
 		t.Error("nil Swap accepted")
 	}
+	// Literals outside the constructors' bounds have no exact 128-bit
+	// model and are refused.
+	if err := az.Swap(0, Sporadic{C: ms(5), D: ms(3), T: ms(10)}); err == nil {
+		t.Error("Swap accepted C > D")
+	}
+	if _, err := NewAnalyzer([]Demand{Offloaded{C1: 1, C2: 1, D: ms(10), T: ms(5), D1: 2}}); err == nil {
+		t.Error("NewAnalyzer accepted D > T")
+	}
+	if err := az.Append(Offloaded{C1: 1, C2: ms(9), D: ms(10), T: ms(10), R: ms(1), D1: 2}); err == nil {
+		t.Error("Append accepted C2 > D−D1−R")
+	}
 	if err := az.With(-1, s, func(*Analyzer) error { return nil }); err == nil {
 		t.Error("out-of-range With accepted")
 	}
@@ -241,8 +246,8 @@ func TestAnalyzerArgumentErrors(t *testing.T) {
 // TestAnalyzerAppendRemoveRoundTrip grows an Analyzer one demand at a
 // time from empty, checking against a fresh analysis at every size,
 // then shrinks it back down removing from varying positions. This
-// covers the empty→narrow→scaled/wide transitions and the stale-lcm
-// scaled removals that the random churn may not hit.
+// covers the recomputes from empty and the stale-lcm removals that the
+// random churn may not hit.
 func TestAnalyzerAppendRemoveRoundTrip(t *testing.T) {
 	rng := stats.NewRNG(97)
 	az, err := NewAnalyzer(nil)
@@ -273,5 +278,127 @@ func TestAnalyzerAppendRemoveRoundTrip(t *testing.T) {
 	}
 	if err := az.Feasible(); err != nil {
 		t.Fatalf("empty analyzer infeasible: %v", err)
+	}
+}
+
+// TestQPARejectsHorizonAtInt64Ceiling pins the verdict on a set whose
+// horizon is exactly math.MaxInt64. The backward scan starts below
+// h+1, which int64 cannot hold, so every path must reject the set; it
+// is in fact infeasible, with demand T1+6 in the window T1.
+func TestQPARejectsHorizonAtInt64Ceiling(t *testing.T) {
+	const x = 164703072086692426
+	s1, err := NewSporadic(x-1, x, x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s2, err := NewSporadic(7, 7, 8*x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	light, err := NewSporadic(1, 7, 8*x)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := []Demand{s1, s2}
+	if h, err := Horizon(ds); err != nil || h != math.MaxInt64 {
+		t.Fatalf("Horizon = (%v, %v), want MaxInt64", h, err)
+	}
+	if dem := TotalDBF(ds, x); dem != x+6 {
+		t.Fatalf("TotalDBF(T1) = %v, want T1+6", dem)
+	}
+	if err := QPA(ds); err == nil {
+		t.Error("QPA accepts an overloaded window at the int64 horizon")
+	}
+	az, err := NewAnalyzer(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := az.Feasible(); err == nil {
+		t.Error("NewAnalyzer(...).Feasible accepts it")
+	}
+	az, err = NewAnalyzer([]Demand{s1, light})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := az.Feasible(); err != nil {
+		t.Fatalf("feasible start rejected: %v", err)
+	}
+	if err := az.Swap(1, s2); err != nil {
+		t.Fatal(err)
+	}
+	if err := az.Feasible(); err == nil {
+		t.Error("Feasible after Swap accepts it")
+	}
+	az, err = NewAnalyzer([]Demand{s1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := az.Append(s2); err != nil {
+		t.Fatal(err)
+	}
+	if err := az.Feasible(); err == nil {
+		t.Error("Feasible after Append accepts it")
+	}
+}
+
+// TestAnalyzerNearInt64Ceiling drives demands with periods near 2^62 µs
+// and C ≈ T/2 through every update path. Their burst numerators fill
+// the high word of a u128 and their horizons approach int64, so the
+// verdicts span feasible, violated, overflowing and overloaded sets.
+func TestAnalyzerNearInt64Ceiling(t *testing.T) {
+	const p = 1 << 62
+	spor := func(c, d, period rtime.Duration) Demand {
+		t.Helper()
+		s, err := NewSporadic(c, d, period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	offl := func(c1, c2, d, period, r rtime.Duration) Demand {
+		t.Helper()
+		o, err := NewOffloaded(c1, c2, d, period, r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	ds := []Demand{
+		spor(p/2, 3*p/4, p),
+		offl(p/16, p/8, 3*p/4, p-3, p/8),
+	}
+	az, err := NewAnalyzer(ds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAnalyzerAgainstFresh(t, az, "initial")
+	steps := []struct {
+		name string
+		op   func() error
+	}{
+		{"Swap sporadic", func() error { return az.Swap(0, spor(p/2-12345, p/2+999, p-7)) }},
+		{"Append offloaded", func() error { return az.Append(offl(p/8, p/4, 3*p/4, p, p/8)) }},
+		{"Swap to overload", func() error { return az.Swap(0, spor(p/2, p/2, p/2+1)) }},
+		{"Swap back", func() error { return az.Swap(0, spor(p/3, 2*p/3, p-1)) }},
+		{"Append sporadic", func() error { return az.Append(spor(p/5, p/4, p+p/2)) }},
+		{"Remove first", func() error { return az.Remove(0) }},
+		{"Remove last", func() error { return az.Remove(az.Len() - 1) }},
+	}
+	trial := offl(p/4, p/4, p-p/16, p+p/8, p/16)
+	for _, st := range steps {
+		if err := st.op(); err != nil {
+			t.Fatalf("%s: %v", st.name, err)
+		}
+		checkAnalyzerAgainstFresh(t, az, st.name)
+		got := az.With(0, trial, func(a *Analyzer) error {
+			checkAnalyzerAgainstFresh(t, a, st.name+" inside With")
+			return a.Feasible()
+		})
+		ds := az.Demands()
+		ds[0] = trial
+		if want := QPA(ds); !sameVerdict(got, want) {
+			t.Fatalf("%s: With verdict %v vs fresh %v", st.name, got, want)
+		}
+		checkAnalyzerAgainstFresh(t, az, st.name+" after With")
 	}
 }

@@ -28,7 +28,9 @@ import (
 	"rtoffload/internal/rtime"
 )
 
-// Demand is the worst-case execution demand of one task.
+// Demand is the worst-case execution demand of one task. It is
+// sealed: only Sporadic and Offloaded implement it, so the Analyzer
+// and PDC model every demand exactly.
 type Demand interface {
 	// DBF returns the maximum execution time of jobs that both arrive
 	// in and have deadlines in any window of length t.
@@ -47,6 +49,13 @@ type Demand interface {
 	// PrevStep returns the largest step strictly below t, or 0 when
 	// none exists.
 	PrevStep(t rtime.Duration) rtime.Duration
+
+	// stat is the Analyzer's exact integer model of Rate and Burst;
+	// ok is false for parameters the constructor rejects.
+	stat() (demandStat, bool)
+	// stepStreams lists the arithmetic progressions whose union is
+	// the step set, for PDC's streaming merge.
+	stepStreams() []stepStream
 }
 
 // count returns the number of deadlines at offsets off, off+T,
@@ -130,8 +139,8 @@ func (s Sporadic) StepsUpTo(limit rtime.Duration) []rtime.Duration {
 // FirstStep returns D, the first deadline.
 func (s Sporadic) FirstStep() rtime.Duration { return s.D }
 
-// stepStreams implements stepStreamer: one arithmetic progression
-// starting at D with period T.
+// stepStreams returns one arithmetic progression starting at D with
+// period T.
 func (s Sporadic) stepStreams() []stepStream {
 	return []stepStream{{off: s.D, period: s.T}}
 }
@@ -290,8 +299,8 @@ func (o Offloaded) FirstStep() rtime.Duration {
 	return best
 }
 
-// stepStreams implements stepStreamer: one arithmetic progression per
-// positive alignment offset, all with period T.
+// stepStreams returns one arithmetic progression per positive
+// alignment offset, all with period T.
 func (o Offloaded) stepStreams() []stepStream {
 	streams := make([]stepStream, 0, 4)
 	for _, off := range o.offsets() {

@@ -8,38 +8,45 @@ import (
 	"rtoffload/internal/rtime"
 )
 
-// frac is a non-negative exact rational with int64 numerator and
-// positive denominator, kept reduced. It is the integer fast path of
-// the demand aggregates (rate and burst sums): as long as the running
-// sums fit, Horizon and the Analyzer's Swap need no big.Rat
-// allocation. Overflow is detected, never silently wrapped — callers
-// fall back to big.Rat arithmetic, so exactness is never compromised.
-type frac struct {
-	n, d int64
-}
+// u128 is an unsigned 128-bit integer: the burst numerator of one
+// demand over its own period. Every numerator is a product of two
+// non-negative int64 parameters (below 2^126) or the sum of two such
+// products (below 2^127), so u128 holds it without overflow and the
+// Analyzer needs no big.Int per demand.
+type u128 struct{ hi, lo uint64 }
 
-// fracZero is the additive identity.
-var fracZero = frac{n: 0, d: 1}
-
-// newFrac reduces n/d (both ≥ 0, d > 0).
-func newFrac(n, d int64) frac {
-	if n == 0 {
-		return frac{0, 1}
-	}
-	g := int64(rtime.GCD(rtime.Duration(n), rtime.Duration(d)))
-	return frac{n / g, d / g}
-}
-
-// rat converts to a big.Rat.
-func (f frac) rat() *big.Rat { return big.NewRat(f.n, f.d) }
-
-// mul64 multiplies two non-negative int64s, reporting overflow.
-func mul64(a, b int64) (int64, bool) {
+// mul128 returns a·b for non-negative a and b; the product cannot wrap.
+func mul128(a, b int64) u128 {
 	hi, lo := bits.Mul64(uint64(a), uint64(b))
-	if hi != 0 || lo > math.MaxInt64 {
-		return 0, false
+	return u128{hi: hi, lo: lo}
+}
+
+// add returns x+y. Both operands are products of two non-negative
+// int64s, so the sum stays below 2^127 and the carry out of hi is
+// always zero.
+func (x u128) add(y u128) u128 {
+	lo, c := bits.Add64(x.lo, y.lo, 0)
+	hi, _ := bits.Add64(x.hi, y.hi, c)
+	return u128{hi: hi, lo: lo}
+}
+
+// max returns the larger of x and y.
+func (x u128) max(y u128) u128 {
+	if x.hi > y.hi || (x.hi == y.hi && x.lo >= y.lo) {
+		return x
 	}
-	return int64(lo), true
+	return y
+}
+
+// setBig sets z to x, using tmp as scratch, and returns z. Neither
+// allocates once the two have grown to two words.
+func (x u128) setBig(z, tmp *big.Int) *big.Int {
+	if x.hi == 0 {
+		return z.SetUint64(x.lo)
+	}
+	z.SetUint64(x.hi)
+	z.Lsh(z, 64)
+	return z.Add(z, tmp.SetUint64(x.lo))
 }
 
 // add64 adds two non-negative int64s, reporting overflow.
@@ -89,125 +96,4 @@ func addDur(a, b rtime.Duration) rtime.Duration {
 		return rtime.Duration(math.MaxInt64)
 	}
 	return s
-}
-
-// add adds two fracs, reporting ok=false on int64 overflow.
-func (f frac) add(o frac) (frac, bool) { return f.combine(o, false) }
-
-// sub subtracts o from f. The rational result must be ≥ 0 (the caller
-// removes a component previously added); ok=false on overflow.
-func (f frac) sub(o frac) (frac, bool) { return f.combine(o, true) }
-
-func (f frac) combine(o frac, neg bool) (frac, bool) {
-	g := int64(rtime.GCD(rtime.Duration(f.d), rtime.Duration(o.d)))
-	l, ok := mul64(f.d/g, o.d)
-	if !ok {
-		return frac{}, false
-	}
-	a, ok := mul64(f.n, l/f.d)
-	if !ok {
-		return frac{}, false
-	}
-	b, ok := mul64(o.n, l/o.d)
-	if !ok {
-		return frac{}, false
-	}
-	var n int64
-	if neg {
-		n = a - b
-		if n < 0 {
-			return frac{}, false
-		}
-	} else {
-		n = a + b
-		if n < 0 { // int64 wrap
-			return frac{}, false
-		}
-	}
-	return newFrac(n, l), true
-}
-
-// cmp compares two fracs: -1, 0, +1.
-func (f frac) cmp(o frac) int {
-	// Cross-multiply in 128 bits — never overflows.
-	lhi, llo := bits.Mul64(uint64(f.n), uint64(o.d))
-	rhi, rlo := bits.Mul64(uint64(o.n), uint64(f.d))
-	switch {
-	case lhi != rhi:
-		if lhi < rhi {
-			return -1
-		}
-		return 1
-	case llo != rlo:
-		if llo < rlo {
-			return -1
-		}
-		return 1
-	}
-	return 0
-}
-
-// horizonFromFracs computes the analysis horizon max(1, ⌈burst/(1−rate)⌉)
-// from integer aggregates with 128-bit intermediates and no
-// allocation. ok=false means the caller must use the big.Rat path
-// (quotient near or past int64 range); err is ErrOverloaded when
-// rate ≥ 1.
-func horizonFromFracs(rate, burst frac) (h rtime.Duration, ok bool, err error) {
-	if rate.n >= rate.d {
-		return 0, true, ErrOverloaded
-	}
-	if burst.n == 0 {
-		return 1, true, nil
-	}
-	// h = burst.n·rate.d / (burst.d·(rate.d − rate.n)), rounded up.
-	den, okm := mul64(burst.d, rate.d-rate.n)
-	if !okm {
-		return 0, false, nil
-	}
-	hi, lo := bits.Mul64(uint64(burst.n), uint64(rate.d))
-	if hi >= uint64(den) {
-		// Quotient exceeds 64 bits — certainly past int64 microseconds.
-		return 0, false, nil
-	}
-	q, r := bits.Div64(hi, lo, uint64(den))
-	if r != 0 {
-		q++
-	}
-	if q > math.MaxInt64 {
-		return 0, false, nil
-	}
-	if q < 1 {
-		return 1, true, nil
-	}
-	return rtime.Duration(q), true, nil
-}
-
-// horizonFromRats is the exact big.Rat horizon shared by Horizon and
-// the Analyzer's wide path: max(1, ⌈burst/(1−rate)⌉) in microseconds,
-// ErrOverloaded when rate ≥ 1, an error when the bound overflows
-// int64.
-func horizonFromRats(rate, burst *big.Rat) (rtime.Duration, error) {
-	if rate.Cmp(one) >= 0 {
-		return 0, ErrOverloaded
-	}
-	den := new(big.Rat).Sub(one, rate)
-	h := new(big.Rat).Quo(burst, den)
-	// Round up to the next microsecond. Any horizon below one
-	// microsecond (including a zero burst, where demand never exceeds
-	// rate·t < t) rounds up to the minimum positive horizon; the
-	// comparison is exact — a float round-trip here could misclassify
-	// a bound within one ulp of 1.
-	if h.Cmp(one) < 0 {
-		return 1, nil
-	}
-	num := new(big.Int).Set(h.Num())
-	den2 := h.Denom()
-	q := new(big.Int).Div(num, den2)
-	if new(big.Int).Mul(q, den2).Cmp(num) != 0 {
-		q.Add(q, big.NewInt(1))
-	}
-	if !q.IsInt64() {
-		return 0, errHorizonOverflow(q)
-	}
-	return rtime.Duration(q.Int64()), nil
 }

@@ -2,27 +2,18 @@ package dbf
 
 import "rtoffload/internal/rtime"
 
-// stepStreamer is implemented by demands whose step sequence is the
-// union of a few arithmetic progressions (offset, offset+period, …).
-// PDC merges these progressions lazily instead of materializing every
-// step up to the horizon, so long-horizon analyses stay O(#streams)
-// in memory rather than O(#steps).
-type stepStreamer interface {
-	stepStreams() []stepStream
-}
-
-// stepStream is one arithmetic progression of demand steps.
+// stepStream is one arithmetic progression of demand steps (off,
+// off+period, …). PDC merges these lazily instead of materializing
+// every step up to the horizon, so long-horizon analyses stay
+// O(#streams) in memory rather than O(#steps).
 type stepStream struct {
 	off, period rtime.Duration
 }
 
-// mergeCursor is one source in the k-way merge: either an arithmetic
-// progression (period > 0) or a materialized slice fallback for
-// Demand implementations outside this package (period == 0).
+// mergeCursor is one arithmetic progression in the k-way merge.
 type mergeCursor struct {
 	next   rtime.Duration
 	period rtime.Duration
-	rest   []rtime.Duration
 }
 
 // stepMerger yields the deduplicated ascending union of all demands'
@@ -33,26 +24,17 @@ type stepMerger struct {
 	limit rtime.Duration
 }
 
-// newStepMerger builds the merge over every demand's step sources.
-// Demands implementing stepStreamer contribute one cursor per
-// progression; anything else falls back to StepsUpTo(limit) once.
+// newStepMerger builds the merge with one cursor per progression of
+// every demand.
 func newStepMerger(ds []Demand, limit rtime.Duration) *stepMerger {
 	m := &stepMerger{limit: limit}
 	for _, d := range ds {
-		if s, ok := d.(stepStreamer); ok {
-			for _, st := range s.stepStreams() {
-				if st.off > limit {
-					continue
-				}
-				m.push(mergeCursor{next: st.off, period: st.period})
+		for _, st := range d.stepStreams() {
+			if st.off > limit {
+				continue
 			}
-			continue
+			m.push(mergeCursor{next: st.off, period: st.period})
 		}
-		steps := d.StepsUpTo(limit)
-		if len(steps) == 0 {
-			continue
-		}
-		m.push(mergeCursor{next: steps[0], rest: steps[1:]})
 	}
 	return m
 }
@@ -75,13 +57,9 @@ func (m *stepMerger) next() (t rtime.Duration, ok bool) {
 // exhausted, and restores the heap order.
 func (m *stepMerger) advanceTop() {
 	c := &m.heap[0]
-	switch {
-	case c.period > 0 && c.next <= m.limit-c.period:
+	if c.next <= m.limit-c.period {
 		c.next += c.period
-	case c.period == 0 && len(c.rest) > 0:
-		c.next = c.rest[0]
-		c.rest = c.rest[1:]
-	default:
+	} else {
 		last := len(m.heap) - 1
 		m.heap[0] = m.heap[last]
 		m.heap = m.heap[:last]

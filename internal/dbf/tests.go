@@ -3,6 +3,7 @@ package dbf
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 
 	"rtoffload/internal/rtime"
@@ -34,8 +35,8 @@ func Theorem3(offloaded []Offloaded, local []Sporadic) (total *big.Rat, ok bool)
 // finite analysis horizon exists.
 var ErrOverloaded = errors.New("dbf: total long-run demand rate ≥ 1")
 
-// errHorizonOverflow formats the horizon-overflow error identically
-// on the integer and big.Rat paths.
+// errHorizonOverflow reports a horizon the QPA scan cannot run to,
+// identically on the reference and Analyzer paths.
 func errHorizonOverflow(q *big.Int) error {
 	return fmt.Errorf("dbf: analysis horizon overflows int64 microseconds: %v", q)
 }
@@ -45,38 +46,34 @@ func errHorizonOverflow(q *big.Int) error {
 // satisfies t < ΣBurst / (1 − ΣRate). Windows beyond the horizon need
 // not be checked. Fails with ErrOverloaded when ΣRate ≥ 1.
 //
-// The aggregates are summed on the integer fast path (frac) when they
-// fit in int64; big.Rat is the exact fallback, so the result is
-// identical either way.
+// It sums each demand's Rate and Burst in big.Rat, so it is the
+// reference the Analyzer's integer aggregates are checked against.
 func Horizon(ds []Demand) (rtime.Duration, error) {
-	rate, burst := fracZero, fracZero
-	fast := true
+	rate := TotalRate(ds)
+	if rate.Cmp(one) >= 0 {
+		return 0, ErrOverloaded
+	}
+	burst := new(big.Rat)
 	for _, d := range ds {
-		st, ok := newDemandStat(d)
-		if !ok || st.wide {
-			fast = false
-			break
-		}
-		if rate, ok = rate.add(st.rate); !ok {
-			fast = false
-			break
-		}
-		if burst, ok = burst.add(st.burst); !ok {
-			fast = false
-			break
-		}
+		burst.Add(burst, d.Burst())
 	}
-	if fast {
-		if h, ok, err := horizonFromFracs(rate, burst); ok {
-			return h, err
-		}
+	h := burst.Quo(burst, rate.Sub(one, rate))
+	// Round up to the next microsecond. Any horizon below one
+	// microsecond (including a zero burst, where demand never exceeds
+	// rate·t < t) rounds up to the minimum positive horizon; the
+	// comparison is exact — a float round-trip here could misclassify
+	// a bound within one ulp of 1.
+	if h.Cmp(one) < 0 {
+		return 1, nil
 	}
-	u := TotalRate(ds)
-	b := new(big.Rat)
-	for _, d := range ds {
-		b.Add(b, d.Burst())
+	q, r := new(big.Int).QuoRem(h.Num(), h.Denom(), new(big.Int))
+	if r.Sign() != 0 {
+		q.Add(q, bigIntOne)
 	}
-	return horizonFromRats(u, b)
+	if !q.IsInt64() {
+		return 0, errHorizonOverflow(q)
+	}
+	return rtime.Duration(q.Int64()), nil
 }
 
 // Violation describes a failed demand test: at window length T the
@@ -134,6 +131,11 @@ func qpaScan(ds []Demand, h rtime.Duration) error {
 
 // qpaScanFrom runs the backward scan with a precomputed smallest step.
 func qpaScanFrom(ds []Demand, h, dmin rtime.Duration) error {
+	if h == math.MaxInt64 {
+		// The scan starts below h+1, which int64 cannot hold. Rejecting
+		// is the safe side of the guarantee.
+		return errHorizonOverflow(big.NewInt(math.MaxInt64)) //rtlint:allow hotalloc -- overflow diagnostic, not the steady state
+	}
 	// Zhang & Burns, Algorithm 1:
 	//
 	//	t := max{step < L}
