@@ -107,8 +107,11 @@ smoke-fleet:
 	$(GO) test -count=1 ./internal/core -run 'TestFleetSingleServerOracle|TestFleetRepairMatchesReference'
 	$(call resume_smoke,$(FLEET_SMOKE_DIR),$(FLEET_SMOKE_ARGS))
 
-# The pre-merge gate.
+# The pre-merge gate. It also vets the _perfbench module, which builds
+# against this module's internal packages: a change to an exported type
+# there would otherwise only show when the benchmark runs.
 verify: vet lint build race alloc-gate smoke-mckp smoke-admitd smoke-campaign smoke-fleet
+	$(GO) -C _perfbench vet ./...
 
 # Micro-benchmarks of the incremental demand-analysis engine, recorded
 # for regression tracking: benchstat-friendly text in BENCH_2.txt and a

@@ -357,33 +357,43 @@ func BenchmarkQPA(b *testing.B) {
 
 // BenchmarkExactUpgrade measures the QPA-driven upgrade pass on random
 // sets with large response budgets (where Theorem 3 is pessimistic)
-// and reports the mean benefit gain over the Theorem-3 decision.
+// and reports the mean benefit gain over the Theorem-3 decision. The
+// gain is computed once over a fixed set of 64 seeds, so it does not
+// depend on b.N; the timed loop cycles through the same sets.
 func BenchmarkExactUpgrade(b *testing.B) {
 	p := task.DefaultRandomSetParams()
 	p.N = 8
 	p.TotalUtil = 0.5
 	p.RespLoFrac = 0.3
 	p.RespHiFrac = 0.8
-	gain := 0.0
-	count := 0
-	for i := 0; i < b.N; i++ {
-		rng := stats.NewRNG(uint64(i) + 1)
-		set, err := task.GenerateRandomSet(rng, p)
-		if err != nil {
-			b.Fatal(err)
-		}
+	upgrade := func(set task.Set) (base, improved *core.Decision) {
 		base, err := core.Decide(set, core.Options{Solver: core.SolverDP})
 		if err != nil {
 			b.Fatal(err)
 		}
-		improved, err := core.ImproveWithExact(base, set)
+		improved, err = core.ImproveWithExact(base, set)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if base.TotalExpected > 0 {
+		return base, improved
+	}
+	sets := make([]task.Set, 64)
+	gain := 0.0
+	count := 0
+	for i := range sets {
+		set, err := task.GenerateRandomSet(stats.NewRNG(uint64(i)+1), p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sets[i] = set
+		if base, improved := upgrade(set); base.TotalExpected > 0 {
 			gain += improved.TotalExpected / base.TotalExpected
 			count++
 		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		upgrade(sets[i%len(sets)])
 	}
 	if count > 0 {
 		b.ReportMetric(gain/float64(count), "gain-vs-thm3")

@@ -3,7 +3,6 @@ package invariant
 import (
 	"errors"
 	"fmt"
-	"math/big"
 
 	"rtoffload/internal/chaos"
 	"rtoffload/internal/core"
@@ -26,8 +25,10 @@ import (
 //	I6  Capacity coupling is never exceeded: every per-server and
 //	    per-group occupancy pool of the admitted decision, recomputed
 //	    from its choices, stays within its cap and matches the
-//	    decision's reported account, and the simulation routes every
-//	    offloaded job to exactly the server the decision chose.
+//	    decision's reported account (pools account occupancy only;
+//	    Theorem 3 is one processor-wide sum, not a per-pool one),
+//	    and the simulation routes every offloaded job to exactly the
+//	    server the decision chose.
 //	    Routing is fixed at admission, so the two checks together
 //	    bound the load on every pool at every instant of the trace.
 type FleetTrial struct {
@@ -217,8 +218,8 @@ func (ft *FleetTrial) Run() ([]*chaos.Schedule, error) {
 // CheckFleet asserts invariant I6 against a simulation result: the
 // admitted decision's capacity account is present, a recomputation of
 // every pool from the choices (fleet.Accumulate over each offloaded
-// choice's Ri/Ti and Theorem-3 weight) is within every cap and agrees
-// with the reported account pool by pool, and the engine's routing
+// choice's occupancy Ri/Ti) is within every cap and agrees with the
+// reported account pool by pool, and the engine's routing
 // attribution agrees with the decision for every task. Because routing
 // is fixed at admission, decision-level pool bounds plus routing
 // consistency bound the occupancy of every pool over the whole trace.
@@ -267,8 +268,7 @@ func (ft *FleetTrial) CheckFleet(res *sched.Result) error {
 
 // recomputeLoads rebuilds a decision's capacity pools from its
 // choices alone: each offloaded choice charges its exact occupancy
-// Ri/Ti and its Theorem-3 weight to the server it routes to (and to
-// that server's group).
+// Ri/Ti to the server it routes to (and to that server's group).
 func recomputeLoads(f fleet.Fleet, choices []core.Choice) []fleet.Load {
 	var us []fleet.Usage
 	for _, c := range choices {
@@ -276,14 +276,9 @@ func recomputeLoads(f fleet.Fleet, choices []core.Choice) []fleet.Load {
 			continue
 		}
 		t := c.Task
-		w, err := t.OffloadWeight(c.Level)
-		if err != nil {
-			w = new(big.Rat) // no Theorem-3 weight: charge occupancy only
-		}
 		us = append(us, fleet.Usage{
 			Server:    t.Levels[c.Level].ServerID,
 			Occupancy: rtime.Ratio(t.Levels[c.Level].Response, t.Period),
-			Weight:    w,
 		})
 	}
 	return f.Accumulate(us)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"rtoffload/internal/rtime"
@@ -69,17 +70,47 @@ func requireSameDecision(t *testing.T, got, want *Decision, ctx string) {
 	}
 }
 
+// requireCachedWeights asserts that every committed task cache still
+// holds its task's exact Theorem-3 weights, nil exactly where the
+// matching demand is nil. Re-decisions share the cached pointers, so a
+// total accumulated into one would skew every later decision.
+func requireCachedWeights(t *testing.T, a *Admission, ctx string) {
+	t.Helper()
+	for i, tk := range a.tasks {
+		c := a.caches[i]
+		if (c.localW == nil) != (c.local == nil) || (c.localW != nil && c.localW.Cmp(tk.Density()) != 0) {
+			t.Fatalf("%s: task %d local weight %v, want %v (demand %v)", ctx, tk.ID, c.localW, tk.Density(), c.local)
+		}
+		if len(c.levelW) != len(tk.Levels) {
+			t.Fatalf("%s: task %d caches %d level weights for %d levels", ctx, tk.ID, len(c.levelW), len(tk.Levels))
+		}
+		for j, w := range c.levelW {
+			if (w == nil) != (c.levels[j] == nil) {
+				t.Fatalf("%s: task %d level %d weight %v with demand %v", ctx, tk.ID, j, w, c.levels[j])
+			}
+			if w == nil {
+				continue
+			}
+			if want, err := tk.OffloadWeight(j); err != nil || w.Cmp(want) != 0 {
+				t.Fatalf("%s: task %d level %d weight %v, want %v (%v)", ctx, tk.ID, j, w, want, err)
+			}
+		}
+	}
+}
+
 // runAdmissionChurnDifferential drives one random add/update/remove
 // sequence through an Admission, checking after every committed
 // operation that the incremental decision is bit-identical to a full
-// Decide rebuild of the same set, and after every rejected operation
-// that the state was left untouched.
+// Decide rebuild of the same set, after every rejected operation that
+// the state was left untouched, and after every operation that the
+// committed caches hold their tasks' exact weights.
 func runAdmissionChurnDifferential(t *testing.T, opts Options, seed uint64, ops int) {
 	t.Helper()
 	rng := stats.NewRNG(stats.DeriveSeed(seed, 11))
 	a := NewAdmission(opts)
 	nextID := 0
 	for op := 0; op < ops; op++ {
+		requireCachedWeights(t, a, fmt.Sprintf("seed %d after op %d", seed, op-1))
 		before := a.Decision()
 		nBefore := a.Len()
 		switch {
@@ -126,6 +157,7 @@ func runAdmissionChurnDifferential(t *testing.T, opts Options, seed uint64, ops 
 		}
 		requireSameDecision(t, a.Decision(), ref, "churn")
 	}
+	requireCachedWeights(t, a, fmt.Sprintf("seed %d after op %d", seed, ops-1))
 }
 
 // TestAdmissionMatchesRebuild is the differential contract of the

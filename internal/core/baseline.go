@@ -44,7 +44,6 @@ func DecideServerFaster(set task.Set) (*Decision, error) {
 		d.Choices = append(d.Choices, ch)
 		d.TotalExpected += ch.Expected
 	}
-	ds, _ := demandsOf(d.Choices) // an invalid model fails theorem3Over
-	d.Theorem3Total, _ = theorem3Over(ds)
+	d.Theorem3Total, _ = theorem3Total(choiceCaches(d.Choices), d.Choices)
 	return d, nil
 }

@@ -208,35 +208,40 @@ var ratOne = big.NewRat(1, 1)
 
 // taskCache is the per-task decision state that depends only on the
 // task itself: its MCKP class, the item→(offload, level) map, and the
-// exact demand models of every choice. Decide derives it per call; the
-// online Admission manager caches one per admitted task so re-decisions
-// skip the big.Rat weight arithmetic and demand construction entirely.
+// exact demand model and Theorem-3 weight of every choice. Decide
+// derives it per call; the online Admission manager caches one per
+// admitted task so re-decisions skip the big.Rat weight arithmetic and
+// demand construction entirely. Admission shares a cache across
+// re-decisions, so nothing may write to its weights.
 type taskCache struct {
 	class mckp.Class
 	cm    []classMap
-	// local is the dbf.Sporadic demand of local execution (nil only
-	// when the task cannot form a valid sporadic model, which Validate
-	// excludes).
-	local dbf.Demand
+	// local is the dbf.Sporadic demand of local execution and localW
+	// its Theorem-3 weight Ci/Di (nil only when the task cannot form a
+	// valid sporadic model, which Validate excludes).
+	local  dbf.Demand
+	localW *big.Rat
 	// levels holds the candidate dbf.Offloaded demand per offloading
-	// level; nil entries mark levels that cannot form a valid split
-	// model and are never feasible. Unlike the MCKP items, over-dense
-	// levels (w > 1) are present — the exact-upgrade pass may still
-	// admit them.
+	// level and levelW its Theorem-3 weight (Ci,1+Ci,2)/(Di−ri,j); nil
+	// entries mark levels that cannot form a valid split model and are
+	// never feasible. Unlike the MCKP items, over-dense levels (w > 1)
+	// are present — the exact-upgrade pass may still admit them.
 	levels []dbf.Demand
+	levelW []*big.Rat
 }
 
-// taskDemands builds the exact demand models of every choice of one
-// task (the local and levels fields of its taskCache) through
-// demandOf; a choice without a valid model keeps a nil entry.
+// taskDemands builds the exact demand models and Theorem-3 weights of
+// every choice of one task (the local, localW, levels and levelW
+// fields of its taskCache) through demandOf; a choice without a valid
+// model keeps nil entries.
 func taskDemands(t *task.Task) taskCache {
-	c := taskCache{levels: make([]dbf.Demand, len(t.Levels))}
+	c := taskCache{levels: make([]dbf.Demand, len(t.Levels)), levelW: make([]*big.Rat, len(t.Levels))}
 	if d, err := demandOf(Choice{Task: t}); err == nil {
-		c.local = d
+		c.local, c.localW = d, t.Density()
 	}
 	for j := range t.Levels {
 		if d, err := demandOf(Choice{Task: t, Offload: true, Level: j}); err == nil {
-			c.levels[j] = d
+			c.levels[j], c.levelW[j] = d, d.(dbf.Offloaded).Theorem1Rate()
 		}
 	}
 	return c
@@ -247,16 +252,15 @@ func taskDemands(t *task.Task) taskCache {
 // per offloading level j with wi,j = (Ci,1+Ci,2)/(Di−ri,j) and profit
 // weight·Gi(ri,j); levels whose budget leaves no room (ri,j ≥ Di or
 // wi,j > 1) are excluded, as they can never satisfy Theorem 3 — along
-// with the cached demand models of every choice.
+// with the cached demand models and weights of every choice.
 func buildTaskCache(t *task.Task) taskCache {
 	c := taskDemands(t)
 	c.class.Label = t.Name
-	localW, _ := t.Density().Float64() //rtlint:allow floatexact -- exact→float handoff: MCKP weights are float64 by design; feasibility is re-certified exactly
+	localW, _ := c.localW.Float64() //rtlint:allow floatexact -- exact→float handoff: MCKP weights are float64 by design; feasibility is re-certified exactly
 	c.class.Items = append(c.class.Items, mckp.Item{Weight: localW, Profit: t.EffectiveWeight() * t.LocalBenefit})
 	c.cm = append(c.cm, classMap{offload: false})
-	for j := range t.Levels {
-		w, err := t.OffloadWeight(j)
-		if err != nil || c.levels[j] == nil {
+	for j, w := range c.levelW {
+		if w == nil {
 			continue // budget ≥ deadline or invalid split: never feasible
 		}
 		if w.Cmp(ratOne) > 0 {
@@ -334,35 +338,34 @@ func freshAnalyzer(ds []dbf.Demand) *dbf.Analyzer {
 // upgraded by the exact QPA test, on the dbf.Analyzer that analyzer
 // returns for its demands and under the pool ledger's guard when a
 // fleet is set; buf is the upgrade's candidate scratch (nil allocates
-// one). analyzer is only called once every fallible step has passed,
-// so an error leaves whatever state it closes over untouched.
+// one). A fleet decision's ServerLoads is the ledger's final account.
+// analyzer is only called once every fallible step has passed, so an
+// error leaves whatever state it closes over untouched.
 func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options,
 	analyzer func([]dbf.Demand) *dbf.Analyzer, buf *[]upgradeCand) (*Decision, error) {
 	d := assembleDecision(tasks, caches, sol, opts.Solver)
-	theorem3 := func(cs []Choice) (*big.Rat, bool) { return theorem3Over(choiceDemands(caches, cs)) }
 	var ledger *poolLedger
 	if opts.Fleet.Empty() {
-		if err := repairDecision(d, theorem3); err != nil {
+		if err := repairDecision(d, caches); err != nil {
 			return nil, err
 		}
 	} else {
 		var err error
-		if ledger, err = repairFleetDecision(d, opts.Fleet, theorem3); err != nil {
+		if ledger, err = repairFleetDecision(d, opts.Fleet, caches); err != nil {
 			return nil, err
 		}
 	}
-	if !opts.ExactUpgrade {
-		return d, nil
+	if opts.ExactUpgrade {
+		var guard upgradeGuard
+		if ledger != nil {
+			guard = ledger
+		}
+		d = exactUpgrade(d, caches, analyzer, guard, buf)
 	}
-	var guard upgradeGuard
 	if ledger != nil {
-		guard = ledger
+		d.ServerLoads = ledger.loads
 	}
-	out := exactUpgrade(d, caches, analyzer, guard, buf)
-	if ledger != nil {
-		out.ServerLoads = ledger.emit()
-	}
-	return out, nil
+	return d, nil
 }
 
 // solveOn runs solver s on mk's current instance, mapping the
@@ -418,10 +421,10 @@ func assembleDecision(set task.Set, caches []taskCache, sol mckp.Solution, solve
 // repairDecision is the exact verification + repair pass: float
 // accumulation in the solvers can, in principle, admit a configuration
 // a hair over 1. Downgrade the offloaded choice with the smallest
-// benefit loss until the exact test (evaluated by theorem3) passes.
-func repairDecision(d *Decision, theorem3 func([]Choice) (*big.Rat, bool)) error {
+// benefit loss until the exact test over the cached weights passes.
+func repairDecision(d *Decision, caches []taskCache) error {
 	for {
-		total, ok := theorem3(d.Choices)
+		total, ok := theorem3Total(caches, d.Choices)
 		if ok {
 			d.Theorem3Total = total
 			return nil
@@ -454,23 +457,32 @@ func choiceDemands(caches []taskCache, choices []Choice) []dbf.Demand {
 	return ds
 }
 
-// theorem3Over evaluates the exact Theorem-3 test over the demands of
-// a choice vector. A nil demand (no valid model: over-dense) fails the
-// test with total 2.
-func theorem3Over(ds []dbf.Demand) (*big.Rat, bool) {
-	var off []dbf.Offloaded
-	var loc []dbf.Sporadic
-	for _, d := range ds {
-		switch d := d.(type) {
-		case dbf.Offloaded:
-			off = append(off, d)
-		case dbf.Sporadic:
-			loc = append(loc, d)
-		default:
+// choiceCaches builds the demand models and weights of every choice's
+// task, index-aligned with choices.
+func choiceCaches(choices []Choice) []taskCache {
+	caches := make([]taskCache, len(choices))
+	for i, c := range choices {
+		caches[i] = taskDemands(c.Task)
+	}
+	return caches
+}
+
+// theorem3Total evaluates the exact Theorem-3 test (3) over the cached
+// weights of a choice vector into a fresh total. A choice without a
+// valid demand model (over-dense) fails the test with total 2.
+func theorem3Total(caches []taskCache, choices []Choice) (*big.Rat, bool) {
+	total := new(big.Rat)
+	for i, c := range choices {
+		w := caches[i].localW
+		if c.Offload {
+			w = caches[i].levelW[c.Level]
+		}
+		if w == nil {
 			return big.NewRat(2, 1), false
 		}
+		total.Add(total, w)
 	}
-	return dbf.Theorem3(off, loc)
+	return total, total.Cmp(ratOne) <= 0
 }
 
 // cheapestDowngrade picks the offloaded choice whose switch to local

@@ -3,23 +3,25 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/big"
 	"testing"
 
 	"rtoffload/internal/dbf"
 	"rtoffload/internal/mckp"
+	"rtoffload/internal/rtime"
 	"rtoffload/internal/stats"
 	"rtoffload/internal/task"
 )
 
 // This file keeps the original from-scratch single-server decision
 // path as a test-only oracle. It shares the MCKP reduction
-// (buildTaskCache), the solvers and the Theorem-3 repair loop with the
-// shipped pipeline, but evaluates Theorem 3 and builds the exact
-// upgrade's demands from the choices on every call instead of reading
-// the per-task caches certify works on, and it runs its own
-// index-order upgrade loop (refImproveLoop) instead of the shipped
-// gain-ordered scan. TestDecideMatchesReference holds Decide
+// (buildTaskCache) and the solvers with the shipped pipeline, but runs
+// its own Theorem-3 repair loop (refRepairDecision), evaluates Theorem
+// 3 through dbf.Theorem3 and builds the exact upgrade's demands from
+// the choices on every call instead of reading the per-task caches
+// certify works on, and it runs its own index-order upgrade loop
+// (refImproveLoop) instead of the shipped gain-ordered scan. TestDecideMatchesReference holds Decide
 // bit-identical to it; without it, the admission differentials would
 // only compare two callers of the same certify.
 
@@ -70,6 +72,30 @@ func theorem3Of(choices []Choice) (*big.Rat, bool) {
 		}
 	}
 	return dbf.Theorem3(off, loc)
+}
+
+// refRepairDecision is the original Theorem-3 repair loop: it
+// re-evaluates the whole choice vector through theorem3 after every
+// downgrade of the cheapest-loss offloaded choice.
+func refRepairDecision(d *Decision, theorem3 func([]Choice) (*big.Rat, bool)) error {
+	for {
+		total, ok := theorem3(d.Choices)
+		if ok {
+			d.Theorem3Total = total
+			return nil
+		}
+		idx := cheapestDowngrade(d.Choices)
+		if idx < 0 {
+			return ErrInfeasible
+		}
+		c := &d.Choices[idx]
+		d.TotalExpected -= c.Expected
+		c.Offload = false
+		c.Level = 0
+		c.Expected = c.Task.EffectiveWeight() * c.Task.LocalBenefit
+		d.TotalExpected += c.Expected
+		d.Repaired++
+	}
 }
 
 // newUpgradeState builds the Analyzer over the decision's current
@@ -229,7 +255,7 @@ func refDecide(set task.Set, opts Options) (*Decision, error) {
 		return nil, err
 	}
 	d := assembleDecision(set, mapCaches(maps), sol, opts.Solver)
-	if err := repairDecision(d, theorem3Of); err != nil {
+	if err := refRepairDecision(d, theorem3Of); err != nil {
 		return nil, err
 	}
 	if opts.ExactUpgrade {
@@ -284,5 +310,106 @@ func TestDecideMatchesReference(t *testing.T) {
 	}
 	if compared == 0 {
 		t.Fatal("no decision was compared")
+	}
+}
+
+// TestRepairDecisionMatchesReference drives the Theorem-3 repair loop
+// past its first check on hand-built choice vectors and holds it to
+// refRepairDecision: same error, choices, repair count, bitwise
+// objective and exact total. Each task has T = D = 100ms, C = 10ms
+// (density 1/10), C1 = 5ms, C2 = 10ms and one level, so a level at
+// R = 50ms weighs 3/10 and one at R = D has no demand model.
+func TestRepairDecisionMatchesReference(t *testing.T) {
+	mk := func(id int, r rtime.Duration, benefit float64) *task.Task {
+		return &task.Task{
+			ID: id, Period: ms(100), Deadline: ms(100),
+			LocalWCET: ms(10), Setup: ms(5), Compensation: ms(10),
+			LocalBenefit: 1, Levels: []task.Level{{Response: r, Benefit: benefit}},
+		}
+	}
+	off := func(tk *task.Task) Choice {
+		return Choice{Task: tk, Offload: true, Expected: tk.EffectiveWeight() * tk.Levels[0].Benefit}
+	}
+	loc := func(tk *task.Task) Choice {
+		return Choice{Task: tk, Expected: tk.EffectiveWeight() * tk.LocalBenefit}
+	}
+	for _, tc := range []struct {
+		name         string
+		choices      []Choice
+		wantErr      error
+		wantRepaired int
+		wantOffload  []bool
+	}{
+		{
+			// 5·3/10 = 3/2; the downgrades take the losses 1, 1.5 and
+			// then the tie at 2 between tasks 0 and 2 goes to task 0,
+			// leaving 2·3/10 + 3/10 = 9/10.
+			name: "three downgrades, tie by index",
+			choices: []Choice{off(mk(0, ms(50), 3)), off(mk(1, ms(50), 2)), off(mk(2, ms(50), 3)),
+				off(mk(3, ms(50), 4)), off(mk(4, ms(50), 2.5))},
+			wantRepaired: 3,
+			wantOffload:  []bool{false, false, true, true, false},
+		},
+		{
+			// Task 0's level has R = D: no demand model, so the vector
+			// fails although its weights would sum to 2/5.
+			name:         "no demand model, cheapest",
+			choices:      []Choice{off(mk(0, ms(100), 2)), off(mk(1, ms(50), 5))},
+			wantRepaired: 1,
+			wantOffload:  []bool{false, true},
+		},
+		{
+			// The model-less choice costs more to drop, so the valid
+			// one goes first and the vector still fails until both are
+			// local.
+			name:         "no demand model, dearest",
+			choices:      []Choice{off(mk(0, ms(100), 9)), off(mk(1, ms(50), 2))},
+			wantRepaired: 2,
+			wantOffload:  []bool{false, false},
+		},
+		{
+			name:    "all local over 1",
+			choices: []Choice{loc(heavyLocalTask(0, ms(60), ms(100))), loc(heavyLocalTask(1, ms(60), ms(100)))},
+			wantErr: ErrInfeasible,
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fresh := func() *Decision {
+				d := &Decision{Choices: append([]Choice(nil), tc.choices...)}
+				for _, c := range d.Choices {
+					d.TotalExpected += c.Expected
+				}
+				return d
+			}
+			got, want := fresh(), fresh()
+			gotErr := repairDecision(got, choiceCaches(got.Choices))
+			wantErr := refRepairDecision(want, theorem3Of)
+			if !errors.Is(gotErr, tc.wantErr) || !errors.Is(wantErr, tc.wantErr) {
+				t.Fatalf("errors %v (reference %v), want %v", gotErr, wantErr, tc.wantErr)
+			}
+			if tc.wantErr != nil {
+				return
+			}
+			for i := range got.Choices {
+				g, w := got.Choices[i], want.Choices[i]
+				if g.Offload != w.Offload || g.Level != w.Level ||
+					math.Float64bits(g.Expected) != math.Float64bits(w.Expected) {
+					t.Fatalf("choice %d: got {off=%v lv=%d exp=%x}, reference {off=%v lv=%d exp=%x}",
+						i, g.Offload, g.Level, g.Expected, w.Offload, w.Level, w.Expected)
+				}
+				if g.Offload != tc.wantOffload[i] {
+					t.Fatalf("choice %d offloaded %v, want %v", i, g.Offload, tc.wantOffload[i])
+				}
+			}
+			if got.Repaired != want.Repaired || got.Repaired != tc.wantRepaired {
+				t.Fatalf("Repaired %d (reference %d), want %d", got.Repaired, want.Repaired, tc.wantRepaired)
+			}
+			if math.Float64bits(got.TotalExpected) != math.Float64bits(want.TotalExpected) {
+				t.Fatalf("TotalExpected %x, reference %x", got.TotalExpected, want.TotalExpected)
+			}
+			if got.Theorem3Total.Cmp(want.Theorem3Total) != 0 {
+				t.Fatalf("Theorem3Total %v, reference %v", got.Theorem3Total, want.Theorem3Total)
+			}
+		})
 	}
 }

@@ -89,8 +89,7 @@ func ReadDecisionJSON(r io.Reader, set task.Set) (*Decision, error) {
 		d.Choices = append(d.Choices, ch)
 		d.TotalExpected += ch.Expected
 	}
-	ds, _ := demandsOf(d.Choices) // an invalid model fails theorem3Over
-	total, ok := theorem3Over(ds)
+	total, ok := theorem3Total(choiceCaches(d.Choices), d.Choices)
 	d.Theorem3Total = total
 	if f.Exact {
 		if err := VerifyExact(d); err != nil {

@@ -21,9 +21,9 @@ func demandOf(c Choice) (dbf.Demand, error) {
 	return dbf.NewSporadic(t.LocalWCET, t.Deadline, t.Period)
 }
 
-// demandsOf builds the exact demand model of a choice vector. A choice
-// without a valid model keeps a nil entry (which theorem3Over rejects),
-// and the first construction error is returned alongside.
+// demandsOf builds the exact demand model of a choice vector for
+// VerifyExact. A choice without a valid model keeps a nil entry, and
+// the first construction error is returned alongside.
 func demandsOf(choices []Choice) ([]dbf.Demand, error) {
 	ds := make([]dbf.Demand, len(choices))
 	var first error
@@ -65,11 +65,7 @@ func ImproveWithExact(d *Decision, set task.Set) (*Decision, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
-	caches := make([]taskCache, len(d.Choices))
-	for i, c := range d.Choices {
-		caches[i] = taskDemands(c.Task)
-	}
-	return exactUpgrade(d, caches, freshAnalyzer, nil, nil), nil
+	return exactUpgrade(d, choiceCaches(d.Choices), freshAnalyzer, nil, nil), nil
 }
 
 // exactUpgrade runs the exact-upgrade pass on a copy of d: analyzer
@@ -88,7 +84,7 @@ func exactUpgrade(d *Decision, caches []taskCache, analyzer func([]dbf.Demand) *
 	if az := analyzer(choiceDemands(caches, out.Choices)); az != nil {
 		improveLoop(out, az, caches, guard, buf)
 	}
-	out.Theorem3Total, _ = theorem3Over(choiceDemands(caches, out.Choices))
+	out.Theorem3Total, _ = theorem3Total(caches, out.Choices)
 	return out
 }
 

@@ -112,14 +112,11 @@ func TestImproveLoopMatchesReference(t *testing.T) {
 			if err != nil {
 				continue
 			}
-			caches := make([]taskCache, len(d.Choices))
-			for i, c := range d.Choices {
-				caches[i] = taskDemands(c.Task)
-			}
+			caches := choiceCaches(d.Choices)
 			var guard upgradeGuard
 			if shape != "" {
-				guard = newPoolLedger(opts.Fleet, d.Choices)
-				cv.note(d, caches, newPoolLedger(opts.Fleet, d.Choices))
+				guard = newPoolLedger(opts.Fleet, d.Choices, caches)
+				cv.note(d, caches, newPoolLedger(opts.Fleet, d.Choices, caches))
 			} else {
 				cv.note(d, caches, nil)
 			}
@@ -128,7 +125,7 @@ func TestImproveLoopMatchesReference(t *testing.T) {
 				if shape == "" {
 					return nil
 				}
-				return newPoolLedger(opts.Fleet, out.Choices)
+				return newPoolLedger(opts.Fleet, out.Choices, caches)
 			})
 			ctx := fmt.Sprintf("trial %d fleet %q", trial, shape)
 			if len(got.Choices) != len(want.Choices) {

@@ -54,16 +54,15 @@ import (
 // their account, so the decisions stay bit-identical to the
 // from-scratch pass kept in fleet_reference_test.go. The returned
 // ledger matches d.Choices and serves as the exact-upgrade capacity
-// guard.
-func repairFleetDecision(d *Decision, f fleet.Fleet, theorem3 func([]Choice) (*big.Rat, bool)) (*poolLedger, error) {
-	if err := repairDecision(d, theorem3); err != nil {
+// guard; its loads become the decision's ServerLoads.
+func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache) (*poolLedger, error) {
+	if err := repairDecision(d, caches); err != nil {
 		return nil, err
 	}
-	l := newPoolLedger(f, d.Choices)
+	l := newPoolLedger(f, d.Choices, caches)
 	for {
 		oi := l.firstOver()
 		if oi < 0 {
-			d.ServerLoads = l.emit()
 			return l, nil
 		}
 		if l.rerouteCheapest(d, oi) {
@@ -81,7 +80,7 @@ func repairFleetDecision(d *Decision, f fleet.Fleet, theorem3 func([]Choice) (*b
 		d.TotalExpected += c.Expected
 		d.Repaired++
 		l.commit(idx, -1)
-		if err := repairDecision(d, theorem3); err != nil {
+		if err := repairDecision(d, caches); err != nil {
 			return nil, err
 		}
 		l.sync(d.Choices) // the Theorem-3 repair may downgrade more
@@ -90,13 +89,15 @@ func repairFleetDecision(d *Decision, f fleet.Fleet, theorem3 func([]Choice) (*b
 
 // poolLedger is the exact incremental account of a fleet decision's
 // capacity pools. It caches, per (choice, point), the pools the point
-// routes to and its exact contributions, and keeps one running
-// fleet.Load per pool in fleet.Accumulate's layout (servers in fleet
-// order, then groups). The task of every choice is fixed for the
+// routes to and its exact occupancy contributions, and keeps one
+// running fleet.Load per pool in fleet.Accumulate's layout (servers in
+// fleet order, then groups). The Theorem-3 weights of the points are
+// read from the task caches. The task of every choice is fixed for the
 // ledger's lifetime; only the chosen points move.
 type poolLedger struct {
 	f       fleet.Fleet
 	tasks   []*task.Task
+	caches  []taskCache
 	loads   []fleet.Load
 	room    []big.Rat // Capacity − Occupancy per capped pool
 	groupOf []int     // server index → its group's pool index, or −1
@@ -115,12 +116,10 @@ type poolLedger struct {
 // resolved on first use.
 type poolPoint struct {
 	ready  bool
-	split  bool     // the point has a valid split demand model
 	server int      // server pool index, −1 when routed to no fleet server
 	group  int      // group pool index, −1 when the server has no group
 	occ    *big.Rat // Ri/Ti, charged to the server pool
 	gocc   *big.Rat // coupling weight · Ri/Ti, charged to the group pool
-	weight *big.Rat // Theorem-3 OffloadWeight, nil when the point has none
 }
 
 // share returns the point's contribution to pool k, or nil when the
@@ -137,12 +136,14 @@ func (p *poolPoint) share(k int) *big.Rat {
 	return nil
 }
 
-// newPoolLedger accounts the offloaded choices into fresh pools.
-func newPoolLedger(f fleet.Fleet, choices []Choice) *poolLedger {
+// newPoolLedger accounts the offloaded choices into fresh pools;
+// caches holds the choices' task caches, index-aligned.
+func newPoolLedger(f fleet.Fleet, choices []Choice, caches []taskCache) *poolLedger {
 	ns, np := len(f.Servers), len(f.Servers)+len(f.Groups)
 	l := &poolLedger{
 		f:       f,
 		tasks:   make([]*task.Task, len(choices)),
+		caches:  caches,
 		loads:   make([]fleet.Load, 0, np),
 		room:    make([]big.Rat, np),
 		groupOf: make([]int, ns),
@@ -152,8 +153,7 @@ func newPoolLedger(f fleet.Fleet, choices []Choice) *poolLedger {
 	for si, s := range f.Servers {
 		l.loads = append(l.loads, fleet.Load{
 			Pool: s.ID, Server: true,
-			Occupancy: new(big.Rat), Theorem3: new(big.Rat),
-			Capacity: s.Cap(),
+			Occupancy: new(big.Rat), Capacity: s.Cap(),
 		})
 		l.groupOf[si] = -1
 		for gi, g := range f.Groups {
@@ -164,9 +164,7 @@ func newPoolLedger(f fleet.Fleet, choices []Choice) *poolLedger {
 	}
 	for _, g := range f.Groups {
 		l.loads = append(l.loads, fleet.Load{
-			Pool:      g.ID,
-			Occupancy: new(big.Rat), Theorem3: new(big.Rat),
-			Capacity: g.Cap(),
+			Pool: g.ID, Occupancy: new(big.Rat), Capacity: g.Cap(),
 		})
 	}
 	for k, ld := range l.loads {
@@ -203,11 +201,6 @@ func (l *poolLedger) point(i, lv int) *poolPoint {
 		if s := l.f.Servers[si]; p.group >= 0 && (s.WeightNum != 0 || s.WeightDen != 0) {
 			p.gocc = new(big.Rat).Mul(s.CouplingWeight(), p.occ)
 		}
-	}
-	if w, err := t.OffloadWeight(lv); err == nil {
-		p.weight = w
-		_, err := demandOf(Choice{Task: t, Offload: true, Level: lv})
-		p.split = err == nil
 	}
 	return p
 }
@@ -250,19 +243,16 @@ func (l *poolLedger) account(p *poolPoint, sign int) {
 	if p.server < 0 {
 		return // fleet.Accumulate ignores unknown servers too
 	}
-	l.accountPool(p.server, p.occ, p.weight, sign)
+	l.accountPool(p.server, p.occ, sign)
 	if p.group >= 0 {
-		l.accountPool(p.group, p.gocc, p.weight, sign)
+		l.accountPool(p.group, p.gocc, sign)
 	}
 }
 
-func (l *poolLedger) accountPool(k int, occ, w *big.Rat, sign int) {
+func (l *poolLedger) accountPool(k int, occ *big.Rat, sign int) {
 	ld := &l.loads[k]
 	ld.Tasks += sign
 	addSigned(ld.Occupancy, occ, sign)
-	if w != nil {
-		addSigned(ld.Theorem3, w, sign)
-	}
 	if ld.Capacity != nil {
 		addSigned(&l.room[k], occ, -sign)
 	}
@@ -370,20 +360,18 @@ func (l *poolLedger) rerouteCheapest(d *Decision, oi int) bool {
 		if !l.contributes(i, oi) {
 			continue
 		}
-		from := l.point(i, c.Level)
-		if from.weight == nil {
+		ws := l.caches[i].levelW
+		from, wFrom := l.point(i, c.Level), ws[c.Level]
+		if wFrom == nil {
 			continue
 		}
 		t := c.Task
-		for lv := range t.Levels {
-			if lv == c.Level {
-				continue
+		for lv, wTo := range ws {
+			if lv == c.Level || wTo == nil {
+				continue // nil: no valid split model, Theorem 3 would reject it
 			}
 			to := l.point(i, lv)
-			if to.weight == nil || !to.split {
-				continue // no valid split model: theorem3 would reject it
-			}
-			if !l.drains(oi, from, to) || l.cmpDiff(to.weight, from.weight, &l.t3room) > 0 {
+			if !l.drains(oi, from, to) || l.cmpDiff(wTo, wFrom, &l.t3room) > 0 {
 				continue
 			}
 			loss := c.Expected - t.EffectiveWeight()*t.Levels[lv].Benefit
@@ -396,10 +384,11 @@ func (l *poolLedger) rerouteCheapest(d *Decision, oi int) bool {
 		return false
 	}
 	c := &d.Choices[bestIdx]
-	// Exact incremental update: big.Rat keeps the sum normalized, so
-	// the value matches a from-scratch dbf.Theorem3 evaluation.
-	total := new(big.Rat).Sub(d.Theorem3Total, l.point(bestIdx, c.Level).weight)
-	d.Theorem3Total = total.Add(total, l.point(bestIdx, bestLv).weight)
+	// Exact incremental update into a fresh total: big.Rat keeps the
+	// sum normalized, so the value matches a from-scratch evaluation.
+	ws := l.caches[bestIdx].levelW
+	total := new(big.Rat).Sub(d.Theorem3Total, ws[c.Level])
+	d.Theorem3Total = total.Add(total, ws[bestLv])
 	d.TotalExpected -= c.Expected
 	c.Level = bestLv
 	c.Expected = c.Task.EffectiveWeight() * c.Task.Levels[bestLv].Benefit
@@ -438,20 +427,4 @@ func (l *poolLedger) allows(i, lv int) bool {
 	}
 	to := l.point(i, lv)
 	return l.fits(to.server, from, to) && l.fits(to.group, from, to)
-}
-
-// emit snapshots the running account into fresh memory.
-func (l *poolLedger) emit() []fleet.Load {
-	out := make([]fleet.Load, len(l.loads))
-	for k, ld := range l.loads {
-		out[k] = fleet.Load{
-			Pool: ld.Pool, Server: ld.Server, Tasks: ld.Tasks,
-			Occupancy: new(big.Rat).Set(ld.Occupancy),
-			Theorem3:  new(big.Rat).Set(ld.Theorem3),
-		}
-		if ld.Capacity != nil {
-			out[k].Capacity = new(big.Rat).Set(ld.Capacity)
-		}
-	}
-	return out
 }

@@ -92,9 +92,9 @@ func BenchmarkFleetDecide(b *testing.B) {
 // must stay within its allocation budget. Allocation counts do not
 // depend on the machine, so unlike a timing gate this is CI-safe. The
 // from-scratch repair (re-accumulating every pool for every candidate
-// move) needed 834,659 allocations here; the pool ledger needs 10,664
+// move) needed 834,659 allocations here; the pool ledger needs 7,717
 // (Go 1.24; math/big's internals set the exact figure). The bound is
-// ~1.5× the ledger's count, far below the quadratic blow-up.
+// ~2× the ledger's count, far below the quadratic blow-up.
 func TestFleetDecideAllocsBounded(t *testing.T) {
 	const bound = 16000
 	set := campaignShapeSet(stats.NewRNG(stats.DeriveSeed(1, 77)), 48)

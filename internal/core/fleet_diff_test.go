@@ -267,13 +267,13 @@ func requireSameFleetDecision(t *testing.T, got, want *Decision, ctx string) {
 	for k, g := range got.ServerLoads {
 		w := want.ServerLoads[k]
 		same := g.Pool == w.Pool && g.Server == w.Server && g.Tasks == w.Tasks &&
-			g.Occupancy.Cmp(w.Occupancy) == 0 && g.Theorem3.Cmp(w.Theorem3) == 0 &&
+			g.Occupancy.Cmp(w.Occupancy) == 0 &&
 			(g.Capacity == nil) == (w.Capacity == nil) &&
 			(g.Capacity == nil || g.Capacity.Cmp(w.Capacity) == 0)
 		if !same {
-			t.Fatalf("%s: pool %d differs: got {%s tasks=%d occ=%v t3=%v cap=%v} want {%s tasks=%d occ=%v t3=%v cap=%v}",
-				ctx, k, g.Pool, g.Tasks, g.Occupancy, g.Theorem3, g.Capacity,
-				w.Pool, w.Tasks, w.Occupancy, w.Theorem3, w.Capacity)
+			t.Fatalf("%s: pool %d differs: got {%s tasks=%d occ=%v cap=%v} want {%s tasks=%d occ=%v cap=%v}",
+				ctx, k, g.Pool, g.Tasks, g.Occupancy, g.Capacity,
+				w.Pool, w.Tasks, w.Occupancy, w.Capacity)
 		}
 	}
 }

@@ -69,8 +69,7 @@ func (refGuard) commit(int, int)         {}
 
 // refDecisionLoads folds the decision's offloaded choices into the
 // fleet's capacity pools: each choice contributes its exact occupancy
-// Ri/Ti and Theorem-3 weight to the server it routes to (and to that
-// server's group).
+// Ri/Ti to the server it routes to (and to that server's group).
 func refDecisionLoads(choices []Choice, f fleet.Fleet) []fleet.Load {
 	us := make([]fleet.Usage, 0, len(choices))
 	for _, c := range choices {
@@ -78,14 +77,9 @@ func refDecisionLoads(choices []Choice, f fleet.Fleet) []fleet.Load {
 			continue
 		}
 		t := c.Task
-		w, err := t.OffloadWeight(c.Level)
-		if err != nil {
-			w = new(big.Rat) // unreachable for certified choices
-		}
 		us = append(us, fleet.Usage{
 			Server:    t.Levels[c.Level].ServerID,
 			Occupancy: rtime.Ratio(t.Levels[c.Level].Response, t.Period),
-			Weight:    w,
 		})
 	}
 	return f.Accumulate(us)
@@ -95,7 +89,7 @@ func refDecisionLoads(choices []Choice, f fleet.Fleet) []fleet.Load {
 // Theorem-3 repair, then the capacity pools, recomputing every pool
 // from scratch on every iteration and for every candidate move.
 func refRepairFleetDecision(d *Decision, f fleet.Fleet, theorem3 func([]Choice) (*big.Rat, bool)) error {
-	if err := repairDecision(d, theorem3); err != nil {
+	if err := refRepairDecision(d, theorem3); err != nil {
 		return err
 	}
 	for {
@@ -119,7 +113,7 @@ func refRepairFleetDecision(d *Decision, f fleet.Fleet, theorem3 func([]Choice) 
 		c.Expected = c.Task.EffectiveWeight() * c.Task.LocalBenefit
 		d.TotalExpected += c.Expected
 		d.Repaired++
-		if err := repairDecision(d, theorem3); err != nil {
+		if err := refRepairDecision(d, theorem3); err != nil {
 			return err
 		}
 	}

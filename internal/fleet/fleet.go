@@ -358,12 +358,10 @@ func (f Fleet) ExpandSet(set task.Set) (task.Set, error) {
 }
 
 // Usage is one offloaded choice's exact contribution to its server's
-// pools: the occupancy Ri/Ti it consumes and, for bookkeeping, its
-// Theorem-3 weight.
+// pools: the occupancy Ri/Ti it consumes.
 type Usage struct {
 	Server    string
 	Occupancy *big.Rat
-	Weight    *big.Rat
 }
 
 // Load is one capacity pool's account after accumulation: either a
@@ -376,21 +374,12 @@ type Load struct {
 	Server    bool
 	Tasks     int
 	Occupancy *big.Rat
-	Theorem3  *big.Rat
 	Capacity  *big.Rat
 }
 
 // Over reports whether the pool exceeds its capacity.
 func (l Load) Over() bool {
 	return l.Capacity != nil && l.Occupancy.Cmp(l.Capacity) > 0
-}
-
-// Headroom returns Capacity − Occupancy, or nil for unbounded pools.
-func (l Load) Headroom() *big.Rat {
-	if l.Capacity == nil {
-		return nil
-	}
-	return new(big.Rat).Sub(l.Capacity, l.Occupancy)
 }
 
 // Accumulate folds per-choice usages into the fleet's capacity pools:
@@ -403,16 +392,13 @@ func (f Fleet) Accumulate(us []Usage) []Load {
 	for _, s := range f.Servers {
 		loads = append(loads, Load{
 			Pool: s.ID, Server: true,
-			Occupancy: new(big.Rat), Theorem3: new(big.Rat),
-			Capacity: s.Cap(),
+			Occupancy: new(big.Rat), Capacity: s.Cap(),
 		})
 	}
 	for _, g := range f.Groups {
 		gidx[g.ID] = len(loads)
 		loads = append(loads, Load{
-			Pool:      g.ID,
-			Occupancy: new(big.Rat), Theorem3: new(big.Rat),
-			Capacity: g.Cap(),
+			Pool: g.ID, Occupancy: new(big.Rat), Capacity: g.Cap(),
 		})
 	}
 	for _, u := range us {
@@ -423,12 +409,10 @@ func (f Fleet) Accumulate(us []Usage) []Load {
 		l := &loads[si]
 		l.Tasks++
 		l.Occupancy.Add(l.Occupancy, u.Occupancy)
-		l.Theorem3.Add(l.Theorem3, u.Weight)
 		if g := f.Servers[si].Group; g != "" {
 			gl := &loads[gidx[g]]
 			gl.Tasks++
 			gl.Occupancy.Add(gl.Occupancy, new(big.Rat).Mul(f.Servers[si].CouplingWeight(), u.Occupancy))
-			gl.Theorem3.Add(gl.Theorem3, u.Weight)
 		}
 	}
 	return loads

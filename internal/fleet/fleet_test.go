@@ -263,9 +263,9 @@ func TestAccumulateAndPools(t *testing.T) {
 		Groups: []Group{{ID: "g", CapNum: 1, CapDen: 2}},
 	}
 	us := []Usage{
-		{Server: "a", Occupancy: big.NewRat(1, 8), Weight: big.NewRat(1, 10)},
-		{Server: "b", Occupancy: big.NewRat(1, 8), Weight: big.NewRat(1, 10)},
-		{Server: "ghost", Occupancy: big.NewRat(1, 2), Weight: big.NewRat(1, 2)},
+		{Server: "a", Occupancy: big.NewRat(1, 8)},
+		{Server: "b", Occupancy: big.NewRat(1, 8)},
+		{Server: "ghost", Occupancy: big.NewRat(1, 2)},
 	}
 	loads := f.Accumulate(us)
 	if len(loads) != 3 {
@@ -278,23 +278,17 @@ func TestAccumulateAndPools(t *testing.T) {
 	if a.Over() {
 		t.Fatal("pool a within capacity")
 	}
-	if h := a.Headroom(); h.Cmp(big.NewRat(1, 8)) != 0 {
-		t.Fatalf("pool a headroom: %v", h)
-	}
-	if b.Capacity != nil || b.Headroom() != nil || b.Over() {
+	if b.Capacity != nil || b.Over() {
 		t.Fatalf("pool b must be unbounded: %+v", b)
 	}
 	// Group: 2·(1/8) + 1·(1/8) = 3/8 ≤ 1/2.
 	if g.Pool != "g" || g.Server || g.Occupancy.Cmp(big.NewRat(3, 8)) != 0 || g.Tasks != 2 {
 		t.Fatalf("pool g: %+v", g)
 	}
-	if g.Theorem3.Cmp(big.NewRat(1, 5)) != 0 {
-		t.Fatalf("pool g theorem3: %v", g.Theorem3)
-	}
 	if FirstOver(loads) != -1 {
 		t.Fatal("no pool is over")
 	}
-	loads = f.Accumulate(append(us, Usage{Server: "a", Occupancy: big.NewRat(1, 4), Weight: new(big.Rat)}))
+	loads = f.Accumulate(append(us, Usage{Server: "a", Occupancy: big.NewRat(1, 4)}))
 	if FirstOver(loads) != 0 {
 		t.Fatalf("pool a must be over: %d", FirstOver(loads))
 	}
