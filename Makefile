@@ -16,9 +16,8 @@ MCKPBENCH = BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve|BenchmarkAdmitdChurn
 
 # The fleet-campaign benchmarks tracked in BENCH_9.json: streaming
 # cells (one-pass checker inline, wheel queues) at 1k/10k/100k tasks,
-# the 100k-task on-disk sink endpoint, and the checker alone on a
-# recorded 4000-task cell.
-CAMPBENCH = BenchmarkCampaignCellStreaming|BenchmarkCampaignCellDisk100k|BenchmarkStreamCheckerCell
+# and the checker alone on a recorded 4000-task cell.
+CAMPBENCH = BenchmarkCampaignCellStreaming|BenchmarkStreamCheckerCell
 
 # Scratch directory for the campaign kill-and-resume smoke.
 CAMP_SMOKE_DIR = .smoke-campaign
@@ -28,7 +27,7 @@ CAMP_SMOKE_ARGS = -campaign 3 -campaign-tasks 10 -parallel 2
 FLEET_SMOKE_DIR = .smoke-fleet
 FLEET_SMOKE_ARGS = -fleet -campaign 2 -campaign-tasks 10 -parallel 2
 
-.PHONY: build test vet race verify lint alloc-gate bench bench-sched bench-admitd bench-mckp bench-campaign bench-smoke smoke-admitd smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
+.PHONY: build test vet race verify lint reach alloc-gate bench bench-sched bench-admitd bench-mckp bench-campaign bench-smoke smoke-admitd smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -50,11 +49,24 @@ race:
 lint:
 	$(GO) run ./cmd/rtlint -dir .
 
+# Reachability gate: every function with a body in a non-main package
+# must be linked into a shipped binary (the mains under cmd/ and
+# examples/, plus _perfbench). Each is built without inlining, so every
+# linked function keeps a symbol; rtlint reads the symbols and reports
+# each unlinked function at its declaration unless an
+# //rtlint:allow reach directive states its role (see CONTRIBUTING.md).
+# Nothing is written outside a temporary directory.
+reach:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	$(GO) build -gcflags=all=-l -o "$$tmp/" ./... && \
+	$(GO) -C _perfbench build -gcflags=all=-l -o "$$tmp/perfbench" . && \
+	$(GO) run ./cmd/rtlint -dir . -reach "$$tmp"/*
+
 # Dynamic twin of the //rtlint:hotpath annotations: every hot-path
 # root has a testing.AllocsPerRun gate asserting the warm operation
 # allocates zero times (see DESIGN.md §5.7). Covers the dispatch
-# kernel, the time-wheel calendar, the binary trace sink's emit path,
-# and the streaming trace checker's event path. Also bounds the allocations of a fixed 48-task hot fleet
+# kernel, the time-wheel calendar and the streaming trace checker's
+# event path. Also bounds the allocations of a fixed 48-task hot fleet
 # Decide, the deterministic guard against the capacity repair going
 # quadratic again, and of a fixed-seed exact-upgrade admission churn
 # replay, which holds the upgrade's candidate buffer to reuse.
@@ -110,7 +122,7 @@ smoke-fleet:
 # The pre-merge gate. It also vets the _perfbench module, which builds
 # against this module's internal packages: a change to an exported type
 # there would otherwise only show when the benchmark runs.
-verify: vet lint build race alloc-gate smoke-mckp smoke-admitd smoke-campaign smoke-fleet
+verify: vet lint reach build race alloc-gate smoke-mckp smoke-admitd smoke-campaign smoke-fleet
 	$(GO) -C _perfbench vet ./...
 
 # Micro-benchmarks of the incremental demand-analysis engine, recorded
@@ -149,8 +161,8 @@ bench-mckp:
 	$(GO) run ./cmd/benchjson -label current -merge BENCH_7.json < BENCH_7.txt > BENCH_7.json.tmp
 	mv BENCH_7.json.tmp BENCH_7.json
 
-# Fleet-campaign benchmarks: streaming cells at 1k/10k/100k tasks plus
-# the 100k-task on-disk endpoint, recorded like `bench`: text in
+# Fleet-campaign benchmarks: streaming cells at 1k/10k/100k tasks,
+# recorded like `bench`: text in
 # BENCH_9.txt, a JSON session that replaces the `current` entry of
 # BENCH_9.json (its materialize-and-validate baseline entry, whose code
 # path is gone, stays). The 100k fixed-memory ceiling assertion runs

@@ -265,3 +265,126 @@ func Pure(x int) int { return x + 1 }
 		t.Errorf("output missing stale-directive finding:\n%s", out)
 	}
 }
+
+// TestReachGate builds a small module's binary without inlining and
+// runs the reachability gate over it. Generic functions and methods
+// on generic types are linked only under instantiated names, so they
+// stay silent only if the symbols normalize to their declarations.
+// An allowed unlinked function stays silent; an unlinked function, one
+// that only a _test.go file calls, and a reach allow that covers a
+// linked function are reported. A lint run does not judge the reach
+// allow, since only a -reach run can use it.
+func TestReachGate(t *testing.T) {
+	bin := buildRtlint(t)
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module tmpmod\n\ngo 1.22\n",
+		"internal/lib/lib.go": `package lib
+
+func Map[T any](xs []T, f func(T) T) []T {
+	out := make([]T, 0, len(xs))
+	for _, x := range xs {
+		out = append(out, f(x))
+	}
+	return out
+}
+
+type Stack[E any] struct{ es []E }
+
+func (s *Stack[E]) Push(e E) { s.es = append(s.es, e) }
+
+func (s *Stack[E]) Len() int { return len(s.es) }
+
+//rtlint:allow reach -- reference: nothing needs this allow
+func Used() int { return 1 }
+
+func Unused() int { return 2 }
+
+func OnlyTest() int { return 3 }
+
+//rtlint:allow reach -- reference: the oracle the tests compare Used against
+func Oracle() int { return 1 }
+`,
+		"internal/lib/lib_test.go": `package lib
+
+import "testing"
+
+func TestOnly(t *testing.T) {
+	if OnlyTest() != 3 || Oracle() != Used() {
+		t.Fatal("bad")
+	}
+}
+`,
+		"cmd/tool/main.go": `package main
+
+import (
+	"fmt"
+
+	"tmpmod/internal/lib"
+)
+
+func main() {
+	s := &lib.Stack[string]{}
+	s.Push("a")
+	fmt.Println(lib.Map([]int{1, 2}, func(x int) int { return x * 2 }), s.Len(), lib.Used())
+}
+
+func notShipped() {}
+`,
+	})
+	tool := filepath.Join(t.TempDir(), "tool")
+	build := exec.Command("go", "build", "-gcflags=all=-l", "-o", tool, "./cmd/tool")
+	build.Dir = dir
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building the module's binary: %v\n%s", err, out)
+	}
+
+	out, err := exec.Command(bin, "-dir", dir, "-reach", tool).CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("want exit 1, got err=%v\n%s", err, out)
+	}
+	text := string(out)
+	for _, want := range []string{
+		"internal/lib/lib.go:17:1: [directive] rtlint:allow reach suppresses nothing; delete the stale directive",
+		"internal/lib/lib.go:20:1: [reach] Unused is linked into no shipped binary",
+		"internal/lib/lib.go:22:1: [reach] OnlyTest is linked into no shipped binary",
+		"rtlint: reach: 3 function(s) of 3 line(s) linked into none of 1 binaries",
+		"rtlint: 3 finding(s)",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q\noutput:\n%s", want, text)
+		}
+	}
+	for _, silent := range []string{"Map", "Push", "Len", "Oracle", "notShipped"} {
+		if strings.Contains(text, "[reach] "+silent) {
+			t.Errorf("%s reported as unlinked\noutput:\n%s", silent, text)
+		}
+	}
+
+	out, err = exec.Command(bin, "-dir", dir).CombinedOutput()
+	if err != nil {
+		t.Fatalf("lint run judged the reach allows: %v\n%s", err, out)
+	}
+}
+
+// TestReachUsage asserts -reach and binary arguments come together,
+// and that an argument that is not an executable is a usage failure.
+func TestReachUsage(t *testing.T) {
+	bin := buildRtlint(t)
+	dir := writeModule(t, map[string]string{
+		"go.mod":      "module tmpmod\n\ngo 1.22\n",
+		"lib/lib.go":  "package lib\n",
+		"notes/x.txt": "not a binary\n",
+	})
+	for _, args := range [][]string{
+		{"-dir", dir, "-reach"},
+		{"-dir", dir, filepath.Join(dir, "notes/x.txt")},
+		{"-dir", dir, "-reach", filepath.Join(dir, "notes/x.txt")},
+	} {
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		ee, ok := err.(*exec.ExitError)
+		if !ok || ee.ExitCode() != 2 {
+			t.Errorf("%q: want exit 2, got err=%v\n%s", args, err, out)
+		}
+	}
+}

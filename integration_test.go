@@ -6,6 +6,7 @@ package rtoffload_test
 
 import (
 	"bytes"
+	"math/big"
 	"testing"
 
 	"rtoffload/internal/core"
@@ -51,7 +52,7 @@ func TestREADMEPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dec.CmpTheorem3() > 0 {
+	if dec.Theorem3Total.Cmp(big.NewRat(1, 1)) > 0 {
 		t.Fatalf("decision over capacity: %v", dec.Theorem3Total)
 	}
 	var tr trace.Trace

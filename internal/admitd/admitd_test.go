@@ -269,3 +269,17 @@ func TestOpKindString(t *testing.T) {
 		}
 	}
 }
+
+// String names a OpKind in test output; no shipped binary prints one.
+func (k OpKind) String() string {
+	switch k {
+	case OpAdmit:
+		return "admit"
+	case OpUpdate:
+		return "update"
+	case OpEvict:
+		return "evict"
+	default:
+		return fmt.Sprintf("OpKind(%d)", int(k))
+	}
+}

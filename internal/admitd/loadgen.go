@@ -25,20 +25,6 @@ const (
 	OpEvict
 )
 
-// String implements fmt.Stringer.
-func (k OpKind) String() string {
-	switch k {
-	case OpAdmit:
-		return "admit"
-	case OpUpdate:
-		return "update"
-	case OpEvict:
-		return "evict"
-	default:
-		return fmt.Sprintf("OpKind(%d)", int(k))
-	}
-}
-
 // Op is one step of a churn stream.
 type Op struct {
 	Kind OpKind

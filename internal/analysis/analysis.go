@@ -29,6 +29,10 @@
 //     escape their owner (exported returns, outside stores, channel
 //     sends, closure captures).
 //
+// The reach gate (reach.go) runs apart from both layers, over the
+// symbol tables of the shipped binaries: every library function must
+// be linked into one of them.
+//
 // A finding can be exempted only by an explicit directive carrying a
 // reason:
 //
@@ -144,19 +148,6 @@ func DefaultTargets() []Target {
 			return relDir == "" || strings.HasPrefix(relDir, "internal/")
 		}},
 	}
-}
-
-// RunPackage applies every matching target to one loaded package and
-// returns the findings, including directive problems (malformed,
-// unknown analyzer, suppresses nothing).
-func RunPackage(pkg *Package, targets []Target) []Diagnostic {
-	var diags []Diagnostic
-	sink := func(d Diagnostic) { diags = append(diags, d) }
-	ds := ParseDirectives(pkg.Fset, pkg.Files)
-	runTargets(pkg, targets, ds, sink)
-	diags = append(diags, ds.Problems()...)
-	SortDiagnostics(diags)
-	return diags
 }
 
 // runTargets runs the matching per-package analyzers against pkg,

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -158,8 +159,11 @@ func parseAllow(d *directive, rest string) {
 		}
 		d.analyzers = append(d.analyzers, name)
 	}
-	if len(d.analyzers) == 0 {
+	switch {
+	case len(d.analyzers) == 0:
 		d.problem = "rtlint:allow directive names no analyzer"
+	case len(d.analyzers) > 1 && slices.Contains(d.analyzers, Reach.Name):
+		d.problem = "rtlint:allow reach takes no other analyzer: only rtlint -reach judges it"
 	}
 }
 
@@ -190,6 +194,7 @@ func knownAnalyzerNames() map[string]bool {
 	for _, a := range AllInterprocedural {
 		known[a.Name] = true
 	}
+	known[Reach.Name] = true
 	return known
 }
 
@@ -226,7 +231,9 @@ func (s *DirectiveSet) annotationsAt(verb, filename string, line int) []*directi
 
 // Problems reports malformed directives, allow directives that
 // suppressed nothing, and annotations that bound to no declaration, so
-// no exemption or annotation can outlive the code it describes.
+// no exemption or annotation can outlive the code it describes. An
+// allow that names only the reach analyzer is judged by RunReach
+// alone, since only a run over the shipped binaries can use it.
 func (s *DirectiveSet) Problems() []Diagnostic {
 	var diags []Diagnostic
 	for _, d := range s.all {
@@ -235,11 +242,10 @@ func (s *DirectiveSet) Problems() []Diagnostic {
 			diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: directiveAnalyzer, Message: d.problem})
 		case d.used:
 		case d.verb == "allow":
-			diags = append(diags, Diagnostic{
-				Pos:      d.pos,
-				Analyzer: directiveAnalyzer,
-				Message:  "rtlint:allow " + strings.Join(d.analyzers, ",") + " suppresses nothing; delete the stale directive",
-			})
+			if len(d.analyzers) == 1 && d.analyzers[0] == Reach.Name {
+				continue
+			}
+			diags = append(diags, staleAllow(d))
 		default:
 			diags = append(diags, Diagnostic{
 				Pos:      d.pos,
@@ -249,6 +255,26 @@ func (s *DirectiveSet) Problems() []Diagnostic {
 		}
 	}
 	return diags
+}
+
+// staleAllows reports the well-formed allow directives naming analyzer
+// that suppressed nothing.
+func (s *DirectiveSet) staleAllows(analyzer string) []Diagnostic {
+	var diags []Diagnostic
+	for _, d := range s.all {
+		if d.problem == "" && !d.used && d.verb == "allow" && slices.Contains(d.analyzers, analyzer) {
+			diags = append(diags, staleAllow(d))
+		}
+	}
+	return diags
+}
+
+func staleAllow(d *directive) Diagnostic {
+	return Diagnostic{
+		Pos:      d.pos,
+		Analyzer: directiveAnalyzer,
+		Message:  "rtlint:allow " + strings.Join(d.analyzers, ",") + " suppresses nothing; delete the stale directive",
+	}
 }
 
 // annotationTarget names the declaration kind a verb must document,

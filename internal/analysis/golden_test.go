@@ -10,6 +10,41 @@ import (
 	"testing"
 )
 
+// loadPackage parses and type-checks the single package in pkgDir
+// (which may live under a testdata tree), resolving module-internal
+// imports against the module rooted at modDir. relDir is the
+// module-relative directory the package should pretend to live in, so
+// scope-sensitive rules can be exercised from tests.
+func loadPackage(modDir, pkgDir, relDir string) (*Package, error) {
+	absMod, err := filepath.Abs(modDir)
+	if err != nil {
+		return nil, err
+	}
+	modPath, err := modulePath(absMod)
+	if err != nil {
+		return nil, err
+	}
+	l := newLoader(absMod, modPath)
+	pkg, err := l.check(pkgDir, relDir)
+	if err != nil {
+		return nil, err
+	}
+	return pkg, nil
+}
+
+// runPackage applies every matching target to one loaded package and
+// returns the findings, including directive problems (malformed,
+// unknown analyzer, suppresses nothing).
+func runPackage(pkg *Package, targets []Target) []Diagnostic {
+	var diags []Diagnostic
+	sink := func(d Diagnostic) { diags = append(diags, d) }
+	ds := ParseDirectives(pkg.Fset, pkg.Files)
+	runTargets(pkg, targets, ds, sink)
+	diags = append(diags, ds.Problems()...)
+	SortDiagnostics(diags)
+	return diags
+}
+
 // repoRoot walks up from the working directory to the module root.
 func repoRoot(t *testing.T) string {
 	t.Helper()
@@ -72,7 +107,7 @@ func loadGolden(t *testing.T, dir, relDir string) *Package {
 	t.Helper()
 	root := repoRoot(t)
 	pkgDir := filepath.Join(root, "internal", "analysis", "testdata", "src", dir)
-	pkg, err := LoadPackage(root, pkgDir, relDir)
+	pkg, err := loadPackage(root, pkgDir, relDir)
 	if err != nil {
 		t.Fatalf("loading %s: %v", dir, err)
 	}
@@ -84,7 +119,7 @@ func loadGolden(t *testing.T, dir, relDir string) *Package {
 func checkGolden(t *testing.T, az *Analyzer, dir, relDir string) {
 	t.Helper()
 	pkg := loadGolden(t, dir, relDir)
-	diags := RunPackage(pkg, []Target{{az, func(string, string) bool { return true }}})
+	diags := runPackage(pkg, []Target{{az, func(string, string) bool { return true }}})
 	diffGolden(t, pkg, diags)
 }
 
@@ -176,12 +211,12 @@ func TestArenaEscapeGolden(t *testing.T) {
 func TestFileScoping(t *testing.T) {
 	root := repoRoot(t)
 	pkgDir := filepath.Join(root, "internal", "analysis", "testdata", "src", "floatexact")
-	pkg, err := LoadPackage(root, pkgDir, "internal/dbf")
+	pkg, err := loadPackage(root, pkgDir, "internal/dbf")
 	if err != nil {
 		t.Fatal(err)
 	}
 	none := func(relDir, base string) bool { return false }
-	diags := RunPackage(pkg, []Target{{FloatExact, none}})
+	diags := runPackage(pkg, []Target{{FloatExact, none}})
 	for _, d := range diags {
 		if d.Analyzer == FloatExact.Name {
 			t.Errorf("out-of-scope file reported: %s", d)

@@ -243,28 +243,6 @@ func LoadModule(dir string) (*Module, error) {
 	return mod, nil
 }
 
-// LoadPackage parses and type-checks the single package in pkgDir
-// (which may live under a testdata tree), resolving module-internal
-// imports against the module rooted at modDir. relDir is the
-// module-relative directory the package should pretend to live in, so
-// scope-sensitive rules can be exercised from tests.
-func LoadPackage(modDir, pkgDir, relDir string) (*Package, error) {
-	absMod, err := filepath.Abs(modDir)
-	if err != nil {
-		return nil, err
-	}
-	modPath, err := modulePath(absMod)
-	if err != nil {
-		return nil, err
-	}
-	l := newLoader(absMod, modPath)
-	pkg, err := l.check(pkgDir, relDir)
-	if err != nil {
-		return nil, err
-	}
-	return pkg, nil
-}
-
 // modulePath reads the module path from dir/go.mod.
 func modulePath(dir string) (string, error) {
 	data, err := os.ReadFile(filepath.Join(dir, "go.mod"))

@@ -114,7 +114,7 @@ func TestLoadModuleSkipsNonCode(t *testing.T) {
 func TestLoadPackageEmptyDir(t *testing.T) {
 	mod := writeTree(t, map[string]string{"go.mod": "module tmpmod\n\ngo 1.22\n"})
 	empty := t.TempDir()
-	if _, err := LoadPackage(mod, empty, "x"); err == nil || !strings.Contains(err.Error(), "no Go source files") {
+	if _, err := loadPackage(mod, empty, "x"); err == nil || !strings.Contains(err.Error(), "no Go source files") {
 		t.Fatalf("err = %v, want no-sources error", err)
 	}
 }

@@ -84,15 +84,6 @@ func FromTask(t *task.Task) *Function {
 	return MustNew(t.LocalBenefit, pts...)
 }
 
-// Q reports the number of discrete points including the local point at
-// r = 0 (the paper's Qi).
-func (f *Function) Q() int { return len(f.points) }
-
-// Points returns a copy of all points including the local point.
-func (f *Function) Points() []Point {
-	return append([]Point(nil), f.points...)
-}
-
 // OffloadPoints returns a copy of the points with R > 0.
 func (f *Function) OffloadPoints() []Point {
 	return append([]Point(nil), f.points[1:]...)
@@ -100,9 +91,6 @@ func (f *Function) OffloadPoints() []Point {
 
 // Local returns Gi(0).
 func (f *Function) Local() float64 { return f.points[0].Value }
-
-// Max returns the largest benefit value (the last point's).
-func (f *Function) Max() float64 { return f.points[len(f.points)-1].Value }
 
 // At evaluates the step function: the value of the largest point with
 // R ≤ r. At(r) for r < 0 returns the local value.
@@ -186,57 +174,4 @@ func (f *Function) String() string {
 		s += fmt.Sprintf("G(%v)=%.4g", p.R, p.Value)
 	}
 	return s
-}
-
-// FromResponseSamples builds a probability-valued benefit function by
-// statistical analysis of measured response times (§3.2's "statistical
-// analysis and measurement"): point j is the qj-quantile of the samples
-// with value qj. Quantiles must be strictly increasing in (0, 1].
-// localProb is the probability assigned to local execution (usually 0).
-func FromResponseSamples(samples []rtime.Duration, quantiles []float64, localProb float64) (*Function, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("benefit: no response samples")
-	}
-	if len(quantiles) == 0 {
-		return nil, fmt.Errorf("benefit: no quantiles")
-	}
-	xs := make([]float64, len(samples))
-	for i, s := range samples {
-		if s < 0 {
-			return nil, fmt.Errorf("benefit: negative response sample %v", s)
-		}
-		xs[i] = float64(s)
-	}
-	ecdf := stats.NewECDF(xs)
-	pts := make([]Point, 0, len(quantiles))
-	prevQ := localProb
-	prevR := rtime.Duration(0)
-	for i, q := range quantiles {
-		if q <= 0 || q > 1 {
-			return nil, fmt.Errorf("benefit: quantile %g out of (0,1]", q)
-		}
-		if q <= prevQ {
-			return nil, fmt.Errorf("benefit: quantile %d (%g) not increasing", i, q)
-		}
-		prevQ = q
-		r := rtime.Duration(ecdf.Quantile(q))
-		if r <= prevR {
-			r = prevR + 1
-		}
-		prevR = r
-		pts = append(pts, Point{R: r, Value: q})
-	}
-	return New(localProb, pts...)
-}
-
-// ApplyToTask writes the function's offload points into the task's
-// levels (replacing them), keeping any per-level WCET overrides is not
-// possible since the level set changes; tasks that need overrides
-// should be built directly.
-func (f *Function) ApplyToTask(t *task.Task) {
-	t.LocalBenefit = f.Local()
-	t.Levels = t.Levels[:0]
-	for _, p := range f.points[1:] {
-		t.Levels = append(t.Levels, task.Level{Response: p.R, Benefit: p.Value})
-	}
 }

@@ -59,23 +59,17 @@ func TestMustNewPanics(t *testing.T) {
 
 func TestAccessors(t *testing.T) {
 	f := sampleFn(t)
-	if f.Q() != 5 {
-		t.Errorf("Q = %d, want 5", f.Q())
-	}
 	if f.Local() != 22.5 {
 		t.Errorf("Local = %g", f.Local())
-	}
-	if f.Max() != 99 {
-		t.Errorf("Max = %g", f.Max())
 	}
 	if n := len(f.OffloadPoints()); n != 4 {
 		t.Errorf("OffloadPoints = %d", n)
 	}
-	// Points returns a copy.
-	pts := f.Points()
+	// OffloadPoints returns a copy.
+	pts := f.OffloadPoints()
 	pts[0].Value = -1
-	if f.Local() != 22.5 {
-		t.Error("Points() aliases internal state")
+	if f.points[1].Value == -1 {
+		t.Error("OffloadPoints() aliases internal state")
 	}
 }
 
@@ -125,17 +119,13 @@ func TestFromTaskRoundTrip(t *testing.T) {
 		},
 	}
 	f := FromTask(tk)
-	if f.Q() != 3 || f.Local() != 3 || f.At(ms(20)) != 5 || f.At(ms(40)) != 8 {
+	if len(f.points) != 3 || f.Local() != 3 || f.At(ms(20)) != 5 || f.At(ms(40)) != 8 {
 		t.Fatalf("FromTask wrong: %v", f)
 	}
-	tk2 := &task.Task{ID: 2, Period: ms(100), Deadline: ms(100), LocalWCET: ms(10),
-		Setup: ms(2), Compensation: ms(10)}
-	f.ApplyToTask(tk2)
-	if tk2.LocalBenefit != 3 || len(tk2.Levels) != 2 || tk2.Levels[1].Benefit != 8 {
-		t.Fatalf("ApplyToTask wrong: %+v", tk2)
-	}
-	if err := tk2.Validate(); err != nil {
-		t.Fatal(err)
+	for j, p := range f.OffloadPoints() {
+		if lv := tk.Levels[j]; p.R != lv.Response || p.Value != lv.Benefit {
+			t.Errorf("point %d = %+v, want level %+v", j, p, lv)
+		}
 	}
 }
 
@@ -165,8 +155,8 @@ func TestPerturb(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, p := range f.Points() {
-		if id.Points()[i] != p {
+	for i, p := range f.points {
+		if id.points[i] != p {
 			t.Errorf("Perturb(0) changed point %d", i)
 		}
 	}
@@ -209,7 +199,7 @@ func TestPerturbProperty(t *testing.T) {
 			return false
 		}
 		// Same number of points, same values, scaled responses.
-		fp, gp := f.Points(), g.Points()
+		fp, gp := f.points, g.points
 		if len(fp) != len(gp) {
 			return false
 		}
@@ -291,57 +281,6 @@ func TestSampleResponseLocalProbability(t *testing.T) {
 	}
 	if frac := float64(instant) / 100000; math.Abs(frac-0.5) > 0.01 {
 		t.Errorf("instant fraction = %g, want ≈0.5", frac)
-	}
-}
-
-func TestFromResponseSamples(t *testing.T) {
-	rng := stats.NewRNG(9)
-	samples := make([]rtime.Duration, 5000)
-	for i := range samples {
-		samples[i] = rtime.Duration(rng.UniformInt(100_000, 200_000)) // 100–200 ms
-	}
-	f, err := FromResponseSamples(samples, []float64{0.1, 0.5, 0.9, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Q() != 5 {
-		t.Fatalf("Q = %d", f.Q())
-	}
-	pts := f.OffloadPoints()
-	// Quantiles of U[100,200]ms.
-	wants := []float64{110, 150, 190, 200}
-	for i, p := range pts {
-		if math.Abs(p.R.Millis()-wants[i]) > 5 {
-			t.Errorf("point %d at %v, want ≈%gms", i, p.R, wants[i])
-		}
-	}
-	if !f.ValidProbability() {
-		t.Error("sample-derived function is not a valid CDF")
-	}
-}
-
-func TestFromResponseSamplesErrors(t *testing.T) {
-	good := []rtime.Duration{1, 2, 3}
-	cases := []struct {
-		samples   []rtime.Duration
-		quantiles []float64
-	}{
-		{nil, []float64{0.5}},
-		{good, nil},
-		{good, []float64{0}},
-		{good, []float64{1.5}},
-		{good, []float64{0.5, 0.5}},
-		{good, []float64{0.9, 0.1}},
-		{[]rtime.Duration{-1}, []float64{0.5}},
-	}
-	for i, c := range cases {
-		if _, err := FromResponseSamples(c.samples, c.quantiles, 0); err == nil {
-			t.Errorf("case %d accepted", i)
-		}
-	}
-	// localProb ≥ first quantile is also invalid.
-	if _, err := FromResponseSamples(good, []float64{0.5}, 0.5); err == nil {
-		t.Error("localProb == first quantile accepted")
 	}
 }
 

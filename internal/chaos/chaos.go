@@ -234,6 +234,8 @@ func New(inner server.Server, cfg Config, rng *stats.RNG) (*Injector, error) {
 // StartRecording begins recording every request and injected fault
 // into a fresh Schedule, which it returns. The Schedule keeps growing
 // until StartRecording is called again.
+//
+//rtlint:allow reach -- harness: the invariant harness (chaos/invariant) uses it; the invariant checker on the ROADMAP ships it
 func (in *Injector) StartRecording() *Schedule {
 	in.rec = &Schedule{}
 	return in.rec

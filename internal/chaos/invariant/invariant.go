@@ -23,6 +23,8 @@
 // stats.DeriveSeed, so any reported violation reproduces from its
 // seed alone; the injected fault schedule is additionally recorded
 // and replayable (chaos.Schedule / chaos.Player).
+//
+//rtlint:allow reach -- harness: the I1–I6 property harness, run by tests; the invariant checker on the ROADMAP ships it
 package invariant
 
 import (

@@ -88,6 +88,8 @@ type Schedule struct {
 }
 
 // FaultCount returns the number of injected faults of one kind.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (s *Schedule) FaultCount(kind Kind) int {
 	n := 0
 	for _, e := range s.Events {
@@ -100,6 +102,8 @@ func (s *Schedule) FaultCount(kind Kind) int {
 
 // Dropped returns how many responses the chaos layer discarded
 // (excluding rescued ones).
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (s *Schedule) Dropped() int {
 	n := 0
 	for _, r := range s.Requests {
@@ -115,6 +119,8 @@ func (s *Schedule) Dropped() int {
 // strictly after the later request's. It is how holdback reordering
 // (and every other delay fault) becomes visible on the response-time
 // channel.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (s *Schedule) Inversions() int {
 	n := 0
 	for i := 1; i < len(s.Requests); i++ {
@@ -145,6 +151,8 @@ type Player struct {
 }
 
 // NewPlayer builds a replay server over a recorded schedule.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func NewPlayer(s *Schedule) (*Player, error) {
 	if s == nil {
 		return nil, fmt.Errorf("chaos: nil schedule")
@@ -153,6 +161,8 @@ func NewPlayer(s *Schedule) (*Player, error) {
 }
 
 // Respond implements server.Server.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (p *Player) Respond(issue rtime.Instant, taskID int, payloadBytes int64) server.Response {
 	if p.next >= len(p.sched.Requests) {
 		if p.err == nil {
@@ -173,4 +183,6 @@ func (p *Player) Respond(issue rtime.Instant, taskID int, payloadBytes int64) se
 
 // Err reports the first divergence between the replayed workload and
 // the recorded schedule, or nil.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (p *Player) Err() error { return p.err }

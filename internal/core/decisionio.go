@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/big"
 
 	"rtoffload/internal/task"
 )
@@ -99,10 +98,4 @@ func ReadDecisionJSON(r io.Reader, set task.Set) (*Decision, error) {
 		return nil, fmt.Errorf("core: loaded decision fails Theorem 3 (total %s)", total.FloatString(4))
 	}
 	return d, nil
-}
-
-// CmpTheorem3 compares the decision's exact total against 1; it exists
-// for callers that want to branch without importing math/big.
-func (d *Decision) CmpTheorem3() int {
-	return d.Theorem3Total.Cmp(big.NewRat(1, 1))
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"math/big"
 	"strings"
 	"testing"
 
@@ -34,7 +35,7 @@ func TestDecisionJSONRoundTrip(t *testing.T) {
 			t.Fatalf("choice %d differs: %+v vs %+v", i, a, b)
 		}
 	}
-	if got.CmpTheorem3() > 0 {
+	if got.Theorem3Total.Cmp(big.NewRat(1, 1)) > 0 {
 		t.Fatal("round-tripped decision over capacity")
 	}
 }
@@ -60,7 +61,7 @@ func TestDecisionJSONExactFlag(t *testing.T) {
 	if !got.ExactVerified {
 		t.Fatal("exact flag lost")
 	}
-	if got.CmpTheorem3() <= 0 {
+	if got.Theorem3Total.Cmp(big.NewRat(1, 1)) <= 0 {
 		t.Fatal("exact-verified decision expected to exceed Theorem 3")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"math/big"
 	"sort"
 
-	"rtoffload/internal/benefit"
 	"rtoffload/internal/rtime"
 	"rtoffload/internal/server"
 	"rtoffload/internal/task"
@@ -159,37 +158,4 @@ func EstimateBudgetsRouted(def server.Server, servers map[string]server.Server, 
 		}
 	}
 	return set.Validate()
-}
-
-// EstimateFunction builds a probability-valued benefit function for
-// one payload size by probing: Gi(r) = fraction of probes answered
-// within r, discretized at the given quantiles. Lost probes lower the
-// attainable maximum. This is the constructor used when the system
-// objective is the expected number of in-time results (§6.2).
-func EstimateFunction(srv server.Server, payloadBytes int64, cfg EstimatorConfig, quantiles []float64) (*benefit.Function, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	lats := server.Probe(srv, cfg.Probes, payloadBytes, cfg.Spacing)
-	if len(lats) == 0 {
-		return nil, fmt.Errorf("core: no probe responses for payload %d", payloadBytes)
-	}
-	//rtlint:allow floatexact -- arrival fraction is a probability feeding float benefit values, not time arithmetic
-	arrivalFrac := float64(len(lats)) / float64(cfg.Probes)
-	f, err := benefit.FromResponseSamples(lats, quantiles, 0)
-	if err != nil {
-		return nil, err
-	}
-	//rtlint:allow floatexact -- probability comparison on the benefit scale, not time arithmetic
-	if arrivalFrac >= 1 {
-		return f, nil
-	}
-	// Scale the CDF by the arrival fraction: quantile q of the
-	// *arrived* probes corresponds to overall probability q·frac.
-	pts := f.OffloadPoints()
-	scaled := make([]benefit.Point, len(pts))
-	for i, p := range pts {
-		scaled[i] = benefit.Point{R: p.R, Value: p.Value * arrivalFrac}
-	}
-	return benefit.New(0, scaled...)
 }

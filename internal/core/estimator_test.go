@@ -156,64 +156,6 @@ func TestEstimateBudgetsQueueServerQuantile(t *testing.T) {
 	}
 }
 
-func TestEstimateFunction(t *testing.T) {
-	srv := server.Fixed{Latency: ms(30)}
-	f, err := EstimateFunction(srv, 1000, EstimatorConfig{Probes: 100, Spacing: ms(5), Quantile: 0.9},
-		[]float64{0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !f.ValidProbability() {
-		t.Fatal("estimated function not a probability")
-	}
-	if f.Max() != 1 {
-		t.Fatalf("max = %g, want 1 (no losses)", f.Max())
-	}
-	// Both quantiles of a deterministic server land at 30ms; the second
-	// point is bumped by 1µs to stay strictly increasing.
-	if got := f.At(ms(30)); got != 0.5 {
-		t.Fatalf("At(30ms) = %g", got)
-	}
-	if got := f.At(ms(30) + 1); got != 1 {
-		t.Fatalf("At(30ms+1µs) = %g", got)
-	}
-	if got := f.At(ms(29)); got != 0 {
-		t.Fatalf("At(29ms) = %g", got)
-	}
-}
-
-func TestEstimateFunctionWithLosses(t *testing.T) {
-	// A lossy queue server: the function's max must reflect arrivals.
-	rng := stats.NewRNG(12)
-	cfg := server.QueueConfig{
-		Workers: 1, BandwidthBytesPerSec: 1 << 30,
-		ServiceMean: ms(5), ServiceRefBytes: 1000,
-		LossProbability: 0.5,
-	}
-	srv, err := server.NewQueue(rng, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := EstimateFunction(srv, 1000, EstimatorConfig{Probes: 2000, Spacing: ms(20), Quantile: 0.9},
-		[]float64{0.5, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(f.Max()-0.5) > 0.06 {
-		t.Fatalf("max = %g, want ≈0.5 with 50%% loss", f.Max())
-	}
-}
-
-func TestEstimateFunctionAllLost(t *testing.T) {
-	if _, err := EstimateFunction(server.Fixed{Lost: true}, 1000,
-		EstimatorConfig{Probes: 10, Spacing: ms(1), Quantile: 0.9}, []float64{1}); err == nil {
-		t.Error("all-lost probing accepted")
-	}
-	if _, err := EstimateFunction(server.Fixed{}, 1000, EstimatorConfig{}, []float64{1}); err == nil {
-		t.Error("bad config accepted")
-	}
-}
-
 func TestEstimatedSetFeedsDecide(t *testing.T) {
 	// Full §3 pipeline: probe → budgets → decide → simulate.
 	rng := stats.NewRNG(13)

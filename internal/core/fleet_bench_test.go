@@ -94,9 +94,9 @@ func BenchmarkFleetDecide(b *testing.B) {
 // from-scratch repair (re-accumulating every pool for every candidate
 // move) needed 834,659 allocations here; the pool ledger needs 7,717
 // (Go 1.24; math/big's internals set the exact figure). The bound is
-// ~2× the ledger's count, far below the quadratic blow-up.
+// the ledger's count plus 5%.
 func TestFleetDecideAllocsBounded(t *testing.T) {
-	const bound = 16000
+	const bound = 8103
 	set := campaignShapeSet(stats.NewRNG(stats.DeriveSeed(1, 77)), 48)
 	opts := Options{Solver: SolverDP, Fleet: campaignFleetShape("hot")}
 	d, err := Decide(set, opts)

@@ -118,9 +118,6 @@ func (a *Analyzer) Len() int { return len(a.ds) }
 // At returns the demand in slot i.
 func (a *Analyzer) At(i int) Demand { return a.ds[i] }
 
-// Demands returns a copy of the current configuration.
-func (a *Analyzer) Demands() []Demand { return append([]Demand(nil), a.ds...) }
-
 // recompute rebuilds the aggregates from the per-demand stats: den
 // becomes the lcm of every stat's den and stays fixed while later
 // updates use denominators that divide it.

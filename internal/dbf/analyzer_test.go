@@ -69,7 +69,7 @@ func sameVerdict(a, b error) bool {
 // and PDC feasibility agreement.
 func checkAnalyzerAgainstFresh(t *testing.T, az *Analyzer, ctx string) {
 	t.Helper()
-	ds := az.Demands()
+	ds := append([]Demand(nil), az.ds...)
 
 	hGot, errGot := az.Horizon()
 	hWant, errWant := Horizon(ds)
@@ -86,8 +86,8 @@ func checkAnalyzerAgainstFresh(t *testing.T, az *Analyzer, ctx string) {
 	}
 	// PDC is an equivalent exact test; the feasibility bits must agree
 	// (its witness window may legitimately differ from QPA's).
-	if pdc := PDC(ds); (pdc == nil) != (want == nil) {
-		t.Fatalf("%s: PDC %v disagrees with QPA %v", ctx, pdc, want)
+	if errP := pdc(ds); (errP == nil) != (want == nil) {
+		t.Fatalf("%s: PDC %v disagrees with QPA %v", ctx, errP, want)
 	}
 }
 
@@ -148,7 +148,7 @@ func runAnalyzerDifferential(t *testing.T, seed uint64, n, swaps int) {
 				checkAnalyzerAgainstFresh(t, a, "inside With")
 				return a.Feasible()
 			})
-			trial := append([]Demand(nil), az.Demands()...)
+			trial := append([]Demand(nil), append([]Demand(nil), az.ds...)...)
 			trial[i] = d
 			if !sameVerdict(err, QPA(trial)) {
 				t.Fatalf("seed %d swap %d: With verdict %v vs fresh %v", seed, s, err, QPA(trial))
@@ -394,7 +394,7 @@ func TestAnalyzerNearInt64Ceiling(t *testing.T) {
 			checkAnalyzerAgainstFresh(t, a, st.name+" inside With")
 			return a.Feasible()
 		})
-		ds := az.Demands()
+		ds := append([]Demand(nil), az.ds...)
 		ds[0] = trial
 		if want := QPA(ds); !sameVerdict(got, want) {
 			t.Fatalf("%s: With verdict %v vs fresh %v", st.name, got, want)

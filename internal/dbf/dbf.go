@@ -14,23 +14,23 @@
 //     (Ci,1+Ci,2)/(Di−Ri)·t.
 //
 // On top of the demands, the package provides the paper's Theorem-3
-// density test in exact rational arithmetic, the processor demand
-// criterion (PDC) over all demand steps up to a rigorous busy-window
-// horizon, and QPA (Zhang & Burns 2009) as a faster exact test.
+// density test in exact rational arithmetic and QPA (Zhang & Burns
+// 2009), an exact processor-demand test up to a rigorous busy-window
+// horizon. The processor demand criterion (PDC), which checks every
+// demand step up to that horizon, is QPA's test oracle.
 package dbf
 
 import (
 	"fmt"
 	"math"
 	"math/big"
-	"sort"
 
 	"rtoffload/internal/rtime"
 )
 
 // Demand is the worst-case execution demand of one task. It is
 // sealed: only Sporadic and Offloaded implement it, so the Analyzer
-// and PDC model every demand exactly.
+// models every demand exactly.
 type Demand interface {
 	// DBF returns the maximum execution time of jobs that both arrive
 	// in and have deadlines in any window of length t.
@@ -41,8 +41,6 @@ type Demand interface {
 	// all t ≥ 0; it bounds the transient excess over the long-run rate
 	// and determines the analysis horizon.
 	Burst() *big.Rat
-	// StepsUpTo lists every t ≤ limit where DBF increases, ascending.
-	StepsUpTo(limit rtime.Duration) []rtime.Duration
 	// FirstStep returns the smallest t > 0 where DBF increases, or 0
 	// when the demand has no steps at all.
 	FirstStep() rtime.Duration
@@ -53,9 +51,6 @@ type Demand interface {
 	// stat is the Analyzer's exact integer model of Rate and Burst;
 	// ok is false for parameters the constructor rejects.
 	stat() (demandStat, bool)
-	// stepStreams lists the arithmetic progressions whose union is
-	// the step set, for PDC's streaming merge.
-	stepStreams() []stepStream
 }
 
 // count returns the number of deadlines at offsets off, off+T,
@@ -70,19 +65,6 @@ func count(t, off, period rtime.Duration) int64 {
 		return n // a window at the int64 horizon with a 1µs period
 	}
 	return n + 1
-}
-
-// stepsForOffset appends the steps off, off+T, … ≤ limit to dst.
-func stepsForOffset(dst []rtime.Duration, off, period, limit rtime.Duration) []rtime.Duration {
-	for s := off; s <= limit; {
-		dst = append(dst, s)
-		next := addDur(s, period)
-		if next <= s {
-			break // saturated at the int64 ceiling
-		}
-		s = next
-	}
-	return dst
 }
 
 // prevForOffset returns the largest value of off+kT (k ≥ 0) strictly
@@ -131,19 +113,8 @@ func (s Sporadic) Burst() *big.Rat {
 	return b.Mul(b, s.C.Rat())
 }
 
-// StepsUpTo lists D, D+T, D+2T, … ≤ limit.
-func (s Sporadic) StepsUpTo(limit rtime.Duration) []rtime.Duration {
-	return stepsForOffset(nil, s.D, s.T, limit)
-}
-
 // FirstStep returns D, the first deadline.
 func (s Sporadic) FirstStep() rtime.Duration { return s.D }
-
-// stepStreams returns one arithmetic progression starting at D with
-// period T.
-func (s Sporadic) stepStreams() []stepStream {
-	return []stepStream{{off: s.D, period: s.T}}
-}
 
 // PrevStep returns the largest step below t.
 func (s Sporadic) PrevStep(t rtime.Duration) rtime.Duration {
@@ -255,12 +226,6 @@ func mulRat(r *big.Rat, d rtime.Duration) *big.Rat {
 	return new(big.Rat).Mul(r, d.Rat())
 }
 
-// LinearBound evaluates the paper's Theorem-1 upper bound
-// (C1+C2)/(D−R)·t exactly.
-func (o Offloaded) LinearBound(t rtime.Duration) *big.Rat {
-	return mulRat(rtime.Ratio(o.C1+o.C2, o.D-o.R), t)
-}
-
 // Theorem1Rate returns (C1+C2)/(D−R), the task's contribution to the
 // Theorem-3 sum.
 func (o Offloaded) Theorem1Rate() *big.Rat {
@@ -270,19 +235,6 @@ func (o Offloaded) Theorem1Rate() *big.Rat {
 // offsets returns the four step offsets of the two alignments.
 func (o Offloaded) offsets() [4]rtime.Duration {
 	return [4]rtime.Duration{o.D1, o.D, o.D - o.D1 - o.R, o.T - o.R}
-}
-
-// StepsUpTo lists all points ≤ limit where either alignment's demand
-// increases, deduplicated and ascending.
-func (o Offloaded) StepsUpTo(limit rtime.Duration) []rtime.Duration {
-	var steps []rtime.Duration
-	for _, off := range o.offsets() {
-		if off <= 0 {
-			continue
-		}
-		steps = stepsForOffset(steps, off, o.T, limit)
-	}
-	return dedupSorted(steps)
 }
 
 // FirstStep returns the smallest positive offset of either alignment.
@@ -299,19 +251,6 @@ func (o Offloaded) FirstStep() rtime.Duration {
 	return best
 }
 
-// stepStreams returns one arithmetic progression per positive
-// alignment offset, all with period T.
-func (o Offloaded) stepStreams() []stepStream {
-	streams := make([]stepStream, 0, 4)
-	for _, off := range o.offsets() {
-		if off <= 0 {
-			continue
-		}
-		streams = append(streams, stepStream{off: off, period: o.T})
-	}
-	return streams
-}
-
 // PrevStep returns the largest step below t across both alignments.
 func (o Offloaded) PrevStep(t rtime.Duration) rtime.Duration {
 	best := rtime.Duration(0)
@@ -324,17 +263,6 @@ func (o Offloaded) PrevStep(t rtime.Duration) rtime.Duration {
 		}
 	}
 	return best
-}
-
-func dedupSorted(xs []rtime.Duration) []rtime.Duration {
-	sort.Slice(xs, func(i, j int) bool { return xs[i] < xs[j] })
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
 }
 
 // TotalDBF sums the demands at window length t, saturating at the

@@ -174,7 +174,8 @@ func TestOffloadedDBFSmallWindows(t *testing.T) {
 }
 
 // Theorem 1: the exact split DBF never exceeds the paper's linear
-// bound by more than the 1µs grid-flooring of D1 per involved job.
+// bound (C1+C2)/(D−R)·t, the Theorem1Rate weight times t, by more than
+// the 1µs grid-flooring of D1 per involved job.
 func TestOffloadedLinearBoundTheorem1(t *testing.T) {
 	rng := stats.NewRNG(21)
 	for trial := 0; trial < 200; trial++ {
@@ -190,10 +191,10 @@ func TestOffloadedLinearBoundTheorem1(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		limit := rtime.Min(h, 10*period)
+		limit := min(h, 10*period)
 		for _, tt := range o.StepsUpTo(limit) {
 			lhs := new(big.Rat).SetInt64(int64(o.DBF(tt)))
-			bound := o.LinearBound(tt)
+			bound := new(big.Rat).Mul(o.Theorem1Rate(), tt.Rat())
 			slack := new(big.Rat).Sub(lhs, bound)
 			// Grid flooring of D1 can cost < 1µs per job deadline.
 			jobs := big.NewRat(int64(tt/o.T)+2, 1)

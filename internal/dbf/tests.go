@@ -87,30 +87,11 @@ func (v *Violation) Error() string {
 	return fmt.Sprintf("dbf: demand %v exceeds window %v", v.Demand, v.T)
 }
 
-// PDC runs the processor demand criterion: the system is EDF-feasible
-// on a unit-speed processor iff ΣDBF(t) ≤ t for every step t up to the
-// analysis horizon. It returns nil when feasible, a *Violation when a
-// window is overloaded, and ErrOverloaded when the long-run rate is
-// ≥ 1 with positive demand growth.
-func PDC(ds []Demand) error {
-	h, err := Horizon(ds)
-	if err != nil {
-		return err
-	}
-	// K-way streaming merge over per-demand step cursors: memory stays
-	// O(#progressions) even when the horizon spans millions of steps.
-	m := newStepMerger(ds, h)
-	for t, ok := m.next(); ok; t, ok = m.next() {
-		if dem := TotalDBF(ds, t); dem > t {
-			return &Violation{T: t, Demand: dem}
-		}
-	}
-	return nil
-}
-
 // QPA runs Zhang & Burns' Quick Processor-demand Analysis, an exact
-// test equivalent to PDC that scans backwards from the horizon and
-// typically evaluates orders of magnitude fewer points.
+// test equivalent to the processor demand criterion (PDC: ΣDBF(t) ≤ t
+// at every demand step up to the horizon) that scans backwards from
+// the horizon and typically evaluates orders of magnitude fewer
+// points. PDC itself is the test oracle in pdc_test.go.
 func QPA(ds []Demand) error {
 	h, err := Horizon(ds)
 	if err != nil {
@@ -188,22 +169,4 @@ func minStep(ds []Demand, h rtime.Duration) rtime.Duration {
 		}
 	}
 	return best
-}
-
-// Hyperperiod returns the least common multiple of the tasks' periods,
-// reporting ok=false on overflow. Useful for simulation horizons on
-// harmonic sets; the analysis itself uses Horizon instead.
-func Hyperperiod(periods []rtime.Duration) (rtime.Duration, bool) {
-	if len(periods) == 0 {
-		return 0, false
-	}
-	l := periods[0]
-	for _, p := range periods[1:] {
-		var ok bool
-		l, ok = rtime.LCM(l, p)
-		if !ok {
-			return 0, false
-		}
-	}
-	return l, true
 }

@@ -115,7 +115,7 @@ func randomDemands(rng *stats.RNG, n int, targetUtil float64) []Demand {
 func TestPDCAcceptsLightSystem(t *testing.T) {
 	a, _ := NewSporadic(ms(1), ms(10), ms(10))
 	b, _ := NewSporadic(ms(2), ms(20), ms(20))
-	if err := PDC([]Demand{a, b}); err != nil {
+	if err := pdc([]Demand{a, b}); err != nil {
 		t.Fatalf("light system rejected: %v", err)
 	}
 	if err := QPA([]Demand{a, b}); err != nil {
@@ -128,7 +128,7 @@ func TestPDCDetectsShortWindowOverload(t *testing.T) {
 	// each: demand 12ms in a 10ms window.
 	a, _ := NewSporadic(ms(6), ms(10), ms(100))
 	b, _ := NewSporadic(ms(6), ms(10), ms(100))
-	err := PDC([]Demand{a, b})
+	err := pdc([]Demand{a, b})
 	var v *Violation
 	if !errors.As(err, &v) {
 		t.Fatalf("PDC err = %v, want Violation", err)
@@ -175,7 +175,7 @@ func TestPDCQPAAgree(t *testing.T) {
 		if TotalRate(ds).Cmp(big.NewRat(1, 1)) >= 0 {
 			continue
 		}
-		errP := PDC(ds)
+		errP := pdc(ds)
 		errQ := QPA(ds)
 		if (errP == nil) != (errQ == nil) {
 			t.Fatalf("trial %d: PDC=%v QPA=%v disagree", trial, errP, errQ)
@@ -231,7 +231,7 @@ func TestTheorem3ImpliesPDC(t *testing.T) {
 			continue
 		}
 		accepted++
-		if err := PDC(ds); err != nil {
+		if err := pdc(ds); err != nil {
 			t.Fatalf("trial %d: Theorem 3 accepted but PDC found %v", trial, err)
 		}
 	}
@@ -258,26 +258,11 @@ func TestExactTestTighterThanTheorem3(t *testing.T) {
 	if ok {
 		t.Skipf("expected Theorem 3 rejection, got total %v", total)
 	}
-	if err := PDC([]Demand{o, l}); err != nil {
+	if err := pdc([]Demand{o, l}); err != nil {
 		t.Fatalf("exact test rejected too: %v", err)
 	}
 	if err := QPA([]Demand{o, l}); err != nil {
 		t.Fatalf("QPA rejected: %v", err)
-	}
-}
-
-func TestHyperperiod(t *testing.T) {
-	h, ok := Hyperperiod([]rtime.Duration{ms(10), ms(15), ms(6)})
-	if !ok || h != ms(30) {
-		t.Errorf("Hyperperiod = %v, %v", h, ok)
-	}
-	if _, ok := Hyperperiod(nil); ok {
-		t.Error("empty hyperperiod accepted")
-	}
-	big1 := rtime.Duration(1<<62 - 1)
-	big2 := big1 - 2
-	if _, ok := Hyperperiod([]rtime.Duration{big1, big2}); ok {
-		t.Error("overflow not detected")
 	}
 }
 

@@ -2,6 +2,7 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -354,5 +355,17 @@ func TestFigure3Interpretations(t *testing.T) {
 	}
 	if BudgetShift.String() == "" || ValueShift.String() == "" || Interpretation(9).String() == "" {
 		t.Error("interpretation names")
+	}
+}
+
+// String names a Interpretation in test output; no shipped binary prints one.
+func (i Interpretation) String() string {
+	switch i {
+	case BudgetShift:
+		return "budget-shift"
+	case ValueShift:
+		return "value-shift"
+	default:
+		return fmt.Sprintf("Interpretation(%d)", int(i))
 	}
 }

@@ -59,18 +59,6 @@ const (
 	ValueShift
 )
 
-// String implements fmt.Stringer.
-func (i Interpretation) String() string {
-	switch i {
-	case BudgetShift:
-		return "budget-shift"
-	case ValueShift:
-		return "value-shift"
-	default:
-		return fmt.Sprintf("Interpretation(%d)", int(i))
-	}
-}
-
 // DefaultFigure3Config returns the paper's sweep.
 func DefaultFigure3Config() Figure3Config {
 	return Figure3Config{

@@ -120,15 +120,6 @@ func (s Server) reliability() float64 {
 	return s.Reliability
 }
 
-// Neutral reports whether the server transforms budgets and benefits
-// verbatim: unit scale, no extra latency, full reliability. Expansion
-// copies levels of neutral servers bit-for-bit, which is what makes
-// the 1-server differential oracle exact.
-func (s Server) Neutral() bool {
-	num, den := s.scale()
-	return num == den && s.Extra == 0 && s.reliability() == 1
-}
-
 // Cap returns the server's occupancy capacity as an exact rational, or
 // nil when unlimited.
 func (s Server) Cap() *big.Rat {
@@ -378,6 +369,8 @@ type Load struct {
 }
 
 // Over reports whether the pool exceeds its capacity.
+//
+//rtlint:allow reach -- reference: from-scratch pool loads, the oracle for core's pool ledger and for invariant I6
 func (l Load) Over() bool {
 	return l.Capacity != nil && l.Occupancy.Cmp(l.Capacity) > 0
 }
@@ -386,6 +379,8 @@ func (l Load) Over() bool {
 // one Load per server (fleet order) followed by one per group (fleet
 // order). Usages routed to unknown servers are ignored — the caller
 // validates routing separately.
+//
+//rtlint:allow reach -- reference: from-scratch pool loads, the oracle for core's pool ledger and for invariant I6
 func (f Fleet) Accumulate(us []Usage) []Load {
 	loads := make([]Load, 0, len(f.Servers)+len(f.Groups))
 	gidx := make(map[string]int, len(f.Groups))
@@ -419,6 +414,8 @@ func (f Fleet) Accumulate(us []Usage) []Load {
 }
 
 // FirstOver returns the index of the first over-capacity pool, or -1.
+//
+//rtlint:allow reach -- reference: from-scratch pool loads, the oracle for core's pool ledger and for invariant I6
 func FirstOver(loads []Load) int {
 	for i, l := range loads {
 		if l.Over() {

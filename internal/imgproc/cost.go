@@ -21,22 +21,6 @@ const (
 	KernelMotion
 )
 
-// String implements fmt.Stringer.
-func (k Kernel) String() string {
-	switch k {
-	case KernelStereo:
-		return "stereo-vision"
-	case KernelEdge:
-		return "edge-detection"
-	case KernelRecognition:
-		return "object-recognition"
-	case KernelMotion:
-		return "motion-detection"
-	default:
-		return fmt.Sprintf("Kernel(%d)", int(k))
-	}
-}
-
 // OpsPerPixel returns the kernel's arithmetic-operation density, the
 // workload parameter of the cost model. Stereo scans 16 disparities
 // over 8×8 blocks (amortized ~3 ops × 16 disparities per pixel);

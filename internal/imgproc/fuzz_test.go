@@ -20,14 +20,14 @@ func FuzzDecompress(f *testing.F) {
 		if w <= 0 || h <= 0 || w > 64 || h > 64 {
 			return
 		}
-		got, err := Decompress(data, w, h)
+		got, err := decompress(data, w, h)
 		if err != nil {
 			return
 		}
 		if got.W != w || got.H != h || len(got.Pix) != w*h {
 			t.Fatalf("accepted stream produced %dx%d image", got.W, got.H)
 		}
-		again, err := Decompress(Compress(got), w, h)
+		again, err := decompress(Compress(got), w, h)
 		if err != nil {
 			t.Fatalf("re-encode failed: %v", err)
 		}

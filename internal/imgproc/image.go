@@ -62,9 +62,6 @@ func (im *Image) Set(x, y int, v uint8) {
 	im.Pix[y*im.W+x] = v
 }
 
-// Bytes reports the payload size of the raw image.
-func (im *Image) Bytes() int64 { return int64(im.W) * int64(im.H) }
-
 // Synthetic generates a deterministic camera-like test frame: a smooth
 // illumination gradient, value-noise texture, and a few rectangular
 // and disc "objects" with sharp edges. Sharp structure matters: it is

@@ -1,6 +1,7 @@
 package imgproc
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -33,8 +34,8 @@ func TestNewAtSet(t *testing.T) {
 	if im.At(0, 0) != 10 {
 		t.Error("out-of-range write leaked")
 	}
-	if im.Bytes() != 12 {
-		t.Errorf("Bytes = %d", im.Bytes())
+	if len(im.Pix) != 12 {
+		t.Errorf("len(Pix) = %d", len(im.Pix))
 	}
 	defer func() {
 		if recover() == nil {
@@ -264,7 +265,7 @@ func BenchmarkResizeHalf640x480(b *testing.B) {
 
 func BenchmarkCompress640x480(b *testing.B) {
 	im := benchFrame(b, 640, 480)
-	b.SetBytes(im.Bytes())
+	b.SetBytes(int64(len(im.Pix)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Compress(im)
@@ -277,5 +278,21 @@ func BenchmarkPSNR640x480(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PSNR(a, c)
+	}
+}
+
+// String names a Kernel in test output; no shipped binary prints one.
+func (k Kernel) String() string {
+	switch k {
+	case KernelStereo:
+		return "stereo-vision"
+	case KernelEdge:
+		return "edge-detection"
+	case KernelRecognition:
+		return "object-recognition"
+	case KernelMotion:
+		return "motion-detection"
+	default:
+		return fmt.Sprintf("Kernel(%d)", int(k))
 	}
 }

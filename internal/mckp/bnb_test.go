@@ -23,7 +23,7 @@ func TestSolveBnBMatchesBruteForce(t *testing.T) {
 		if math.Abs(bnb.Profit-bf.Profit) > 1e-9 {
 			t.Fatalf("trial %d: BnB %g ≠ optimum %g", trial, bnb.Profit, bf.Profit)
 		}
-		if !bnb.FitsCapacity(in) {
+		if !bnb.fitsCapacity(in) {
 			t.Fatalf("trial %d: BnB overweight %g", trial, bnb.Weight)
 		}
 	}

@@ -99,7 +99,7 @@ func FuzzMCKPSolverAgreement(f *testing.F) {
 			if heu.Profit > exact.Profit+1e-9 {
 				t.Fatalf("heu %.12f exceeds optimum %.12f", heu.Profit, exact.Profit)
 			}
-			if !exact.FitsCapacity(in) {
+			if !exact.fitsCapacity(in) {
 				t.Fatalf("solver solution weight %f over capacity", exact.Weight)
 			}
 			if n <= 5 && m <= 6 {
@@ -125,7 +125,7 @@ func FuzzMCKPSolverAgreement(f *testing.F) {
 			cur := warm.Len()
 			switch op := rng.IntN(5); {
 			case op == 0 && cur > 0:
-				if err := warm.Update(rng.IntN(cur), randItems()); err != nil {
+				if err := update(warm, rng.IntN(cur), randItems()); err != nil {
 					t.Fatalf("step %d update: %v", step, err)
 				}
 			case op == 1 && cur > 0:

@@ -61,21 +61,3 @@ func (s *Solver) heuRun() bool {
 	}
 	return true
 }
-
-// UpperBoundLP returns the LP-relaxation optimum of the instance: the
-// greedy fill as in SolveHEU but allowing the final, non-fitting
-// upgrade fractionally — the dual bound of Solver's LP step. It is an
-// upper bound on every integral solution's profit, used to sandwich
-// solver answers in tests.
-func UpperBoundLP(in *Instance) (float64, error) {
-	s, err := NewSolverFrom(in)
-	if err != nil {
-		return 0, err
-	}
-	if !in.Feasible() {
-		return 0, ErrInfeasible
-	}
-	s.buildUps()
-	_, dual, _ := s.solveLP()
-	return dual, nil
-}

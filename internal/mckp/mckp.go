@@ -33,8 +33,8 @@
 // exact cross-check; its per-depth suffix tables over *all* classes
 // cost O(n²·m), which is what Solver's core restriction removes.
 //
-// UpperBoundLP computes the LP-relaxation optimum, an upper bound used
-// by tests to sandwich the DP and HEU answers.
+// The tests sandwich the DP and HEU answers under the LP-relaxation
+// optimum (upperBoundLP in oracle_test.go).
 package mckp
 
 import (
@@ -136,12 +136,6 @@ func (in *Instance) Evaluate(choice []int) (Solution, error) {
 		s.Weight += it.Weight
 	}
 	return s, nil
-}
-
-// FitsCapacity reports whether the solution's weight is within the
-// instance capacity (with a small tolerance for float accumulation).
-func (s Solution) FitsCapacity(in *Instance) bool {
-	return s.Weight <= in.Capacity+1e-9
 }
 
 // frontierItem is an item surviving dominance pruning, with its

@@ -70,7 +70,7 @@ func TestEvaluate(t *testing.T) {
 	if s.Profit != 5 || math.Abs(s.Weight-0.8) > 1e-12 {
 		t.Errorf("Evaluate = %+v", s)
 	}
-	if !s.FitsCapacity(in) {
+	if !s.fitsCapacity(in) {
 		t.Error("0.8 should fit capacity 1")
 	}
 	if _, err := in.Evaluate([]int{0}); err == nil {
@@ -172,7 +172,7 @@ func TestSolveDPInfeasible(t *testing.T) {
 	if _, err := SolveGreedy(in); err != ErrInfeasible {
 		t.Fatalf("greedy err = %v", err)
 	}
-	if _, err := UpperBoundLP(in); err != ErrInfeasible {
+	if _, err := upperBoundLP(in); err != ErrInfeasible {
 		t.Fatalf("LP err = %v", err)
 	}
 	if in.Feasible() {
@@ -200,7 +200,7 @@ func TestSolveDPMatchesBruteForce(t *testing.T) {
 		if dp.Profit < bf.Profit-0.02*math.Max(1, bf.Profit) {
 			t.Fatalf("trial %d: DP profit %g far below optimum %g", trial, dp.Profit, bf.Profit)
 		}
-		if !dp.FitsCapacity(in) {
+		if !dp.fitsCapacity(in) {
 			t.Fatalf("trial %d: DP solution overweight: %g", trial, dp.Weight)
 		}
 	}
@@ -213,7 +213,7 @@ func TestSolversSandwichedByLPBound(t *testing.T) {
 		if !in.Feasible() {
 			continue
 		}
-		lp, err := UpperBoundLP(in)
+		lp, err := upperBoundLP(in)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,7 +233,7 @@ func TestSolversSandwichedByLPBound(t *testing.T) {
 			if s.Profit > lp+1e-9 {
 				t.Fatalf("trial %d: %s profit %g exceeds LP bound %g", trial, name, s.Profit, lp)
 			}
-			if !s.FitsCapacity(in) {
+			if !s.fitsCapacity(in) {
 				t.Fatalf("trial %d: %s solution overweight %g > %g", trial, name, s.Weight, in.Capacity)
 			}
 		}
@@ -357,7 +357,7 @@ func TestSingleClassPicksBestFitting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h.FitsCapacity(in) {
+	if !h.fitsCapacity(in) {
 		t.Fatalf("HEU overweight: %g", h.Weight)
 	}
 	if h.Choice[0] != 0 {
@@ -372,7 +372,7 @@ func TestLPBoundTightOnIntegralOptimum(t *testing.T) {
 		[][2]float64{{0.2, 1}, {0.5, 4}},
 		[][2]float64{{0.2, 1}, {0.5, 3}},
 	)
-	lp, err := UpperBoundLP(in)
+	lp, err := upperBoundLP(in)
 	if err != nil {
 		t.Fatal(err)
 	}

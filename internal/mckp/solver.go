@@ -135,15 +135,6 @@ type heuScratch struct {
 	choice []int
 }
 
-// NewSolver returns an empty Solver with the given capacity. Classes
-// are added with Append/Insert.
-func NewSolver(capacity float64) (*Solver, error) {
-	if capacity <= 0 || math.IsNaN(capacity) || math.IsInf(capacity, 0) {
-		return nil, fmt.Errorf("mckp: invalid capacity %g", capacity)
-	}
-	return &Solver{capacity: capacity}, nil
-}
-
 // NewSolverFrom builds a Solver preloaded with in's classes. The items
 // are copied; in is not retained.
 func NewSolverFrom(in *Instance) (*Solver, error) {
@@ -161,9 +152,6 @@ func NewSolverFrom(in *Instance) (*Solver, error) {
 
 // Len returns the number of classes.
 func (s *Solver) Len() int { return len(s.classes) }
-
-// Capacity returns the knapsack capacity.
-func (s *Solver) Capacity() float64 { return s.capacity }
 
 // Instance returns a read-only view of the solver's current instance.
 // The view aliases internal buffers: it is valid until the next
@@ -250,29 +238,17 @@ func (s *Solver) Remove(i int) error {
 
 // Swap replaces class i wholesale (label and items).
 func (s *Solver) Swap(i int, c Class) error {
-	return s.replace(i, c.Label, c.Items)
-}
-
-// Update replaces class i's items, keeping its label.
-func (s *Solver) Update(i int, items []Item) error {
 	if i < 0 || i >= len(s.classes) {
-		return fmt.Errorf("mckp: update index %d out of range [0,%d)", i, len(s.classes))
+		return fmt.Errorf("mckp: swap index %d out of range [0,%d)", i, len(s.classes))
 	}
-	return s.replace(i, s.classes[i].label, items)
-}
-
-func (s *Solver) replace(i int, label string, items []Item) error {
-	if i < 0 || i >= len(s.classes) {
-		return fmt.Errorf("mckp: update index %d out of range [0,%d)", i, len(s.classes))
-	}
-	if err := validateClass(i, label, items); err != nil {
+	if err := validateClass(i, c.Label, c.Items); err != nil {
 		return err
 	}
-	s.classes[i].set(label, items)
+	s.classes[i].set(c.Label, c.Items)
 	if s.upsValid {
 		s.mergeClassUps(i)
 	}
-	if s.prevValid && s.prevChoice[i] >= len(items) {
+	if s.prevValid && s.prevChoice[i] >= len(c.Items) {
 		s.prevChoice[i] = s.classes[i].ipFront[0].idx
 	}
 	s.refreshViews()

@@ -108,7 +108,7 @@ func BenchmarkMCKPCoreResolve(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < 2*churned; i++ { // warm all arenas
-				if err := s.Update(i%churned%sz.n, next(i)); err != nil {
+				if err := update(s, i%churned%sz.n, next(i)); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := s.Solve(); err != nil {
@@ -118,7 +118,7 @@ func BenchmarkMCKPCoreResolve(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if err := s.Update(i%churned%sz.n, next(i)); err != nil {
+				if err := update(s, i%churned%sz.n, next(i)); err != nil {
 					b.Fatal(err)
 				}
 				if _, err := s.Solve(); err != nil {
@@ -178,7 +178,7 @@ func TestFleetInstanceSolvable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("n=%d m=%d: %v", sz.n, sz.m, err)
 		}
-		if !sol.FitsCapacity(in) {
+		if !sol.fitsCapacity(in) {
 			t.Fatalf("n=%d m=%d: solution over capacity", sz.n, sz.m)
 		}
 		if sol.Weight < 0.9 {

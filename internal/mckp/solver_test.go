@@ -50,7 +50,7 @@ func TestSolverMatchesBruteForce(t *testing.T) {
 		if math.Abs(got.Profit-want.Profit) > 1e-9 {
 			t.Fatalf("trial %d: profit %.12f, brute force %.12f", trial, got.Profit, want.Profit)
 		}
-		if !got.FitsCapacity(in) {
+		if !got.fitsCapacity(in) {
 			t.Fatalf("trial %d: solution weight %f over capacity %f", trial, got.Weight, in.Capacity)
 		}
 	}
@@ -94,7 +94,7 @@ func TestSolverSandwichedByHEUAndLP(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: HEU err %v after solver succeeded", trial, err)
 		}
-		ub, err := UpperBoundLP(in)
+		ub, err := upperBoundLP(in)
 		if err != nil {
 			t.Fatalf("trial %d: LP err %v", trial, err)
 		}
@@ -146,7 +146,7 @@ func churnSolver(t *testing.T, rng *stats.RNG, s *Solver) string {
 	switch op {
 	case 0:
 		i := rng.IntN(n)
-		if err := s.Update(i, randItems()); err != nil {
+		if err := update(s, i, randItems()); err != nil {
 			t.Fatalf("update: %v", err)
 		}
 		return "update"
@@ -230,13 +230,15 @@ func TestSolverDeterminism(t *testing.T) {
 	}
 }
 
+// update swaps new items into class i of s, keeping its label.
+func update(s *Solver, i int, items []Item) error {
+	return s.Swap(i, Class{Label: s.classes[i].label, Items: items})
+}
+
 func TestSolverStructuralOpsMatchView(t *testing.T) {
-	s, err := NewSolver(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Len() != 0 || s.Capacity() != 1 {
-		t.Fatalf("empty solver: Len %d Capacity %f", s.Len(), s.Capacity())
+	s := &Solver{capacity: 1}
+	if s.Len() != 0 {
+		t.Fatalf("empty solver: Len %d", s.Len())
 	}
 	if _, err := s.Solve(); err == nil {
 		t.Fatal("Solve on empty solver should fail")
@@ -253,9 +255,9 @@ func TestSolverStructuralOpsMatchView(t *testing.T) {
 	if got := s.Instance().Classes[1].Label; got != "c" {
 		t.Fatalf("after insert, class 1 label %q, want c", got)
 	}
-	must(s.Update(0, []Item{{0.25, 1.5}}))
-	if got := s.Instance().Classes[0].Label; got != "a" {
-		t.Fatalf("Update must keep label, got %q", got)
+	must(update(s, 0, []Item{{0.25, 1.5}}))
+	if got := s.Instance().Classes[0]; got.Label != "a" || got.Items[0] != (Item{0.25, 1.5}) {
+		t.Fatalf("after update, class 0 = %+v, want label a with item {0.25 1.5}", got)
 	}
 	must(s.Swap(2, Class{Label: "d", Items: []Item{{0.2, 2}}}))
 	if got := s.Instance().Classes[2].Label; got != "d" {
@@ -275,19 +277,17 @@ func TestSolverStructuralOpsMatchView(t *testing.T) {
 }
 
 func TestSolverErrors(t *testing.T) {
-	if _, err := NewSolver(0); err == nil {
-		t.Fatal("NewSolver(0) should fail")
+	one := []Class{{Items: []Item{{0.1, 1}}}}
+	if _, err := NewSolverFrom(&Instance{Capacity: 0, Classes: one}); err == nil {
+		t.Fatal("NewSolverFrom with capacity 0 should fail")
 	}
-	if _, err := NewSolver(math.NaN()); err == nil {
-		t.Fatal("NewSolver(NaN) should fail")
+	if _, err := NewSolverFrom(&Instance{Capacity: math.NaN(), Classes: one}); err == nil {
+		t.Fatal("NewSolverFrom with NaN capacity should fail")
 	}
 	if _, err := NewSolverFrom(&Instance{Capacity: 1}); err == nil {
 		t.Fatal("NewSolverFrom with no classes should fail")
 	}
-	s, err := NewSolver(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &Solver{capacity: 1}
 	if err := s.Append(Class{}); err == nil {
 		t.Fatal("Append of empty class should fail")
 	}
@@ -300,8 +300,8 @@ func TestSolverErrors(t *testing.T) {
 	if err := s.Remove(0); err == nil {
 		t.Fatal("Remove out of range should fail")
 	}
-	if err := s.Update(0, []Item{{0.1, 1}}); err == nil {
-		t.Fatal("Update out of range should fail")
+	if err := s.Swap(0, Class{Items: []Item{{0.1, 1}}}); err == nil {
+		t.Fatal("Swap past the end should fail")
 	}
 	if err := s.Swap(-1, Class{Items: []Item{{0.1, 1}}}); err == nil {
 		t.Fatal("Swap out of range should fail")
@@ -323,7 +323,7 @@ func TestSolverErrors(t *testing.T) {
 		t.Fatalf("SolveHEU: want ErrInfeasible, got %v", err)
 	}
 	// A later edit must clear the infeasibility.
-	if err := s.Update(0, []Item{{0.05, 1}}); err != nil {
+	if err := update(s, 0, []Item{{0.05, 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Solve(); err != nil {
@@ -402,7 +402,7 @@ func coarseInstance(rng *stats.RNG, maxClasses, maxItems int) *Instance {
 // TestSolverHEUMatchesTextbook checks the pool-scan HEU against
 // textbookHEU bit for bit, on random and on tie-heavy coarse
 // instances: cold through package SolveHEU, and warm on a solver whose
-// pool a Solve built and an Update then merged.
+// pool a Solve built and a Swap then merged.
 func TestSolverHEUMatchesTextbook(t *testing.T) {
 	rng := stats.NewRNG(stats.DeriveSeed(401, 6))
 	for trial := 0; trial < 400; trial++ {
@@ -426,7 +426,7 @@ func TestSolverHEUMatchesTextbook(t *testing.T) {
 		if _, err := s.Solve(); err != nil {
 			t.Fatalf("trial %d: Solve: %v", trial, err)
 		}
-		if err := s.Update(0, in.Classes[len(in.Classes)-1].Items); err != nil {
+		if err := update(s, 0, in.Classes[len(in.Classes)-1].Items); err != nil {
 			t.Fatal(err)
 		}
 		want, errWant = textbookHEU(s.Instance())
@@ -467,8 +467,8 @@ func TestSolverDPMatchesSolveDP(t *testing.T) {
 }
 
 // TestSolverWarmResolveZeroAllocs is the steady-state allocation
-// contract from the acceptance criteria: once warmed up, an
-// Update+Solve cycle must not allocate.
+// contract from the acceptance criteria: once warmed up, a
+// Swap+Solve cycle must not allocate.
 func TestSolverWarmResolveZeroAllocs(t *testing.T) {
 	rng := stats.NewRNG(stats.DeriveSeed(401, 8))
 	const n = 40
@@ -496,7 +496,7 @@ func TestSolverWarmResolveZeroAllocs(t *testing.T) {
 	step := 0
 	cycle := func() {
 		i := step % n
-		if err := s.Update(i, alts[step%len(alts)]); err != nil {
+		if err := update(s, i, alts[step%len(alts)]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := s.Solve(); err != nil {
@@ -509,7 +509,7 @@ func TestSolverWarmResolveZeroAllocs(t *testing.T) {
 		cycle()
 	}
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
-		t.Fatalf("warm Update+Solve allocates %.2f allocs/op, want 0", avg)
+		t.Fatalf("warm Swap+Solve allocates %.2f allocs/op, want 0", avg)
 	}
 }
 
@@ -542,10 +542,7 @@ func TestSolveBnBCappedFallsBackToDP(t *testing.T) {
 
 // TestSolverRemoveToEmptyAndRegrow exercises Reset-like shrink paths.
 func TestSolverRemoveToEmptyAndRegrow(t *testing.T) {
-	s, err := NewSolver(1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := &Solver{capacity: 1}
 	if err := s.Append(Class{Items: []Item{{0.5, 2}}}); err != nil {
 		t.Fatal(err)
 	}

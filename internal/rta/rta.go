@@ -66,18 +66,6 @@ const (
 	Jitter
 )
 
-// String implements fmt.Stringer.
-func (m Method) String() string {
-	switch m {
-	case Oblivious:
-		return "suspension-oblivious"
-	case Jitter:
-		return "suspension-jitter"
-	default:
-		return fmt.Sprintf("Method(%d)", int(m))
-	}
-}
-
 // Result is the outcome of one analysis run.
 type Result struct {
 	// Response[i] is the response-time bound of tasks[i] (input

@@ -1,6 +1,7 @@
 package rta
 
 import (
+	"fmt"
 	"testing"
 
 	"rtoffload/internal/rtime"
@@ -263,5 +264,17 @@ func TestJitterAcceptsMore(t *testing.T) {
 	}
 	if jit <= obl {
 		t.Fatalf("jitter (%d) not more permissive than oblivious (%d)", jit, obl)
+	}
+}
+
+// String names a Method in test output; no shipped binary prints one.
+func (m Method) String() string {
+	switch m {
+	case Oblivious:
+		return "suspension-oblivious"
+	case Jitter:
+		return "suspension-jitter"
+	default:
+		return fmt.Sprintf("Method(%d)", int(m))
 	}
 }

@@ -62,9 +62,6 @@ func FromMillisF(ms float64) Duration {
 	return Duration(math.Round(ms * float64(Millisecond)))
 }
 
-// Micros reports d as integer microseconds.
-func (d Duration) Micros() int64 { return int64(d) }
-
 // Millis reports d as (possibly fractional) milliseconds.
 func (d Duration) Millis() float64 { return float64(d) / float64(Millisecond) }
 
@@ -103,14 +100,6 @@ func (t Instant) Add(d Duration) Instant { return t + Instant(d) }
 
 // Sub returns the span from u to t (t − u).
 func (t Instant) Sub(u Instant) Duration { return Duration(t - u) }
-
-// Min returns the smaller of two durations.
-func Min(a, b Duration) Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
 
 // Max returns the larger of two durations.
 func Max(a, b Duration) Duration {
@@ -159,20 +148,6 @@ func GCD(a, b Duration) Duration {
 		a, b = b, a%b
 	}
 	return a
-}
-
-// LCM returns the least common multiple of two positive durations and
-// reports whether the computation stayed within int64 range.
-func LCM(a, b Duration) (Duration, bool) {
-	if a <= 0 || b <= 0 {
-		return 0, false
-	}
-	g := GCD(a, b)
-	q := a / g
-	if int64(q) > math.MaxInt64/int64(b) {
-		return 0, false
-	}
-	return q * b, true
 }
 
 // CeilDiv returns ⌈a/b⌉ for positive b.

@@ -6,14 +6,10 @@ package sched
 // BENCH_9.json's baseline session records the materialize-and-validate
 // cell these replaced.
 // Test100kUnderMemoryCeiling is the fixed-memory claim: a 100k-task
-// simulation streaming to the on-disk binary sink must not grow the
-// heap by anything O(horizon).
+// simulation verified inline must not grow the heap by anything
+// O(horizon).
 
 import (
-	"bufio"
-	"io"
-	"os"
-	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -56,39 +52,20 @@ func BenchmarkCampaignCellStreaming100k(b *testing.B) {
 	benchStreamingCell(b, 100_000, AutoQueue)
 }
 
-// BenchmarkCampaignCellDisk100k is the same endpoint recorded instead
-// of checked: the trace streams to the on-disk binary sink, which is
-// how Test100kUnderMemoryCeiling keeps the run's heap flat before it
-// verifies the file on replay.
-func BenchmarkCampaignCellDisk100k(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		cfg := fleetConfig(100_000, 42)
-		cfg.Horizon = rtime.FromMillis(benchCellHorizon)
-		cfg.EventQueue = AutoQueue
-		cfg.DiscardJobResults = true
-		cfg.TraceSink = trace.NewBinarySink(io.Discard)
-		if _, err := Run(cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkCampaignCellStreamingHeap10k isolates the wheel's share of
 // the win: same streaming cell, heap queues forced.
 func BenchmarkCampaignCellStreamingHeap10k(b *testing.B) {
 	benchStreamingCell(b, 10_000, ForceHeap)
 }
 
-// Test100kUnderMemoryCeiling runs a 100k-task SplitEDF simulation with
-// the trace streaming to an on-disk binary sink and asserts the heap
-// grew by less than a fixed ceiling — the segment stream lives on
-// disk, so memory stays proportional to the task count, not to
-// horizon × rate. An in-memory *trace.Trace sink would hold the full
-// segment/sub log (~56 B a segment before growth slack), which at this
-// scale dwarfs the ceiling. The recorded file is then read back
-// through the one-pass checker, so the endpoint's schedule is
-// verified, not only recorded.
+// Test100kUnderMemoryCeiling runs a 100k-task SplitEDF simulation
+// with the trace streaming straight into the one-pass checker and
+// asserts the heap grew by less than a fixed ceiling: the checker's
+// state is bounded by the sub-jobs in flight, so memory stays
+// proportional to the task count, not to horizon × rate. An in-memory
+// *trace.Trace sink would hold the full segment/sub log (~56 B a
+// segment before growth slack), which at this scale dwarfs the
+// ceiling. The endpoint's schedule is verified inline, not only run.
 func Test100kUnderMemoryCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet-sized simulation")
@@ -96,14 +73,11 @@ func Test100kUnderMemoryCeiling(t *testing.T) {
 	cfg := fleetConfig(100_000, 42)
 	cfg.EventQueue = AutoQueue
 	cfg.DiscardJobResults = true
-
-	f, err := os.Create(filepath.Join(t.TempDir(), "trace.bin"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	w := bufio.NewWriterSize(f, 1<<20)
-	sink := trace.NewBinarySink(w)
+	checker := trace.NewStreamChecker()
+	// The counting wrapper hides the checker's type from the engine,
+	// so presize it as the engine presizes a bare checker.
+	checker.Reserve(len(cfg.Assignments))
+	sink := &openCounter{StreamChecker: checker}
 	cfg.TraceSink = sink
 
 	var before, after runtime.MemStats
@@ -111,19 +85,16 @@ func Test100kUnderMemoryCeiling(t *testing.T) {
 	runtime.ReadMemStats(&before)
 	res, err := Run(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("100k schedule fails verification: %v", err)
 	}
-	// Measure the heap *retained* with the result still live: a
-	// materialized trace would keep its full segment/sub log reachable
-	// here (~1.6M segments, >100 MiB), while the streaming run retains
-	// only the task set and per-task aggregates. Collecting first
-	// keeps the number deterministic — un-collected transient garbage
-	// varies run to run.
+	// Measure the heap *retained* with the result and the checker
+	// still live: a materialized trace would keep its full segment/sub
+	// log reachable here (~1.6M segments, >100 MiB), while the
+	// streaming run retains only the task set, per-task aggregates and
+	// the checker's in-flight state. Collecting first keeps the number
+	// deterministic — un-collected transient garbage varies run to run.
 	runtime.GC()
 	runtime.ReadMemStats(&after)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
 
 	growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
 	const ceiling = 128 << 20
@@ -131,24 +102,25 @@ func Test100kUnderMemoryCeiling(t *testing.T) {
 		t.Fatalf("100k-task run retains %d MiB of heap (ceiling %d MiB)",
 			growth>>20, int64(ceiling)>>20)
 	}
-	opens, segs, closes := sink.Counts()
-	if segs == 0 || opens == 0 || closes != opens {
-		t.Fatalf("sink saw opens=%d segs=%d closes=%d", opens, segs, closes)
+	segs, closes := checker.Counts()
+	if segs == 0 || sink.opens == 0 || closes != sink.opens {
+		t.Fatalf("checker saw opens=%d segs=%d closes=%d", sink.opens, segs, closes)
 	}
-	t.Logf("retained heap %d MiB for %d segments on disk (%d MiB ceiling)",
+	t.Logf("retained heap %d MiB for %d segments checked inline (%d MiB ceiling)",
 		growth>>20, segs, int64(ceiling)>>20)
 	runtime.KeepAlive(res)
+}
 
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		t.Fatal(err)
-	}
-	checker := trace.NewStreamChecker()
-	if err := trace.ReadBinary(f, checker); err != nil {
-		t.Fatalf("recorded 100k schedule fails verification: %v", err)
-	}
-	if gotSegs, gotSubs := checker.Counts(); gotSegs != segs || gotSubs != closes {
-		t.Fatalf("checker consumed %d segments and %d records, sink wrote %d and %d", gotSegs, gotSubs, segs, closes)
-	}
+// openCounter passes the event stream through to a StreamChecker,
+// counting the sub-jobs opened (the checker counts only closes).
+type openCounter struct {
+	*trace.StreamChecker
+	opens int64
+}
+
+func (o *openCounter) OpenSub(id trace.SubID, release, deadline rtime.Instant, wcet rtime.Duration) {
+	o.opens++
+	o.StreamChecker.OpenSub(id, release, deadline, wcet)
 }
 
 // sinkEvent is one recorded Sink call. Opens and closes keep their

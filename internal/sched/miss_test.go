@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"rtoffload/internal/rtime"
@@ -225,5 +226,17 @@ func TestNegativeLatencyClamped(t *testing.T) {
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatalf("trace: %v", err)
+	}
+}
+
+// String names a MissPolicy in test output; no shipped binary prints one.
+func (m MissPolicy) String() string {
+	switch m {
+	case ContinueLate:
+		return "continue-late"
+	case AbortAtDeadline:
+		return "abort-at-deadline"
+	default:
+		return fmt.Sprintf("MissPolicy(%d)", int(m))
 	}
 }

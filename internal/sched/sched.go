@@ -54,20 +54,6 @@ const (
 	FixedPriority
 )
 
-// String implements fmt.Stringer.
-func (p Policy) String() string {
-	switch p {
-	case SplitEDF:
-		return "split-edf"
-	case NaiveEDF:
-		return "naive-edf"
-	case FixedPriority:
-		return "fixed-priority"
-	default:
-		return fmt.Sprintf("Policy(%d)", int(p))
-	}
-}
-
 // Assignment binds a task to its offloading decision.
 type Assignment struct {
 	Task *task.Task
@@ -127,10 +113,9 @@ type Config struct {
 	RNG *stats.RNG
 	// TraceSink streams the execution trace — coalesced segments plus
 	// sub-job lifecycle events — to a trace.Sink as the run progresses,
-	// so long horizons verify (trace.StreamChecker) or persist
-	// (trace.BinarySink) in bounded memory. A *trace.Trace sink
-	// materializes the trace in memory for the caller to read. The
-	// sink's Finish error surfaces from Run.
+	// so long horizons verify (trace.StreamChecker) in bounded memory.
+	// A *trace.Trace sink materializes the trace in memory for the
+	// caller to read. The sink's Finish error surfaces from Run.
 	TraceSink trace.Sink
 	// OnMiss selects the overrun policy (default ContinueLate).
 	OnMiss MissPolicy
@@ -225,18 +210,6 @@ const (
 	// studies of the baselines where late frames are worthless.
 	AbortAtDeadline
 )
-
-// String implements fmt.Stringer.
-func (m MissPolicy) String() string {
-	switch m {
-	case ContinueLate:
-		return "continue-late"
-	case AbortAtDeadline:
-		return "abort-at-deadline"
-	default:
-		return fmt.Sprintf("MissPolicy(%d)", int(m))
-	}
-}
 
 // Outcome classifies how a job obtained its result.
 type Outcome int

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"fmt"
 	"testing"
 
 	"rtoffload/internal/benefit"
@@ -434,5 +435,19 @@ func TestNormalizedBenefitEmptyBaseline(t *testing.T) {
 	r := &Result{}
 	if r.NormalizedBenefit() != 1 {
 		t.Error("empty baseline should normalize to 1")
+	}
+}
+
+// String names a Policy in test output; no shipped binary prints one.
+func (p Policy) String() string {
+	switch p {
+	case SplitEDF:
+		return "split-edf"
+	case NaiveEDF:
+		return "naive-edf"
+	case FixedPriority:
+		return "fixed-priority"
+	default:
+		return fmt.Sprintf("Policy(%d)", int(p))
 	}
 }

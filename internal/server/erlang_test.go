@@ -1,13 +1,56 @@
-package queueing
+package server
+
+// Closed-form M/M/c results, the oracle for the Queue model: the
+// Erlang-C delay probability and the mean waiting time of the classic
+// multi-server queue. TestQueueSimulatorMatchesErlangC checks that the
+// simulator converges to these formulas under matching assumptions
+// (Poisson arrivals, exponential service), anchoring the simulated
+// GPU-server behaviour to textbook ground truth.
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"rtoffload/internal/rtime"
-	"rtoffload/internal/server"
 	"rtoffload/internal/stats"
 )
+
+// ErlangC returns the probability that an arriving M/M/c customer must
+// wait (all c servers busy), for arrival rate lambda and per-server
+// service rate mu. Requires stability: lambda < c·mu.
+func ErlangC(c int, lambda, mu float64) (float64, error) {
+	if c < 1 {
+		return 0, fmt.Errorf("erlang: c = %d", c)
+	}
+	if lambda <= 0 || mu <= 0 {
+		return 0, fmt.Errorf("erlang: rates must be positive")
+	}
+	a := lambda / mu // offered load in Erlangs
+	rho := a / float64(c)
+	if rho >= 1 {
+		return 0, fmt.Errorf("erlang: unstable system (ρ = %g ≥ 1)", rho)
+	}
+	// Iterative Erlang-B, then convert to Erlang-C:
+	//   B(0) = 1; B(k) = a·B(k−1) / (k + a·B(k−1))
+	//   C = B(c) / (1 − ρ·(1 − B(c)))
+	b := 1.0
+	for k := 1; k <= c; k++ {
+		b = a * b / (float64(k) + a*b)
+	}
+	cProb := b / (1 - rho*(1-b))
+	return cProb, nil
+}
+
+// MeanWait returns the mean queueing delay (excluding service) of an
+// M/M/c system: Wq = C(c, a) / (c·mu − lambda).
+func MeanWait(c int, lambda, mu float64) (float64, error) {
+	pc, err := ErlangC(c, lambda, mu)
+	if err != nil {
+		return 0, err
+	}
+	return pc / (float64(c)*mu - lambda), nil
+}
 
 func TestErlangCKnownValues(t *testing.T) {
 	// M/M/1: C = ρ.
@@ -55,8 +98,8 @@ func TestMeanWaitMM1(t *testing.T) {
 	}
 }
 
-// Cross-validation: internal/server's queueing simulator converges to
-// the Erlang-C mean wait when driven with Poisson arrivals and
+// Cross-validation: the queueing simulator converges to the Erlang-C
+// mean wait when driven with Poisson arrivals and
 // exponential service (the background stream), measured by
 // near-zero-service probes.
 func TestQueueSimulatorMatchesErlangC(t *testing.T) {
@@ -65,7 +108,7 @@ func TestQueueSimulatorMatchesErlangC(t *testing.T) {
 		lambda  = 30.0 // background arrivals per second
 		mu      = 20.0 // service rate per worker (mean 50ms)
 	)
-	cfg := server.QueueConfig{
+	cfg := QueueConfig{
 		Workers:               workers,
 		BandwidthBytesPerSec:  1 << 40, // no transfer time
 		ServiceMean:           rtime.FromMillis(1000),
@@ -73,7 +116,7 @@ func TestQueueSimulatorMatchesErlangC(t *testing.T) {
 		BackgroundRatePerSec:  lambda,
 		BackgroundServiceMean: rtime.FromMillisF(1000 / mu),
 	}
-	q, err := server.NewQueue(stats.NewRNG(99), cfg)
+	q, err := NewQueue(stats.NewRNG(99), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

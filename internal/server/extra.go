@@ -81,13 +81,6 @@ func (g *Gilbert) advance(now rtime.Instant) {
 	}
 }
 
-// Bad reports the state the server would be in at the given instant
-// (advancing internal state; instants must be non-decreasing).
-func (g *Gilbert) Bad(now rtime.Instant) bool {
-	g.advance(now)
-	return g.bad
-}
-
 // Respond implements Server.
 func (g *Gilbert) Respond(issue rtime.Instant, _ int, _ int64) Response {
 	g.advance(issue)

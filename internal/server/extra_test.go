@@ -45,8 +45,10 @@ func TestGilbertBursts(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sample every 20ms over 60 simulated seconds: both regimes appear,
-	// and their time shares approximate 2:1.
-	fast, slow := 0, 0
+	// and their time shares approximate 2:1. The latency tells the
+	// regime, so the same samples count the regime switches.
+	fast, slow, switches := 0, 0, 0
+	prevBad := false
 	at := rtime.Instant(0)
 	for i := 0; i < 3000; i++ {
 		resp := g.Respond(at, 1, 0)
@@ -61,6 +63,11 @@ func TestGilbertBursts(t *testing.T) {
 		default:
 			t.Fatalf("unexpected latency %v", resp.Latency)
 		}
+		bad := resp.Latency == ms(200)
+		if i > 0 && bad != prevBad {
+			switches++
+		}
+		prevBad = bad
 		at = at.Add(ms(20))
 	}
 	if fast == 0 || slow == 0 {
@@ -70,21 +77,8 @@ func TestGilbertBursts(t *testing.T) {
 	if math.Abs(frac-2.0/3) > 0.12 {
 		t.Fatalf("good-state share %g, want ≈0.67", frac)
 	}
-	// Burstiness: consecutive samples should correlate — count regime
-	// switches; with 1s/0.5s sojourns and 20ms sampling, far fewer
-	// switches than samples.
-	g2, _ := NewGilbert(stats.NewRNG(3), cfg)
-	switches := 0
-	prevBad := false
-	at = 0
-	for i := 0; i < 3000; i++ {
-		bad := g2.Bad(at)
-		if i > 0 && bad != prevBad {
-			switches++
-		}
-		prevBad = bad
-		at = at.Add(ms(20))
-	}
+	// Burstiness: consecutive samples correlate — with 1s/0.5s
+	// sojourns and 20ms sampling, far fewer switches than samples.
 	if switches > 300 {
 		t.Fatalf("%d regime switches in 3000 samples — not bursty", switches)
 	}

@@ -27,6 +27,8 @@ type ReservationConfig struct {
 }
 
 // Validate checks the configuration.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (c ReservationConfig) Validate() error {
 	switch {
 	case c.Period <= 0 || c.Budget <= 0 || c.Budget > c.Period:
@@ -38,6 +40,8 @@ func (c ReservationConfig) Validate() error {
 }
 
 // demand returns the service demand of a payload.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (c ReservationConfig) demand(payloadBytes int64) rtime.Duration {
 	d := c.ServiceFloor + rtime.Duration(float64(payloadBytes)*c.ServicePerByte)
 	if d < 1 {
@@ -52,6 +56,8 @@ func (c ReservationConfig) demand(payloadBytes int64) rtime.Duration {
 // budget was exhausted), plus the bounded transfer:
 //
 //	WCRT = (⌈s/Q⌉ − 1)·P + (P − Q) + s + transfer
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (c ReservationConfig) WCRTBound(payloadBytes int64) rtime.Duration {
 	s := c.demand(payloadBytes)
 	n := rtime.CeilDiv(s, c.Budget)
@@ -70,6 +76,8 @@ type Reservation struct {
 }
 
 // NewReservation builds the server.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func NewReservation(cfg ReservationConfig) (*Reservation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -84,6 +92,8 @@ func NewReservation(cfg ReservationConfig) (*Reservation, error) {
 // supply-bound function — a reservation server promises bounds, and
 // this model always honours exactly them, making it the adversarial
 // counterpart for guaranteed levels.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (r *Reservation) Respond(issue rtime.Instant, _ int, payloadBytes int64) Response {
 	c := r.cfg
 	s := c.demand(payloadBytes)

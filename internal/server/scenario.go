@@ -80,25 +80,17 @@ func NewScenario(rng *stats.RNG, s Scenario) (*Queue, error) {
 	return NewQueue(rng, cfg)
 }
 
-// Probe issues n spaced requests with the given payload starting at
-// instant 0 and returns the observed latencies of the requests that
-// arrived. It is the measurement phase of the paper's Benefit and
-// Response Time Estimator: offline probing builds the statistics from
-// which Gi(ri) is discretized.
+// ProbeFrom issues n spaced requests with the given payload starting at
+// the given instant and returns the observed latencies of the requests
+// that arrived, plus the instant following the last probe. It is the
+// measurement phase of the paper's Benefit and Response Time
+// Estimator: offline probing builds the statistics from which Gi(ri)
+// is discretized.
 //
 // spacing is the gap between successive probes; it should roughly
 // match the production request rate so queueing effects are
-// representative. For multiple probe batches against one stateful
-// server use ProbeFrom, which keeps the request clock monotone.
-func Probe(srv Server, n int, payloadBytes int64, spacing rtime.Duration) []rtime.Duration {
-	lats, _ := ProbeFrom(srv, 0, n, payloadBytes, spacing)
-	return lats
-}
-
-// ProbeFrom issues n spaced requests starting at the given instant and
-// returns the observed latencies plus the instant following the last
-// probe. Stateful servers (Queue) require non-decreasing request
-// instants, so successive batches must chain their clocks.
+// representative. Stateful servers (Queue) require non-decreasing
+// request instants, so successive batches must chain their clocks.
 func ProbeFrom(srv Server, start rtime.Instant, n int, payloadBytes int64, spacing rtime.Duration) ([]rtime.Duration, rtime.Instant) {
 	if n <= 0 {
 		return nil, start

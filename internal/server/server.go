@@ -75,6 +75,8 @@ type Bounded struct {
 }
 
 // Respond implements Server.
+//
+//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
 func (b Bounded) Respond(issue rtime.Instant, taskID int, payloadBytes int64) Response {
 	r := b.Inner.Respond(issue, taskID, payloadBytes)
 	if !r.Arrives || r.Latency > b.Bound {

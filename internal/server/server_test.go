@@ -243,20 +243,20 @@ func TestScenarioString(t *testing.T) {
 
 func TestProbe(t *testing.T) {
 	srv := Fixed{Latency: ms(9)}
-	lats := Probe(srv, 50, 1000, ms(10))
-	if len(lats) != 50 {
-		t.Fatalf("got %d latencies", len(lats))
+	lats, next := ProbeFrom(srv, 0, 50, 1000, ms(10))
+	if len(lats) != 50 || next != rtime.Instant(0).Add(500*ms(1)) {
+		t.Fatalf("got %d latencies, next probe at %v", len(lats), next)
 	}
 	for _, l := range lats {
 		if l != ms(9) {
 			t.Fatalf("latency %v", l)
 		}
 	}
-	if got := Probe(srv, 0, 1000, ms(10)); got != nil {
-		t.Errorf("Probe(0) = %v", got)
+	if got, next := ProbeFrom(srv, 7, 0, 1000, ms(10)); got != nil || next != 7 {
+		t.Errorf("ProbeFrom(n=0) = %v, %v", got, next)
 	}
 	// Lost responses are excluded.
-	if got := Probe(Fixed{Lost: true}, 10, 0, ms(1)); len(got) != 0 {
+	if got, _ := ProbeFrom(Fixed{Lost: true}, 0, 10, 0, ms(1)); len(got) != 0 {
 		t.Errorf("lost probe returned %v", got)
 	}
 }

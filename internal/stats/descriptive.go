@@ -33,24 +33,6 @@ func StdDev(xs []float64) float64 {
 	return math.Sqrt(s / float64(len(xs)-1))
 }
 
-// MinMax returns the smallest and largest values of xs. It panics on
-// an empty slice.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		panic("stats: MinMax of empty slice")
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Percentile returns the p-th percentile (0 ≤ p ≤ 100) of xs using
 // linear interpolation between closest ranks. It panics on an empty
 // slice or out-of-range p.
@@ -74,60 +56,6 @@ func Percentile(xs []float64, p float64) float64 {
 	}
 	frac := rank - float64(lo)
 	return s[lo]*(1-frac) + s[hi]*frac
-}
-
-// ECDF is an empirical cumulative distribution function built from
-// observed samples. It supports both evaluation (fraction of samples
-// ≤ x) and inverse evaluation (quantiles), which the server models use
-// to turn measured response times into samplable distributions.
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an ECDF from samples. The input is copied.
-// It panics on an empty sample set.
-func NewECDF(samples []float64) *ECDF {
-	if len(samples) == 0 {
-		panic("stats: NewECDF with no samples")
-	}
-	s := append([]float64(nil), samples...)
-	sort.Float64s(s)
-	return &ECDF{sorted: s}
-}
-
-// Len reports the number of samples.
-func (e *ECDF) Len() int { return len(e.sorted) }
-
-// At returns P(X ≤ x), the fraction of samples ≤ x.
-func (e *ECDF) At(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with sorted[i] >= x;
-	// scan forward over equal values to make the CDF right-continuous.
-	i := sort.SearchFloat64s(e.sorted, x)
-	for i < len(e.sorted) && e.sorted[i] == x {
-		i++
-	}
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the smallest sample x with P(X ≤ x) ≥ q, for
-// q in (0, 1]. Quantile(0) returns the smallest sample.
-func (e *ECDF) Quantile(q float64) float64 {
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[len(e.sorted)-1]
-	}
-	idx := int(math.Ceil(q*float64(len(e.sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return e.sorted[idx]
-}
-
-// Sample draws a value distributed according to the ECDF.
-func (e *ECDF) Sample(r *RNG) float64 {
-	return e.sorted[r.IntN(len(e.sorted))]
 }
 
 // MeanCI returns the sample mean and the half-width of its normal
@@ -165,26 +93,4 @@ func TCritical95(n int) float64 {
 		return tCrit95[n-2]
 	}
 	return 1.96
-}
-
-// Histogram counts xs into n equal-width bins over [lo, hi]. Values
-// outside the range are clamped into the first/last bin. It panics if
-// n ≤ 0 or hi ≤ lo.
-func Histogram(xs []float64, n int, lo, hi float64) []int {
-	if n <= 0 || hi <= lo {
-		panic("stats: bad Histogram parameters")
-	}
-	bins := make([]int, n)
-	w := (hi - lo) / float64(n)
-	for _, x := range xs {
-		i := int((x - lo) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= n {
-			i = n - 1
-		}
-		bins[i]++
-	}
-	return bins
 }

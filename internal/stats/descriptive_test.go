@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanStdDev(t *testing.T) {
@@ -19,19 +18,6 @@ func TestMeanStdDev(t *testing.T) {
 	if s := StdDev([]float64{2, 4, 4, 4, 5, 5, 7, 9}); math.Abs(s-2.13809) > 1e-4 {
 		t.Errorf("StdDev = %g, want ≈2.138", s)
 	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 7, 2})
-	if lo != -1 || hi != 7 {
-		t.Errorf("MinMax = %g,%g", lo, hi)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("MinMax(empty) did not panic")
-		}
-	}()
-	MinMax(nil)
 }
 
 func TestPercentile(t *testing.T) {
@@ -63,123 +49,6 @@ func TestPercentilePanics(t *testing.T) {
 			}()
 			f()
 		}()
-	}
-}
-
-func TestECDF(t *testing.T) {
-	e := NewECDF([]float64{10, 20, 30, 40})
-	cases := []struct{ x, want float64 }{
-		{5, 0}, {10, 0.25}, {15, 0.25}, {40, 1}, {50, 1}, {25, 0.5},
-	}
-	for _, c := range cases {
-		if got := e.At(c.x); got != c.want {
-			t.Errorf("At(%g) = %g, want %g", c.x, got, c.want)
-		}
-	}
-	if q := e.Quantile(0.5); q != 20 {
-		t.Errorf("Quantile(0.5) = %g, want 20", q)
-	}
-	if q := e.Quantile(0); q != 10 {
-		t.Errorf("Quantile(0) = %g", q)
-	}
-	if q := e.Quantile(1); q != 40 {
-		t.Errorf("Quantile(1) = %g", q)
-	}
-	if q := e.Quantile(0.75); q != 30 {
-		t.Errorf("Quantile(0.75) = %g", q)
-	}
-}
-
-func TestECDFDuplicates(t *testing.T) {
-	e := NewECDF([]float64{1, 1, 1, 2})
-	if got := e.At(1); got != 0.75 {
-		t.Errorf("At(1) with duplicates = %g, want 0.75", got)
-	}
-	if got := e.At(0.99); got != 0 {
-		t.Errorf("At(0.99) = %g, want 0", got)
-	}
-}
-
-func TestECDFSample(t *testing.T) {
-	e := NewECDF([]float64{1, 2, 3})
-	r := NewRNG(11)
-	seen := map[float64]int{}
-	for i := 0; i < 30000; i++ {
-		seen[e.Sample(r)]++
-	}
-	for _, v := range []float64{1, 2, 3} {
-		if c := seen[v]; c < 9000 || c > 11000 {
-			t.Errorf("sample %g drawn %d times, want ≈10000", v, c)
-		}
-	}
-	if len(seen) != 3 {
-		t.Errorf("unexpected sample values: %v", seen)
-	}
-}
-
-func TestECDFPanicsEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewECDF(empty) did not panic")
-		}
-	}()
-	NewECDF(nil)
-}
-
-// Property: ECDF.At is a valid right-continuous CDF and Quantile is
-// its generalized inverse: At(Quantile(q)) ≥ q.
-func TestECDFInverseProperty(t *testing.T) {
-	f := func(seed uint64, qRaw uint16) bool {
-		r := NewRNG(seed)
-		n := r.IntN(50) + 1
-		xs := make([]float64, n)
-		for i := range xs {
-			xs[i] = r.Uniform(0, 100)
-		}
-		e := NewECDF(xs)
-		q := float64(qRaw%1000)/1000 + 0.001
-		return e.At(e.Quantile(q)) >= q-1e-12
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: At is monotone non-decreasing.
-func TestECDFMonotoneProperty(t *testing.T) {
-	f := func(seed uint64, a, b float64) bool {
-		if math.IsNaN(a) || math.IsNaN(b) {
-			return true
-		}
-		r := NewRNG(seed)
-		xs := make([]float64, 20)
-		for i := range xs {
-			xs[i] = r.Uniform(-50, 50)
-		}
-		e := NewECDF(xs)
-		x, y := a, b
-		if x > y {
-			x, y = y, x
-		}
-		return e.At(x) <= e.At(y)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	h := Histogram([]float64{0, 1, 2, 3, 9.9, -5, 15}, 10, 0, 10)
-	// 0 and -5 (clamped) land in bin 0; 9.9 and 15 (clamped) in bin 9.
-	if h[0] != 2 || h[1] != 1 || h[2] != 1 || h[3] != 1 || h[9] != 2 {
-		t.Errorf("histogram = %v", h)
-	}
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != 7 {
-		t.Errorf("histogram total = %d, want 7", total)
 	}
 }
 

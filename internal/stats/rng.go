@@ -161,24 +161,6 @@ func (r *RNG) Exponential(mean float64) float64 {
 	return -mean * math.Log(u)
 }
 
-// Shuffle permutes the first n elements using swap, Fisher–Yates.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.IntN(i + 1)
-		swap(i, j)
-	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
-}
-
 // UUniFast generates n task utilizations that sum to total, uniformly
 // distributed over the simplex (Bini & Buttazzo's UUniFast). It is the
 // standard generator for synthetic schedulability experiments.

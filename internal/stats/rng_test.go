@@ -157,18 +157,6 @@ func TestLogNormalPositive(t *testing.T) {
 	}
 }
 
-func TestPerm(t *testing.T) {
-	r := NewRNG(8)
-	p := r.Perm(10)
-	seen := make([]bool, 10)
-	for _, v := range p {
-		if v < 0 || v >= 10 || seen[v] {
-			t.Fatalf("bad permutation %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestUUniFast(t *testing.T) {
 	r := NewRNG(9)
 	for trial := 0; trial < 100; trial++ {

@@ -1,7 +1,7 @@
 // Streaming one-pass trace verification. StreamChecker is the
 // package's only trace verifier: it consumes the Sink event stream —
-// live from the simulator, replayed from a materialized Trace
-// (Validate), or read back from disk (ReadBinary) — and checks the
+// live from the simulator or replayed from a materialized Trace
+// (Validate) — and checks the
 // scheduling invariants as a single forward pass whose state is
 // bounded by the number of *in-flight* sub-jobs, not by the horizon,
 // at O(log in-flight) per event:
@@ -525,8 +525,9 @@ func (c *StreamChecker) Finish() error {
 // released and completed exactly at E (a zero-cost post-processing
 // phase whose result arrives the instant setup completes) opens and
 // closes before that segment. Replaying into a StreamChecker verifies
-// a Trace one-pass (Validate); replaying into a BinarySink serializes
-// it.
+// a Trace one-pass (Validate).
+//
+//rtlint:allow reach -- reference: replays a materialized trace, the engine reference used across packages' tests
 func (tr *Trace) Replay(sink Sink) error {
 	opens := make([]int, len(tr.Subs))
 	for i := range opens {
