@@ -1,7 +1,9 @@
 GO ?= go
 
-# The demand-analysis micro-benchmarks tracked in BENCH_2.json.
-MICROBENCH = BenchmarkQPA$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn
+# The demand-analysis micro-benchmarks tracked in BENCH_2.json, with
+# the admit-large-shaped re-decision layer (internal/core's edgeChurn
+# replay with the exact upgrade on and off).
+MICROBENCH = BenchmarkQPA$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn|BenchmarkAdmissionEdgeChurn
 
 # The scheduler-engine benchmarks tracked in BENCH_4.json.
 SCHEDBENCH = BenchmarkSchedSplitEDF|BenchmarkSchedNaiveEDF|BenchmarkSchedAbortAtDeadline|BenchmarkFigure2$$
@@ -130,7 +132,7 @@ verify: vet lint reach build race alloc-gate smoke-mckp smoke-admitd smoke-campa
 # JSON session that replaces the `current` entry of BENCH_2.json (its
 # pre-Analyzer baseline entry stays).
 bench:
-	$(GO) test -run='^$$' -bench='$(MICROBENCH)' -benchmem -count=5 . | tee BENCH_2.txt
+	$(GO) test -run='^$$' -bench='$(MICROBENCH)' -benchmem -count=5 . ./internal/core | tee BENCH_2.txt
 	$(GO) run ./cmd/benchjson -label current -merge BENCH_2.json < BENCH_2.txt > BENCH_2.json.tmp
 	mv BENCH_2.json.tmp BENCH_2.json
 
@@ -208,6 +210,7 @@ cover:
 fuzz-smoke:
 	$(GO) test ./internal/sched -run='^$$' -fuzz=FuzzEngineMatchesReference -fuzztime=10s
 	$(GO) test ./internal/dbf -run='^$$' -fuzz=FuzzAnalyzerDifferential -fuzztime=10s
+	$(GO) test ./internal/dbf -run='^$$' -fuzz=FuzzSumMatchesRat -fuzztime=10s
 	$(GO) test ./internal/chaos/invariant -run='^$$' -fuzz=FuzzChaosHardGuarantee -fuzztime=10s
 	$(GO) test ./internal/mckp -run='^$$' -fuzz=FuzzMCKPSolverAgreement -fuzztime=10s
 	$(GO) test ./internal/core -run='^$$' -fuzz=FuzzFleetDecide -fuzztime=10s

@@ -28,6 +28,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"time"
 
 	"rtoffload/internal/admitd"
 	"rtoffload/internal/core"
@@ -96,5 +97,25 @@ func Run(w io.Writer, args []string) error {
 	}
 
 	fmt.Fprintf(os.Stderr, "admitd: serving on %s (solver=%s exact=%v)\n", *addr, opts.Solver, opts.ExactUpgrade)
-	return http.ListenAndServe(*addr, s.Handler())
+	return newServer(*addr, s.Handler()).ListenAndServe()
+}
+
+// Serve-mode connection timeouts. A client has readHeaderTimeout to
+// send its request headers, and a kept-alive connection closes after
+// idleTimeout without a request. There is no write timeout: nothing
+// bounds a decision's analysis time until the QPA horizon is capped,
+// so a write timeout could cut off a slow but valid answer.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer returns the serve-mode HTTP server of handler h on addr.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 }

@@ -2,9 +2,30 @@ package main
 
 import (
 	"bytes"
+	"net/http"
 	"strings"
 	"testing"
 )
+
+// TestServerTimeouts reads the serve-mode server's fields: the header
+// and idle timeouts are set, and the write timeout stays unset while
+// analysis time is unbounded.
+func TestServerTimeouts(t *testing.T) {
+	h := http.NotFoundHandler()
+	s := newServer("127.0.0.1:0", h)
+	if s.Addr != "127.0.0.1:0" || s.Handler == nil {
+		t.Fatalf("server at %q with handler %v", s.Addr, s.Handler)
+	}
+	if s.ReadHeaderTimeout != readHeaderTimeout || s.ReadHeaderTimeout <= 0 {
+		t.Errorf("ReadHeaderTimeout %v, want %v", s.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if s.IdleTimeout != idleTimeout || s.IdleTimeout <= 0 {
+		t.Errorf("IdleTimeout %v, want %v", s.IdleTimeout, idleTimeout)
+	}
+	if s.WriteTimeout != 0 || s.ReadTimeout != 0 {
+		t.Errorf("WriteTimeout %v, ReadTimeout %v: want both unset", s.WriteTimeout, s.ReadTimeout)
+	}
+}
 
 // TestRunRejectsBadFlags pins the argument validation: an unknown
 // solver and malformed or invalid fleet specs are rejected before the

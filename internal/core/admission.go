@@ -59,9 +59,10 @@ type Admission struct {
 	// az's slot i always holds the exact demand of dec.Choices[i]. A
 	// nil az is rebuilt from the caches on the next re-decision.
 	az *dbf.Analyzer
-	// upgradeBuf is the exact upgrade's candidate scratch, kept across
-	// re-decisions so a warm upgrade pass does not allocate it.
-	upgradeBuf []upgradeCand
+	// scratch is certify's Theorem-3 accumulator and the exact
+	// upgrade's candidate buffer, kept across re-decisions so a warm
+	// pass allocates neither.
+	scratch certifyScratch
 
 	// Persistent MCKP solver every re-decision solves on. Its class i
 	// always mirrors the committed caches[i]; redecide advances it by
@@ -256,7 +257,7 @@ func (a *Admission) redecide(origs, tasks task.Set, caches []taskCache, op struc
 		dec, err = certify(tasks, caches, sol, a.opts, func(want []dbf.Demand) *dbf.Analyzer {
 			a.az = a.syncedAnalyzer(want, op)
 			return a.az
-		}, &a.upgradeBuf)
+		}, &a.scratch)
 	}
 	if err != nil {
 		if synced {

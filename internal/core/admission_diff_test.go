@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"math/big"
 	"testing"
 
+	"rtoffload/internal/dbf"
 	"rtoffload/internal/rtime"
 	"rtoffload/internal/stats"
 	"rtoffload/internal/task"
@@ -70,28 +73,41 @@ func requireSameDecision(t *testing.T, got, want *Decision, ctx string) {
 	}
 }
 
+// fracRat converts an exact weight to the big.Rat the references use.
+func fracRat(f dbf.Frac) *big.Rat { return big.NewRat(f.Num, f.Den) }
+
 // requireCachedWeights asserts that every committed task cache still
-// holds its task's exact Theorem-3 weights, nil exactly where the
-// matching demand is nil. Re-decisions share the cached pointers, so a
-// total accumulated into one would skew every later decision.
+// holds its task's exact Theorem-3 weights, the zero Frac exactly
+// where the matching demand is nil, and that the MCKP items carry
+// their float64 roundings bit for bit.
 func requireCachedWeights(t *testing.T, a *Admission, ctx string) {
 	t.Helper()
 	for i, tk := range a.tasks {
 		c := a.caches[i]
-		if (c.localW == nil) != (c.local == nil) || (c.localW != nil && c.localW.Cmp(tk.Density()) != 0) {
+		if (c.localW.Den == 0) != (c.local == nil) || (c.local != nil && fracRat(c.localW).Cmp(tk.Density()) != 0) {
 			t.Fatalf("%s: task %d local weight %v, want %v (demand %v)", ctx, tk.ID, c.localW, tk.Density(), c.local)
 		}
 		if len(c.levelW) != len(tk.Levels) {
 			t.Fatalf("%s: task %d caches %d level weights for %d levels", ctx, tk.ID, len(c.levelW), len(tk.Levels))
 		}
+		for k, cm := range c.cm {
+			lv := -1
+			if cm.offload {
+				lv = cm.level
+			}
+			want, _ := fracRat(c.weight(lv)).Float64()
+			if got := c.class.Items[k].Weight; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s: task %d item %d weight %x, exact weight rounds to %x", ctx, tk.ID, k, got, want)
+			}
+		}
 		for j, w := range c.levelW {
-			if (w == nil) != (c.levels[j] == nil) {
+			if (w.Den == 0) != (c.levels[j] == nil) {
 				t.Fatalf("%s: task %d level %d weight %v with demand %v", ctx, tk.ID, j, w, c.levels[j])
 			}
-			if w == nil {
+			if w.Den == 0 {
 				continue
 			}
-			if want, err := tk.OffloadWeight(j); err != nil || w.Cmp(want) != 0 {
+			if want, err := tk.OffloadWeight(j); err != nil || fracRat(w).Cmp(want) != 0 {
 				t.Fatalf("%s: task %d level %d weight %v, want %v (%v)", ctx, tk.ID, j, w, want, err)
 			}
 		}

@@ -44,6 +44,6 @@ func DecideServerFaster(set task.Set) (*Decision, error) {
 		d.Choices = append(d.Choices, ch)
 		d.TotalExpected += ch.Expected
 	}
-	d.Theorem3Total, _ = theorem3Total(choiceCaches(d.Choices), d.Choices)
+	d.Theorem3Total, _ = theorem3Total(d.Choices)
 	return d, nil
 }

@@ -203,41 +203,48 @@ type classMap struct {
 	level   int
 }
 
-// ratOne is the Theorem-3 capacity bound. Cmp never mutates it.
-var ratOne = big.NewRat(1, 1)
-
 // taskCache is the per-task decision state that depends only on the
 // task itself: its MCKP class, the item→(offload, level) map, and the
 // exact demand model and Theorem-3 weight of every choice. Decide
 // derives it per call; the online Admission manager caches one per
-// admitted task so re-decisions skip the big.Rat weight arithmetic and
-// demand construction entirely. Admission shares a cache across
-// re-decisions, so nothing may write to its weights.
+// admitted task so re-decisions skip the weight arithmetic and demand
+// construction entirely.
 type taskCache struct {
 	class mckp.Class
 	cm    []classMap
 	// local is the dbf.Sporadic demand of local execution and localW
-	// its Theorem-3 weight Ci/Di (nil only when the task cannot form a
-	// valid sporadic model, which Validate excludes).
+	// its Theorem-3 weight Ci/Di (nil and the zero Frac only when the
+	// task cannot form a valid sporadic model, which Validate
+	// excludes).
 	local  dbf.Demand
-	localW *big.Rat
+	localW dbf.Frac
 	// levels holds the candidate dbf.Offloaded demand per offloading
 	// level and levelW its Theorem-3 weight (Ci,1+Ci,2)/(Di−ri,j); nil
-	// entries mark levels that cannot form a valid split model and are
-	// never feasible. Unlike the MCKP items, over-dense levels (w > 1)
-	// are present — the exact-upgrade pass may still admit them.
+	// demands and zero weights mark levels that cannot form a valid
+	// split model and are never feasible. Unlike the MCKP items,
+	// over-dense levels (w > 1) are present — the exact-upgrade pass
+	// may still admit them.
 	levels []dbf.Demand
-	levelW []*big.Rat
+	levelW []dbf.Frac
+}
+
+// weight returns the cached Theorem-3 weight of point lv (−1: local
+// execution); the zero Frac when the point has no demand model.
+func (c *taskCache) weight(lv int) dbf.Frac {
+	if lv < 0 {
+		return c.localW
+	}
+	return c.levelW[lv]
 }
 
 // taskDemands builds the exact demand models and Theorem-3 weights of
 // every choice of one task (the local, localW, levels and levelW
 // fields of its taskCache) through demandOf; a choice without a valid
-// model keeps nil entries.
+// model keeps nil and zero entries.
 func taskDemands(t *task.Task) taskCache {
-	c := taskCache{levels: make([]dbf.Demand, len(t.Levels)), levelW: make([]*big.Rat, len(t.Levels))}
+	c := taskCache{levels: make([]dbf.Demand, len(t.Levels)), levelW: make([]dbf.Frac, len(t.Levels))}
 	if d, err := demandOf(Choice{Task: t}); err == nil {
-		c.local, c.localW = d, t.Density()
+		c.local, c.localW = d, dbf.NewFrac(int64(t.LocalWCET), int64(t.Deadline))
 	}
 	for j := range t.Levels {
 		if d, err := demandOf(Choice{Task: t, Offload: true, Level: j}); err == nil {
@@ -256,18 +263,16 @@ func taskDemands(t *task.Task) taskCache {
 func buildTaskCache(t *task.Task) taskCache {
 	c := taskDemands(t)
 	c.class.Label = t.Name
-	localW, _ := c.localW.Float64() //rtlint:allow floatexact -- exact→float handoff: MCKP weights are float64 by design; feasibility is re-certified exactly
-	c.class.Items = append(c.class.Items, mckp.Item{Weight: localW, Profit: t.EffectiveWeight() * t.LocalBenefit})
+	c.class.Items = append(c.class.Items, mckp.Item{Weight: c.localW.Float64(), Profit: t.EffectiveWeight() * t.LocalBenefit})
 	c.cm = append(c.cm, classMap{offload: false})
 	for j, w := range c.levelW {
-		if w == nil {
+		if w.Den == 0 {
 			continue // budget ≥ deadline or invalid split: never feasible
 		}
-		if w.Cmp(ratOne) > 0 {
+		if w.Num > w.Den {
 			continue // over-dense for Theorem 3
 		}
-		wf, _ := w.Float64() //rtlint:allow floatexact -- exact→float handoff: MCKP weights are float64 by design; feasibility is re-certified exactly
-		c.class.Items = append(c.class.Items, mckp.Item{Weight: wf, Profit: t.EffectiveWeight() * t.Levels[j].Benefit})
+		c.class.Items = append(c.class.Items, mckp.Item{Weight: w.Float64(), Profit: t.EffectiveWeight() * t.Levels[j].Benefit})
 		c.cm = append(c.cm, classMap{offload: true, level: j})
 	}
 	return c
@@ -337,21 +342,28 @@ func freshAnalyzer(ds []dbf.Demand) *dbf.Analyzer {
 // the capacity pools. With ExactUpgrade the certified decision is then
 // upgraded by the exact QPA test, on the dbf.Analyzer that analyzer
 // returns for its demands and under the pool ledger's guard when a
-// fleet is set; buf is the upgrade's candidate scratch (nil allocates
-// one). A fleet decision's ServerLoads is the ledger's final account.
-// analyzer is only called once every fallible step has passed, so an
-// error leaves whatever state it closes over untouched.
+// fleet is set. One Theorem-3 accumulator, sc.t3, is filled from the
+// assembled choices and patched by every downgrade, reroute and
+// upgrade; the decision's Theorem3Total is its one normalisation. sc
+// is reusable scratch (nil allocates one). A fleet decision's
+// ServerLoads is the ledger's final account. analyzer is only called
+// once every fallible step has passed, so an error leaves whatever
+// state it closes over untouched.
 func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options,
-	analyzer func([]dbf.Demand) *dbf.Analyzer, buf *[]upgradeCand) (*Decision, error) {
+	analyzer func([]dbf.Demand) *dbf.Analyzer, sc *certifyScratch) (*Decision, error) {
+	if sc == nil {
+		sc = new(certifyScratch)
+	}
 	d := assembleDecision(tasks, caches, sol, opts.Solver)
+	sc.t3.fill(caches, d.Choices)
 	var ledger *poolLedger
 	if opts.Fleet.Empty() {
-		if err := repairDecision(d, caches); err != nil {
+		if err := repairDecision(d, caches, &sc.t3); err != nil {
 			return nil, err
 		}
 	} else {
 		var err error
-		if ledger, err = repairFleetDecision(d, opts.Fleet, caches); err != nil {
+		if ledger, err = repairFleetDecision(d, opts.Fleet, caches, &sc.t3); err != nil {
 			return nil, err
 		}
 	}
@@ -360,12 +372,21 @@ func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options
 		if ledger != nil {
 			guard = ledger
 		}
-		d = exactUpgrade(d, caches, analyzer, guard, buf)
+		d = exactUpgrade(d, caches, analyzer, guard, sc)
 	}
+	d.Theorem3Total = sc.t3.total()
 	if ledger != nil {
 		d.ServerLoads = ledger.loads
 	}
 	return d, nil
+}
+
+// certifyScratch is certify's reusable state: the Theorem-3
+// accumulator and the exact upgrade's candidate buffer. Admission
+// keeps one across re-decisions so a warm pass allocates neither.
+type certifyScratch struct {
+	t3         theorem3Sum
+	upgradeBuf []upgradeCand
 }
 
 // solveOn runs solver s on mk's current instance, mapping the
@@ -421,26 +442,38 @@ func assembleDecision(set task.Set, caches []taskCache, sol mckp.Solution, solve
 // repairDecision is the exact verification + repair pass: float
 // accumulation in the solvers can, in principle, admit a configuration
 // a hair over 1. Downgrade the offloaded choice with the smallest
-// benefit loss until the exact test over the cached weights passes.
-func repairDecision(d *Decision, caches []taskCache) error {
-	for {
-		total, ok := theorem3Total(caches, d.Choices)
-		if ok {
-			d.Theorem3Total = total
-			return nil
-		}
+// benefit loss until the exact test passes. t3 holds the Theorem-3
+// total of d.Choices and is patched by each downgrade's delta.
+func repairDecision(d *Decision, caches []taskCache, t3 *theorem3Sum) error {
+	for !t3.ok() {
 		idx := cheapestDowngrade(d.Choices)
 		if idx < 0 {
 			return ErrInfeasible
 		}
-		c := &d.Choices[idx]
-		d.TotalExpected -= c.Expected
-		c.Offload = false
-		c.Level = 0
-		c.Expected = c.Task.EffectiveWeight() * c.Task.LocalBenefit
-		d.TotalExpected += c.Expected
-		d.Repaired++
+		downgrade(d, caches, t3, idx)
 	}
+	return nil
+}
+
+// downgrade switches choice idx to local execution, updating the
+// objective, the repair count and the Theorem-3 total t3.
+func downgrade(d *Decision, caches []taskCache, t3 *theorem3Sum, idx int) {
+	c := &d.Choices[idx]
+	t3.move(&caches[idx], c.point(), -1)
+	d.TotalExpected -= c.Expected
+	c.Offload = false
+	c.Level = 0
+	c.Expected = c.Task.EffectiveWeight() * c.Task.LocalBenefit
+	d.TotalExpected += c.Expected
+	d.Repaired++
+}
+
+// point returns the choice's offloading level, −1 for local execution.
+func (c Choice) point() int {
+	if !c.Offload {
+		return -1
+	}
+	return c.Level
 }
 
 // choiceDemands resolves every choice to its cached exact demand; an
@@ -467,22 +500,65 @@ func choiceCaches(choices []Choice) []taskCache {
 	return caches
 }
 
-// theorem3Total evaluates the exact Theorem-3 test (3) over the cached
-// weights of a choice vector into a fresh total. A choice without a
-// valid demand model (over-dense) fails the test with total 2.
-func theorem3Total(caches []taskCache, choices []Choice) (*big.Rat, bool) {
-	total := new(big.Rat)
+// theorem3Sum is the running exact Theorem-3 total (3) of one choice
+// vector: the cached weights of its chosen points in one dbf.Sum,
+// filled once per decision and patched by the delta of every move,
+// plus the number of chosen points without a weight (no valid demand
+// model), any of which fails the test.
+type theorem3Sum struct {
+	sum     dbf.Sum
+	missing int
+}
+
+// fill sets s to the total of choices over their caches.
+func (s *theorem3Sum) fill(caches []taskCache, choices []Choice) {
+	s.sum.Reset()
+	s.missing = 0
 	for i, c := range choices {
-		w := caches[i].localW
-		if c.Offload {
-			w = caches[i].levelW[c.Level]
-		}
-		if w == nil {
-			return big.NewRat(2, 1), false
-		}
-		total.Add(total, w)
+		s.add(caches[i].weight(c.point()), false)
 	}
-	return total, total.Cmp(ratOne) <= 0
+}
+
+func (s *theorem3Sum) add(w dbf.Frac, sub bool) {
+	switch {
+	case w.Den == 0 && sub:
+		s.missing--
+	case w.Den == 0:
+		s.missing++
+	case sub:
+		s.sum.Sub(w)
+	default:
+		s.sum.Add(w)
+	}
+}
+
+// move re-accounts a choice over cache c from point from to point to
+// (−1: local execution).
+func (s *theorem3Sum) move(c *taskCache, from, to int) {
+	s.add(c.weight(from), true)
+	s.add(c.weight(to), false)
+}
+
+// ok reports whether the total passes Theorem 3: every chosen point
+// has a weight and their sum is at most 1.
+func (s *theorem3Sum) ok() bool { return s.missing == 0 && s.sum.CmpOne() <= 0 }
+
+// total returns the exact total, normalised once; 2 when a chosen
+// point has no weight.
+func (s *theorem3Sum) total() *big.Rat {
+	if s.missing > 0 {
+		return big.NewRat(2, 1)
+	}
+	return s.sum.Rat()
+}
+
+// theorem3Total evaluates the exact Theorem-3 test (3) of a choice
+// vector from freshly built task caches; a choice without a valid
+// demand model fails it with total 2.
+func theorem3Total(choices []Choice) (*big.Rat, bool) {
+	var s theorem3Sum
+	s.fill(choiceCaches(choices), choices)
+	return s.total(), s.ok()
 }
 
 // cheapestDowngrade picks the offloaded choice whose switch to local

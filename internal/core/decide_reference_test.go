@@ -25,6 +25,9 @@ import (
 // bit-identical to it; without it, the admission differentials would
 // only compare two callers of the same certify.
 
+// ratOne is the Theorem-3 capacity bound the references compare with.
+var ratOne = big.NewRat(1, 1)
+
 // buildInstance constructs the MCKP instance of §5.2 over the whole
 // set (see buildTaskCache for the per-task reduction).
 func buildInstance(set task.Set) (*mckp.Instance, [][]classMap, error) {
@@ -382,7 +385,11 @@ func TestRepairDecisionMatchesReference(t *testing.T) {
 				return d
 			}
 			got, want := fresh(), fresh()
-			gotErr := repairDecision(got, choiceCaches(got.Choices))
+			caches := choiceCaches(got.Choices)
+			var t3 theorem3Sum
+			t3.fill(caches, got.Choices)
+			gotErr := repairDecision(got, caches, &t3)
+			got.Theorem3Total = t3.total()
 			wantErr := refRepairDecision(want, theorem3Of)
 			if !errors.Is(gotErr, tc.wantErr) || !errors.Is(wantErr, tc.wantErr) {
 				t.Fatalf("errors %v (reference %v), want %v", gotErr, wantErr, tc.wantErr)

@@ -88,7 +88,7 @@ func ReadDecisionJSON(r io.Reader, set task.Set) (*Decision, error) {
 		d.Choices = append(d.Choices, ch)
 		d.TotalExpected += ch.Expected
 	}
-	total, ok := theorem3Total(choiceCaches(d.Choices), d.Choices)
+	total, ok := theorem3Total(d.Choices)
 	d.Theorem3Total = total
 	if f.Exact {
 		if err := VerifyExact(d); err != nil {

@@ -65,15 +65,20 @@ func ImproveWithExact(d *Decision, set task.Set) (*Decision, error) {
 	if err := set.Validate(); err != nil {
 		return nil, err
 	}
-	return exactUpgrade(d, choiceCaches(d.Choices), freshAnalyzer, nil, nil), nil
+	caches := choiceCaches(d.Choices)
+	var sc certifyScratch
+	sc.t3.fill(caches, d.Choices)
+	out := exactUpgrade(d, caches, freshAnalyzer, nil, &sc)
+	out.Theorem3Total = sc.t3.total()
+	return out, nil
 }
 
 // exactUpgrade runs the exact-upgrade pass on a copy of d: analyzer
 // supplies the dbf.Analyzer over the copy's current demands (nil skips
-// the upgrade), improveLoop applies the upgrades under guard with buf
-// as its candidate scratch, and the exact Theorem-3 total of the
-// result is recorded.
-func exactUpgrade(d *Decision, caches []taskCache, analyzer func([]dbf.Demand) *dbf.Analyzer, guard upgradeGuard, buf *[]upgradeCand) *Decision {
+// the upgrade), and improveLoop applies the upgrades under guard with
+// sc's candidate buffer, patching sc.t3 — which holds d's Theorem-3
+// total — by each upgrade's delta. The caller records the total.
+func exactUpgrade(d *Decision, caches []taskCache, analyzer func([]dbf.Demand) *dbf.Analyzer, guard upgradeGuard, sc *certifyScratch) *Decision {
 	out := &Decision{
 		Choices:       append([]Choice(nil), d.Choices...),
 		TotalExpected: d.TotalExpected,
@@ -82,9 +87,8 @@ func exactUpgrade(d *Decision, caches []taskCache, analyzer func([]dbf.Demand) *
 		ExactVerified: true,
 	}
 	if az := analyzer(choiceDemands(caches, out.Choices)); az != nil {
-		improveLoop(out, az, caches, guard, buf)
+		improveLoop(out, az, caches, guard, sc)
 	}
-	out.Theorem3Total, _ = theorem3Total(caches, out.Choices)
 	return out
 }
 
@@ -161,13 +165,12 @@ func upgradeCands(buf []upgradeCand, choices []Choice, caches []taskCache) []upg
 // (task, level), and it costs one probe per candidate ranked above
 // the winner instead of one per running-best improvement in index
 // order. Task validation keeps every weighted benefit finite, so no
-// gain is NaN and the order is total. buf is the candidate scratch,
-// reused across rounds and — when the caller keeps it — across calls;
-// nil allocates one.
-func improveLoop(out *Decision, az *dbf.Analyzer, caches []taskCache, guard upgradeGuard, buf *[]upgradeCand) {
-	if buf == nil {
-		buf = new([]upgradeCand)
-	}
+// gain is NaN and the order is total. sc.upgradeBuf is the candidate
+// scratch, reused across rounds and — when the caller keeps sc —
+// across calls; sc.t3 holds out's Theorem-3 total and follows every
+// upgrade.
+func improveLoop(out *Decision, az *dbf.Analyzer, caches []taskCache, guard upgradeGuard, sc *certifyScratch) {
+	buf := &sc.upgradeBuf
 	feasible := (*dbf.Analyzer).Feasible
 	for {
 		*buf = upgradeCands(*buf, out.Choices, caches)
@@ -189,6 +192,7 @@ func improveLoop(out *Decision, az *dbf.Analyzer, caches []taskCache, guard upgr
 			return
 		}
 		c := &out.Choices[bestIdx]
+		sc.t3.move(&caches[bestIdx], c.point(), bestLevel)
 		old := c.Expected
 		c.Offload = true
 		c.Level = bestLevel

@@ -105,16 +105,17 @@ func replayEdgeChurn(opts Options, stream []edgeOp) *Admission {
 // on the online exact upgrade: replaying a fixed-seed churn stream of
 // about thirty light near-edge tasks on the core solver with the
 // exact upgrade must stay within its allocation budget. The replay
-// needs 60,519 allocations with every Theorem-3 weight computed once
-// per task cache (Go 1.24; math/big's internals set the exact figure;
-// the index-order upgrade loop the gain-ordered scan replaced needed
-// 85,044). The bound is that count plus 5%. Rebuilding the scan's
-// candidate buffer on every re-decision instead of keeping it in the
-// Admission costs 60,604, which no count bound with headroom tells
-// apart, so the gate checks directly that the Admission keeps the
-// buffer.
+// needs 6,706 allocations with every Theorem-3 weight an int64
+// fraction summed in one reused accumulator per re-decision (Go 1.24;
+// math/big's internals set the exact figure; re-summing normalising
+// big.Rat weights needed 60,519). The bound is that count plus 5%. A
+// fresh accumulator per re-decision costs 7,613, which the bound
+// catches. Rebuilding the scan's candidate buffer on every
+// re-decision costs about 85 more, which no count bound with headroom
+// tells apart, so the gate checks directly that the Admission keeps
+// the buffer.
 func TestAdmissionExactAllocsBounded(t *testing.T) {
-	const bound = 63545
+	const bound = 7042
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates; make alloc-gate runs this gate without it")
 	}
@@ -125,7 +126,7 @@ func TestAdmissionExactAllocsBounded(t *testing.T) {
 		t.Fatalf("replay ends with %d tasks, %d offloaded; the gate measures no upgrade work",
 			a.Len(), a.Decision().OffloadedCount())
 	}
-	if cap(a.upgradeBuf) == 0 {
+	if cap(a.scratch.upgradeBuf) == 0 {
 		t.Fatal("the Admission keeps no upgrade candidate buffer across re-decisions")
 	}
 	allocs := testing.AllocsPerRun(5, func() { replayEdgeChurn(opts, stream) })
@@ -133,4 +134,27 @@ func TestAdmissionExactAllocsBounded(t *testing.T) {
 		t.Fatalf("exact churn replay allocates %.0f times, bound %d", allocs, bound)
 	}
 	t.Logf("exact churn replay of %d requests: %.0f allocations (bound %d)", len(stream), allocs, bound)
+}
+
+// BenchmarkAdmissionEdgeChurn replays one fixed 330-request edgeChurn
+// stream, recorded with the exact upgrade on, in admit-large's shape
+// on the core solver, with the exact upgrade on and off. The requests
+// are the same in both, so the difference is the exact-upgrade layer
+// of an admission re-decision.
+func BenchmarkAdmissionEdgeChurn(b *testing.B) {
+	rec := Options{Solver: SolverCore, ExactUpgrade: true}
+	stream := edgeChurn(b, rec, stats.DeriveSeed(1, 0x1a46e), 300)
+	for _, exact := range []bool{true, false} {
+		name := "noexact"
+		if exact {
+			name = "exact"
+		}
+		b.Run(name, func(b *testing.B) {
+			opts := Options{Solver: SolverCore, ExactUpgrade: exact}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				replayEdgeChurn(opts, stream)
+			}
+		})
+	}
 }

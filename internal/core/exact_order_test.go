@@ -120,7 +120,10 @@ func TestImproveLoopMatchesReference(t *testing.T) {
 			} else {
 				cv.note(d, caches, nil)
 			}
-			got := exactUpgrade(d, caches, freshAnalyzer, guard, nil)
+			var sc certifyScratch
+			sc.t3.fill(caches, d.Choices)
+			got := exactUpgrade(d, caches, freshAnalyzer, guard, &sc)
+			got.Theorem3Total = sc.t3.total()
 			want := refImproveWithExact(d, func(out *Decision) upgradeGuard {
 				if shape == "" {
 					return nil

@@ -54,9 +54,11 @@ import (
 // their account, so the decisions stay bit-identical to the
 // from-scratch pass kept in fleet_reference_test.go. The returned
 // ledger matches d.Choices and serves as the exact-upgrade capacity
-// guard; its loads become the decision's ServerLoads.
-func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache) (*poolLedger, error) {
-	if err := repairDecision(d, caches); err != nil {
+// guard; its loads become the decision's ServerLoads. t3 holds the
+// Theorem-3 total of d.Choices and follows every reroute and
+// downgrade by its delta, so no step re-sums the vector.
+func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache, t3 *theorem3Sum) (*poolLedger, error) {
+	if err := repairDecision(d, caches, t3); err != nil {
 		return nil, err
 	}
 	l := newPoolLedger(f, d.Choices, caches)
@@ -65,22 +67,16 @@ func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache) (*poolL
 		if oi < 0 {
 			return l, nil
 		}
-		if l.rerouteCheapest(d, oi) {
+		if l.rerouteCheapest(d, oi, t3) {
 			continue
 		}
 		idx := l.cheapestDowngradeIn(d.Choices, oi)
 		if idx < 0 {
 			return nil, ErrInfeasible
 		}
-		c := &d.Choices[idx]
-		d.TotalExpected -= c.Expected
-		c.Offload = false
-		c.Level = 0
-		c.Expected = c.Task.EffectiveWeight() * c.Task.LocalBenefit
-		d.TotalExpected += c.Expected
-		d.Repaired++
+		downgrade(d, caches, t3, idx)
 		l.commit(idx, -1)
-		if err := repairDecision(d, caches); err != nil {
+		if err := repairDecision(d, caches, t3); err != nil {
 			return nil, err
 		}
 		l.sync(d.Choices) // the Theorem-3 repair may downgrade more
@@ -108,8 +104,6 @@ type poolLedger struct {
 	// Cross-multiplication scratch of cmp and cmpDiff.
 	//rtlint:arena
 	x, y, z big.Int
-	//rtlint:arena
-	t3room big.Rat // 1 − Σ Theorem 3 during one reroute scan
 }
 
 // poolPoint is one (server, budget) point's cached contribution,
@@ -349,29 +343,28 @@ func (l *poolLedger) drains(oi int, from, to *poolPoint) bool {
 // rerouteCheapest moves one choice off the violated pool oi onto the
 // alternative point with the smallest expected-benefit loss (ties:
 // lower task index, then lower point index). It updates the decision's
-// objective, its exact Theorem-3 total and the ledger in place and
+// objective, its exact Theorem-3 total t3 and the ledger in place and
 // reports whether a qualifying reroute existed.
-func (l *poolLedger) rerouteCheapest(d *Decision, oi int) bool {
+func (l *poolLedger) rerouteCheapest(d *Decision, oi int, t3 *theorem3Sum) bool {
 	bestIdx, bestLv := -1, 0
 	bestLoss := 0.0
-	// Σ − wOld + wNew ≤ 1  ⇔  wNew − wOld ≤ 1 − Σ.
-	l.t3room.Sub(ratOne, d.Theorem3Total)
 	for i, c := range d.Choices {
 		if !l.contributes(i, oi) {
 			continue
 		}
 		ws := l.caches[i].levelW
 		from, wFrom := l.point(i, c.Level), ws[c.Level]
-		if wFrom == nil {
+		if wFrom.Den == 0 {
 			continue
 		}
 		t := c.Task
 		for lv, wTo := range ws {
-			if lv == c.Level || wTo == nil {
-				continue // nil: no valid split model, Theorem 3 would reject it
+			if lv == c.Level || wTo.Den == 0 {
+				continue // no valid split model: Theorem 3 would reject it
 			}
 			to := l.point(i, lv)
-			if !l.drains(oi, from, to) || l.cmpDiff(wTo, wFrom, &l.t3room) > 0 {
+			// Σ − wFrom + wTo ≤ 1, judged without changing Σ.
+			if !l.drains(oi, from, to) || t3.sum.CmpOneAfter(wFrom, wTo) > 0 {
 				continue
 			}
 			loss := c.Expected - t.EffectiveWeight()*t.Levels[lv].Benefit
@@ -384,11 +377,7 @@ func (l *poolLedger) rerouteCheapest(d *Decision, oi int) bool {
 		return false
 	}
 	c := &d.Choices[bestIdx]
-	// Exact incremental update into a fresh total: big.Rat keeps the
-	// sum normalized, so the value matches a from-scratch evaluation.
-	ws := l.caches[bestIdx].levelW
-	total := new(big.Rat).Sub(d.Theorem3Total, ws[c.Level])
-	d.Theorem3Total = total.Add(total, ws[bestLv])
+	t3.move(&l.caches[bestIdx], c.Level, bestLv)
 	d.TotalExpected -= c.Expected
 	c.Level = bestLv
 	c.Expected = c.Task.EffectiveWeight() * c.Task.Levels[bestLv].Benefit

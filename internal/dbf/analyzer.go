@@ -70,24 +70,22 @@ func newDemandStat(d Demand) (demandStat, bool) {
 // a full rebuild. Verdicts — including the exact Violation window —
 // are identical to a fresh QPA over the same demands.
 //
-// The sums are big.Int numerators over one common denominator, a
-// multiple of every demand's period. Updates add or subtract scaled
-// numerators and never normalise, so no gcd runs on a swap and the
-// reused scratch keeps the steady state allocation-free. The sums and
-// scratch are held by value, so an Analyzer must not be copied.
+// The sums are big.Int numerators over one commonDen, the mechanism
+// Sum also runs on: a multiple of every demand's period. Updates add
+// or subtract scaled numerators and never normalise, so no gcd runs on
+// a swap and the reused scratch keeps the steady state
+// allocation-free. The sums and scratch are held by value, so an
+// Analyzer must not be copied.
 type Analyzer struct {
 	ds    []Demand
 	stats []demandStat
 	// ΣRate = rateN/den and ΣBurst = burstN/den, where den is a common
 	// multiple of every stats[i].den and mult[i] = den/stats[i].den.
-	// t1..t3 are reusable scratch.
-	den, rateN, burstN big.Int
+	// t3 is reusable scratch beside the commonDen's own.
+	commonDen
+	rateN, burstN big.Int
 	//rtlint:arena
 	mult []big.Int
-	//rtlint:arena
-	t1 big.Int
-	//rtlint:arena
-	t2 big.Int
 	//rtlint:arena
 	t3 big.Int
 }
@@ -128,16 +126,12 @@ func (a *Analyzer) recompute() {
 	a.mult = a.mult[:len(a.stats)]
 	a.den.SetInt64(1)
 	for i := range a.stats {
-		t := a.stats[i].den
-		// den = den · t / gcd(den mod t, t); the gcd operand fits int64.
-		rem := a.t1.Mod(&a.den, a.t2.SetInt64(t)).Int64()
-		g := int64(rtime.GCD(rtime.Duration(rem), rtime.Duration(t)))
-		a.den.Mul(&a.den, a.t2.SetInt64(t/g))
+		a.cover(&a.t3, a.stats[i].den)
 	}
 	a.rateN.SetInt64(0)
 	a.burstN.SetInt64(0)
 	for i := range a.stats {
-		a.mult[i].Quo(&a.den, a.t1.SetInt64(a.stats[i].den))
+		a.scale(&a.mult[i], a.stats[i].den)
 		a.account(i, false)
 	}
 }
@@ -155,17 +149,6 @@ func (a *Analyzer) account(i int, sub bool) {
 	}
 	a.rateN.Add(&a.rateN, r)
 	a.burstN.Add(&a.burstN, b)
-}
-
-// setMult sets mult[i] = den/stats[i].den and reports whether that
-// division is exact, i.e. whether den already covers the stat.
-func (a *Analyzer) setMult(i int) bool {
-	q, r := a.t1.QuoRem(&a.den, a.t2.SetInt64(a.stats[i].den), &a.t3)
-	if r.Sign() != 0 {
-		return false
-	}
-	a.mult[i].Set(q)
-	return true
 }
 
 // Swap replaces demand i, updating the cached aggregates in O(1).
@@ -191,7 +174,7 @@ func (a *Analyzer) swapStat(i int, d Demand, st demandStat) {
 	oldDen := a.stats[i].den
 	a.ds[i] = d
 	a.stats[i] = st
-	if st.den != oldDen && !a.setMult(i) { //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
+	if st.den != oldDen && !a.scale(&a.mult[i], st.den) { //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
 		a.recompute() //rtlint:allow hotalloc -- full rebuild when den must grow, not the O(1) steady-state delta
 		return
 	}
@@ -209,7 +192,7 @@ func (a *Analyzer) Append(d Demand) error {
 	a.ds = append(a.ds, d)
 	a.stats = append(a.stats, st)
 	a.mult = append(a.mult, big.Int{})
-	if i := len(a.stats) - 1; a.setMult(i) {
+	if i := len(a.stats) - 1; a.scale(&a.mult[i], st.den) {
 		a.account(i, false)
 	} else {
 		a.recompute()

@@ -226,10 +226,11 @@ func mulRat(r *big.Rat, d rtime.Duration) *big.Rat {
 	return new(big.Rat).Mul(r, d.Rat())
 }
 
-// Theorem1Rate returns (C1+C2)/(D−R), the task's contribution to the
-// Theorem-3 sum.
-func (o Offloaded) Theorem1Rate() *big.Rat {
-	return rtime.Ratio(o.C1+o.C2, o.D-o.R)
+// Theorem1Rate returns (C1+C2)/(D−R) in lowest terms, the task's
+// contribution to the Theorem-3 sum. The constructor's bounds keep
+// both parts within (0, D].
+func (o Offloaded) Theorem1Rate() Frac {
+	return NewFrac(int64(o.C1+o.C2), int64(o.D-o.R))
 }
 
 // offsets returns the four step offsets of the two alignments.

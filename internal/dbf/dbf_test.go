@@ -134,8 +134,8 @@ func TestNewOffloaded(t *testing.T) {
 	if o.D1 <= 0 || o.D1 >= o.D-o.R {
 		t.Fatalf("D1 = %v out of range", o.D1)
 	}
-	// Theorem-1 rate = 35/80.
-	if o.Theorem1Rate().Cmp(big.NewRat(35, 80)) != 0 {
+	// Theorem-1 rate = 35/80, 7/16 in lowest terms.
+	if o.Theorem1Rate() != (Frac{Num: 7, Den: 16}) {
 		t.Errorf("Theorem1Rate = %v", o.Theorem1Rate())
 	}
 	// Over-dense task must be rejected: C1+C2 > D−R.
@@ -194,7 +194,7 @@ func TestOffloadedLinearBoundTheorem1(t *testing.T) {
 		limit := min(h, 10*period)
 		for _, tt := range o.StepsUpTo(limit) {
 			lhs := new(big.Rat).SetInt64(int64(o.DBF(tt)))
-			bound := new(big.Rat).Mul(o.Theorem1Rate(), tt.Rat())
+			bound := new(big.Rat).Mul(big.NewRat(o.Theorem1Rate().Num, o.Theorem1Rate().Den), tt.Rat())
 			slack := new(big.Rat).Sub(lhs, bound)
 			// Grid flooring of D1 can cost < 1µs per job deadline.
 			jobs := big.NewRat(int64(tt/o.T)+2, 1)

@@ -97,3 +97,128 @@ func addDur(a, b rtime.Duration) rtime.Duration {
 	}
 	return s
 }
+
+// Frac is an exact fraction Num/Den of int64s with Den > 0, such as a
+// task's Theorem-3 weight. The zero Frac (Den 0) is no fraction.
+type Frac struct{ Num, Den int64 }
+
+// NewFrac returns n/d in lowest terms, for n ≥ 0 and d > 0.
+func NewFrac(n, d int64) Frac {
+	g := int64(rtime.GCD(rtime.Duration(n), rtime.Duration(d)))
+	return Frac{Num: n / g, Den: d / g}
+}
+
+// Float64 returns the float64 nearest f, rounding exactly as
+// big.Rat.Float64 does: when both parts are exact in a float64 the
+// IEEE division is correctly rounded, and larger parts take the
+// big.Rat path.
+func (f Frac) Float64() float64 {
+	const exact = 1 << 53
+	if -exact <= f.Num && f.Num <= exact && f.Den <= exact {
+		return float64(f.Num) / float64(f.Den) //rtlint:allow floatexact -- exact→float handoff of a Theorem-3 weight to the float64 MCKP
+	}
+	x, _ := new(big.Rat).SetFrac64(f.Num, f.Den).Float64() //rtlint:allow floatexact -- exact→float handoff of a Theorem-3 weight to the float64 MCKP
+	return x
+}
+
+// commonDen is a common multiple of int64 denominators: the fixed
+// denominator of Sum and of the Analyzer's rate and burst sums. It
+// grows by an int64 gcd step, den·d/gcd(den mod d, d), so the
+// numerators over it are scaled but never normalised.
+type commonDen struct {
+	den big.Int
+	//rtlint:arena
+	t1 big.Int
+	//rtlint:arena
+	t2 big.Int
+}
+
+// cover makes den a multiple of d > 0 and sets m = den/d; m must not
+// be den or the scratch. It returns the factor den grew by, 1 when d
+// already divided it.
+func (c *commonDen) cover(m *big.Int, d int64) int64 {
+	q, r := m.QuoRem(&c.den, c.t1.SetInt64(d), &c.t2)
+	if r.Sign() == 0 {
+		return 1
+	}
+	rem := r.Int64()
+	g := int64(rtime.GCD(rtime.Duration(rem), rtime.Duration(d)))
+	f := d / g
+	c.den.Mul(&c.den, c.t1.SetInt64(f))
+	// The new den/d is (q·d + rem)·f/d = q·f + rem/g, as d = f·g.
+	q.Mul(q, &c.t1)
+	q.Add(q, c.t2.SetInt64(rem/g))
+	return f
+}
+
+// scale sets m = ⌊den/d⌋ and reports whether d divides den, making m
+// exact; den never changes. m must not be den or the scratch.
+func (c *commonDen) scale(m *big.Int, d int64) bool {
+	_, r := m.QuoRem(&c.den, c.t1.SetInt64(d), &c.t2)
+	return r.Sign() == 0
+}
+
+// Sum is an exact running sum of Fracs: one numerator over a common
+// multiple of every denominator added so far. An Add or Sub whose
+// denominator divides the common one costs a word-by-bignum divide and
+// multiply; any other first grows the common denominator by an int64
+// gcd step. No gcd of big numbers runs until Rat, so a sum filled once
+// and patched by deltas pays one normalisation. A Sum must be Reset
+// before use and must not be copied.
+type Sum struct {
+	commonDen
+	num big.Int
+	//rtlint:arena
+	t3 big.Int
+	//rtlint:arena
+	t4 big.Int
+}
+
+// Reset empties the sum.
+func (s *Sum) Reset() {
+	s.den.SetInt64(1)
+	s.num.SetInt64(0)
+}
+
+// Add adds f to the sum.
+func (s *Sum) Add(f Frac) { s.add(f, false) }
+
+// Sub subtracts f from the sum.
+func (s *Sum) Sub(f Frac) { s.add(f, true) }
+
+func (s *Sum) add(f Frac, sub bool) {
+	m := &s.t3
+	if g := s.cover(m, f.Den); g != 1 {
+		s.num.Mul(&s.num, s.t1.SetInt64(g))
+	}
+	m.Mul(m, s.t1.SetInt64(f.Num))
+	if sub {
+		s.num.Sub(&s.num, m)
+	} else {
+		s.num.Add(&s.num, m)
+	}
+}
+
+// CmpOne compares the sum with 1, returning −1, 0 or +1.
+func (s *Sum) CmpOne() int { return s.num.Cmp(&s.den) }
+
+// CmpOneAfter compares the sum minus sub plus add with 1, as CmpOne
+// would after Sub(sub) and Add(add), but leaves the sum and its
+// denominator unchanged.
+func (s *Sum) CmpOneAfter(sub, add Frac) int {
+	// Scaled by den·b·e > 0, with sub = a/b and add = c/e:
+	// (num − den)·b·e + den·(c·b − a·e) against 0.
+	x, y := &s.t3, &s.t4
+	x.Sub(&s.num, &s.den)
+	x.Mul(x, s.t1.SetInt64(sub.Den))
+	x.Mul(x, s.t1.SetInt64(add.Den))
+	y.Mul(s.t1.SetInt64(add.Num), s.t2.SetInt64(sub.Den))
+	x.Add(x, y.Mul(y, &s.den))
+	y.Mul(s.t1.SetInt64(sub.Num), s.t2.SetInt64(add.Den))
+	x.Sub(x, y.Mul(y, &s.den))
+	return x.Sign()
+}
+
+// Rat returns the sum as a fresh normalised big.Rat: the one gcd the
+// sum pays.
+func (s *Sum) Rat() *big.Rat { return new(big.Rat).SetFrac(&s.num, &s.den) }

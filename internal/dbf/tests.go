@@ -23,7 +23,8 @@ var one = big.NewRat(1, 1)
 func Theorem3(offloaded []Offloaded, local []Sporadic) (total *big.Rat, ok bool) {
 	total = new(big.Rat)
 	for _, o := range offloaded {
-		total.Add(total, o.Theorem1Rate())
+		w := o.Theorem1Rate()
+		total.Add(total, big.NewRat(w.Num, w.Den))
 	}
 	for _, l := range local {
 		total.Add(total, rtime.Ratio(l.C, l.D))
