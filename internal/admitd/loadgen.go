@@ -166,7 +166,7 @@ type LoadReport struct {
 	Elapsed                     time.Duration
 	OpsPerSec                   float64
 	P50, P99                    time.Duration // per-operation decision latency
-	BytesPerOp                  uint64        // allocation rate over the run
+	BytesPerOp                  uint64        // measured bytes allocated per operation; varies between runs
 	DecisionsExact, DecisionsT3 int           // committed decisions by certificate
 }
 
@@ -178,8 +178,8 @@ func now() time.Time { return time.Now() }
 
 // RunLoad drives cfg.Tenants concurrent churn streams at the service
 // and reports throughput, latency quantiles, and allocation rate. The
-// operation sequence is deterministic per seed; only the timing varies
-// between runs.
+// operation sequence is deterministic per seed; the timings and the
+// allocation rate (runtime.MemStats.TotalAlloc) are measured and vary.
 func RunLoad(s *Service, cfg LoadConfig) (*LoadReport, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

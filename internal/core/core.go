@@ -376,7 +376,7 @@ func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options
 	}
 	d.Theorem3Total = sc.t3.total()
 	if ledger != nil {
-		d.ServerLoads = ledger.loads
+		d.ServerLoads = ledger.loads()
 	}
 	return d, nil
 }
@@ -446,7 +446,7 @@ func assembleDecision(set task.Set, caches []taskCache, sol mckp.Solution, solve
 // total of d.Choices and is patched by each downgrade's delta.
 func repairDecision(d *Decision, caches []taskCache, t3 *theorem3Sum) error {
 	for !t3.ok() {
-		idx := cheapestDowngrade(d.Choices)
+		idx := cheapestDowngrade(d.Choices, nil)
 		if idx < 0 {
 			return ErrInfeasible
 		}
@@ -539,9 +539,12 @@ func (s *theorem3Sum) move(c *taskCache, from, to int) {
 	s.add(c.weight(to), false)
 }
 
+// theorem3Bound is the bound 1 of test (3).
+var theorem3Bound = dbf.Frac{Num: 1, Den: 1}
+
 // ok reports whether the total passes Theorem 3: every chosen point
 // has a weight and their sum is at most 1.
-func (s *theorem3Sum) ok() bool { return s.missing == 0 && s.sum.CmpOne() <= 0 }
+func (s *theorem3Sum) ok() bool { return s.missing == 0 && s.sum.Cmp(theorem3Bound) <= 0 }
 
 // total returns the exact total, normalised once; 2 when a chosen
 // point has no weight.
@@ -562,11 +565,12 @@ func theorem3Total(choices []Choice) (*big.Rat, bool) {
 }
 
 // cheapestDowngrade picks the offloaded choice whose switch to local
-// costs the least expected benefit; −1 when nothing is offloaded.
-func cheapestDowngrade(choices []Choice) int {
+// costs the least expected benefit, among those i with in(i) when in
+// is not nil; −1 when there is none.
+func cheapestDowngrade(choices []Choice, in func(i int) bool) int {
 	best, bestLoss := -1, 0.0
 	for i, c := range choices {
-		if !c.Offload {
+		if !c.Offload || (in != nil && !in(i)) {
 			continue
 		}
 		loss := c.Expected - c.Task.EffectiveWeight()*c.Task.LocalBenefit

@@ -87,7 +87,7 @@ func refRepairDecision(d *Decision, theorem3 func([]Choice) (*big.Rat, bool)) er
 			d.Theorem3Total = total
 			return nil
 		}
-		idx := cheapestDowngrade(d.Choices)
+		idx := cheapestDowngrade(d.Choices, nil)
 		if idx < 0 {
 			return ErrInfeasible
 		}

@@ -105,35 +105,48 @@ func replayEdgeChurn(opts Options, stream []edgeOp) *Admission {
 // on the online exact upgrade: replaying a fixed-seed churn stream of
 // about thirty light near-edge tasks on the core solver with the
 // exact upgrade must stay within its allocation budget. The replay
-// needs 6,706 allocations with every Theorem-3 weight an int64
+// needs 6,707 allocations with every Theorem-3 weight an int64
 // fraction summed in one reused accumulator per re-decision (Go 1.24;
 // math/big's internals set the exact figure; re-summing normalising
-// big.Rat weights needed 60,519). The bound is that count plus 5%. A
+// big.Rat weights needed 60,519). Each bound is its count plus 5%. A
 // fresh accumulator per re-decision costs 7,613, which the bound
 // catches. Rebuilding the scan's candidate buffer on every
 // re-decision costs about 85 more, which no count bound with headroom
 // tells apart, so the gate checks directly that the Admission keeps
-// the buffer.
+// the buffer. The second input replays the same kind of stream
+// against churnFleet, as admitd -fleet does: every re-decision there
+// also builds a pool ledger and repairs the capacity pools, and needs
+// 18,202 allocations with the pools' shares summed in dbf.Sums
+// (normalising big.Rat pool accounts needed 415,545).
 func TestAdmissionExactAllocsBounded(t *testing.T) {
-	const bound = 7042
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates; make alloc-gate runs this gate without it")
 	}
-	opts := Options{Solver: SolverCore, ExactUpgrade: true}
-	stream := edgeChurn(t, opts, stats.DeriveSeed(1, 0x1a46e), 60)
-	a := replayEdgeChurn(opts, stream)
-	if a.Len() < 20 || a.Decision().OffloadedCount() == 0 {
-		t.Fatalf("replay ends with %d tasks, %d offloaded; the gate measures no upgrade work",
-			a.Len(), a.Decision().OffloadedCount())
+	for _, tc := range []struct {
+		name  string
+		opts  Options
+		bound int
+	}{
+		{"single", Options{Solver: SolverCore, ExactUpgrade: true}, 7042},
+		{"fleet", Options{Solver: SolverCore, ExactUpgrade: true, Fleet: churnFleet()}, 19113},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stream := edgeChurn(t, tc.opts, stats.DeriveSeed(1, 0x1a46e), 60)
+			a := replayEdgeChurn(tc.opts, stream)
+			if a.Len() < 20 || a.Decision().OffloadedCount() == 0 {
+				t.Fatalf("replay ends with %d tasks, %d offloaded; the gate measures no upgrade work",
+					a.Len(), a.Decision().OffloadedCount())
+			}
+			if cap(a.scratch.upgradeBuf) == 0 {
+				t.Fatal("the Admission keeps no upgrade candidate buffer across re-decisions")
+			}
+			allocs := testing.AllocsPerRun(5, func() { replayEdgeChurn(tc.opts, stream) })
+			if allocs > float64(tc.bound) {
+				t.Fatalf("exact churn replay allocates %.0f times, bound %d", allocs, tc.bound)
+			}
+			t.Logf("exact churn replay of %d requests: %.0f allocations (bound %d)", len(stream), allocs, tc.bound)
+		})
 	}
-	if cap(a.scratch.upgradeBuf) == 0 {
-		t.Fatal("the Admission keeps no upgrade candidate buffer across re-decisions")
-	}
-	allocs := testing.AllocsPerRun(5, func() { replayEdgeChurn(opts, stream) })
-	if allocs > bound {
-		t.Fatalf("exact churn replay allocates %.0f times, bound %d", allocs, bound)
-	}
-	t.Logf("exact churn replay of %d requests: %.0f allocations (bound %d)", len(stream), allocs, bound)
 }
 
 // BenchmarkAdmissionEdgeChurn replays one fixed 330-request edgeChurn

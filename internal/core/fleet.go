@@ -1,10 +1,8 @@
 package core
 
 import (
-	"math/big"
-
+	"rtoffload/internal/dbf"
 	"rtoffload/internal/fleet"
-	"rtoffload/internal/rtime"
 	"rtoffload/internal/task"
 )
 
@@ -50,13 +48,13 @@ import (
 // most four pools it touches (old and new server, old and new group)
 // instead of by re-accumulating every pool, and each committed reroute
 // or downgrade is applied to the running account. The verdicts are
-// exact rational comparisons, and the pools a move does not touch keep
-// their account, so the decisions stay bit-identical to the
-// from-scratch pass kept in fleet_reference_test.go. The returned
-// ledger matches d.Choices and serves as the exact-upgrade capacity
-// guard; its loads become the decision's ServerLoads. t3 holds the
-// Theorem-3 total of d.Choices and follows every reroute and
-// downgrade by its delta, so no step re-sums the vector.
+// exact, and the pools a move does not touch keep their account, so
+// the decisions stay bit-identical to the from-scratch pass kept in
+// fleet_reference_test.go. The returned ledger matches d.Choices and
+// serves as the exact-upgrade capacity guard; its loads become the
+// decision's ServerLoads. t3 holds the Theorem-3 total of d.Choices
+// and follows every reroute and downgrade by its delta, so no step
+// re-sums the vector.
 func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache, t3 *theorem3Sum) (*poolLedger, error) {
 	if err := repairDecision(d, caches, t3); err != nil {
 		return nil, err
@@ -70,7 +68,7 @@ func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache, t3 *the
 		if l.rerouteCheapest(d, oi, t3) {
 			continue
 		}
-		idx := l.cheapestDowngradeIn(d.Choices, oi)
+		idx := cheapestDowngrade(d.Choices, func(i int) bool { return l.contributes(i, oi) })
 		if idx < 0 {
 			return nil, ErrInfeasible
 		}
@@ -85,49 +83,47 @@ func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache, t3 *the
 
 // poolLedger is the exact incremental account of a fleet decision's
 // capacity pools. It caches, per (choice, point), the pools the point
-// routes to and its exact occupancy contributions, and keeps one
-// running fleet.Load per pool in fleet.Accumulate's layout (servers in
-// fleet order, then groups). The Theorem-3 weights of the points are
-// read from the task caches. The task of every choice is fixed for the
-// ledger's lifetime; only the chosen points move.
+// routes to and its exact shares, and keeps per pool (servers in fleet
+// order, then groups, as fleet.Accumulate) the running dbf.Sum of its
+// shares, its task count and its cap. The points' Theorem-3 weights
+// are read from the task caches. The task of every choice is fixed
+// for the ledger's lifetime; only the chosen points move.
 type poolLedger struct {
 	f       fleet.Fleet
 	tasks   []*task.Task
 	caches  []taskCache
-	loads   []fleet.Load
-	room    []big.Rat // Capacity − Occupancy per capped pool
-	groupOf []int     // server index → its group's pool index, or −1
-	start   []int     // choice i's points are pts[start[i]:start[i+1]]
+	occ     []dbf.Sum  // Σ shares per pool
+	count   []int      // offloaded choices per pool
+	caps    []dbf.Frac // cap per pool; Den 0: unlimited
+	groupOf []int      // server index → its group's pool index, or −1
+	start   []int      // choice i's points are pts[start[i]:start[i+1]]
 	pts     []poolPoint
 	cur     []int // point each choice is accounted at, −1 for local
-
-	// Cross-multiplication scratch of cmp and cmpDiff.
-	//rtlint:arena
-	x, y, z big.Int
 }
 
 // poolPoint is one (server, budget) point's cached contribution,
-// resolved on first use.
+// resolved on first use. The zero Frac is no share.
 type poolPoint struct {
 	ready  bool
 	server int      // server pool index, −1 when routed to no fleet server
 	group  int      // group pool index, −1 when the server has no group
-	occ    *big.Rat // Ri/Ti, charged to the server pool
-	gocc   *big.Rat // coupling weight · Ri/Ti, charged to the group pool
+	occ    dbf.Frac // Ri/Ti, charged to the server pool
+	gocc   dbf.Frac // coupling weight · Ri/Ti, charged to the group pool
 }
 
-// share returns the point's contribution to pool k, or nil when the
+// noShare is the exact zero share of a pool a point does not use.
+var noShare = dbf.Frac{Num: 0, Den: 1}
+
+// share returns the point's contribution to pool k: noShare when the
 // point (nil: local execution) does not route into k.
-func (p *poolPoint) share(k int) *big.Rat {
+func (p *poolPoint) share(k int) dbf.Frac {
 	switch {
-	case p == nil || k < 0:
-		return nil
-	case k == p.server:
+	case p != nil && k >= 0 && k == p.server:
 		return p.occ
-	case k == p.group:
+	case p != nil && k >= 0 && k == p.group:
 		return p.gocc
 	}
-	return nil
+	return noShare
 }
 
 // newPoolLedger accounts the offloaded choices into fresh pools;
@@ -138,17 +134,16 @@ func newPoolLedger(f fleet.Fleet, choices []Choice, caches []taskCache) *poolLed
 		f:       f,
 		tasks:   make([]*task.Task, len(choices)),
 		caches:  caches,
-		loads:   make([]fleet.Load, 0, np),
-		room:    make([]big.Rat, np),
+		occ:     make([]dbf.Sum, np),
+		count:   make([]int, np),
+		caps:    make([]dbf.Frac, 0, np),
 		groupOf: make([]int, ns),
 		start:   make([]int, len(choices)+1),
 		cur:     make([]int, len(choices)),
 	}
 	for si, s := range f.Servers {
-		l.loads = append(l.loads, fleet.Load{
-			Pool: s.ID, Server: true,
-			Occupancy: new(big.Rat), Capacity: s.Cap(),
-		})
+		l.caps = append(l.caps, dbf.Frac{Num: s.CapNum, Den: s.CapDen})
+		l.occ[si].Reset()
 		l.groupOf[si] = -1
 		for gi, g := range f.Groups {
 			if s.Group != "" && g.ID == s.Group {
@@ -156,15 +151,9 @@ func newPoolLedger(f fleet.Fleet, choices []Choice, caches []taskCache) *poolLed
 			}
 		}
 	}
-	for _, g := range f.Groups {
-		l.loads = append(l.loads, fleet.Load{
-			Pool: g.ID, Occupancy: new(big.Rat), Capacity: g.Cap(),
-		})
-	}
-	for k, ld := range l.loads {
-		if ld.Capacity != nil {
-			l.room[k].Set(ld.Capacity)
-		}
+	for gi, g := range f.Groups {
+		l.caps = append(l.caps, dbf.Frac{Num: g.CapNum, Den: g.CapDen})
+		l.occ[ns+gi].Reset()
 	}
 	n := 0
 	for i, c := range choices {
@@ -188,76 +177,30 @@ func (l *poolLedger) point(i, lv int) *poolPoint {
 	t := l.tasks[i]
 	p.ready = true
 	p.server, p.group = -1, -1
-	p.occ = rtime.Ratio(t.Levels[lv].Response, t.Period)
-	p.gocc = p.occ
 	if si := l.f.ServerIndex(t.Levels[lv].ServerID); si >= 0 {
 		p.server, p.group = si, l.groupOf[si]
-		if s := l.f.Servers[si]; p.group >= 0 && (s.WeightNum != 0 || s.WeightDen != 0) {
-			p.gocc = new(big.Rat).Mul(s.CouplingWeight(), p.occ)
+		p.occ = dbf.NewFrac(int64(t.Levels[lv].Response), int64(t.Period))
+		if p.group >= 0 {
+			// fleet.ExpandTask rejected every point whose share overflows.
+			p.gocc, _ = l.f.Servers[si].GroupShare(p.occ)
 		}
 	}
 	return p
 }
 
-// cmp compares a and b exactly, as a.Cmp(b) would, by
-// cross-multiplying into the ledger's scratch integers: no
-// normalization, and no allocation once the scratch has grown.
-func (l *poolLedger) cmp(a, b *big.Rat) int {
-	l.x.Mul(a.Num(), denom(b))
-	l.y.Mul(b.Num(), denom(a))
-	return l.x.Cmp(&l.y)
-}
-
-// cmpDiff compares a − b with c exactly, like cmp:
-// (an·bd − bn·ad)·cd against cn·ad·bd, all denominators positive.
-func (l *poolLedger) cmpDiff(a, b, c *big.Rat) int {
-	l.x.Mul(a.Num(), denom(b))
-	l.y.Mul(b.Num(), denom(a))
-	l.x.Sub(&l.x, &l.y)
-	l.z.Mul(&l.x, denom(c))
-	l.x.Mul(c.Num(), denom(a))
-	l.y.Mul(&l.x, denom(b))
-	return l.z.Cmp(&l.y)
-}
-
-// intOne stands in for an integer Rat's denominator: Rat.Denom
-// allocates a fresh 1 for those.
-var intOne = big.NewInt(1)
-
-func denom(r *big.Rat) *big.Int {
-	if r.IsInt() {
-		return intOne
-	}
-	return r.Denom()
-}
-
-// account adds (sign +1) or removes (sign −1) point p's contribution
-// to its pools.
+// account adds (sign +1) or removes (sign −1) point p's shares from
+// its pools.
 func (l *poolLedger) account(p *poolPoint, sign int) {
-	if p.server < 0 {
-		return // fleet.Accumulate ignores unknown servers too
-	}
-	l.accountPool(p.server, p.occ, sign)
-	if p.group >= 0 {
-		l.accountPool(p.group, p.gocc, sign)
-	}
-}
-
-func (l *poolLedger) accountPool(k int, occ *big.Rat, sign int) {
-	ld := &l.loads[k]
-	ld.Tasks += sign
-	addSigned(ld.Occupancy, occ, sign)
-	if ld.Capacity != nil {
-		addSigned(&l.room[k], occ, -sign)
-	}
-}
-
-// addSigned sets z to z + sign·x.
-func addSigned(z, x *big.Rat, sign int) {
-	if sign > 0 {
-		z.Add(z, x)
-	} else {
-		z.Sub(z, x)
+	for _, k := range [2]int{p.server, p.group} {
+		switch {
+		case k < 0:
+			return // fleet.Accumulate ignores unknown servers too
+		case sign > 0:
+			l.occ[k].Add(p.share(k))
+		default:
+			l.occ[k].Sub(p.share(k))
+		}
+		l.count[k] += sign
 	}
 }
 
@@ -279,23 +222,40 @@ func (l *poolLedger) commit(i, lv int) {
 // sync re-accounts every choice whose point differs from the ledger's.
 func (l *poolLedger) sync(choices []Choice) {
 	for i, c := range choices {
-		lv := -1
-		if c.Offload {
-			lv = c.Level
-		}
-		l.commit(i, lv)
+		l.commit(i, c.point())
 	}
+}
+
+// over reports whether pool k is capped and over its cap.
+func (l *poolLedger) over(k int) bool {
+	return l.caps[k].Den != 0 && l.occ[k].Cmp(l.caps[k]) > 0
 }
 
 // firstOver returns the index of the first over-capacity pool, or −1
 // (fleet.FirstOver on the running account).
 func (l *poolLedger) firstOver() int {
-	for k := range l.loads {
-		if l.loads[k].Capacity != nil && l.room[k].Sign() < 0 {
+	for k := range l.occ {
+		if l.over(k) {
 			return k
 		}
 	}
 	return -1
+}
+
+// loads returns the running account as fleet.Accumulate lays it out,
+// each occupancy normalised once.
+func (l *poolLedger) loads() []fleet.Load {
+	out := make([]fleet.Load, 0, len(l.occ))
+	for _, s := range l.f.Servers {
+		out = append(out, fleet.Load{Pool: s.ID, Server: true, Capacity: s.Cap()})
+	}
+	for _, g := range l.f.Groups {
+		out = append(out, fleet.Load{Pool: g.ID, Capacity: g.Cap()})
+	}
+	for k := range out {
+		out[k].Tasks, out[k].Occupancy = l.count[k], l.occ[k].Rat()
+	}
+	return out
 }
 
 // contributes reports whether choice i is offloaded into pool k.
@@ -308,17 +268,13 @@ func (l *poolLedger) contributes(i, k int) bool {
 }
 
 // fits reports whether moving a choice from point from (nil: local)
-// to point to keeps pool k within its cap, if k is capped. A pool only
-// the target routes into grows by the target's share, one both route
-// into by the difference of the shares.
+// to point to keeps pool k within its cap, if k is capped: the pool
+// loses from's share and gains to's.
 func (l *poolLedger) fits(k int, from, to *poolPoint) bool {
-	if k < 0 || l.loads[k].Capacity == nil {
+	if k < 0 || l.caps[k].Den == 0 {
 		return true
 	}
-	if old := from.share(k); old != nil {
-		return l.cmpDiff(to.share(k), old, &l.room[k]) <= 0
-	}
-	return l.cmp(to.share(k), &l.room[k]) <= 0
+	return l.occ[k].CmpAfter(from.share(k), to.share(k), l.caps[k]) <= 0
 }
 
 // drains reports whether moving a contributor of the violated pool oi
@@ -329,11 +285,11 @@ func (l *poolLedger) fits(k int, from, to *poolPoint) bool {
 // would; oi drains by the source's full share unless the target
 // routes back into it.
 func (l *poolLedger) drains(oi int, from, to *poolPoint) bool {
-	if add := to.share(oi); add != nil && l.cmp(add, from.share(oi)) >= 0 {
+	if to.share(oi).Cmp(from.share(oi)) >= 0 {
 		return false
 	}
 	for _, k := range [2]int{to.server, to.group} {
-		if k >= 0 && k != oi && l.room[k].Sign() >= 0 && !l.fits(k, from, to) {
+		if k >= 0 && k != oi && !l.over(k) && !l.fits(k, from, to) {
 			return false
 		}
 	}
@@ -346,8 +302,7 @@ func (l *poolLedger) drains(oi int, from, to *poolPoint) bool {
 // objective, its exact Theorem-3 total t3 and the ledger in place and
 // reports whether a qualifying reroute existed.
 func (l *poolLedger) rerouteCheapest(d *Decision, oi int, t3 *theorem3Sum) bool {
-	bestIdx, bestLv := -1, 0
-	bestLoss := 0.0
+	bestIdx, bestLv, bestLoss := -1, 0, 0.0
 	for i, c := range d.Choices {
 		if !l.contributes(i, oi) {
 			continue
@@ -364,7 +319,7 @@ func (l *poolLedger) rerouteCheapest(d *Decision, oi int, t3 *theorem3Sum) bool 
 			}
 			to := l.point(i, lv)
 			// Σ − wFrom + wTo ≤ 1, judged without changing Σ.
-			if !l.drains(oi, from, to) || t3.sum.CmpOneAfter(wFrom, wTo) > 0 {
+			if !l.drains(oi, from, to) || t3.sum.CmpAfter(wFrom, wTo, theorem3Bound) > 0 {
 				continue
 			}
 			loss := c.Expected - t.EffectiveWeight()*t.Levels[lv].Benefit
@@ -384,23 +339,6 @@ func (l *poolLedger) rerouteCheapest(d *Decision, oi int, t3 *theorem3Sum) bool 
 	d.TotalExpected += c.Expected
 	l.commit(bestIdx, bestLv)
 	return true
-}
-
-// cheapestDowngradeIn picks the offloaded choice contributing to pool
-// k whose switch to local costs the least expected benefit; −1 when
-// the pool has no offloaded contributors.
-func (l *poolLedger) cheapestDowngradeIn(choices []Choice, k int) int {
-	best, bestLoss := -1, 0.0
-	for i, c := range choices {
-		if !l.contributes(i, k) {
-			continue
-		}
-		loss := c.Expected - c.Task.EffectiveWeight()*c.Task.LocalBenefit
-		if best == -1 || loss < bestLoss {
-			best, bestLoss = i, loss
-		}
-	}
-	return best
 }
 
 // allows is the exact-upgrade capacity guard: routing choice i to

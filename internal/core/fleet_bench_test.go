@@ -92,13 +92,14 @@ func BenchmarkFleetDecide(b *testing.B) {
 // must stay within its allocation budget. Allocation counts do not
 // depend on the machine, so unlike a timing gate this is CI-safe. The
 // from-scratch repair (re-accumulating every pool for every candidate
-// move) needed 834,659 allocations here; the pool ledger needs 3,456
-// with the Theorem-3 total kept in one exact accumulator patched by
-// every downgrade and reroute (Go 1.24; math/big's internals set the
-// exact figure; a normalising big.Rat total needed 7,717). The bound
-// is that count plus 5%.
+// move) needed 834,659 allocations here; the pool ledger needs 1,065
+// with the Theorem-3 total and every pool's shares each kept in one
+// exact dbf.Sum patched by every downgrade and reroute (Go 1.24;
+// math/big's internals set the exact figure; a normalising big.Rat
+// Theorem-3 total needed 7,717, normalising big.Rat pool accounts
+// 3,456). The bound is that count plus 5%.
 func TestFleetDecideAllocsBounded(t *testing.T) {
-	const bound = 3629
+	const bound = 1119
 	set := campaignShapeSet(stats.NewRNG(stats.DeriveSeed(1, 77)), 48)
 	opts := Options{Solver: SolverDP, Fleet: campaignFleetShape("hot")}
 	d, err := Decide(set, opts)

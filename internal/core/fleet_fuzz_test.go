@@ -10,7 +10,8 @@ import (
 
 // fuzzFleet derives a deterministic random fleet from the fuzz input:
 // 1–3 servers with random scales, reliabilities, and capacity pools,
-// occasionally coupled through a shared group.
+// occasionally coupled through a shared group, half of the grouped
+// servers with a coupling weight of 1–4 over 1–4.
 func fuzzFleet(rng *stats.RNG, nRaw uint8) fleet.Fleet {
 	n := int(nRaw)%3 + 1
 	var f fleet.Fleet
@@ -35,6 +36,9 @@ func fuzzFleet(rng *stats.RNG, nRaw uint8) fleet.Fleet {
 		}
 		if grouped && rng.Bool(0.6) {
 			s.Group = "g"
+			if rng.Bool(0.5) {
+				s.WeightNum, s.WeightDen = int64(rng.IntN(4)+1), int64(rng.IntN(4)+1)
+			}
 		}
 		f.Servers = append(f.Servers, s)
 	}

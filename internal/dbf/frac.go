@@ -1,6 +1,7 @@
 package dbf
 
 import (
+	"cmp"
 	"math"
 	"math/big"
 	"math/bits"
@@ -121,6 +122,38 @@ func (f Frac) Float64() float64 {
 	return x
 }
 
+// Cmp compares f and g exactly, returning −1, 0 or +1; both
+// denominators must be positive. The cross products f.Num·g.Den and
+// g.Num·f.Den are 128-bit, so Cmp neither overflows nor allocates.
+func (f Frac) Cmp(g Frac) int {
+	sf := cmp.Compare(f.Num, 0)
+	if sg := cmp.Compare(g.Num, 0); sf != sg || sf == 0 {
+		return cmp.Compare(sf, sg) // the signs decide
+	}
+	a, b := uint64(f.Num), uint64(g.Num)
+	if sf < 0 {
+		a, b = -a, -b // the magnitudes; |MinInt64| = 2^63 fits
+	}
+	xh, xl := bits.Mul64(a, uint64(g.Den))
+	yh, yl := bits.Mul64(b, uint64(f.Den))
+	return sf * cmp.Or(cmp.Compare(xh, yh), cmp.Compare(xl, yl))
+}
+
+// Mul returns f·g in lowest terms, for f and g in lowest terms with
+// non-negative numerators; ok is false when a part of the product
+// does not fit in an int64.
+func (f Frac) Mul(g Frac) (prod Frac, ok bool) {
+	// Cancelling f.Num against g.Den and g.Num against f.Den leaves
+	// parts without a common factor.
+	a, b := NewFrac(f.Num, g.Den), NewFrac(g.Num, f.Den)
+	nh, nl := bits.Mul64(uint64(a.Num), uint64(b.Num))
+	dh, dl := bits.Mul64(uint64(b.Den), uint64(a.Den))
+	if nh != 0 || dh != 0 || nl > math.MaxInt64 || dl > math.MaxInt64 {
+		return Frac{}, false
+	}
+	return Frac{Num: int64(nl), Den: int64(dl)}, true
+}
+
 // commonDen is a common multiple of int64 denominators: the fixed
 // denominator of Sum and of the Analyzer's rate and burst sums. It
 // grows by an int64 gcd step, den·d/gcd(den mod d, d), so the
@@ -199,23 +232,31 @@ func (s *Sum) add(f Frac, sub bool) {
 	}
 }
 
-// CmpOne compares the sum with 1, returning −1, 0 or +1.
-func (s *Sum) CmpOne() int { return s.num.Cmp(&s.den) }
+// Cmp compares the sum with bound, returning −1, 0 or +1.
+func (s *Sum) Cmp(bound Frac) int {
+	// num/den against p/q, with bound = p/q: num·q against den·p.
+	s.t3.Mul(&s.num, s.t1.SetInt64(bound.Den))
+	return s.t3.Cmp(s.t4.Mul(&s.den, s.t1.SetInt64(bound.Num)))
+}
 
-// CmpOneAfter compares the sum minus sub plus add with 1, as CmpOne
+// CmpAfter compares the sum minus sub plus add with bound, as Cmp
 // would after Sub(sub) and Add(add), but leaves the sum and its
 // denominator unchanged.
-func (s *Sum) CmpOneAfter(sub, add Frac) int {
-	// Scaled by den·b·e > 0, with sub = a/b and add = c/e:
-	// (num − den)·b·e + den·(c·b − a·e) against 0.
+func (s *Sum) CmpAfter(sub, add, bound Frac) int {
+	// Scaled by den·b·e·q > 0, with sub = a/b, add = c/e and
+	// bound = p/q: ((num·q − den·p)·e + den·q·c)·b − den·q·a·e
+	// against 0. Every product has a one-word factor, so none
+	// allocates once the scratch has grown.
 	x, y := &s.t3, &s.t4
-	x.Sub(&s.num, &s.den)
-	x.Mul(x, s.t1.SetInt64(sub.Den))
+	x.Mul(&s.num, s.t1.SetInt64(bound.Den))
+	x.Sub(x, y.Mul(&s.den, s.t1.SetInt64(bound.Num)))
 	x.Mul(x, s.t1.SetInt64(add.Den))
-	y.Mul(s.t1.SetInt64(add.Num), s.t2.SetInt64(sub.Den))
-	x.Add(x, y.Mul(y, &s.den))
-	y.Mul(s.t1.SetInt64(sub.Num), s.t2.SetInt64(add.Den))
-	x.Sub(x, y.Mul(y, &s.den))
+	y.Mul(&s.den, s.t1.SetInt64(bound.Den))
+	x.Add(x, y.Mul(y, s.t1.SetInt64(add.Num)))
+	x.Mul(x, s.t1.SetInt64(sub.Den))
+	y.Mul(&s.den, s.t1.SetInt64(bound.Den))
+	y.Mul(y, s.t1.SetInt64(sub.Num))
+	x.Sub(x, y.Mul(y, s.t1.SetInt64(add.Den)))
 	return x.Sign()
 }
 

@@ -17,9 +17,11 @@
 // Capacity coupling: each server may carry an occupancy capacity (a
 // cap on Σ Ri/Ti over the tasks routed to it) and may belong to a
 // named group whose capacity couples several servers (one shared
-// knapsack dimension — e.g. servers behind one radio link). All pool
-// arithmetic is exact (*big.Rat): a capacity verdict never depends on
-// floating-point rounding.
+// knapsack dimension — e.g. servers behind one radio link). Every
+// share is an exact fraction, so a capacity verdict never depends on
+// floating-point rounding: the decision layer sums int64 shares
+// (Ri/Ti, or its weighted GroupShare in a group pool) exactly, and
+// Accumulate recomputes the pools as *big.Rat sums.
 //
 // A Fleet with exactly one neutral server (unit scale, no extra
 // latency, full reliability) expands every task verbatim, so the
@@ -35,6 +37,7 @@ import (
 	"math/big"
 	"sort"
 
+	"rtoffload/internal/dbf"
 	"rtoffload/internal/rtime"
 	"rtoffload/internal/task"
 )
@@ -129,13 +132,14 @@ func (s Server) Cap() *big.Rat {
 	return big.NewRat(s.CapNum, s.CapDen)
 }
 
-// CouplingWeight returns the server's group-pool weight (1 when
-// unset).
-func (s Server) CouplingWeight() *big.Rat {
+// GroupShare returns the coupling weight times occ, the share of the
+// server's group pool a point of occupancy occ takes, both in lowest
+// terms; ok is false when it does not fit in int64 parts.
+func (s Server) GroupShare(occ dbf.Frac) (share dbf.Frac, ok bool) {
 	if s.WeightNum == 0 && s.WeightDen == 0 {
-		return big.NewRat(1, 1)
+		return occ, true
 	}
-	return big.NewRat(s.WeightNum, s.WeightDen)
+	return occ.Mul(dbf.NewFrac(s.WeightNum, s.WeightDen))
 }
 
 // Cap returns the group's shared capacity as an exact rational.
@@ -255,7 +259,8 @@ func (f Fleet) ServerIndex(id string) int {
 // the set sorted requires comparable budgets. Points are stable-sorted
 // by budget, so equal budgets keep (level-major, server-minor)
 // generation order; the MCKP item-dominance sweep later discards
-// points another server strictly beats.
+// points another server strictly beats. A point whose GroupShare or
+// scaled budget overflows is an error.
 //
 // A task with no levels is returned as a plain clone. A single neutral
 // server reproduces the original levels verbatim (plus routing IDs
@@ -276,6 +281,11 @@ func (f Fleet) ExpandTask(t *task.Task) (*task.Task, error) {
 			}
 			if r >= t.Deadline {
 				continue // no slack for the second phase on this server
+			}
+			if s.Group != "" {
+				if _, ok := s.GroupShare(dbf.NewFrac(int64(r), int64(t.Period))); !ok {
+					return nil, fmt.Errorf("fleet: server %q: group share of budget %v over period %v overflows", s.ID, r, t.Period)
+				}
 			}
 			p := lv
 			p.Response = r
@@ -404,10 +414,14 @@ func (f Fleet) Accumulate(us []Usage) []Load {
 		l := &loads[si]
 		l.Tasks++
 		l.Occupancy.Add(l.Occupancy, u.Occupancy)
-		if g := f.Servers[si].Group; g != "" {
-			gl := &loads[gidx[g]]
+		if s := f.Servers[si]; s.Group != "" {
+			gl := &loads[gidx[s.Group]]
 			gl.Tasks++
-			gl.Occupancy.Add(gl.Occupancy, new(big.Rat).Mul(f.Servers[si].CouplingWeight(), u.Occupancy))
+			share := new(big.Rat).Set(u.Occupancy)
+			if s.WeightNum != 0 || s.WeightDen != 0 {
+				share.Mul(share, big.NewRat(s.WeightNum, s.WeightDen))
+			}
+			gl.Occupancy.Add(gl.Occupancy, share)
 		}
 	}
 	return loads

@@ -1,10 +1,12 @@
 package fleet
 
 import (
+	"math"
 	"math/big"
 	"strings"
 	"testing"
 
+	"rtoffload/internal/dbf"
 	"rtoffload/internal/rtime"
 	"rtoffload/internal/task"
 )
@@ -246,6 +248,31 @@ func TestExpandSet(t *testing.T) {
 	if _, err := bad.ExpandSet(task.Set{huge}); err == nil {
 		t.Fatal("overflowing expansion must error")
 	}
+
+	// A group share w·Ri/Ti must fit in int64 parts. With Ri/Ti = 7/1000
+	// and w = (2^63−1)/7 it is (2^63−1)/1000 in lowest terms; w+2 keeps
+	// the parts coprime and overflows.
+	tiny := offloadTask(4)
+	tiny.Period, tiny.Deadline = 1000, 1000
+	tiny.Levels = []task.Level{{Response: 7, Benefit: 4}}
+	for _, tc := range []struct {
+		w    int64
+		want dbf.Frac // zero: rejected
+	}{
+		{math.MaxInt64 / 7, dbf.Frac{Num: math.MaxInt64, Den: 1000}},
+		{math.MaxInt64/7 + 2, dbf.Frac{}},
+	} {
+		g := Fleet{
+			Servers: []Server{{ID: "w", Group: "g", WeightNum: tc.w, WeightDen: 1}},
+			Groups:  []Group{{ID: "g", CapNum: 1, CapDen: 1}},
+		}
+		share, _ := g.Servers[0].GroupShare(dbf.NewFrac(7, 1000))
+		_, err := g.ExpandTask(tiny)
+		if share != tc.want || (err == nil) != (tc.want.Den != 0) ||
+			(err != nil && !strings.Contains(err.Error(), "group share")) {
+			t.Fatalf("weight %d: share %v, ExpandTask error %v; want share %v", tc.w, share, err, tc.want)
+		}
+	}
 }
 
 func TestAccumulateAndPools(t *testing.T) {
@@ -334,6 +361,10 @@ func TestParseSpec(t *testing.T) {
 		"@g:cap=1,foo=2",      // unknown group option
 		"@g:cap=z",            // bad group capacity
 		"a;a",                 // duplicate server
+		"a:cap=0/0",           // zero denominator, not an unlimited pool
+		"a:scale=0/0",         // zero denominator, not unit scale
+		"a:weight=0/0",        // zero denominator, not unit weight
+		"a:rel=0",             // zero reliability, not a fully reliable server
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("spec %q accepted", bad)

@@ -77,7 +77,9 @@ func parseServerOpts(s *Server, opts string) error {
 		case "extra":
 			s.Extra, err = parseDuration(v)
 		case "rel":
-			s.Reliability, err = strconv.ParseFloat(v, 64)
+			if s.Reliability, err = strconv.ParseFloat(v, 64); err == nil && s.Reliability == 0 {
+				err = fmt.Errorf("reliability %q outside (0,1]", v) // 0 would read as unset: fully reliable
+			}
 		case "cap":
 			s.CapNum, s.CapDen, err = parseRat(v)
 		case "weight":
@@ -106,7 +108,8 @@ func splitOpts(opts string) []string {
 	return parts
 }
 
-// parseRat parses "N" or "N/D" into a rational pair.
+// parseRat parses "N" or "N/D" into a rational pair. A zero
+// denominator is rejected: the pair 0/0 would read as unset.
 func parseRat(v string) (num, den int64, err error) {
 	ns, ds, ok := strings.Cut(v, "/")
 	if num, err = strconv.ParseInt(ns, 10, 64); err != nil {
@@ -114,7 +117,7 @@ func parseRat(v string) (num, den int64, err error) {
 	}
 	den = 1
 	if ok {
-		if den, err = strconv.ParseInt(ds, 10, 64); err != nil {
+		if den, err = strconv.ParseInt(ds, 10, 64); err != nil || den == 0 {
 			return 0, 0, fmt.Errorf("bad rational %q", v)
 		}
 	}
