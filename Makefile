@@ -1,25 +1,12 @@
 GO ?= go
 
-# The demand-analysis micro-benchmarks tracked in BENCH_2.json, with
-# the admit-large-shaped re-decision layer (internal/core's edgeChurn
-# replay with the exact upgrade on and off).
-MICROBENCH = BenchmarkQPA$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn|BenchmarkAdmissionEdgeChurn
-
-# The scheduler-engine benchmarks tracked in BENCH_4.json.
-SCHEDBENCH = BenchmarkSchedSplitEDF|BenchmarkSchedNaiveEDF|BenchmarkSchedAbortAtDeadline|BenchmarkFigure2$$
-
-# The admission-service benchmarks tracked in BENCH_6.json.
-ADMITBENCH = BenchmarkAdmitdChurn|BenchmarkAdmitdService
-
-# The MCKP core-solver benchmarks tracked in BENCH_7.json: the
-# fleet-scale cold/warm solver curves plus the admission churn they
-# accelerate.
-MCKPBENCH = BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve|BenchmarkAdmitdChurn
-
-# The fleet-campaign benchmarks tracked in BENCH_9.json: streaming
-# cells (one-pass checker inline, wheel queues) at 1k/10k/100k tasks,
-# and the checker alone on a recorded 4000-task cell.
-CAMPBENCH = BenchmarkCampaignCellStreaming|BenchmarkStreamCheckerCell
+# The micro-benchmarks recorded in BENCH.json that run at the default
+# benchmark time, five times each: the demand-analysis engine and the
+# admit-large-shaped re-decision replay (internal/core's edgeChurn with
+# the exact upgrade on and off), the scheduler engine, the admission
+# churn and service, and the MCKP core solver's cold and warm curves.
+# The campaign cells run separately in `bench`, at fixed iterations.
+MICROBENCH = BenchmarkQPA$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn|BenchmarkAdmissionEdgeChurn|BenchmarkSchedSplitEDF|BenchmarkSchedNaiveEDF|BenchmarkSchedAbortAtDeadline|BenchmarkFigure2$$|BenchmarkAdmitdChurn|BenchmarkAdmitdService|BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve
 
 # Scratch directory for the campaign kill-and-resume smoke.
 CAMP_SMOKE_DIR = .smoke-campaign
@@ -29,7 +16,7 @@ CAMP_SMOKE_ARGS = -campaign 3 -campaign-tasks 10 -parallel 2
 FLEET_SMOKE_DIR = .smoke-fleet
 FLEET_SMOKE_ARGS = -fleet -campaign 2 -campaign-tasks 10 -parallel 2
 
-.PHONY: build test vet race verify lint reach alloc-gate bench bench-sched bench-admitd bench-mckp bench-campaign bench-smoke smoke-admitd smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
+.PHONY: build test vet race verify lint reach alloc-gate bench bench-smoke smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -77,13 +64,6 @@ alloc-gate:
 		./internal/mckp ./internal/sched ./internal/sched/eventq \
 		./internal/trace ./internal/admitd ./internal/dbf ./internal/core
 
-# Short liveness run of the admission-control service: a couple of
-# deterministic churn streams through cmd/admitd's bench mode, on the
-# default core solver and on the DP the paper's figures use.
-smoke-admitd:
-	$(GO) run ./cmd/admitd -bench -tenants 2 -ops 40 -seed 7 > /dev/null
-	$(GO) run ./cmd/admitd -bench -tenants 1 -ops 40 -seed 7 -solver dp > /dev/null
-
 # Fast functional pass over the core-solver differential tests: the
 # solver-vs-BnB/brute agreement, the incremental bit-identity churn,
 # the admission wiring, and Decide against its from-scratch reference,
@@ -124,72 +104,51 @@ smoke-fleet:
 # The pre-merge gate. It also vets the _perfbench module, which builds
 # against this module's internal packages: a change to an exported type
 # there would otherwise only show when the benchmark runs.
-verify: vet lint reach build race alloc-gate smoke-mckp smoke-admitd smoke-campaign smoke-fleet
+verify: vet lint reach build race alloc-gate smoke-mckp smoke-campaign smoke-fleet
 	$(GO) -C _perfbench vet ./...
 
-# Micro-benchmarks of the incremental demand-analysis engine, recorded
-# for regression tracking: benchstat-friendly text in BENCH_2.txt and a
-# JSON session that replaces the `current` entry of BENCH_2.json (its
-# pre-Analyzer baseline entry stays).
+# The one benchmark ledger. Runs every recorded benchmark and merges
+# the session into BENCH.json through cmd/benchjson: each package's
+# (layer's) `current` runs are replaced, and every `baseline` stays.
+# The raw benchstat-friendly text goes to BENCH.txt. The campaign cells
+# (streaming cells at 1k/10k/100k tasks and the checker alone on a
+# recorded 4000-task cell) take seconds per iteration, so they run
+# 3 times at 2 iterations each; the 100k fixed-memory ceiling assertion
+# runs first. A failing benchmark stops the recipe before either file
+# is written.
 bench:
-	$(GO) test -run='^$$' -bench='$(MICROBENCH)' -benchmem -count=5 . ./internal/core | tee BENCH_2.txt
-	$(GO) run ./cmd/benchjson -label current -merge BENCH_2.json < BENCH_2.txt > BENCH_2.json.tmp
-	mv BENCH_2.json.tmp BENCH_2.json
-
-# Scheduler-engine benchmarks, recorded like `bench`: text in
-# BENCH_4.txt, a JSON session that replaces the `current` entry of
-# BENCH_4.json (its pre-event-calendar baseline entry stays).
-bench-sched:
-	$(GO) test -run='^$$' -bench='$(SCHEDBENCH)' -benchmem -count=5 . | tee BENCH_4.txt
-	$(GO) run ./cmd/benchjson -label current -merge BENCH_4.json < BENCH_4.txt > BENCH_4.json.tmp
-	mv BENCH_4.json.tmp BENCH_4.json
-
-# Admission-churn benchmarks: incremental path vs full-rebuild
-# reference, recorded like `bench`: text in BENCH_6.txt, a JSON session
-# that replaces the `current` entry of BENCH_6.json (its
-# rebuild-baseline entry stays).
-bench-admitd:
-	$(GO) test -run='^$$' -bench='$(ADMITBENCH)' -benchmem -count=5 . | tee BENCH_6.txt
-	$(GO) run ./cmd/benchjson -label current -merge BENCH_6.json < BENCH_6.txt > BENCH_6.json.tmp
-	mv BENCH_6.json.tmp BENCH_6.json
-
-# MCKP core-solver benchmarks: fleet-scale cold solves and warm
-# incremental re-solves, plus the admission churn that rides the
-# persistent solver, recorded like `bench`: text in BENCH_7.txt, a JSON
-# session that replaces the `current` entry of BENCH_7.json (its
-# stateless BnB/DP baseline entry stays).
-bench-mckp:
-	$(GO) test -run='^$$' -bench='$(MCKPBENCH)' -benchmem -count=5 ./internal/mckp . | tee BENCH_7.txt
-	$(GO) run ./cmd/benchjson -label current -merge BENCH_7.json < BENCH_7.txt > BENCH_7.json.tmp
-	mv BENCH_7.json.tmp BENCH_7.json
-
-# Fleet-campaign benchmarks: streaming cells at 1k/10k/100k tasks,
-# recorded like `bench`: text in
-# BENCH_9.txt, a JSON session that replaces the `current` entry of
-# BENCH_9.json (its materialize-and-validate baseline entry, whose code
-# path is gone, stays). The 100k fixed-memory ceiling assertion runs
-# alongside.
-bench-campaign:
 	$(GO) test -count=1 -run Test100kUnderMemoryCeiling ./internal/sched
-	$(GO) test -run='^$$' -bench='$(CAMPBENCH)' -benchmem -count=3 -benchtime=2x ./internal/sched | tee BENCH_9.txt
-	$(GO) run ./cmd/benchjson -label current -merge BENCH_9.json < BENCH_9.txt > BENCH_9.json.tmp
-	mv BENCH_9.json.tmp BENCH_9.json
+	$(GO) test -run='^$$' -bench='$(MICROBENCH)' -benchmem -count=5 \
+		. ./internal/core ./internal/mckp > BENCH.txt.tmp || { cat BENCH.txt.tmp; exit 1; }
+	$(GO) test -run='^$$' -bench='BenchmarkCampaignCellStreaming|BenchmarkStreamCheckerCell' \
+		-benchmem -count=3 -benchtime=2x ./internal/sched >> BENCH.txt.tmp || { cat BENCH.txt.tmp; exit 1; }
+	$(GO) run ./cmd/benchjson -label current -merge BENCH.json < BENCH.txt.tmp > BENCH.json.tmp
+	mv BENCH.txt.tmp BENCH.txt
+	mv BENCH.json.tmp BENCH.json
 
 # Every benchmark in the module must still run to completion on one
-# iteration, catching bit-rot without paying for timing runs.
+# iteration, catching bit-rot without paying for timing runs, and its
+# output must still parse into the ledger.
 bench-smoke:
-	$(GO) test -bench=. -benchtime=1x -run=^$$ ./...
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	{ $(GO) test -bench=. -benchtime=1x -run=^$$ ./... > "$$tmp" || { cat "$$tmp"; exit 1; }; } && \
+	cat "$$tmp" && $(GO) run ./cmd/benchjson < "$$tmp" > /dev/null
 
-# Capture CPU+heap profiles of the benchmarks and of an ablations run;
-# inspect with e.g.
+# Capture CPU+heap profiles of the recorded benchmarks and of an
+# ablations run. -cpuprofile takes one package at a time, so the root
+# package's benchmarks and internal/core's admit-large-shaped replay
+# (BenchmarkAdmissionEdgeChurn) each write their own pair; inspect with
+# e.g.
 #	$(GO) tool pprof -top cpu.out
 #	$(GO) tool pprof -top -sample_index=alloc_objects mem.out
 # (cmd/ablations and cmd/casestudy take -cpuprofile/-memprofile too.)
 profile:
 	$(GO) test -run='^$$' -bench='$(MICROBENCH)' -benchmem \
 		-cpuprofile cpu.out -memprofile mem.out .
+	$(GO) test -run='^$$' -bench='$(MICROBENCH)' -benchmem \
+		-cpuprofile core_cpu.out -memprofile core_mem.out ./internal/core
 	$(GO) run ./cmd/ablations -per 10 -cpuprofile ablations_cpu.out -memprofile ablations_mem.out > /dev/null
-	@echo "profiles: cpu.out mem.out ablations_cpu.out ablations_mem.out"
+	@echo "profiles: cpu.out mem.out core_cpu.out core_mem.out ablations_cpu.out ablations_mem.out"
 
 # Coverage gate: every internal package must hold ≥ 85% statement
 # coverage. internal/prof is exempt from the threshold check only in

@@ -34,7 +34,7 @@ func TestNormalizeSymbol(t *testing.T) {
 		{"rtoffload/internal/parallel.Map[go.shape.[]float64].func3.deferwrap1", "rtoffload/internal/parallel.Map"},
 		// Defer and go wrappers, method values, range-func bodies.
 		{"rtoffload/internal/admitd.(*Service).Decision.deferwrap1", "rtoffload/internal/admitd.Service.Decision"},
-		{"rtoffload/internal/admitd.RunLoad.gowrap1", "rtoffload/internal/admitd.RunLoad"},
+		{"rtoffload/internal/parallel.Map[go.shape.int].gowrap1", "rtoffload/internal/parallel.Map"},
 		{"rtoffload/internal/admitd.(*Service).handleAdmit-fm", "rtoffload/internal/admitd.Service.handleAdmit"},
 		{"rtoffload/internal/exp.sweep-range1", "rtoffload/internal/exp.sweep"},
 		// Numbered init functions map to init.

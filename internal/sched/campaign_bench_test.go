@@ -1,10 +1,11 @@
 package sched
 
-// Campaign-cell benchmarks (BENCH_9): one cell = simulate a fleet and
-// verify its schedule, streaming the trace through the one-pass
-// checker with the per-job log discarded and the time-wheel queues on.
-// BENCH_9.json's baseline session records the materialize-and-validate
-// cell these replaced.
+// Campaign-cell benchmarks (recorded in BENCH.json): one cell =
+// simulate a fleet and verify its schedule, streaming the trace through
+// the one-pass checker with the per-job log discarded and the
+// time-wheel queues on. The ledger's stale baselines
+// (BenchmarkCampaignCellBaseline*, migrated from BENCH_9.json) record
+// the materialize-and-validate cell these replaced.
 // Test100kUnderMemoryCeiling is the fixed-memory claim: a 100k-task
 // simulation verified inline must not grow the heap by anything
 // O(horizon).
@@ -17,8 +18,8 @@ import (
 	"rtoffload/internal/trace"
 )
 
-// benchCellHorizon is the cell horizon of the BENCH_9 baseline
-// session, kept so new runs stay comparable with it.
+// benchCellHorizon is the cell horizon of the stale baseline runs,
+// kept so new runs stay comparable with them.
 const benchCellHorizon = 200 // ms
 
 // benchStreamingCell is the campaign cell: queue mode chosen by
