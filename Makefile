@@ -16,7 +16,7 @@ CAMP_SMOKE_ARGS = -campaign 3 -campaign-tasks 10 -parallel 2
 FLEET_SMOKE_DIR = .smoke-fleet
 FLEET_SMOKE_ARGS = -fleet -campaign 2 -campaign-tasks 10 -parallel 2
 
-.PHONY: build test vet race verify lint reach alloc-gate bench bench-smoke smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
+.PHONY: build test vet race verify lint alloc-gate bench bench-smoke smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -32,24 +32,21 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# Domain-invariant lint: determinism, exact arithmetic, overflow
-# guards, error sinks. Exits nonzero on any finding; exemptions need
-# an //rtlint:allow directive with a reason (see CONTRIBUTING.md).
+# Domain-invariant lint and reachability gate in one rtlint run over
+# one module load: determinism, exact arithmetic, overflow guards,
+# error sinks, the hot-path/lock/arena annotations, and reach — every
+# function with a body in a non-main package must be linked into a
+# shipped binary (the mains under cmd/ and examples/, plus
+# _perfbench). Each binary is built without inlining into a temporary
+# directory, so every linked function keeps a symbol. Exits nonzero
+# on any finding; exemptions need an //rtlint:allow directive with a
+# reason (see CONTRIBUTING.md). Nothing is written outside the
+# temporary directory.
 lint:
-	$(GO) run ./cmd/rtlint -dir .
-
-# Reachability gate: every function with a body in a non-main package
-# must be linked into a shipped binary (the mains under cmd/ and
-# examples/, plus _perfbench). Each is built without inlining, so every
-# linked function keeps a symbol; rtlint reads the symbols and reports
-# each unlinked function at its declaration unless an
-# //rtlint:allow reach directive states its role (see CONTRIBUTING.md).
-# Nothing is written outside a temporary directory.
-reach:
 	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
 	$(GO) build -gcflags=all=-l -o "$$tmp/" ./... && \
 	$(GO) -C _perfbench build -gcflags=all=-l -o "$$tmp/perfbench" . && \
-	$(GO) run ./cmd/rtlint -dir . -reach "$$tmp"/*
+	$(GO) run ./cmd/rtlint -dir . "$$tmp"/*
 
 # Dynamic twin of the //rtlint:hotpath annotations: every hot-path
 # root has a testing.AllocsPerRun gate asserting the warm operation
@@ -104,7 +101,7 @@ smoke-fleet:
 # The pre-merge gate. It also vets the _perfbench module, which builds
 # against this module's internal packages: a change to an exported type
 # there would otherwise only show when the benchmark runs.
-verify: vet lint reach build race alloc-gate smoke-mckp smoke-campaign smoke-fleet
+verify: vet lint build race alloc-gate smoke-mckp smoke-campaign smoke-fleet
 	$(GO) -C _perfbench vet ./...
 
 # The one benchmark ledger. Runs every recorded benchmark and merges

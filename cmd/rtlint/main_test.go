@@ -266,14 +266,28 @@ func Pure(x int) int { return x + 1 }
 	}
 }
 
+// buildTool compiles the module's cmd/tool without inlining, as
+// `make lint` builds the shipped binaries, and returns its path.
+func buildTool(t *testing.T, dir string) string {
+	t.Helper()
+	tool := filepath.Join(t.TempDir(), "tool")
+	build := exec.Command("go", "build", "-gcflags=all=-l", "-o", tool, "./cmd/tool")
+	build.Dir = dir
+	if out, err := build.CombinedOutput(); err != nil {
+		t.Fatalf("building the module's binary: %v\n%s", err, out)
+	}
+	return tool
+}
+
 // TestReachGate builds a small module's binary without inlining and
-// runs the reachability gate over it. Generic functions and methods
-// on generic types are linked only under instantiated names, so they
-// stay silent only if the symbols normalize to their declarations.
-// An allowed unlinked function stays silent; an unlinked function, one
-// that only a _test.go file calls, and a reach allow that covers a
-// linked function are reported. A lint run does not judge the reach
-// allow, since only a -reach run can use it.
+// hands it to rtlint, which then runs the reachability gate too.
+// Generic functions and methods on generic types are linked only
+// under instantiated names, so they stay silent only if the symbols
+// normalize to their declarations. An allowed unlinked function stays
+// silent; an unlinked function, one that only a _test.go file calls,
+// and a reach allow that covers a linked function are reported. A run
+// without binaries does not judge the reach allow, since only a run
+// over the binaries can use it.
 func TestReachGate(t *testing.T) {
 	bin := buildRtlint(t)
 	dir := writeModule(t, map[string]string{
@@ -331,14 +345,9 @@ func main() {
 func notShipped() {}
 `,
 	})
-	tool := filepath.Join(t.TempDir(), "tool")
-	build := exec.Command("go", "build", "-gcflags=all=-l", "-o", tool, "./cmd/tool")
-	build.Dir = dir
-	if out, err := build.CombinedOutput(); err != nil {
-		t.Fatalf("building the module's binary: %v\n%s", err, out)
-	}
+	tool := buildTool(t, dir)
 
-	out, err := exec.Command(bin, "-dir", dir, "-reach", tool).CombinedOutput()
+	out, err := exec.Command(bin, "-dir", dir, tool).CombinedOutput()
 	ee, ok := err.(*exec.ExitError)
 	if !ok || ee.ExitCode() != 1 {
 		t.Fatalf("want exit 1, got err=%v\n%s", err, out)
@@ -367,8 +376,8 @@ func notShipped() {}
 	}
 }
 
-// TestReachUsage asserts -reach and binary arguments come together,
-// and that an argument that is not an executable is a usage failure.
+// TestReachUsage asserts every argument must be a readable
+// executable: a text file or a missing path is a usage failure.
 func TestReachUsage(t *testing.T) {
 	bin := buildRtlint(t)
 	dir := writeModule(t, map[string]string{
@@ -377,14 +386,67 @@ func TestReachUsage(t *testing.T) {
 		"notes/x.txt": "not a binary\n",
 	})
 	for _, args := range [][]string{
-		{"-dir", dir, "-reach"},
 		{"-dir", dir, filepath.Join(dir, "notes/x.txt")},
-		{"-dir", dir, "-reach", filepath.Join(dir, "notes/x.txt")},
+		{"-dir", dir, filepath.Join(dir, "no-such-binary")},
 	} {
 		out, err := exec.Command(bin, args...).CombinedOutput()
 		ee, ok := err.(*exec.ExitError)
 		if !ok || ee.ExitCode() != 2 {
 			t.Errorf("%q: want exit 2, got err=%v\n%s", args, err, out)
+		}
+	}
+}
+
+// TestOneRunLintsAndReaches asserts a run handed a binary judges
+// everything in one pass: a lint finding, a reach finding, a stale
+// lint allow and a stale reach allow all come out of the same run.
+func TestOneRunLintsAndReaches(t *testing.T) {
+	bin := buildRtlint(t)
+	dir := writeModule(t, map[string]string{
+		"go.mod": "module tmpmod\n\ngo 1.22\n",
+		"internal/lib/lib.go": `package lib
+
+import "time"
+
+func Stamp() int64 { return time.Now().UnixNano() }
+
+//rtlint:allow determinism -- stale: nothing here reads the clock
+func Pure(x int) int { return x + 1 }
+
+//rtlint:allow reach -- stale: Stamp is linked
+func Linked() int64 { return Stamp() }
+
+func Unused() int { return 2 }
+`,
+		"cmd/tool/main.go": `package main
+
+import (
+	"fmt"
+
+	"tmpmod/internal/lib"
+)
+
+func main() { fmt.Println(lib.Linked(), lib.Pure(1)) }
+`,
+	})
+	tool := buildTool(t, dir)
+
+	out, err := exec.Command(bin, "-dir", dir, tool).CombinedOutput()
+	ee, ok := err.(*exec.ExitError)
+	if !ok || ee.ExitCode() != 1 {
+		t.Fatalf("want exit 1, got err=%v\n%s", err, out)
+	}
+	text := string(out)
+	for _, want := range []string{
+		"internal/lib/lib.go:5:34: [determinism] time.Now reads the wall clock",
+		"internal/lib/lib.go:7:1: [directive] rtlint:allow determinism suppresses nothing",
+		"internal/lib/lib.go:10:1: [directive] rtlint:allow reach suppresses nothing",
+		"internal/lib/lib.go:13:1: [reach] Unused is linked into no shipped binary",
+		"rtlint: reach: 1 function(s) of 1 line(s) linked into none of 1 binaries",
+		"rtlint: 4 finding(s)",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("output missing %q\noutput:\n%s", want, text)
 		}
 	}
 }

@@ -2,9 +2,10 @@
 //
 // The repository makes correctness promises that go vet cannot check:
 // bit-identical experiment output at any worker count, and exact,
-// overflow-detected demand arithmetic on the int64 → big.Int → big.Rat
-// tier ladder. Each analyzer here turns one of those promises into a
-// machine-checked gate rule:
+// never-wrapping demand arithmetic (int64 dbf.Frac values and u128
+// per-demand stats, summed by dbf.Sum and the Analyzer as numerators
+// over one fixed common denominator). Each analyzer here turns one of
+// those promises into a machine-checked gate rule:
 //
 //   - determinism:   no wall-clock reads, no global math/rand source,
 //     no map-range iteration feeding ordered output.
@@ -14,24 +15,21 @@
 //     demand values outside the checked helpers in dbf/frac.go.
 //   - errsink:       no silently discarded io.Writer / fmt.Fprintf
 //     errors in library packages.
-//
-// A second, module-wide layer (AllInterprocedural) shares one call
-// graph — static calls resolved exactly, interface calls by
-// class-hierarchy analysis — and checks annotation-declared
-// invariants across function boundaries:
-//
-//   - hotalloc:    no allocation reachable from an //rtlint:hotpath
+//   - hotalloc:      no allocation reachable from an //rtlint:hotpath
 //     root through any call chain.
-//   - guardedby:   fields marked //rtlint:guardedby <mutex> are only
+//   - guardedby:     fields marked //rtlint:guardedby <mutex> are only
 //     accessed with the lock held; //rtlint:holds and
 //     //rtlint:acquires extend the protocol across calls.
-//   - arenaescape: values aliasing an //rtlint:arena field never
+//   - arenaescape:   values aliasing an //rtlint:arena field never
 //     escape their owner (exported returns, outside stores, channel
 //     sends, closure captures).
+//   - reach:         every library function is linked into one of the
+//     shipped binaries, read from their symbol tables.
 //
-// The reach gate (reach.go) runs apart from both layers, over the
-// symbol tables of the shipped binaries: every library function must
-// be linked into one of them.
+// All of them run on one framework: Run hands each analyzer the same
+// loaded module, call graph (static calls resolved exactly, interface
+// calls by class-hierarchy analysis), bound annotations and directive
+// set, and every finding goes through Pass.Reportf.
 //
 // A finding can be exempted only by an explicit directive carrying a
 // reason:
@@ -42,16 +40,16 @@
 // below it, and may name several analyzers separated by commas. A
 // directive that is malformed, lacks a reason, names an unknown
 // analyzer, or suppresses nothing is itself reported, so exemptions
-// can never rot silently.
+// can never rot silently. An allow is judged stale only when every
+// analyzer it names ran: reach runs only when given binaries, so a
+// run without them leaves reach allows unjudged.
 package analysis
 
 import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"go/types"
 	"sort"
-	"strings"
 )
 
 // Diagnostic is one finding: a violated invariant at a position.
@@ -70,111 +68,105 @@ func (d Diagnostic) String() string {
 type Analyzer struct {
 	Name string
 	Doc  string
-	Run  func(*Pass)
+	// Scope selects the files Pass.Inspect walks, by package directory
+	// relative to the module root ("" for the root package) and file
+	// base name; nil selects every file. Analyzers that follow the
+	// call graph or the binaries see the whole module.
+	Scope func(relDir, base string) bool
+	Run   func(*Pass)
 }
 
-// All lists every analyzer, in report order.
-var All = []*Analyzer{Determinism, FloatExact, OverflowGuard, ErrSink}
+// All lists every analyzer, in run order.
+var All = []*Analyzer{Determinism, FloatExact, OverflowGuard, ErrSink, HotAlloc, GuardedBy, ArenaEscape, Reach}
 
-// Pass is the per-(analyzer, package) unit of work. Files holds only
-// the files in the analyzer's scope; Info and Pkg cover the whole
-// package.
+// Pass is one analyzer's view of the module.
 type Pass struct {
 	Analyzer *Analyzer
-	Fset     *token.FileSet
-	Files    []*ast.File
-	Pkg      *types.Package
-	Info     *types.Info
-	// RelDir is the package directory relative to the module root
-	// ("internal/dbf", "cmd/rtlint", "" for the root package).
-	RelDir string
+	Module   *Module
+	Graph    *CallGraph
+	Ann      *Annotations
+	// Linked holds the functions the shipped binaries link, as
+	// LinkedFuncs names them; reach reads it.
+	Linked map[string]bool
 
 	directives *DirectiveSet
-	sink       func(Diagnostic)
+	diags      *[]Diagnostic
+	reach      *ReachStats
 }
 
 // Reportf records a finding at pos unless an rtlint:allow directive
-// covers it.
+// for this analyzer covers it.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	position := p.Fset.Position(pos)
-	if p.directives.Allows(p.Analyzer.Name, position) {
+	if p.Allowed(pos) {
 		return
 	}
-	p.sink(Diagnostic{Pos: position, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
+	*p.diags = append(*p.diags, Diagnostic{Pos: p.Module.Fset.Position(pos), Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// Target binds an analyzer to the files it inspects. Match receives
-// the package directory relative to the module root and the file base
-// name.
-type Target struct {
-	Analyzer *Analyzer
-	Match    func(relDir, base string) bool
+// Allowed reports whether an allow directive for this analyzer covers
+// pos, marking it used. Analyzers use it to prune traversal at
+// justified call sites without emitting a finding.
+func (p *Pass) Allowed(pos token.Pos) bool {
+	return p.directives.Allows(p.Analyzer.Name, p.Module.Fset.Position(pos))
 }
 
-// DefaultTargets is the repository's gate configuration: which
-// analyzer guards which layer.
-func DefaultTargets() []Target {
-	return []Target{
-		// Determinism is a repo-wide promise: library packages feed the
-		// deterministic experiment engine, and cmd wall-clock timers must
-		// carry explicit directives.
-		{Determinism, func(relDir, base string) bool { return true }},
-		// Exact-analysis code: the dbf tier ladder and every core file
-		// that carries exact rationals — the exact upgrade pass, the
-		// budget estimator whose Ri values feed it, the incremental
-		// admission path, and the decision types and their round-trip
-		// serialization (Theorem3Total must survive I/O bit-exactly).
-		{FloatExact, func(relDir, base string) bool {
-			if relDir == "internal/dbf" {
-				return true
-			}
-			if relDir != "internal/core" {
-				return false
-			}
-			switch base {
-			case "exact.go", "estimator.go", "admission.go", "core.go", "decisionio.go":
-				return true
-			}
-			return false
-		}},
-		// Demand arithmetic; frac.go hosts the checked helpers and is the
-		// one file allowed to do raw int64 work.
-		{OverflowGuard, func(relDir, base string) bool {
-			return (relDir == "internal/dbf" && base != "frac.go") || relDir == "internal/core"
-		}},
-		// Library packages must not swallow writer errors; main packages
-		// own their best-effort console output.
-		{ErrSink, func(relDir, base string) bool {
-			return relDir == "" || strings.HasPrefix(relDir, "internal/")
-		}},
-	}
-}
-
-// runTargets runs the matching per-package analyzers against pkg,
-// reporting through sink.
-func runTargets(pkg *Package, targets []Target, ds *DirectiveSet, sink func(Diagnostic)) {
-	for _, tgt := range targets {
-		var files []*ast.File
+// Inspect walks every node of every file in the analyzer's scope, in
+// package then file order, handing visit the owning package.
+func (p *Pass) Inspect(visit func(*Package, ast.Node)) {
+	for _, pkg := range p.Module.Packages {
 		for i, f := range pkg.Files {
-			if tgt.Match(pkg.RelDir, pkg.FileBases[i]) {
-				files = append(files, f)
+			if p.Analyzer.Scope == nil || p.Analyzer.Scope(pkg.RelDir, pkg.FileBases[i]) {
+				ast.Inspect(f, func(n ast.Node) bool {
+					visit(pkg, n)
+					return true
+				})
 			}
 		}
-		if len(files) == 0 {
-			continue
-		}
-		pass := &Pass{
-			Analyzer:   tgt.Analyzer,
-			Fset:       pkg.Fset,
-			Files:      files,
-			Pkg:        pkg.Types,
-			Info:       pkg.Info,
-			RelDir:     pkg.RelDir,
-			directives: ds,
-			sink:       sink,
-		}
-		tgt.Analyzer.Run(pass)
 	}
+}
+
+// Run analyzes a loaded module with the given analyzers. linked is the
+// set of functions the shipped binaries link (LinkedFuncs); reach runs
+// only when it is non-nil. The directives are parsed once and the
+// annotations bound once; then each analyzer runs, and finally every
+// directive problem is reported: malformed directives, annotations
+// bound to nothing, and allows whose named analyzers all ran and none
+// used. It returns the findings, sorted, and reach's count of unlinked
+// code (zero when reach did not run).
+func Run(mod *Module, analyzers []*Analyzer, linked map[string]bool) ([]Diagnostic, ReachStats) {
+	var files []*ast.File
+	for _, pkg := range mod.Packages {
+		files = append(files, pkg.Files...)
+	}
+	ds := ParseDirectives(mod.Fset, files)
+	var diags []Diagnostic
+	ann := newAnnotations()
+	for _, pkg := range mod.Packages {
+		ann.bindPackage(pkg, ds, func(d Diagnostic) { diags = append(diags, d) })
+	}
+
+	var stats ReachStats
+	graph := BuildCallGraph(mod)
+	ran := map[string]bool{}
+	for _, az := range analyzers {
+		if az.Name == Reach.Name && linked == nil {
+			continue // reach judges binaries; without them it does not run
+		}
+		ran[az.Name] = true
+		az.Run(&Pass{
+			Analyzer:   az,
+			Module:     mod,
+			Graph:      graph,
+			Ann:        ann,
+			Linked:     linked,
+			directives: ds,
+			diags:      &diags,
+			reach:      &stats,
+		})
+	}
+	diags = append(diags, ds.Problems(ran)...)
+	SortDiagnostics(diags)
+	return diags, stats
 }
 
 // SortDiagnostics orders findings by file, line, column, analyzer.

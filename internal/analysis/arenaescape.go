@@ -35,13 +35,13 @@ import (
 // callees are not tracked, and taint is per-variable rather than
 // per-path — a variable tainted on any assignment is treated as
 // tainted everywhere in the function.
-var ArenaEscape = &ModuleAnalyzer{
+var ArenaEscape = &Analyzer{
 	Name: "arenaescape",
 	Doc:  "values aliasing //rtlint:arena scratch must not escape their owner",
 	Run:  runArenaEscape,
 }
 
-func runArenaEscape(pass *ModulePass) {
+func runArenaEscape(pass *Pass) {
 	if len(pass.Ann.Arena) == 0 {
 		return
 	}
@@ -67,7 +67,7 @@ type aliasSummary struct {
 // alias. Derivation is tracked through local variables by a per-
 // function fixpoint, but not through further calls — one summary
 // level, enough for the arena growth and borrow helpers.
-func buildAliasSummaries(pass *ModulePass) map[*types.Func]*aliasSummary {
+func buildAliasSummaries(pass *Pass) map[*types.Func]*aliasSummary {
 	out := map[*types.Func]*aliasSummary{}
 	for _, node := range pass.Graph.Nodes() {
 		sig := node.Fn.Type().(*types.Signature)
@@ -254,7 +254,7 @@ func baseVars(info *types.Info, expr ast.Expr) []*types.Var {
 }
 
 type taintWalker struct {
-	pass      *ModulePass
+	pass      *Pass
 	node      *FuncNode
 	summaries map[*types.Func]*aliasSummary
 	tainted   map[*types.Var]bool

@@ -10,8 +10,9 @@ import (
 // release. Three things break that silently — wall-clock reads, the
 // process-global math/rand source, and map iteration order reaching
 // rendered output — so all three are banned from analysis and
-// experiment code. The legitimate wall-clock timers in cmd/* carry
-// explicit //rtlint:allow determinism directives.
+// experiment code, everywhere in the module. The legitimate
+// wall-clock timers in cmd/* carry explicit //rtlint:allow determinism
+// directives.
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc:  "forbid wall-clock reads, the global math/rand source, and map-range iteration in output-producing packages",
@@ -57,21 +58,18 @@ var orderedOutputDirs = map[string]bool{
 }
 
 func runDeterminism(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.Ident:
-				checkClockAndRand(pass, n)
-			case *ast.RangeStmt:
-				checkMapRange(pass, n)
-			}
-			return true
-		})
-	}
+	pass.Inspect(func(pkg *Package, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.Ident:
+			checkClockAndRand(pass, pkg, n)
+		case *ast.RangeStmt:
+			checkMapRange(pass, pkg, n)
+		}
+	})
 }
 
-func checkClockAndRand(pass *Pass, id *ast.Ident) {
-	fn, ok := pass.Info.Uses[id].(*types.Func)
+func checkClockAndRand(pass *Pass, pkg *Package, id *ast.Ident) {
+	fn, ok := pkg.Info.Uses[id].(*types.Func)
 	if !ok || fn.Pkg() == nil {
 		return
 	}
@@ -90,11 +88,11 @@ func checkClockAndRand(pass *Pass, id *ast.Ident) {
 	}
 }
 
-func checkMapRange(pass *Pass, rs *ast.RangeStmt) {
-	if !orderedOutputDirs[pass.RelDir] {
+func checkMapRange(pass *Pass, pkg *Package, rs *ast.RangeStmt) {
+	if !orderedOutputDirs[pkg.RelDir] {
 		return
 	}
-	t := pass.Info.TypeOf(rs.X)
+	t := pkg.Info.TypeOf(rs.X)
 	if t == nil {
 		return
 	}

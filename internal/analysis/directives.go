@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/token"
-	"slices"
 	"strings"
 )
 
@@ -119,18 +118,20 @@ func stripWant(s string) string {
 	return s
 }
 
+// parseDirective parses one directive's text: a verb, a whole word,
+// then its payload.
 func parseDirective(text string) *directive {
 	d := &directive{}
-	if rest, ok := strings.CutPrefix(text, "allow"); ok {
+	verb, rest := text, ""
+	if i := strings.IndexAny(text, " \t"); i >= 0 {
+		verb, rest = text[:i], text[i:]
+	}
+	if verb == "allow" {
 		parseAllow(d, rest)
 		return d
 	}
-	verb := text
-	if i := strings.IndexAny(text, " \t"); i >= 0 {
-		verb = text[:i]
-	}
 	if wantArg, ok := annotationVerbs[verb]; ok {
-		parseAnnotation(d, verb, wantArg, strings.TrimPrefix(text, verb))
+		parseAnnotation(d, verb, wantArg, rest)
 		return d
 	}
 	d.problem = "unknown rtlint directive verb; known verbs: allow, hotpath, guardedby, arena, holds, acquires"
@@ -159,11 +160,8 @@ func parseAllow(d *directive, rest string) {
 		}
 		d.analyzers = append(d.analyzers, name)
 	}
-	switch {
-	case len(d.analyzers) == 0:
+	if len(d.analyzers) == 0 {
 		d.problem = "rtlint:allow directive names no analyzer"
-	case len(d.analyzers) > 1 && slices.Contains(d.analyzers, Reach.Name):
-		d.problem = "rtlint:allow reach takes no other analyzer: only rtlint -reach judges it"
 	}
 }
 
@@ -185,16 +183,12 @@ func parseAnnotation(d *directive, verb string, wantArg bool, rest string) {
 }
 
 // knownAnalyzerNames collects every analyzer an allow directive may
-// name: the per-package analyzers plus the interprocedural ones.
+// name.
 func knownAnalyzerNames() map[string]bool {
 	known := map[string]bool{}
 	for _, a := range All {
 		known[a.Name] = true
 	}
-	for _, a := range AllInterprocedural {
-		known[a.Name] = true
-	}
-	known[Reach.Name] = true
 	return known
 }
 
@@ -229,52 +223,37 @@ func (s *DirectiveSet) annotationsAt(verb, filename string, line int) []*directi
 	return out
 }
 
-// Problems reports malformed directives, allow directives that
-// suppressed nothing, and annotations that bound to no declaration, so
-// no exemption or annotation can outlive the code it describes. An
-// allow that names only the reach analyzer is judged by RunReach
-// alone, since only a run over the shipped binaries can use it.
-func (s *DirectiveSet) Problems() []Diagnostic {
+// Problems reports malformed directives, annotations that bound to no
+// declaration, and allow directives that suppressed nothing although
+// every analyzer they name ran, so no exemption or annotation can
+// outlive the code it describes. ran holds the names of the analyzers
+// that ran; an allow naming one that did not stays unjudged.
+func (s *DirectiveSet) Problems(ran map[string]bool) []Diagnostic {
 	var diags []Diagnostic
 	for _, d := range s.all {
 		switch {
 		case d.problem != "":
-			diags = append(diags, Diagnostic{Pos: d.pos, Analyzer: directiveAnalyzer, Message: d.problem})
+			diags = append(diags, directiveDiag(d.pos, "%s", d.problem))
 		case d.used:
 		case d.verb == "allow":
-			if len(d.analyzers) == 1 && d.analyzers[0] == Reach.Name {
+			if !allRan(d.analyzers, ran) {
 				continue
 			}
-			diags = append(diags, staleAllow(d))
+			diags = append(diags, directiveDiag(d.pos, "rtlint:allow %s suppresses nothing; delete the stale directive", strings.Join(d.analyzers, ",")))
 		default:
-			diags = append(diags, Diagnostic{
-				Pos:      d.pos,
-				Analyzer: directiveAnalyzer,
-				Message:  "rtlint:" + d.verb + " annotates nothing; attach it to a " + annotationTarget(d.verb) + " or delete it",
-			})
+			diags = append(diags, directiveDiag(d.pos, "rtlint:%s annotates nothing; attach it to a %s or delete it", d.verb, annotationTarget(d.verb)))
 		}
 	}
 	return diags
 }
 
-// staleAllows reports the well-formed allow directives naming analyzer
-// that suppressed nothing.
-func (s *DirectiveSet) staleAllows(analyzer string) []Diagnostic {
-	var diags []Diagnostic
-	for _, d := range s.all {
-		if d.problem == "" && !d.used && d.verb == "allow" && slices.Contains(d.analyzers, analyzer) {
-			diags = append(diags, staleAllow(d))
+func allRan(names []string, ran map[string]bool) bool {
+	for _, name := range names {
+		if !ran[name] {
+			return false
 		}
 	}
-	return diags
-}
-
-func staleAllow(d *directive) Diagnostic {
-	return Diagnostic{
-		Pos:      d.pos,
-		Analyzer: directiveAnalyzer,
-		Message:  "rtlint:allow " + strings.Join(d.analyzers, ",") + " suppresses nothing; delete the stale directive",
-	}
+	return true
 }
 
 // annotationTarget names the declaration kind a verb must document,

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -9,7 +10,8 @@ import (
 )
 
 // TestParseDirectiveForms covers the parser's accept/reject matrix:
-// every verb's arity, the mandatory allow reason, and unknown names.
+// every verb's arity, the mandatory allow reason, unknown names, and
+// verbs that must be whole words.
 func TestParseDirectiveForms(t *testing.T) {
 	cases := []struct {
 		text    string
@@ -23,6 +25,8 @@ func TestParseDirectiveForms(t *testing.T) {
 		{"allow -- reason only", "allow", "names no analyzer"},
 		{"allow nosuch -- reason", "allow", "unknown analyzer nosuch"},
 		{"allow hotalloc -- interprocedural analyzers are allowable too", "allow", ""},
+		{"allow reach,determinism -- one allow may name reach beside others", "allow", ""},
+		{"allowdeterminism -- verb glued to its analyzer", "", "unknown rtlint directive verb"},
 		{"hotpath -- dispatch loop", "hotpath", ""},
 		{"hotpath extra -- reason", "hotpath", "takes no arguments"},
 		{"arena", "arena", ""},
@@ -101,7 +105,7 @@ var x int
 		t.Fatal(err)
 	}
 	ds := ParseDirectives(fset, []*ast.File{f})
-	probs := ds.Problems()
+	probs := ds.Problems(map[string]bool{"determinism": true})
 	wants := []string{
 		"needs a reason",
 		"suppresses nothing",
@@ -143,7 +147,47 @@ func a() {}
 	if !ds.Allows("determinism", token.Position{Filename: "p.go", Line: 4}) {
 		t.Error("allow did not cover the line below it")
 	}
-	if probs := ds.Problems(); len(probs) != 0 {
+	if probs := ds.Problems(map[string]bool{"determinism": true}); len(probs) != 0 {
 		t.Errorf("used allow still reported: %v", probs)
+	}
+}
+
+// TestStaleAllowNeedsEveryAnalyzerRun pins the one staleness rule: an
+// unused allow is stale only when every analyzer it names ran, so a
+// run without binaries, where reach does not run, leaves reach allows
+// unjudged.
+func TestStaleAllowNeedsEveryAnalyzerRun(t *testing.T) {
+	const src = `package p
+
+//rtlint:allow reach -- reference: test oracle
+func F() {}
+
+//rtlint:allow reach,determinism -- reference: test oracle
+func G() {}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds := ParseDirectives(fset, []*ast.File{f})
+	for _, tc := range []struct {
+		ran   map[string]bool
+		lines []int
+	}{
+		{map[string]bool{"determinism": true}, nil},
+		{map[string]bool{"reach": true}, []int{3}},
+		{map[string]bool{"determinism": true, "reach": true}, []int{3, 6}},
+	} {
+		var lines []int
+		for _, d := range ds.Problems(tc.ran) {
+			if !strings.Contains(d.Message, "suppresses nothing") {
+				t.Errorf("ran %v: unexpected problem %v", tc.ran, d)
+			}
+			lines = append(lines, d.Pos.Line)
+		}
+		if fmt.Sprint(lines) != fmt.Sprint(tc.lines) {
+			t.Errorf("ran %v: stale allows on lines %v, want %v", tc.ran, lines, tc.lines)
+		}
 	}
 }

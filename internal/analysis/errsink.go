@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // ErrSink flags discarded error returns from the fmt.Fprint family
@@ -16,7 +17,12 @@ import (
 var ErrSink = &Analyzer{
 	Name: "errsink",
 	Doc:  "forbid silently discarded io.Writer / fmt.Fprint-family errors in library packages",
-	Run:  runErrSink,
+	// Library packages only; main packages own their best-effort
+	// console output.
+	Scope: func(relDir, _ string) bool {
+		return relDir == "" || strings.HasPrefix(relDir, "internal/")
+	},
+	Run: runErrSink,
 }
 
 // sinkFuncs are the package-level writer functions whose error must
@@ -46,28 +52,21 @@ var infallibleWriters = map[string]bool{
 }
 
 func runErrSink(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			stmt, ok := n.(*ast.ExprStmt)
-			if !ok {
-				return true
+	pass.Inspect(func(pkg *Package, n ast.Node) {
+		if stmt, ok := n.(*ast.ExprStmt); ok {
+			if call, ok := stmt.X.(*ast.CallExpr); ok {
+				checkDiscardedError(pass, pkg, call)
 			}
-			call, ok := stmt.X.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			checkDiscardedError(pass, call)
-			return true
-		})
-	}
+		}
+	})
 }
 
-func checkDiscardedError(pass *Pass, call *ast.CallExpr) {
+func checkDiscardedError(pass *Pass, pkg *Package, call *ast.CallExpr) {
 	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !ok {
 		return
 	}
-	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+	fn, ok := pkg.Info.Uses[sel.Sel].(*types.Func)
 	if !ok {
 		return
 	}
@@ -95,7 +94,7 @@ func checkDiscardedError(pass *Pass, call *ast.CallExpr) {
 		}
 	}
 	pass.Reportf(call.Pos(), "error result of (%s).%s discarded in a library package; return it, check it, or assign to _ to acknowledge the drop (or annotate with //rtlint:allow errsink -- <reason>)",
-		types.TypeString(sig.Recv().Type(), types.RelativeTo(pass.Pkg)), fn.Name())
+		types.TypeString(sig.Recv().Type(), types.RelativeTo(pkg.Types)), fn.Name())
 }
 
 func lastResultIsError(sig *types.Signature) bool {

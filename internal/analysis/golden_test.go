@@ -32,16 +32,13 @@ func loadPackage(modDir, pkgDir, relDir string) (*Package, error) {
 	return pkg, nil
 }
 
-// runPackage applies every matching target to one loaded package and
-// returns the findings, including directive problems (malformed,
-// unknown analyzer, suppresses nothing).
-func runPackage(pkg *Package, targets []Target) []Diagnostic {
-	var diags []Diagnostic
-	sink := func(d Diagnostic) { diags = append(diags, d) }
-	ds := ParseDirectives(pkg.Fset, pkg.Files)
-	runTargets(pkg, targets, ds, sink)
-	diags = append(diags, ds.Problems()...)
-	SortDiagnostics(diags)
+// runPackage runs the given analyzers over one loaded package,
+// wrapped as a single-package module, and returns the findings,
+// including directive problems (malformed, unknown analyzer, bound to
+// nothing, suppresses nothing).
+func runPackage(pkg *Package, analyzers ...*Analyzer) []Diagnostic {
+	mod := &Module{Path: "rtoffload", Fset: pkg.Fset, Packages: []*Package{pkg}}
+	diags, _ := Run(mod, analyzers, nil)
 	return diags
 }
 
@@ -114,31 +111,15 @@ func loadGolden(t *testing.T, dir, relDir string) *Package {
 	return pkg
 }
 
-// checkGolden runs one analyzer over a testdata package pretending to
-// live at relDir and diffs the findings against the want comments.
+// checkGolden runs one analyzer, its scope widened to every file, over
+// a testdata package pretending to live at relDir and diffs the
+// findings against the want comments.
 func checkGolden(t *testing.T, az *Analyzer, dir, relDir string) {
 	t.Helper()
 	pkg := loadGolden(t, dir, relDir)
-	diags := runPackage(pkg, []Target{{az, func(string, string) bool { return true }}})
-	diffGolden(t, pkg, diags)
-}
-
-// checkGoldenModule runs one interprocedural analyzer over a testdata
-// package wrapped as a single-package module and diffs the findings
-// (including annotation-binding problems) against the want comments.
-func checkGoldenModule(t *testing.T, az *ModuleAnalyzer, dir, relDir string) {
-	t.Helper()
-	pkg := loadGolden(t, dir, relDir)
-	mod := &Module{Dir: repoRoot(t), Path: "rtoffload", Fset: pkg.Fset, Packages: []*Package{pkg}}
-	diags, err := RunModule(mod, ModuleOptions{
-		Targets:         []Target{},
-		Interprocedural: []*ModuleAnalyzer{az},
-		Workers:         1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	diffGolden(t, pkg, diags)
+	everyFile := *az
+	everyFile.Scope = nil
+	diffGolden(t, pkg, runPackage(pkg, &everyFile))
 }
 
 // diffGolden matches reported diagnostics against the package's want
@@ -195,19 +176,19 @@ func TestDirectiveProblemsGolden(t *testing.T) {
 }
 
 func TestHotAllocGolden(t *testing.T) {
-	checkGoldenModule(t, HotAlloc, "hotalloc", "internal/hot")
+	checkGolden(t, HotAlloc, "hotalloc", "internal/hot")
 }
 
 func TestGuardedByGolden(t *testing.T) {
-	checkGoldenModule(t, GuardedBy, "guardedby", "internal/guard")
+	checkGolden(t, GuardedBy, "guardedby", "internal/guard")
 }
 
 func TestArenaEscapeGolden(t *testing.T) {
-	checkGoldenModule(t, ArenaEscape, "arenaescape", "internal/arena")
+	checkGolden(t, ArenaEscape, "arenaescape", "internal/arena")
 }
 
-// TestFileScoping proves Target.Match filters per file: a violation
-// in an out-of-scope file is not reported.
+// TestFileScoping proves an analyzer's Scope filters per file: a
+// violation in an out-of-scope file is not reported.
 func TestFileScoping(t *testing.T) {
 	root := repoRoot(t)
 	pkgDir := filepath.Join(root, "internal", "analysis", "testdata", "src", "floatexact")
@@ -215,8 +196,9 @@ func TestFileScoping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	none := func(relDir, base string) bool { return false }
-	diags := runPackage(pkg, []Target{{FloatExact, none}})
+	none := *FloatExact
+	none.Scope = func(relDir, base string) bool { return false }
+	diags := runPackage(pkg, &none)
 	for _, d := range diags {
 		if d.Analyzer == FloatExact.Name {
 			t.Errorf("out-of-scope file reported: %s", d)

@@ -30,13 +30,13 @@ import (
 // textually (types.ExprString), func literals inherit the ambient held
 // set, and RLock counts as held without distinguishing read from write
 // access.
-var GuardedBy = &ModuleAnalyzer{
+var GuardedBy = &Analyzer{
 	Name: "guardedby",
 	Doc:  "fields annotated //rtlint:guardedby may only be accessed with the lock held",
 	Run:  runGuardedBy,
 }
 
-func runGuardedBy(pass *ModulePass) {
+func runGuardedBy(pass *Pass) {
 	if len(pass.Ann.Guarded) == 0 {
 		return
 	}
@@ -51,7 +51,7 @@ func runGuardedBy(pass *ModulePass) {
 }
 
 type lockWalker struct {
-	pass *ModulePass
+	pass *Pass
 	node *FuncNode
 }
 

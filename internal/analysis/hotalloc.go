@@ -37,7 +37,7 @@ import (
 //
 // testing.AllocsPerRun gate tests back each root at runtime; the
 // analyzer is the static half of the same contract.
-var HotAlloc = &ModuleAnalyzer{
+var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc:  "functions reachable from //rtlint:hotpath roots must not allocate",
 	Run:  runHotAlloc,
@@ -93,7 +93,7 @@ type hotWork struct {
 	root string
 }
 
-func runHotAlloc(pass *ModulePass) {
+func runHotAlloc(pass *Pass) {
 	// Deterministic root order: by source position.
 	var roots []*FuncNode
 	for fn := range pass.Ann.Hotpath {
@@ -146,7 +146,7 @@ func funcDisplayName(fn *types.Func) string {
 
 // checkHotFunc walks one function body, reports allocating constructs,
 // and returns the in-module callees to visit next.
-func checkHotFunc(pass *ModulePass, w hotWork) []hotWork {
+func checkHotFunc(pass *Pass, w hotWork) []hotWork {
 	node := w.node
 	info := node.Pkg.Info
 	body := node.Decl.Body
@@ -235,7 +235,7 @@ func checkHotFunc(pass *ModulePass, w hotWork) []hotWork {
 }
 
 // checkHotCall classifies one call on the hot path.
-func checkHotCall(pass *ModulePass, w hotWork, call *ast.CallExpr, selfAppend map[*ast.CallExpr]bool, report func(token.Pos, string, ...any), enqueue func(*FuncNode)) {
+func checkHotCall(pass *Pass, w hotWork, call *ast.CallExpr, selfAppend map[*ast.CallExpr]bool, report func(token.Pos, string, ...any), enqueue func(*FuncNode)) {
 	info := w.node.Pkg.Info
 	targets := pass.Graph.Resolve(w.node.Pkg, call)
 	switch {

@@ -18,21 +18,23 @@ import (
 var OverflowGuard = &Analyzer{
 	Name: "overflowguard",
 	Doc:  "forbid raw *, <<, and derived + on Duration/int64 demand values outside the checked helpers in frac.go",
-	Run:  runOverflowGuard,
+	// Demand arithmetic; frac.go hosts the checked helpers and is the
+	// one file allowed to do raw int64 work.
+	Scope: func(relDir, base string) bool {
+		return (relDir == "internal/dbf" && base != "frac.go") || relDir == "internal/core"
+	},
+	Run: runOverflowGuard,
 }
 
 func runOverflowGuard(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.BinaryExpr:
-				checkBinaryOverflow(pass, n)
-			case *ast.AssignStmt:
-				checkAssignOverflow(pass, n)
-			}
-			return true
-		})
-	}
+	pass.Inspect(func(pkg *Package, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.BinaryExpr:
+			checkBinaryOverflow(pass, pkg, n)
+		case *ast.AssignStmt:
+			checkAssignOverflow(pass, pkg, n)
+		}
+	})
 }
 
 // isInt64Like reports whether t's underlying type is int64 — this
@@ -65,48 +67,48 @@ func derived(x ast.Expr) bool {
 	return false
 }
 
-func (p *Pass) typeNameOf(e ast.Expr) string {
+func typeNameOf(pkg *Package, e ast.Expr) string {
 	// Qualify by package name, not import path, so diagnostics read
 	// "rtime.Duration" the way the source does.
-	return types.TypeString(p.Info.TypeOf(e), func(other *types.Package) string {
-		if other == p.Pkg {
+	return types.TypeString(pkg.Info.TypeOf(e), func(other *types.Package) string {
+		if other == pkg.Types {
 			return ""
 		}
 		return other.Name()
 	})
 }
 
-func checkBinaryOverflow(pass *Pass, e *ast.BinaryExpr) {
-	if tv, ok := pass.Info.Types[e]; ok && tv.Value != nil {
+func checkBinaryOverflow(pass *Pass, pkg *Package, e *ast.BinaryExpr) {
+	if tv, ok := pkg.Info.Types[e]; ok && tv.Value != nil {
 		return // folded constant, checked by the compiler
 	}
-	if !isInt64Like(pass.Info.TypeOf(e.X)) {
+	if !isInt64Like(pkg.Info.TypeOf(e.X)) {
 		return
 	}
 	switch e.Op {
 	case token.MUL:
-		pass.Reportf(e.OpPos, "unchecked %s multiplication can wrap int64 and flip a schedulability verdict; use mul128/mulDur/mulDiv64 from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(e.X))
+		pass.Reportf(e.OpPos, "unchecked %s multiplication can wrap int64 and flip a schedulability verdict; use mul128/mulDur/mulDiv64 from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", typeNameOf(pkg, e.X))
 	case token.SHL:
-		pass.Reportf(e.OpPos, "unchecked %s left shift can wrap int64; use the checked helpers in internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(e.X))
+		pass.Reportf(e.OpPos, "unchecked %s left shift can wrap int64; use the checked helpers in internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", typeNameOf(pkg, e.X))
 	case token.ADD:
 		if derived(e.X) || derived(e.Y) {
-			pass.Reportf(e.OpPos, "unchecked %s addition of derived demand values can wrap int64; use add64/addDur from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(e.X))
+			pass.Reportf(e.OpPos, "unchecked %s addition of derived demand values can wrap int64; use add64/addDur from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", typeNameOf(pkg, e.X))
 		}
 	}
 }
 
-func checkAssignOverflow(pass *Pass, s *ast.AssignStmt) {
-	if len(s.Lhs) != 1 || len(s.Rhs) != 1 || !isInt64Like(pass.Info.TypeOf(s.Lhs[0])) {
+func checkAssignOverflow(pass *Pass, pkg *Package, s *ast.AssignStmt) {
+	if len(s.Lhs) != 1 || len(s.Rhs) != 1 || !isInt64Like(pkg.Info.TypeOf(s.Lhs[0])) {
 		return
 	}
 	switch s.Tok {
 	case token.MUL_ASSIGN:
-		pass.Reportf(s.TokPos, "unchecked %s *= can wrap int64; use mul128/mulDur/mulDiv64 from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(s.Lhs[0]))
+		pass.Reportf(s.TokPos, "unchecked %s *= can wrap int64; use mul128/mulDur/mulDiv64 from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", typeNameOf(pkg, s.Lhs[0]))
 	case token.SHL_ASSIGN:
-		pass.Reportf(s.TokPos, "unchecked %s <<= can wrap int64; use the checked helpers in internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(s.Lhs[0]))
+		pass.Reportf(s.TokPos, "unchecked %s <<= can wrap int64; use the checked helpers in internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", typeNameOf(pkg, s.Lhs[0]))
 	case token.ADD_ASSIGN:
 		if derived(s.Rhs[0]) {
-			pass.Reportf(s.TokPos, "unchecked %s += of a derived demand value can wrap int64; use add64/addDur from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", pass.typeNameOf(s.Lhs[0]))
+			pass.Reportf(s.TokPos, "unchecked %s += of a derived demand value can wrap int64; use add64/addDur from internal/dbf/frac.go, or annotate with //rtlint:allow overflowguard -- <reason>", typeNameOf(pkg, s.Lhs[0]))
 		}
 	}
 }

@@ -14,20 +14,22 @@ import (
 // least one shipped binary. It does not ride the call graph, because
 // class-hierarchy analysis keeps every in-module implementation of an
 // interface alive, while the linker drops the methods of a type that
-// nothing constructs. It runs only when rtlint is handed the binaries
-// to judge (rtlint -reach), so only such a run judges a reach
-// allow used or stale.
+// nothing constructs. It runs only when Run is handed the linked set
+// of the binaries to judge, so only such a run judges a reach allow
+// used or stale.
 //
 // The binaries must be built with -gcflags=all=-l: an inlined function
-// leaves no symbol of its own. Reach has no Run: RunReach drives it.
-var Reach = &ModuleAnalyzer{
+// leaves no symbol of its own.
+var Reach = &Analyzer{
 	Name: "reach",
-	Doc:  "every library function is linked into a shipped binary (needs -reach)",
+	Doc:  "every library function is linked into a shipped binary (runs when given the binaries)",
+	Run:  runReach,
 }
 
 // LinkedFuncs reads the text symbols of the given executables (ELF or
-// Mach-O, the platforms `make reach` runs on) and returns the normalized names, as normalizeSymbol
-// gives them, of those inside the module modPath.
+// Mach-O, the platforms `make lint` runs on) and returns the
+// normalized names, as normalizeSymbol gives them, of those inside the
+// module modPath.
 func LinkedFuncs(modPath string, binaries []string) (map[string]bool, error) {
 	linked := map[string]bool{}
 	for _, bin := range binaries {
@@ -191,25 +193,21 @@ type ReachStats struct {
 	Lines    int
 }
 
-// RunReach reports, at its declaration, each function with a body in
-// a non-main package of mod whose name is not in linked, unless a
+// runReach reports, at its declaration, each function with a body in
+// a non-main package whose name is not in pass.Linked, unless a
 // //rtlint:allow reach directive covers the declaration or its
 // package clause (one allow on a harness package's clause covers the
-// whole package). It then reports every reach allow that covered
-// nothing. Other analyzers' directives are not judged.
-func RunReach(mod *Module, linked map[string]bool) ([]Diagnostic, ReachStats) {
-	var stats ReachStats
-	var diags []Diagnostic
-	for _, pkg := range mod.Packages {
+// whole package).
+func runReach(pass *Pass) {
+	for _, pkg := range pass.Module.Packages {
 		if pkg.Types.Name() == "main" {
 			continue
 		}
-		ds := ParseDirectives(pkg.Fset, pkg.Files)
 		var unlinked []*ast.FuncDecl
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
-				if ok && fd.Body != nil && fd.Name.Name != "_" && !linked[reachKey(pkg.ImportPath, fd)] {
+				if ok && fd.Body != nil && fd.Name.Name != "_" && !pass.Linked[reachKey(pkg.ImportPath, fd)] {
 					unlinked = append(unlinked, fd)
 				}
 			}
@@ -218,26 +216,18 @@ func RunReach(mod *Module, linked map[string]bool) ([]Diagnostic, ReachStats) {
 		// or stale on its own; none is used by a fully linked package.
 		pkgAllowed := false
 		for _, f := range pkg.Files {
-			if len(unlinked) > 0 && ds.Allows(Reach.Name, pkg.Fset.Position(f.Package)) {
+			if len(unlinked) > 0 && pass.Allowed(f.Package) {
 				pkgAllowed = true
 			}
 		}
 		for _, fd := range unlinked {
-			pos := pkg.Fset.Position(fd.Pos())
-			stats.Unlinked++
-			stats.Lines += pkg.Fset.Position(fd.Body.Rbrace).Line - pos.Line + 1
-			if ds.Allows(Reach.Name, pos) || pkgAllowed {
+			pass.reach.Unlinked++
+			pass.reach.Lines += pkg.Fset.Position(fd.Body.Rbrace).Line - pkg.Fset.Position(fd.Pos()).Line + 1
+			if pass.Allowed(fd.Pos()) || pkgAllowed {
 				continue
 			}
-			diags = append(diags, Diagnostic{
-				Pos:      pos,
-				Analyzer: Reach.Name,
-				Message: fmt.Sprintf("%s is linked into no shipped binary; delete it, move it into a _test.go file, or state its role with //rtlint:allow reach -- <role>",
-					strings.TrimPrefix(reachKey(pkg.ImportPath, fd), pkg.ImportPath+".")),
-			})
+			pass.Reportf(fd.Pos(), "%s is linked into no shipped binary; delete it, move it into a _test.go file, or state its role with //rtlint:allow reach -- <role>",
+				strings.TrimPrefix(reachKey(pkg.ImportPath, fd), pkg.ImportPath+"."))
 		}
-		diags = append(diags, ds.staleAllows(Reach.Name)...)
 	}
-	SortDiagnostics(diags)
-	return diags, stats
 }

@@ -29,8 +29,8 @@ func TestNormalizeSymbol(t *testing.T) {
 		{"rtoffload/internal/core.(*Admission).Add", "rtoffload/internal/core.Admission.Add"},
 		{"rtoffload/internal/fleet.Fleet.Validate", "rtoffload/internal/fleet.Fleet.Validate"},
 		// Closures, nested closures, closures of generic functions.
-		{"rtoffload/internal/analysis.DefaultTargets.func1", "rtoffload/internal/analysis.DefaultTargets"},
-		{"rtoffload/internal/analysis.RunModule.func1.1", "rtoffload/internal/analysis.RunModule"},
+		{"rtoffload/internal/analysis.runErrSink.func1", "rtoffload/internal/analysis.runErrSink"},
+		{"rtoffload/internal/analysis.Run.func1.1", "rtoffload/internal/analysis.Run"},
 		{"rtoffload/internal/parallel.Map[go.shape.[]float64].func3.deferwrap1", "rtoffload/internal/parallel.Map"},
 		// Defer and go wrappers, method values, range-func bodies.
 		{"rtoffload/internal/admitd.(*Service).Decision.deferwrap1", "rtoffload/internal/admitd.Service.Decision"},
@@ -80,32 +80,6 @@ func (h H[E]) Len() int { return len(h) }
 		if got[i] != want[i] {
 			t.Errorf("key %d = %q, want %q", i, got[i], want[i])
 		}
-	}
-}
-
-// TestReachAllowsAreReachOnly asserts a reach allow stands alone: it
-// cannot share a directive with another analyzer, and a lint run does
-// not judge it stale.
-func TestReachAllowsAreReachOnly(t *testing.T) {
-	if d := parseDirective("allow reach,determinism -- shared"); d.problem == "" {
-		t.Error("reach combined with another analyzer was accepted")
-	}
-	src := `package p
-
-//rtlint:allow reach -- reference: test oracle
-func F() {}
-`
-	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := ParseDirectives(fset, []*ast.File{f})
-	if probs := ds.Problems(); len(probs) != 0 {
-		t.Errorf("lint judged an unused reach allow: %v", probs)
-	}
-	if stale := ds.staleAllows(Reach.Name); len(stale) != 1 {
-		t.Errorf("reach judged %d stale allows, want 1", len(stale))
 	}
 }
 
@@ -216,7 +190,7 @@ func Run() {}
 		"tmpmod/lib.T.M":       true,
 		"tmpmod/linkedpkg.Run": true,
 	}
-	diags, stats := RunReach(mod, linked)
+	diags, stats := Run(mod, []*Analyzer{Reach}, linked)
 	var got []string
 	for _, d := range diags {
 		rel, _ := filepath.Rel(dir, d.Pos.Filename)

@@ -28,7 +28,7 @@ type ReservationConfig struct {
 
 // Validate checks the configuration.
 //
-//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
+//rtlint:allow reach -- reference: the worst-case reservation server that core's guaranteed-level test and this package's tests drive; no binary runs it
 func (c ReservationConfig) Validate() error {
 	switch {
 	case c.Period <= 0 || c.Budget <= 0 || c.Budget > c.Period:
@@ -41,7 +41,7 @@ func (c ReservationConfig) Validate() error {
 
 // demand returns the service demand of a payload.
 //
-//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
+//rtlint:allow reach -- reference: the worst-case reservation server that core's guaranteed-level test and this package's tests drive; no binary runs it
 func (c ReservationConfig) demand(payloadBytes int64) rtime.Duration {
 	d := c.ServiceFloor + rtime.Duration(float64(payloadBytes)*c.ServicePerByte)
 	if d < 1 {
@@ -57,7 +57,7 @@ func (c ReservationConfig) demand(payloadBytes int64) rtime.Duration {
 //
 //	WCRT = (⌈s/Q⌉ − 1)·P + (P − Q) + s + transfer
 //
-//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
+//rtlint:allow reach -- reference: the worst-case reservation server that core's guaranteed-level test and this package's tests drive; no binary runs it
 func (c ReservationConfig) WCRTBound(payloadBytes int64) rtime.Duration {
 	s := c.demand(payloadBytes)
 	n := rtime.CeilDiv(s, c.Budget)
@@ -77,7 +77,7 @@ type Reservation struct {
 
 // NewReservation builds the server.
 //
-//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
+//rtlint:allow reach -- reference: the worst-case reservation server that core's guaranteed-level test and this package's tests drive; no binary runs it
 func NewReservation(cfg ReservationConfig) (*Reservation, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -93,7 +93,7 @@ func NewReservation(cfg ReservationConfig) (*Reservation, error) {
 // this model always honours exactly them, making it the adversarial
 // counterpart for guaranteed levels.
 //
-//rtlint:allow reach -- harness: used by the invariant harness (chaos/invariant); the invariant checker on the ROADMAP ships it
+//rtlint:allow reach -- reference: the worst-case reservation server that core's guaranteed-level test and this package's tests drive; no binary runs it
 func (r *Reservation) Respond(issue rtime.Instant, _ int, payloadBytes int64) Response {
 	c := r.cfg
 	s := c.demand(payloadBytes)
