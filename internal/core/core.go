@@ -237,6 +237,15 @@ func (c *taskCache) weight(lv int) dbf.Frac {
 	return c.levelW[lv]
 }
 
+// demand returns the cached demand of point lv (−1: local execution);
+// nil when the point has no demand model.
+func (c *taskCache) demand(lv int) dbf.Demand {
+	if lv < 0 {
+		return c.local
+	}
+	return c.levels[lv]
+}
+
 // taskDemands builds the exact demand models and Theorem-3 weights of
 // every choice of one task (the local, localW, levels and levelW
 // fields of its taskCache) through demandOf; a choice without a valid
@@ -382,11 +391,16 @@ func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options
 }
 
 // certifyScratch is certify's reusable state: the Theorem-3
-// accumulator and the exact upgrade's candidate buffer. Admission
-// keeps one across re-decisions so a warm pass allocates neither.
+// accumulator, the exact upgrade's candidate buffers (every task's,
+// and one task's fresh candidates), its batch and its counters.
+// Admission keeps one across re-decisions so a warm pass allocates
+// none of them.
 type certifyScratch struct {
 	t3         theorem3Sum
 	upgradeBuf []upgradeCand
+	taskBuf    []upgradeCand
+	batch      []batchMember
+	stats      upgradeStats
 }
 
 // solveOn runs solver s on mk's current instance, mapping the
@@ -481,11 +495,7 @@ func (c Choice) point() int {
 func choiceDemands(caches []taskCache, choices []Choice) []dbf.Demand {
 	ds := make([]dbf.Demand, len(choices))
 	for i, c := range choices {
-		if c.Offload {
-			ds[i] = caches[i].levels[c.Level]
-		} else {
-			ds[i] = caches[i].local
-		}
+		ds[i] = caches[i].demand(c.point())
 	}
 	return ds
 }

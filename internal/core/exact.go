@@ -93,8 +93,11 @@ func exactUpgrade(d *Decision, caches []taskCache, analyzer func([]dbf.Demand) *
 }
 
 // upgradeGuard vetoes exact-upgrade candidates before the feasibility
-// probe and is told of every upgrade applied, so a stateful guard (the
-// fleet's poolLedger) stays in sync with the decision.
+// probe and is told of every point a choice moves to — tentative batch
+// members and their undoing included — so a stateful guard (the
+// fleet's poolLedger) stays in sync with the configuration in effect.
+// commit must be exactly reversible: moving a choice back restores the
+// guard's earlier verdicts.
 type upgradeGuard interface {
 	allows(i, lv int) bool
 	commit(i, lv int)
@@ -134,24 +137,58 @@ func upgradeCands(buf []upgradeCand, choices []Choice, caches []taskCache) []upg
 	}
 	buf = slices.Grow(buf[:0], n)
 	for i, c := range choices {
-		t := c.Task
-		from := -1 // local
-		cur := t.EffectiveWeight() * t.LocalBenefit
-		if c.Offload {
-			from = c.Level
-			cur = t.EffectiveWeight() * t.Levels[c.Level].Benefit
-		}
-		for lv := from + 1; lv < len(t.Levels); lv++ {
-			gain := t.EffectiveWeight()*t.Levels[lv].Benefit - cur
-			//rtlint:allow floatexact -- benefit objective is float64 by design; exactness guards time arithmetic only
-			if !(gain > 0) || caches[i].levels[lv] == nil {
-				continue
-			}
-			buf = append(buf, upgradeCand{gain: gain, i: i, lv: lv})
-		}
+		buf = taskCands(buf, i, c.Task, c.point(), &caches[i])
 	}
 	slices.SortFunc(buf, byGain)
 	return buf
+}
+
+// taskCands appends to buf the candidate upgrades of choice i of task
+// t from point from (−1: local execution): every higher level with a
+// positive gain and a demand model in c.
+func taskCands(buf []upgradeCand, i int, t *task.Task, from int, c *taskCache) []upgradeCand {
+	cur := t.EffectiveWeight() * t.LocalBenefit
+	if from >= 0 {
+		cur = t.EffectiveWeight() * t.Levels[from].Benefit
+	}
+	for lv := from + 1; lv < len(t.Levels); lv++ {
+		gain := t.EffectiveWeight()*t.Levels[lv].Benefit - cur
+		//rtlint:allow floatexact -- benefit objective is float64 by design; exactness guards time arithmetic only
+		if !(gain > 0) || c.levels[lv] == nil {
+			continue
+		}
+		buf = append(buf, upgradeCand{gain: gain, i: i, lv: lv})
+	}
+	return buf
+}
+
+// batchMember is one tentatively applied upgrade of a batch: choice i
+// moved from prev to offloading level lv.
+type batchMember struct {
+	prev  Choice
+	i, lv int
+}
+
+// upgradeStats counts an exact-upgrade pass's work: its passes, QPA
+// probes, batches cut by a non-dominating head, batches whose last
+// configuration QPA rejected, and batches of two or more members in
+// which the guard vetoed a candidate ranked above a head.
+type upgradeStats struct {
+	passes, probes, cuts, bisects, vetoedRuns int
+}
+
+// upgrader is improveLoop's state. sc.upgradeBuf holds the candidates
+// over out's current, possibly tentative, choices in byGain order, and
+// sc.batch the current batch. Its first applied members are in effect
+// on out's Offload and Level fields, az and guard; only confirm
+// touches the objective, Expected and sc.t3.
+type upgrader struct {
+	out     *Decision
+	az      *dbf.Analyzer
+	caches  []taskCache
+	guard   upgradeGuard
+	sc      *certifyScratch
+	applied int
 }
 
 // improveLoop applies the greedy best-gain upgrade until no candidate
@@ -159,49 +196,250 @@ func upgradeCands(buf []upgradeCand, choices []Choice, caches []taskCache) []upg
 // non-nil guard vetoes candidates before the feasibility probe — the
 // fleet path uses it to keep upgrades within the capacity pools.
 //
-// Each round scans its candidates in byGain order and applies the
-// first one the guard allows and QPA admits. That is the argmax of
-// gain over the admissible candidates, ties going to the earliest
-// (task, level), and it costs one probe per candidate ranked above
-// the winner instead of one per running-best improvement in index
-// order. Task validation keeps every weighted benefit finite, so no
-// gain is NaN and the order is total. sc.upgradeBuf is the candidate
-// scratch, reused across rounds and — when the caller keeps sc —
-// across calls; sc.t3 holds out's Theorem-3 total and follows every
-// upgrade.
+// The greedy's round takes its candidates in byGain order and applies
+// the first one the guard allows and QPA admits: the argmax of gain
+// over the admissible candidates, ties going to the earliest (task,
+// level). Task validation keeps every weighted benefit finite, so no
+// gain is NaN and the order is total. Almost every round accepts its
+// head — the first guard-allowed candidate — so the loop verifies
+// runs of heads in batches instead of one probe per round. From the
+// committed, feasible configuration C0 it applies the heads
+// tentatively while each member after the first pointwise dominates
+// its task's current demand (dbf.Dominates). The configurations
+// C1 ≤ … ≤ Cm then grow pointwise, so one QPA on Cm proves every Ck
+// and thus every head the per-round greedy would accept. When Cm
+// fails, bisect finds the longest feasible prefix and a per-candidate
+// round continues from it past its rejected head. The horizon keeps
+// the same order: dbf.Dominates also guarantees long-run rate and
+// burst at or above, so no Ck has a horizon beyond Cm's, and no Ck
+// fails on an overload or horizon overflow that Cm passes.
+//
+// The objective, choices' Expected and sc.t3 change only when members
+// are confirmed, in member order, so the float objective adds in the
+// per-round greedy's order. The candidate order follows each applied
+// or undone member incrementally. sc's buffers are reused across
+// rounds and — when the caller keeps sc — across calls; sc.t3 holds
+// out's Theorem-3 total and follows every confirmed upgrade.
 func improveLoop(out *Decision, az *dbf.Analyzer, caches []taskCache, guard upgradeGuard, sc *certifyScratch) {
-	buf := &sc.upgradeBuf
-	feasible := (*dbf.Analyzer).Feasible
+	u := upgrader{out: out, az: az, caches: caches, guard: guard, sc: sc}
+	sc.stats.passes++
+	sc.upgradeBuf = upgradeCands(sc.upgradeBuf, out.Choices, caches)
+	sc.batch = sc.batch[:0]
 	for {
-		*buf = upgradeCands(*buf, out.Choices, caches)
-		best := -1
-		for k, c := range *buf {
-			if guard != nil && !guard.allows(c.i, c.lv) {
+		exhausted, cut := u.walk()
+		m := len(sc.batch)
+		switch {
+		case m == 0 && exhausted:
+			return
+		case m > 0 && u.probe():
+			u.confirm()
+			if exhausted {
+				return
+			}
+			if cut {
 				continue
 			}
-			if az.With(c.i, caches[c.i].levels[c.lv], feasible) == nil {
-				best = k
-				break
-			}
+		case m > 0:
+			u.bisect()
 		}
-		if best < 0 {
+		// The head over the committed configuration is known rejected.
+		if !u.round() {
 			return
-		}
-		bestIdx, bestLevel := (*buf)[best].i, (*buf)[best].lv
-		if err := az.Swap(bestIdx, caches[bestIdx].levels[bestLevel]); err != nil {
-			return
-		}
-		c := &out.Choices[bestIdx]
-		sc.t3.move(&caches[bestIdx], c.point(), bestLevel)
-		old := c.Expected
-		c.Offload = true
-		c.Level = bestLevel
-		c.Expected = c.Task.EffectiveWeight() * c.Task.Levels[bestLevel].Benefit
-		out.TotalExpected += c.Expected - old
-		if guard != nil {
-			guard.commit(bestIdx, bestLevel)
 		}
 	}
+}
+
+// walk applies heads from the committed configuration as batch
+// members until no guard-allowed candidate is left (exhausted), a head
+// after the first does not dominate its task's current demand (cut),
+// or push refuses a head (neither).
+func (u *upgrader) walk() (exhausted, cut bool) {
+	vetoed := false
+	for {
+		k, skipped := u.head()
+		vetoed = vetoed || skipped
+		if k < 0 {
+			exhausted = true
+			break
+		}
+		c := u.sc.upgradeBuf[k]
+		if len(u.sc.batch) > 0 && !dbf.Dominates(u.caches[c.i].levels[c.lv], u.az.At(c.i)) {
+			cut = true
+			u.sc.stats.cuts++
+			break
+		}
+		if !u.push(c) {
+			break
+		}
+	}
+	if vetoed && len(u.sc.batch) >= 2 {
+		u.sc.stats.vetoedRuns++
+	}
+	return exhausted, cut
+}
+
+// head returns the index of the first guard-allowed candidate, −1 when
+// there is none, and whether the guard vetoed a candidate before it.
+func (u *upgrader) head() (k int, vetoed bool) {
+	for k, c := range u.sc.upgradeBuf {
+		if u.guard == nil || u.guard.allows(c.i, c.lv) {
+			return k, vetoed
+		}
+		vetoed = true
+	}
+	return -1, vetoed
+}
+
+// push applies candidate c as the next batch member. It reports false,
+// leaving c out, when the analyzer refuses c's demand, as the
+// per-round probe would refuse it.
+func (u *upgrader) push(c upgradeCand) bool {
+	u.sc.batch = append(u.sc.batch, batchMember{prev: u.out.Choices[c.i], i: c.i, lv: c.lv})
+	if !u.redo() {
+		u.sc.batch = u.sc.batch[:len(u.sc.batch)-1]
+		return false
+	}
+	return true
+}
+
+// redo puts the next batch member into effect; false when the analyzer
+// refuses its demand, which leaves everything unchanged.
+func (u *upgrader) redo() bool {
+	m := u.sc.batch[u.applied]
+	if u.az.Swap(m.i, u.caches[m.i].levels[m.lv]) != nil {
+		return false
+	}
+	c := &u.out.Choices[m.i]
+	c.Offload, c.Level = true, m.lv
+	u.moved(m.i, m.lv)
+	u.applied++
+	return true
+}
+
+// undo takes the last applied batch member out of effect. The swap
+// back restores a demand the analyzer held, and the guard's commit is
+// exactly reversible, so the state is what it was before the member.
+func (u *upgrader) undo() {
+	u.applied--
+	m := u.sc.batch[u.applied]
+	c := &u.out.Choices[m.i]
+	_ = u.az.Swap(m.i, u.caches[m.i].demand(m.prev.point())) // the analyzer held this demand before
+	c.Offload, c.Level = m.prev.Offload, m.prev.Level
+	u.moved(m.i, m.prev.point())
+}
+
+// moved tells the guard and the candidate order that choice i is now
+// at point at. Choice i's old candidates leave the byGain-ordered
+// list and its fresh ones, sorted, merge into the rest from the back;
+// the other tasks' candidates depend only on their own points, so the
+// list stays exactly what upgradeCands would build.
+func (u *upgrader) moved(i, at int) {
+	if u.guard != nil {
+		u.guard.commit(i, at)
+	}
+	sc := u.sc
+	fresh := taskCands(sc.taskBuf[:0], i, u.out.Choices[i].Task, at, &u.caches[i])
+	slices.SortFunc(fresh, byGain)
+	sc.taskBuf = fresh
+	buf := sc.upgradeBuf
+	n := 0
+	for _, c := range buf {
+		if c.i != i {
+			buf[n] = c
+			n++
+		}
+	}
+	buf = slices.Grow(buf[:n], len(fresh))[:n+len(fresh)]
+	a, b := n-1, len(fresh)-1
+	for k := len(buf) - 1; b >= 0; k-- {
+		if a >= 0 && byGain(buf[a], fresh[b]) > 0 {
+			buf[k], a = buf[a], a-1
+		} else {
+			buf[k], b = fresh[b], b-1
+		}
+	}
+	sc.upgradeBuf = buf
+}
+
+// probe runs QPA on the configuration in effect.
+func (u *upgrader) probe() bool {
+	u.sc.stats.probes++
+	return u.az.Feasible() == nil
+}
+
+// bisect handles a batch whose last configuration QPA rejected. The
+// members' configurations grow pointwise, so the feasible ones are a
+// prefix C1 … Ck (C0 is committed); bisect finds the longest, puts it
+// into effect and confirms it. Head k+1 is then known rejected.
+func (u *upgrader) bisect() {
+	u.sc.stats.bisects++
+	lo, hi := 0, len(u.sc.batch)
+	for hi-lo > 1 {
+		mid := (lo + hi) / 2
+		u.seek(mid)
+		if u.probe() {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	u.seek(lo)
+	u.sc.batch = u.sc.batch[:lo]
+	u.confirm()
+}
+
+// seek puts exactly the first k batch members into effect. Every
+// member was applied once already, so redo cannot fail.
+func (u *upgrader) seek(k int) {
+	for u.applied > k {
+		u.undo()
+	}
+	for u.applied < k {
+		u.redo()
+	}
+}
+
+// confirm commits every batch member, all in effect, in member order:
+// the Theorem-3 total, each choice's Expected and the objective
+// follow as the per-round greedy would update them.
+func (u *upgrader) confirm() {
+	for _, m := range u.sc.batch {
+		c := &u.out.Choices[m.i]
+		u.sc.t3.move(&u.caches[m.i], m.prev.point(), m.lv)
+		old := c.Expected
+		c.Expected = c.Task.EffectiveWeight() * c.Task.Levels[m.lv].Benefit
+		u.out.TotalExpected += c.Expected - old
+	}
+	u.sc.batch = u.sc.batch[:0]
+	u.applied = 0
+}
+
+// round is one per-candidate round of the greedy from the committed
+// configuration, whose head is known rejected: it probes the
+// guard-allowed candidates after the head in byGain order and applies
+// and confirms the first QPA admits. It reports whether one did.
+func (u *upgrader) round() bool {
+	feasible := (*dbf.Analyzer).Feasible
+	skipped := false
+	for _, c := range u.sc.upgradeBuf {
+		if u.guard != nil && !u.guard.allows(c.i, c.lv) {
+			continue
+		}
+		if !skipped {
+			skipped = true // the rejected head
+			continue
+		}
+		u.sc.stats.probes++
+		if u.az.With(c.i, u.caches[c.i].levels[c.lv], feasible) != nil {
+			continue
+		}
+		if !u.push(c) {
+			return false // unreachable: QPA just accepted c
+		}
+		u.confirm()
+		return true
+	}
+	return false
 }
 
 // VerifyExact runs the exact processor-demand test on a decision's

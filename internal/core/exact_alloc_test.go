@@ -144,7 +144,9 @@ func TestAdmissionExactAllocsBounded(t *testing.T) {
 			if allocs > float64(tc.bound) {
 				t.Fatalf("exact churn replay allocates %.0f times, bound %d", allocs, tc.bound)
 			}
-			t.Logf("exact churn replay of %d requests: %.0f allocations (bound %d)", len(stream), allocs, tc.bound)
+			st := a.scratch.stats
+			t.Logf("exact churn replay of %d requests: %.0f allocations (bound %d); %.1f QPA probes per exact upgrade",
+				len(stream), allocs, tc.bound, float64(st.probes)/float64(st.passes))
 		})
 	}
 }

@@ -12,7 +12,9 @@ import (
 
 // tiedEdgeSet draws n light near-edge tasks with integer benefits and
 // weights in {1, 2}, so equal upgrade gains — across tasks and across
-// the levels of one task — are common.
+// the levels of one task — are common. A third of the tasks give one
+// level a lighter compensation sub-job of its own, so an upgrade onto
+// it does not dominate the level below.
 func tiedEdgeSet(rng *stats.RNG, n int) task.Set {
 	set := make(task.Set, n)
 	for i := range set {
@@ -22,14 +24,22 @@ func tiedEdgeSet(rng *stats.RNG, n int) task.Set {
 		for j := range tk.Levels {
 			tk.Levels[j].Benefit = math.Round(tk.Levels[j].Benefit)
 		}
+		if rng.Bool(1.0 / 3) {
+			tk.Levels[rng.IntN(len(tk.Levels))].Compensation = tk.Compensation/2 + 1
+		}
 		set[i] = tk
 	}
 	return set
 }
 
-// upgradeCoverage counts the ordering hazards an upgrade pass met.
+// upgradeCoverage counts the ordering hazards an upgrade pass met, and
+// the batch events the shipped loop met: batches cut by a
+// non-dominating head, batches whose last configuration QPA rejected
+// (so the bisect ran), and fleet batches of two or more members in
+// which the guard vetoed a candidate ranked above a head.
 type upgradeCoverage struct {
 	tieTasks, tieLevels, infeasibleTop, vetoed int
+	cuts, bisects, vetoedRuns                  int
 }
 
 // note replays the upgrade rounds over a copy of d's choices and
@@ -97,7 +107,10 @@ func (cv *upgradeCoverage) note(d *Decision, caches []taskCache, guard upgradeGu
 // decision; choices, the bitwise objective and the exact Theorem-3
 // total must agree. The coverage counters prove the sweep met each
 // ordering hazard: gain ties across tasks and across levels, a
-// top-ranked candidate QPA rejects, and a pool-ledger veto.
+// top-ranked candidate QPA rejects, and a pool-ledger veto; and each
+// batch event: a batch cut by a non-dominating head, a batch whose
+// last configuration QPA rejects, and a fleet batch of two or more
+// members past a vetoed candidate.
 func TestImproveLoopMatchesReference(t *testing.T) {
 	var cv upgradeCoverage
 	rng := stats.NewRNG(90210)
@@ -124,6 +137,9 @@ func TestImproveLoopMatchesReference(t *testing.T) {
 			sc.t3.fill(caches, d.Choices)
 			got := exactUpgrade(d, caches, freshAnalyzer, guard, &sc)
 			got.Theorem3Total = sc.t3.total()
+			cv.cuts += sc.stats.cuts
+			cv.bisects += sc.stats.bisects
+			cv.vetoedRuns += sc.stats.vetoedRuns
 			want := refImproveWithExact(d, func(out *Decision) upgradeGuard {
 				if shape == "" {
 					return nil
@@ -153,5 +169,8 @@ func TestImproveLoopMatchesReference(t *testing.T) {
 	t.Logf("coverage: %+v", cv)
 	if cv.tieTasks == 0 || cv.tieLevels == 0 || cv.infeasibleTop == 0 || cv.vetoed == 0 {
 		t.Fatalf("sweep missed an ordering hazard: %+v", cv)
+	}
+	if cv.cuts == 0 || cv.bisects == 0 || cv.vetoedRuns == 0 {
+		t.Fatalf("sweep missed a batch event: %+v", cv)
 	}
 }

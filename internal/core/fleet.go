@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"rtoffload/internal/dbf"
 	"rtoffload/internal/fleet"
 	"rtoffload/internal/task"
@@ -39,9 +41,14 @@ import (
 // set of violated pools only shrinks; each reroute strictly drains the
 // first violated pool and lands the task on a pool that stays
 // satisfied, and each downgrade strictly decreases the offloaded
-// count. The pass is deterministic — candidates are ordered by benefit
-// loss with index tie-breaks — which is what keeps the incremental
-// admission path bit-identical to a from-scratch Decide.
+// count. So each pool is the first violated over one phase at most,
+// within which each reroute strictly lowers one choice's share of it:
+// the pass takes at most pools × (points + choices) steps. Beyond
+// that, which only an inexact capacity verdict can cause, it returns
+// an error instead of looping. The pass is deterministic — candidates
+// are ordered by benefit loss with index tie-breaks — which is what
+// keeps the incremental admission path bit-identical to a
+// from-scratch Decide.
 //
 // The pools live in a poolLedger built once from the repaired
 // choices: a candidate move is judged by its exact delta on the at
@@ -60,7 +67,11 @@ func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache, t3 *the
 		return nil, err
 	}
 	l := newPoolLedger(f, d.Choices, caches)
-	for {
+	limit := len(l.occ) * (len(l.pts) + len(d.Choices))
+	for step := 0; ; step++ {
+		if step > limit {
+			return nil, fmt.Errorf("core: fleet capacity repair exceeded its bound of %d steps", limit)
+		}
 		oi := l.firstOver()
 		if oi < 0 {
 			return l, nil

@@ -189,15 +189,30 @@ func NewOffloaded(c1, c2, d, t, r rtime.Duration) (Offloaded, error) {
 // starts at a job release; (b) the window starts at the latest possible
 // arrival of a second sub-job (release + D1 + R), with the preceding
 // setup outside the window.
+//
+// NewOffloaded's bounds keep every step offset in (0, T], so with
+// t = qT + r an offset off has q + [r ≥ off] deadlines within t: one
+// division serves all four counts.
 func (o Offloaded) DBF(t rtime.Duration) rtime.Duration {
 	if t <= 0 {
 		return 0
 	}
-	a := addDur(mulDur(o.C1, count(t, o.D1, o.T)),
-		mulDur(o.C2, count(t, o.D, o.T)))
-	b := addDur(mulDur(o.C2, count(t, o.D-o.D1-o.R, o.T)),
-		mulDur(o.C1, count(t, o.T-o.R, o.T)))
+	q, r := int64(t/o.T), t%o.T
+	a := addDur(mulDur(o.C1, stepCount(q, r, o.D1)),
+		mulDur(o.C2, stepCount(q, r, o.D)))
+	b := addDur(mulDur(o.C2, stepCount(q, r, o.D-o.D1-o.R)),
+		mulDur(o.C1, stepCount(q, r, o.T-o.R)))
 	return rtime.Max(a, b)
+}
+
+// stepCount returns the number of deadlines off, off+T, off+2T, … at
+// or below t = qT + r, for an offset off in (0, T]. It cannot
+// overflow: q+1 > q only when r ≥ off ≥ 1, which needs T ≥ 2.
+func stepCount(q int64, r, off rtime.Duration) int64 {
+	if r >= off {
+		return q + 1
+	}
+	return q
 }
 
 // Rate returns the long-run rate (C1+C2)/T.
@@ -253,17 +268,56 @@ func (o Offloaded) FirstStep() rtime.Duration {
 }
 
 // PrevStep returns the largest step below t across both alignments.
+// With t−1 = qT + r and every offset in (0, T] (see DBF), the largest
+// offset off ≤ r steps at off + qT; when none is ≤ r, the largest
+// offset steps at off + (q−1)T. Both lie at or below t−1, so neither
+// can overflow.
 func (o Offloaded) PrevStep(t rtime.Duration) rtime.Duration {
-	best := rtime.Duration(0)
-	for _, off := range o.offsets() {
-		if off <= 0 {
-			continue
-		}
-		if p := prevForOffset(t, off, o.T); p > best {
-			best = p
-		}
+	if t <= 1 {
+		return 0
 	}
-	return best
+	q, r := (t-1)/o.T, (t-1)%o.T
+	below, top := rtime.Duration(0), rtime.Duration(0)
+	for _, off := range o.offsets() {
+		if off <= r && off > below {
+			below = off
+		}
+		top = max(top, off)
+	}
+	switch {
+	case below > 0:
+		//rtlint:allow overflowguard -- below + qT ≤ r + qT = t−1
+		return below + q*o.T
+	case q > 0:
+		//rtlint:allow overflowguard -- top + (q−1)T ≤ qT ≤ t−1
+		return top + (q-1)*o.T
+	}
+	return 0
+}
+
+// Dominates reports whether a's DBF is at or above b's at every window
+// length. It is a sufficient O(1) test for an offloaded demand a over
+// a demand b of equal T and D (false otherwise). Over a sporadic b it
+// needs C1+C2 ≥ C: D1 ≤ D puts a's alignment (a) at or above
+// (C1+C2)·⌊(t−D)/T+1⌋. Over an offloaded b, a must need at least as
+// much in both sub-jobs, and its offsets D1 and D−D1−R must come no
+// later; together these give R ≥ b.R, so T−R comes no later either.
+// The same conditions put a's Rate and Burst at or above b's, so a
+// configuration grown by dominating swaps never has a smaller
+// analysis horizon.
+func Dominates(a, b Demand) bool {
+	o, ok := a.(Offloaded)
+	if !ok {
+		return false
+	}
+	switch b := b.(type) {
+	case Sporadic:
+		return o.T == b.T && o.D == b.D && o.C1+o.C2 >= b.C
+	case Offloaded:
+		return o.T == b.T && o.D == b.D && o.C1 >= b.C1 && o.C2 >= b.C2 &&
+			o.D1 <= b.D1 && o.D-o.D1-o.R <= b.D-b.D1-b.R
+	}
+	return false
 }
 
 // TotalDBF sums the demands at window length t, saturating at the

@@ -1,6 +1,7 @@
 package dbf
 
 import (
+	"math"
 	"math/big"
 	"testing"
 
@@ -278,5 +279,150 @@ func TestBurstBoundsOffloaded(t *testing.T) {
 				t.Fatalf("trial %d: DBF(%v)=%v > Rate·t+Burst=%v", trial, tt, lhs, rhs.FloatString(3))
 			}
 		}
+	}
+}
+
+// refOffloadedDBF is the four-division form of Offloaded.DBF: each
+// offset's deadline count is its own floor division by T. It is the
+// oracle of the one-division form.
+func refOffloadedDBF(o Offloaded, t rtime.Duration) rtime.Duration {
+	if t <= 0 {
+		return 0
+	}
+	a := addDur(mulDur(o.C1, count(t, o.D1, o.T)),
+		mulDur(o.C2, count(t, o.D, o.T)))
+	b := addDur(mulDur(o.C2, count(t, o.D-o.D1-o.R, o.T)),
+		mulDur(o.C1, count(t, o.T-o.R, o.T)))
+	return rtime.Max(a, b)
+}
+
+// refOffloadedPrevStep is the four-division form of Offloaded.PrevStep.
+func refOffloadedPrevStep(o Offloaded, t rtime.Duration) rtime.Duration {
+	best := rtime.Duration(0)
+	for _, off := range o.offsets() {
+		if off <= 0 {
+			continue
+		}
+		if p := prevForOffset(t, off, o.T); p > best {
+			best = p
+		}
+	}
+	return best
+}
+
+// randOffloaded draws a valid offloaded demand with period at most
+// maxT µs, half of them with D = T, including zero budgets, budgets
+// that make an offset equal T, and 1µs periods.
+func randOffloaded(rng *stats.RNG, maxT int64) (Offloaded, bool) {
+	period := rtime.Duration(rng.Int64N(maxT) + 1)
+	d := period
+	if rng.Bool(0.5) {
+		d = rtime.Duration(rng.Int64N(int64(period))) + 1
+	}
+	c1 := rtime.Duration(rng.Int64N(int64(d))) + 1
+	c2 := rtime.Duration(rng.Int64N(int64(d))) + 1
+	r := rtime.Duration(rng.Int64N(int64(d)))
+	o, err := NewOffloaded(c1, c2, d, period, r)
+	return o, err == nil
+}
+
+// TestOffloadedOneDivisionMatchesOracle holds the one-division DBF and
+// PrevStep to their four-division oracles at every window length up
+// to four periods of small random demands, at t ≤ 1, and at windows
+// up to the int64 ceiling.
+func TestOffloadedOneDivisionMatchesOracle(t *testing.T) {
+	rng := stats.NewRNG(7411)
+	drawn := 0
+	for drawn < 3000 {
+		o, ok := randOffloaded(rng, 60)
+		if !ok {
+			continue
+		}
+		drawn++
+		check := func(tt rtime.Duration) {
+			if got, want := o.DBF(tt), refOffloadedDBF(o, tt); got != want {
+				t.Fatalf("%+v: DBF(%d) = %d, oracle %d", o, tt, got, want)
+			}
+			if got, want := o.PrevStep(tt), refOffloadedPrevStep(o, tt); got != want {
+				t.Fatalf("%+v: PrevStep(%d) = %d, oracle %d", o, tt, got, want)
+			}
+		}
+		for tt := rtime.Duration(-2); tt <= 4*o.T+1; tt++ {
+			check(tt)
+		}
+		for k := rtime.Duration(0); k < 2*o.T+2; k++ {
+			check(math.MaxInt64 - k)
+			check(math.MaxInt64/2 + k)
+		}
+	}
+}
+
+// TestDominatesImpliesPointwise checks the soundness of Dominates:
+// whenever it holds, a's DBF is at or above b's at every step of
+// either demand up to several periods (both are step functions that
+// change only at their steps), and so are its Rate and Burst, which
+// keeps the analysis horizon in the same order. Pairs share T and D,
+// as the levels of one task do, and the test requires both verdicts
+// to occur.
+func TestDominatesImpliesPointwise(t *testing.T) {
+	rng := stats.NewRNG(7412)
+	held, failed := 0, 0
+	for trial := 0; trial < 20000; trial++ {
+		a, ok := randOffloaded(rng, 400)
+		if !ok {
+			continue
+		}
+		var b Demand
+		if rng.Bool(0.3) {
+			s, err := NewSporadic(rtime.Duration(rng.Int64N(int64(a.D)))+1, a.D, a.T)
+			if err != nil {
+				continue
+			}
+			b = s
+		} else {
+			// Half the pairs are near a: smaller sub-jobs and a
+			// budget a few µs either side, where single conditions
+			// decide.
+			c1, c2 := a.C1, a.C2
+			r := a.R + rtime.Duration(rng.Int64N(11)) - 5
+			if rng.Bool(0.5) {
+				c1, c2 = a.D, a.D
+				r = rtime.Duration(rng.Int64N(int64(a.D)))
+			}
+			o, err := NewOffloaded(rtime.Duration(rng.Int64N(int64(c1)))+1,
+				rtime.Duration(rng.Int64N(int64(c2)))+1, a.D, a.T, r)
+			if err != nil {
+				continue
+			}
+			b = o
+		}
+		if !Dominates(a, b) {
+			failed++
+			continue
+		}
+		held++
+		limit := 6 * a.T
+		var steps []rtime.Duration
+		switch b := b.(type) {
+		case Sporadic:
+			steps = b.StepsUpTo(limit)
+		case Offloaded:
+			steps = b.StepsUpTo(limit)
+		}
+		for _, tt := range append(steps, a.StepsUpTo(limit)...) {
+			if a.DBF(tt) < b.DBF(tt) {
+				t.Fatalf("Dominates(%+v, %+v) but DBF(%d) = %d < %d", a, b, tt, a.DBF(tt), b.DBF(tt))
+			}
+		}
+		if a.Rate().Cmp(b.Rate()) < 0 || a.Burst().Cmp(b.Burst()) < 0 {
+			t.Fatalf("Dominates(%+v, %+v) but rate %v, burst %v below %v, %v",
+				a, b, a.Rate(), a.Burst(), b.Rate(), b.Burst())
+		}
+	}
+	if held < 100 || failed < 100 {
+		t.Fatalf("sweep decided %d dominating and %d other pairs; want both ≥ 100", held, failed)
+	}
+	if Dominates(Sporadic{C: 1, D: 5, T: 5}, Sporadic{C: 1, D: 5, T: 5}) {
+		t.Error("a sporadic demand is never the dominating side")
 	}
 }
