@@ -1,12 +1,13 @@
 GO ?= go
 
 # The micro-benchmarks recorded in BENCH.json that run at the default
-# benchmark time, five times each: the demand-analysis engine and the
-# admit-large-shaped re-decision replay (internal/core's edgeChurn with
-# the exact upgrade on and off), the scheduler engine, the admission
-# churn and service, and the MCKP core solver's cold and warm curves.
+# benchmark time, five times each: the demand-analysis engine (QPA and
+# the Theorem-3 sum) and the admit-large-shaped re-decision replay
+# (internal/core's edgeChurn with the exact upgrade on and off), the
+# scheduler engine, the admission churn and service, and the MCKP core
+# solver's cold and warm curves.
 # The campaign cells run separately in `bench`, at fixed iterations.
-MICROBENCH = BenchmarkQPA$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn|BenchmarkAdmissionEdgeChurn|BenchmarkSchedSplitEDF|BenchmarkSchedNaiveEDF|BenchmarkSchedAbortAtDeadline|BenchmarkFigure2$$|BenchmarkAdmitdChurn|BenchmarkAdmitdService|BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve
+MICROBENCH = BenchmarkQPA$$|BenchmarkTheorem3$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn|BenchmarkAdmissionEdgeChurn|BenchmarkSchedSplitEDF|BenchmarkSchedNaiveEDF|BenchmarkSchedAbortAtDeadline|BenchmarkFigure2$$|BenchmarkAdmitdChurn|BenchmarkAdmitdService|BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve
 
 # Scratch directory for the campaign kill-and-resume smoke.
 CAMP_SMOKE_DIR = .smoke-campaign

@@ -13,11 +13,13 @@
 // benchmark line (ns/op, B/op, allocs/op and any custom
 // b.ReportMetric units) are preserved.
 //
-// With -merge, the existing ledger is read first. Every layer on stdin
-// is re-run: its -label slot is replaced by the new runs, a benchmark
-// the input lacks loses that slot, and a benchmark left with neither
-// run is dropped. The other slot and every other layer are written
-// back unchanged. The raw benchmark text stays benchstat-friendly;
+// With -merge, the existing ledger is read first. A `current` merge
+// treats every layer on stdin as re-run: its current runs are replaced
+// by the new ones, a benchmark the input lacks loses its current, and
+// a benchmark left with neither run is dropped. A `baseline` merge
+// sets the baseline of exactly the benchmarks on stdin, so a baseline
+// for some of a layer's benchmarks keeps the others'. The other slot
+// and every other layer are written back unchanged. The raw benchmark text stays benchstat-friendly;
 // keep it next to the JSON.
 package main
 
@@ -70,7 +72,7 @@ type Document struct {
 func main() {
 	var (
 		label = flag.String("label", "current", "ledger slot the runs on stdin fill: current or baseline")
-		merge = flag.String("merge", "", "existing ledger to merge into, replacing the slot in every re-run layer")
+		merge = flag.String("merge", "", "existing ledger to merge into: current replaces every re-run layer's, baseline sets the input's benchmarks'")
 	)
 	flag.Parse()
 	if *label != "current" && *label != "baseline" {
@@ -121,7 +123,9 @@ func (d *Document) merge(runs map[string]map[string]*Run, baseline bool) {
 		layer := &d.Layers[i]
 		kept := layer.Benchmarks[:0]
 		for _, b := range layer.Benchmarks {
-			*b.slot(baseline) = byName[b.Name]
+			if r, ok := byName[b.Name]; ok || !baseline {
+				*b.slot(baseline) = r
+			}
 			delete(byName, b.Name)
 			if b.Baseline != nil || b.Current != nil {
 				kept = append(kept, b)

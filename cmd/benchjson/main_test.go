@@ -141,6 +141,35 @@ BenchmarkX-2  10  180 ns/op
 	}
 }
 
+// TestBaselineMergeSetsOnlyInputBenchmarks records a baseline for one
+// benchmark of a layer: the other benchmark keeps its baseline, and
+// every current stays.
+func TestBaselineMergeSetsOnlyInputBenchmarks(t *testing.T) {
+	var doc Document
+	doc.merge(session(t, "pkg: a\nBenchmarkX-2  10  100 ns/op\nBenchmarkY-2  10  7 ns/op\n"), true)
+	doc.merge(session(t, "pkg: a\nBenchmarkX-2  10  90 ns/op\nBenchmarkY-2  10  6 ns/op\n"), false)
+	doc.merge(session(t, "pkg: a\nBenchmarkX-2  10  120 ns/op\n"), true)
+	if len(doc.Layers) != 1 || len(doc.Layers[0].Benchmarks) != 2 {
+		t.Fatalf("ledger after the merges:\n%s", marshal(t, doc))
+	}
+	for _, want := range []struct {
+		name              string
+		baseline, current float64
+	}{{"BenchmarkX", 120, 90}, {"BenchmarkY", 7, 6}} {
+		var b *Benchmark
+		for i := range doc.Layers[0].Benchmarks {
+			if doc.Layers[0].Benchmarks[i].Name == want.name {
+				b = &doc.Layers[0].Benchmarks[i]
+			}
+		}
+		if b == nil || b.Baseline == nil || b.Current == nil ||
+			b.Baseline.Metrics["ns/op"] != want.baseline || b.Current.Metrics["ns/op"] != want.current {
+			t.Errorf("%s = %s, want baseline %v and current %v ns/op",
+				want.name, marshal(t, b), want.baseline, want.current)
+		}
+	}
+}
+
 func TestParseRejectsBenchmarkWithoutPackage(t *testing.T) {
 	if _, err := parse(strings.NewReader("BenchmarkX-2  10  100 ns/op\n")); err == nil {
 		t.Error("benchmark line without a pkg: line accepted")

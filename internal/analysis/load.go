@@ -37,8 +37,10 @@ type Module struct {
 }
 
 // loader type-checks module packages on demand, resolving in-module
-// imports from source and everything else through the standard
-// library's source importer. It is stdlib-only by design: rtlint must
+// imports from source and the standard library from the compiler's
+// export data, which go/importer reads from the build cache through
+// `go list -export` instead of type-checking every imported package
+// from source on each run. It is stdlib-only by design: rtlint must
 // not add dependencies to the module it guards.
 type loader struct {
 	fset    *token.FileSet
@@ -56,7 +58,7 @@ func newLoader(modDir, modPath string) *loader {
 		fset:    fset,
 		modDir:  modDir,
 		modPath: modPath,
-		std:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
+		std:     importer.ForCompiler(fset, "gc", nil).(types.ImporterFrom),
 		info: &types.Info{
 			Types:      map[ast.Expr]types.TypeAndValue{},
 			Defs:       map[*ast.Ident]types.Object{},
@@ -71,7 +73,7 @@ func newLoader(modDir, modPath string) *loader {
 
 // Import implements types.Importer for the checker: module-internal
 // paths are loaded from source, "unsafe" is built in, and the rest is
-// delegated to the stdlib source importer.
+// delegated to the export-data importer.
 func (l *loader) Import(path string) (*types.Package, error) {
 	if path == "unsafe" {
 		return types.Unsafe, nil

@@ -9,9 +9,9 @@ import (
 
 // TestSwapFeasibleZeroAlloc gates the //rtlint:hotpath contract on
 // Analyzer.Swap and Analyzer.Feasible: a warm trial swap plus the
-// incremental QPA re-test must not allocate. The alternates are
-// pre-boxed Demand values so the measured loop pays only the
-// analyzer's own work.
+// incremental QPA re-test must not allocate, whether the test accepts
+// or rejects. The alternates are pre-boxed Demand values so the
+// measured loop pays only the analyzer's own work.
 func TestSwapFeasibleZeroAlloc(t *testing.T) {
 	t.Run("three-sporadic", func(t *testing.T) {
 		ds := []Demand{
@@ -22,7 +22,22 @@ func TestSwapFeasibleZeroAlloc(t *testing.T) {
 		assertSwapFeasibleZeroAlloc(t, ds, 0, [2]Demand{
 			Sporadic{C: 1200, D: 8000, T: 10000},
 			Sporadic{C: 1000, D: 8000, T: 10000},
-		})
+		}, 0)
+	})
+	t.Run("rejecting", func(t *testing.T) {
+		// Slot 0 alternates between a light demand and one whose first
+		// job, with slot 1's, overloads the 9 ms window: 7+2.5 ms of
+		// demand at a long-run rate of 0.86, so Feasible reports a
+		// Violation rather than ErrOverloaded.
+		ds := []Demand{
+			Sporadic{C: 1000, D: 8000, T: 10000},
+			Sporadic{C: 2500, D: 9000, T: 20000},
+			Sporadic{C: 1500, D: 30000, T: 40000},
+		}
+		assertSwapFeasibleZeroAlloc(t, ds, 0, [2]Demand{
+			Sporadic{C: 7000, D: 8000, T: 10000},
+			Sporadic{C: 1000, D: 8000, T: 10000},
+		}, 1)
 	})
 	t.Run("admit-large-shaped", func(t *testing.T) {
 		if raceEnabled {
@@ -52,7 +67,7 @@ func TestSwapFeasibleZeroAlloc(t *testing.T) {
 		if alt[0] == nil || alt[1] == nil {
 			t.Fatal("alternate demand rejected")
 		}
-		assertSwapFeasibleZeroAlloc(t, ds, 0, alt)
+		assertSwapFeasibleZeroAlloc(t, ds, 0, alt, 0)
 	})
 }
 
@@ -76,33 +91,55 @@ func lightDemand(rng *stats.RNG, p rtime.Duration, offload bool) Demand {
 }
 
 // assertSwapFeasibleZeroAlloc warms an Analyzer over ds with both
-// alternates in slot i, then requires Swap+Feasible to allocate
-// nothing per run.
-func assertSwapFeasibleZeroAlloc(t *testing.T, ds []Demand, i int, alt [2]Demand) {
+// alternates in slot i, checking each verdict against the reference
+// QPA, then requires the two Swap+Feasible trials to allocate nothing
+// and to repeat the warm verdicts. Exactly rejects of the verdicts
+// must be Violations, and none may be ErrOverloaded or another error.
+func assertSwapFeasibleZeroAlloc(t *testing.T, ds []Demand, i int, alt [2]Demand, rejects int) {
 	t.Helper()
 	a, err := NewAnalyzer(ds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, d := range alt {
+	var want [2]Violation
+	got := 0
+	for k, d := range alt {
 		if err := a.Swap(i, d); err != nil {
 			t.Fatal(err)
 		}
-		if err := a.Feasible(); err != nil {
-			t.Fatal(err)
+		err := a.Feasible()
+		if ref := refQPA(append([]Demand(nil), a.ds...)); !sameVerdict(err, ref) {
+			t.Fatalf("alternate %d: Feasible %v, reference %v", k, err, ref)
+		}
+		if err != nil {
+			v, ok := err.(*Violation)
+			if !ok {
+				t.Fatalf("alternate %d: Feasible %v, want nil or a Violation", k, err)
+			}
+			want[k] = *v
+			got++
 		}
 	}
-	k := 0
+	if got != rejects {
+		t.Fatalf("%d alternates rejected, want %d: %+v", got, rejects, want)
+	}
+	// Each run swaps in both alternates: AllocsPerRun truncates the
+	// mean, so an allocation on every other run would read as 0.
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := a.Swap(i, alt[k&1]); err != nil {
-			t.Error(err)
-		}
-		k++
-		if err := a.Feasible(); err != nil {
-			t.Error(err)
+		for k, d := range alt {
+			if err := a.Swap(i, d); err != nil {
+				t.Error(err)
+			}
+			var got Violation
+			if v, ok := a.Feasible().(*Violation); ok {
+				got = *v
+			}
+			if got != want[k] {
+				t.Errorf("alternate %d: violation %+v, want %+v", k, got, want[k])
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm Swap+Feasible allocates %.1f times per run; the hotpath contract is 0", allocs)
+		t.Fatalf("warm Swap+Feasible pair allocates %.1f times per run; the hotpath contract is 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package dbf
 
 import (
 	"fmt"
+	"math"
 	"math/big"
 
 	"rtoffload/internal/rtime"
@@ -18,9 +19,9 @@ type demandStat struct {
 	first rtime.Duration
 }
 
-// stat derives the Analyzer's model of a sporadic demand, mirroring
-// Sporadic.Rate and Sporadic.Burst exactly. ok is false for
-// parameters NewSporadic rejects, whose numerators u128 cannot bound.
+// stat derives the model of a sporadic demand: rate C/T and burst
+// C·(T−D)/T, from DBF(t) ≤ C·(t−D+T)/T. ok is false for parameters
+// NewSporadic rejects, whose numerators u128 cannot bound.
 func (s Sporadic) stat() (demandStat, bool) {
 	if s.C <= 0 || s.C > s.D || s.D > s.T {
 		return demandStat{}, false
@@ -29,16 +30,17 @@ func (s Sporadic) stat() (demandStat, bool) {
 		rate:  int64(s.C),
 		burst: mul128(int64(s.C), int64(s.T-s.D)),
 		den:   int64(s.T),
-		first: s.D,
+		first: s.FirstStep(),
 	}, true
 }
 
-// stat derives the Analyzer's model of an offloaded demand, mirroring
-// Offloaded.Rate and Offloaded.Burst exactly: burst is the larger of
-// the two alignment constants, both over denominator T. ok is false
-// for parameters outside NewOffloaded's bounds C1 ≤ D1 and
-// C2 ≤ D−D1−R, which keep C1+C2 ≤ D ≤ T and every factor within [0, T].
-// The checks run in an order that keeps each subtraction in range.
+// stat derives the model of an offloaded demand: rate (C1+C2)/T and
+// the larger of the two alignment constants as burst. From alignment
+// (a), DBF ≤ (C1+C2)/T·t + C1(T−D1)/T + C2(T−D)/T; from (b) the
+// constant is C2(T−D+D1+R)/T + C1·R/T. ok is false for parameters
+// outside NewOffloaded's bounds C1 ≤ D1 and C2 ≤ D−D1−R, which keep
+// C1+C2 ≤ D ≤ T and every factor within [0, T]. The checks run in an
+// order that keeps each subtraction in range.
 func (o Offloaded) stat() (demandStat, bool) {
 	if o.C1 <= 0 || o.C2 <= 0 || o.R < 0 || o.C1 > o.D1 || o.D1 > o.D ||
 		o.C2 > o.D-o.D1-o.R || o.D > o.T {
@@ -63,12 +65,13 @@ func newDemandStat(d Demand) (demandStat, bool) {
 	return d.stat()
 }
 
-// Analyzer is an incremental demand-analysis engine: it holds a demand
+// Analyzer is the demand-analysis engine behind QPA: it holds a demand
 // configuration together with cached aggregates (rate and burst sums,
 // per-demand first steps) so that replacing one demand and re-running
 // the exact QPA feasibility test costs O(1) aggregate work instead of
 // a full rebuild. Verdicts — including the exact Violation window —
-// are identical to a fresh QPA over the same demands.
+// are identical to a fresh Analyzer's over the same demands, and
+// dbf's tests hold both to an independent big.Rat reference.
 //
 // The sums are big.Int numerators over one commonDen, the mechanism
 // Sum also runs on: a multiple of every demand's period. Updates add
@@ -88,6 +91,9 @@ type Analyzer struct {
 	mult []big.Int
 	//rtlint:arena
 	t3 big.Int
+	// viol is the window Feasible reports on rejection, reused so a
+	// rejecting verdict allocates nothing.
+	viol Violation
 }
 
 // NewAnalyzer builds the engine over a copy of ds. The configuration
@@ -243,11 +249,11 @@ func (a *Analyzer) With(i int, d Demand, f func(*Analyzer) error) error {
 	return err
 }
 
-// Horizon returns the analysis horizon of the current configuration,
-// identical to dbf.Horizon over the same demands:
-// max(1, ⌈burstN/(den−rateN)⌉), with overload iff rateN ≥ den
-// (⟺ ΣRate ≥ 1). It reuses the scratch and allocates nothing in
-// steady state.
+// Horizon returns a rigorous upper bound on the length of any window
+// that can witness a demand violation, as any t with ΣDBF(t) > t has
+// t < ΣBurst/(1−ΣRate): max(1, ⌈burstN/(den−rateN)⌉), with overload
+// iff rateN ≥ den (⟺ ΣRate ≥ 1). It reuses the scratch and allocates
+// nothing in steady state.
 func (a *Analyzer) Horizon() (rtime.Duration, error) {
 	slack := a.t1.Sub(&a.den, &a.rateN) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
 	if slack.Sign() <= 0 {
@@ -271,11 +277,12 @@ func (a *Analyzer) Horizon() (rtime.Duration, error) {
 
 var bigIntOne = big.NewInt(1)
 
-// Feasible runs the exact QPA processor-demand test on the current
-// configuration using the cached aggregates: nil means every deadline
-// is guaranteed, a *Violation pinpoints an overloaded window, and
-// ErrOverloaded reports a long-run rate ≥ 1. The verdict — including
-// the Violation window — is identical to dbf.QPA on the same demands.
+// Feasible runs the exact QPA processor-demand test (Zhang & Burns'
+// backward scan from the horizon) on the current configuration using
+// the cached aggregates: nil means every deadline is guaranteed, a
+// *Violation pinpoints an overloaded window, and ErrOverloaded
+// reports a long-run rate ≥ 1. The *Violation is owned by the
+// Analyzer and valid until its next Feasible call.
 //
 //rtlint:hotpath -- incremental QPA re-test behind every trial decision; the warm steady state must not allocate
 func (a *Analyzer) Feasible() error {
@@ -296,5 +303,34 @@ func (a *Analyzer) Feasible() error {
 	if dmin == 0 {
 		return nil // no demand steps within the horizon
 	}
-	return qpaScanFrom(a.ds, h, dmin)
+	if h == math.MaxInt64 {
+		// The scan starts below h+1, which int64 cannot hold. Rejecting
+		// is the safe side of the guarantee.
+		return errHorizonOverflow(big.NewInt(math.MaxInt64)) //rtlint:allow hotalloc -- overflow diagnostic, not the steady state
+	}
+	// Zhang & Burns, Algorithm 1:
+	//
+	//	t := max{step < L}
+	//	while h(t) ≤ t ∧ h(t) > dmin:
+	//	    if h(t) < t: t := h(t) else t := max{step < t}
+	//	feasible iff h(t) ≤ dmin at exit (otherwise h(t) > t).
+	t := prevStepAll(a.ds, h+1)
+	for t >= dmin {
+		dem := TotalDBF(a.ds, t)
+		if dem > t {
+			a.viol = Violation{T: t, Demand: dem}
+			return &a.viol
+		}
+		if dem <= dmin {
+			// No window below t can be overloaded: demand below dmin
+			// never exceeds dmin ≤ any remaining step.
+			return nil
+		}
+		if dem < t {
+			t = dem
+		} else {
+			t = prevStepAll(a.ds, t)
+		}
+	}
+	return nil
 }

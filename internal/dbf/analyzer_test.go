@@ -64,25 +64,29 @@ func sameVerdict(a, b error) bool {
 }
 
 // checkAnalyzerAgainstFresh asserts the Analyzer's cached-aggregate
-// verdicts are identical to a fresh analysis of its current demands:
-// same Horizon, same QPA verdict including the exact Violation window,
-// and PDC feasibility agreement.
+// verdicts are identical to the big.Rat reference analysis of its
+// current demands: same Horizon, same QPA verdict including the exact
+// Violation window (from the Analyzer and from a fresh QPA), and PDC
+// feasibility agreement.
 func checkAnalyzerAgainstFresh(t *testing.T, az *Analyzer, ctx string) {
 	t.Helper()
 	ds := append([]Demand(nil), az.ds...)
 
 	hGot, errGot := az.Horizon()
-	hWant, errWant := Horizon(ds)
+	hWant, errWant := refHorizon(ds)
 	if hGot != hWant || !sameVerdict(errGot, errWant) {
-		t.Fatalf("%s: Horizon: analyzer (%v, %v) vs fresh (%v, %v)",
+		t.Fatalf("%s: Horizon: analyzer (%v, %v) vs reference (%v, %v)",
 			ctx, hGot, errGot, hWant, errWant)
 	}
 
 	got := az.Feasible()
-	want := QPA(ds)
+	want := refQPA(ds)
 	if !sameVerdict(got, want) {
-		t.Fatalf("%s: Feasible: analyzer %v vs fresh QPA %v",
+		t.Fatalf("%s: Feasible: analyzer %v vs reference QPA %v",
 			ctx, got, want)
+	}
+	if fresh := QPA(ds); !sameVerdict(fresh, want) {
+		t.Fatalf("%s: QPA %v vs reference QPA %v", ctx, fresh, want)
 	}
 	// PDC is an equivalent exact test; the feasibility bits must agree
 	// (its witness window may legitimately differ from QPA's).
@@ -150,8 +154,8 @@ func runAnalyzerDifferential(t *testing.T, seed uint64, n, swaps int) {
 			})
 			trial := append([]Demand(nil), append([]Demand(nil), az.ds...)...)
 			trial[i] = d
-			if !sameVerdict(err, QPA(trial)) {
-				t.Fatalf("seed %d swap %d: With verdict %v vs fresh %v", seed, s, err, QPA(trial))
+			if !sameVerdict(err, refQPA(trial)) {
+				t.Fatalf("seed %d swap %d: With verdict %v vs reference %v", seed, s, err, refQPA(trial))
 			}
 			if after := az.Feasible(); !sameVerdict(before, after) {
 				t.Fatalf("seed %d swap %d: With did not restore: %v vs %v", seed, s, before, after)
@@ -300,14 +304,17 @@ func TestQPARejectsHorizonAtInt64Ceiling(t *testing.T) {
 		t.Fatal(err)
 	}
 	ds := []Demand{s1, s2}
-	if h, err := Horizon(ds); err != nil || h != math.MaxInt64 {
-		t.Fatalf("Horizon = (%v, %v), want MaxInt64", h, err)
+	if h, err := refHorizon(ds); err != nil || h != math.MaxInt64 {
+		t.Fatalf("reference Horizon = (%v, %v), want MaxInt64", h, err)
 	}
 	if dem := TotalDBF(ds, x); dem != x+6 {
 		t.Fatalf("TotalDBF(T1) = %v, want T1+6", dem)
 	}
 	if err := QPA(ds); err == nil {
 		t.Error("QPA accepts an overloaded window at the int64 horizon")
+	}
+	if err := refQPA(ds); err == nil {
+		t.Error("the reference QPA accepts it")
 	}
 	az, err := NewAnalyzer(ds)
 	if err != nil {
@@ -396,8 +403,8 @@ func TestAnalyzerNearInt64Ceiling(t *testing.T) {
 		})
 		ds := append([]Demand(nil), az.ds...)
 		ds[0] = trial
-		if want := QPA(ds); !sameVerdict(got, want) {
-			t.Fatalf("%s: With verdict %v vs fresh %v", st.name, got, want)
+		if want := refQPA(ds); !sameVerdict(got, want) {
+			t.Fatalf("%s: With verdict %v vs reference %v", st.name, got, want)
 		}
 		checkAnalyzerAgainstFresh(t, az, st.name+" after With")
 	}

@@ -16,14 +16,15 @@
 // On top of the demands, the package provides the paper's Theorem-3
 // density test in exact rational arithmetic and QPA (Zhang & Burns
 // 2009), an exact processor-demand test up to a rigorous busy-window
-// horizon. The processor demand criterion (PDC), which checks every
-// demand step up to that horizon, is QPA's test oracle.
+// horizon, which the Analyzer runs on each demand's integer rate and
+// burst. The tests keep a big.Rat model of that rate, burst and
+// horizon as the Analyzer's reference, and the processor demand
+// criterion (PDC), which checks every step up to the horizon.
 package dbf
 
 import (
 	"fmt"
 	"math"
-	"math/big"
 
 	"rtoffload/internal/rtime"
 )
@@ -35,12 +36,6 @@ type Demand interface {
 	// DBF returns the maximum execution time of jobs that both arrive
 	// in and have deadlines in any window of length t.
 	DBF(t rtime.Duration) rtime.Duration
-	// Rate is the long-run demand growth rate: lim DBF(t)/t.
-	Rate() *big.Rat
-	// Burst is an additive constant with DBF(t) ≤ Rate·t + Burst for
-	// all t ≥ 0; it bounds the transient excess over the long-run rate
-	// and determines the analysis horizon.
-	Burst() *big.Rat
 	// FirstStep returns the smallest t > 0 where DBF increases, or 0
 	// when the demand has no steps at all.
 	FirstStep() rtime.Duration
@@ -48,8 +43,11 @@ type Demand interface {
 	// none exists.
 	PrevStep(t rtime.Duration) rtime.Duration
 
-	// stat is the Analyzer's exact integer model of Rate and Burst;
-	// ok is false for parameters the constructor rejects.
+	// stat is the demand's exact integer model: its long-run rate
+	// lim DBF(t)/t and a burst with DBF(t) ≤ rate·t + burst for all
+	// t ≥ 0, which bounds the transient excess over the rate and
+	// determines the analysis horizon. ok is false for parameters the
+	// constructor rejects.
 	stat() (demandStat, bool)
 }
 
@@ -102,15 +100,6 @@ func NewSporadic(c, d, t rtime.Duration) (Sporadic, error) {
 // max(0, ⌊(t−D)/T⌋+1)·C, saturating instead of wrapping on overflow.
 func (s Sporadic) DBF(t rtime.Duration) rtime.Duration {
 	return mulDur(s.C, count(t, s.D, s.T))
-}
-
-// Rate returns C/T.
-func (s Sporadic) Rate() *big.Rat { return rtime.Ratio(s.C, s.T) }
-
-// Burst returns C·(T−D)/T, from DBF(t) ≤ C·(t−D+T)/T.
-func (s Sporadic) Burst() *big.Rat {
-	b := rtime.Ratio(s.T-s.D, s.T)
-	return b.Mul(b, s.C.Rat())
 }
 
 // FirstStep returns D, the first deadline.
@@ -215,32 +204,6 @@ func stepCount(q int64, r, off rtime.Duration) int64 {
 	return q
 }
 
-// Rate returns the long-run rate (C1+C2)/T.
-func (o Offloaded) Rate() *big.Rat { return rtime.Ratio(o.C1+o.C2, o.T) }
-
-// Burst bounds the transient excess: from alignment (a),
-// DBF ≤ (C1+C2)/T·t + C1(T−D1)/T + C2(T−D)/T; from (b) the constant is
-// C2(T−D+D1+R)/T + C1·R/T. Burst is the larger of the two.
-func (o Offloaded) Burst() *big.Rat {
-	t := o.T.Rat()
-	a := new(big.Rat).Add(
-		mulRat(rtime.Ratio(o.T-o.D1, o.T), o.C1),
-		mulRat(rtime.Ratio(o.T-o.D, o.T), o.C2),
-	)
-	b := new(big.Rat).Add(
-		mulRat(rtime.Ratio(o.T-o.D+o.D1+o.R, o.T), o.C2),
-		mulRat(new(big.Rat).Quo(o.R.Rat(), t), o.C1),
-	)
-	if a.Cmp(b) >= 0 {
-		return a
-	}
-	return b
-}
-
-func mulRat(r *big.Rat, d rtime.Duration) *big.Rat {
-	return new(big.Rat).Mul(r, d.Rat())
-}
-
 // Theorem1Rate returns (C1+C2)/(D−R) in lowest terms, the task's
 // contribution to the Theorem-3 sum. The constructor's bounds keep
 // both parts within (0, D].
@@ -302,9 +265,9 @@ func (o Offloaded) PrevStep(t rtime.Duration) rtime.Duration {
 // (C1+C2)·⌊(t−D)/T+1⌋. Over an offloaded b, a must need at least as
 // much in both sub-jobs, and its offsets D1 and D−D1−R must come no
 // later; together these give R ≥ b.R, so T−R comes no later either.
-// The same conditions put a's Rate and Burst at or above b's, so a
-// configuration grown by dominating swaps never has a smaller
-// analysis horizon.
+// The same conditions put a's long-run rate and burst (stat) at or
+// above b's, so a configuration grown by dominating swaps never has a
+// smaller analysis horizon.
 func Dominates(a, b Demand) bool {
 	o, ok := a.(Offloaded)
 	if !ok {
@@ -330,11 +293,13 @@ func TotalDBF(ds []Demand, t rtime.Duration) rtime.Duration {
 	return sum
 }
 
-// TotalRate sums the long-run rates.
-func TotalRate(ds []Demand) *big.Rat {
-	u := new(big.Rat)
+// prevStepAll returns the largest step of any demand strictly below t.
+func prevStepAll(ds []Demand, t rtime.Duration) rtime.Duration {
+	best := rtime.Duration(0)
 	for _, d := range ds {
-		u.Add(u, d.Rate())
+		if p := d.PrevStep(t); p > best {
+			best = p
+		}
 	}
-	return u
+	return best
 }

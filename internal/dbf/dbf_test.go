@@ -51,19 +51,66 @@ func TestSporadicDBF(t *testing.T) {
 
 func TestSporadicRateBurst(t *testing.T) {
 	s, _ := NewSporadic(ms(2), ms(6), ms(10))
-	if s.Rate().Cmp(big.NewRat(1, 5)) != 0 {
-		t.Errorf("Rate = %v", s.Rate())
+	st, ok := s.stat()
+	if !ok {
+		t.Fatal("stat refused a valid sporadic demand")
+	}
+	rate, burst := st.rats()
+	if rate.Cmp(big.NewRat(1, 5)) != 0 {
+		t.Errorf("rate = %v", rate)
 	}
 	// Burst = C(T−D)/T = 2ms·0.4 = 800µs.
-	if s.Burst().Cmp(big.NewRat(800, 1)) != 0 {
-		t.Errorf("Burst = %v", s.Burst())
+	if burst.Cmp(big.NewRat(800, 1)) != 0 {
+		t.Errorf("burst = %v", burst)
 	}
-	// DBF(t) ≤ Rate·t + Burst everywhere.
-	for tt := rtime.Duration(0); tt < ms(100); tt += 137 {
-		lhs := new(big.Rat).SetInt64(int64(s.DBF(tt)))
-		rhs := new(big.Rat).Add(mulRat(s.Rate(), tt), s.Burst())
-		if lhs.Cmp(rhs) > 0 {
-			t.Fatalf("DBF(%v) = %v exceeds Rate·t+Burst = %v", tt, lhs, rhs)
+	checkStatBound(t, s)
+	// DBF(t)·T ≤ rate·t + burst on random sporadic demands, a third
+	// of them with constrained deadlines.
+	rng := stats.NewRNG(29)
+	for trial := 0; trial < 200; trial++ {
+		period := rtime.Duration(rng.Int64N(int64(ms(300)))) + 1
+		d := period
+		if rng.Bool(0.3) {
+			d = rtime.Duration(rng.Int64N(int64(period))) + 1
+		}
+		s, err := NewSporadic(rtime.Duration(rng.Int64N(int64(d)))+1, d, period)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStatBound(t, s)
+	}
+}
+
+// rats returns the stat's rate and burst as rationals over its den.
+func (st demandStat) rats() (rate, burst *big.Rat) {
+	var tmp big.Int
+	den := big.NewInt(st.den)
+	return big.NewRat(st.rate, st.den), new(big.Rat).SetFrac(st.burst.setBig(new(big.Int), &tmp), den)
+}
+
+// checkStatBound checks the shipped model's bound
+// DBF(t)·den ≤ rate·t + burst, in integers, at every step of d up to
+// six periods: DBF is constant between steps while the bound grows,
+// so the steps are where it is tightest.
+func checkStatBound(t *testing.T, d Demand) {
+	t.Helper()
+	st, ok := d.stat()
+	if !ok {
+		t.Fatalf("%+v: stat refused a valid demand", d)
+	}
+	var tmp big.Int
+	burst := st.burst.setBig(new(big.Int), &tmp)
+	steps := d.(interface {
+		StepsUpTo(rtime.Duration) []rtime.Duration
+	}).StepsUpTo(6 * rtime.Duration(st.den))
+	if len(steps) < 6 {
+		t.Fatalf("%+v: %d steps in six periods", d, len(steps))
+	}
+	for _, tt := range steps {
+		lhs := new(big.Int).Mul(big.NewInt(int64(d.DBF(tt))), big.NewInt(st.den))
+		rhs := new(big.Int).Mul(big.NewInt(st.rate), big.NewInt(int64(tt)))
+		if rhs.Add(rhs, burst); lhs.Cmp(rhs) > 0 {
+			t.Fatalf("%+v: DBF(%v)·T = %v exceeds rate·t+burst = %v", d, tt, lhs, rhs)
 		}
 	}
 }
@@ -188,14 +235,18 @@ func TestOffloadedLinearBoundTheorem1(t *testing.T) {
 		if err != nil {
 			continue // over-dense draw
 		}
-		h, err := Horizon([]Demand{o})
+		az, err := NewAnalyzer([]Demand{o})
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := az.Horizon()
 		if err != nil {
 			t.Fatal(err)
 		}
 		limit := min(h, 10*period)
 		for _, tt := range o.StepsUpTo(limit) {
 			lhs := new(big.Rat).SetInt64(int64(o.DBF(tt)))
-			bound := new(big.Rat).Mul(big.NewRat(o.Theorem1Rate().Num, o.Theorem1Rate().Den), tt.Rat())
+			bound := new(big.Rat).Mul(big.NewRat(o.Theorem1Rate().Num, o.Theorem1Rate().Den), durRat(tt))
 			slack := new(big.Rat).Sub(lhs, bound)
 			// Grid flooring of D1 can cost < 1µs per job deadline.
 			jobs := big.NewRat(int64(tt/o.T)+2, 1)
@@ -262,6 +313,7 @@ func TestOffloadedPrevStep(t *testing.T) {
 
 func TestBurstBoundsOffloaded(t *testing.T) {
 	rng := stats.NewRNG(31)
+	checked := 0
 	for trial := 0; trial < 50; trial++ {
 		c1 := rtime.Duration(rng.Int64N(int64(ms(10)))) + 1
 		c2 := rtime.Duration(rng.Int64N(int64(ms(20)))) + 1
@@ -271,13 +323,15 @@ func TestBurstBoundsOffloaded(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		rate, burst := o.Rate(), o.Burst()
-		for tt := rtime.Duration(0); tt < 5*period; tt += period / 7 {
-			lhs := new(big.Rat).SetInt64(int64(o.DBF(tt)))
-			rhs := new(big.Rat).Add(mulRat(rate, tt), burst)
-			if lhs.Cmp(rhs) > 0 {
-				t.Fatalf("trial %d: DBF(%v)=%v > Rate·t+Burst=%v", trial, tt, lhs, rhs.FloatString(3))
-			}
+		checkStatBound(t, o)
+		checked++
+	}
+	// Small periods with constrained deadlines reach every offset
+	// order, including offsets equal to T.
+	for checked < 2000 {
+		if o, ok := randOffloaded(rng, 60); ok {
+			checkStatBound(t, o)
+			checked++
 		}
 	}
 }
@@ -360,8 +414,8 @@ func TestOffloadedOneDivisionMatchesOracle(t *testing.T) {
 // TestDominatesImpliesPointwise checks the soundness of Dominates:
 // whenever it holds, a's DBF is at or above b's at every step of
 // either demand up to several periods (both are step functions that
-// change only at their steps), and so are its Rate and Burst, which
-// keeps the analysis horizon in the same order. Pairs share T and D,
+// change only at their steps), and so are its long-run rate and burst
+// (stat), which keeps the analysis horizon in the same order. Pairs share T and D,
 // as the levels of one task do, and the test requires both verdicts
 // to occur.
 func TestDominatesImpliesPointwise(t *testing.T) {
@@ -414,9 +468,13 @@ func TestDominatesImpliesPointwise(t *testing.T) {
 				t.Fatalf("Dominates(%+v, %+v) but DBF(%d) = %d < %d", a, b, tt, a.DBF(tt), b.DBF(tt))
 			}
 		}
-		if a.Rate().Cmp(b.Rate()) < 0 || a.Burst().Cmp(b.Burst()) < 0 {
+		sa, _ := a.stat()
+		sb, _ := b.stat()
+		ra, ba := sa.rats()
+		rb, bb := sb.rats()
+		if ra.Cmp(rb) < 0 || ba.Cmp(bb) < 0 {
 			t.Fatalf("Dominates(%+v, %+v) but rate %v, burst %v below %v, %v",
-				a, b, a.Rate(), a.Burst(), b.Rate(), b.Burst())
+				a, b, ra, ba, rb, bb)
 		}
 	}
 	if held < 100 || failed < 100 {

@@ -16,7 +16,7 @@ import (
 // window is overloaded, and ErrOverloaded when the long-run rate is
 // ≥ 1 with positive demand growth.
 func pdc(ds []Demand) error {
-	h, err := Horizon(ds)
+	h, err := refHorizon(ds)
 	if err != nil {
 		return err
 	}

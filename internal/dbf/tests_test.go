@@ -44,8 +44,18 @@ func TestTheorem3Boundary(t *testing.T) {
 
 func TestHorizonOverloaded(t *testing.T) {
 	a, _ := NewSporadic(ms(10), ms(10), ms(10))
-	if _, err := Horizon([]Demand{a, a}); !errors.Is(err, ErrOverloaded) {
+	az, err := NewAnalyzer([]Demand{a, a})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := az.Horizon(); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("err = %v, want ErrOverloaded", err)
+	}
+	if err := QPA([]Demand{a, a}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("QPA err = %v, want ErrOverloaded", err)
+	}
+	if _, err := refHorizon([]Demand{a, a}); !errors.Is(err, ErrOverloaded) {
+		t.Fatalf("reference err = %v, want ErrOverloaded", err)
 	}
 }
 
@@ -53,7 +63,11 @@ func TestHorizonNoViolationBeyond(t *testing.T) {
 	rng := stats.NewRNG(17)
 	for trial := 0; trial < 50; trial++ {
 		ds := randomDemands(rng, 6, 0.95)
-		h, err := Horizon(ds)
+		az, err := NewAnalyzer(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h, err := az.Horizon()
 		if err != nil {
 			continue
 		}
@@ -172,13 +186,16 @@ func TestPDCQPAAgree(t *testing.T) {
 		if len(ds) == 0 {
 			continue
 		}
-		if TotalRate(ds).Cmp(big.NewRat(1, 1)) >= 0 {
+		if refTotalRate(ds).Cmp(big.NewRat(1, 1)) >= 0 {
 			continue
 		}
 		errP := pdc(ds)
 		errQ := QPA(ds)
 		if (errP == nil) != (errQ == nil) {
 			t.Fatalf("trial %d: PDC=%v QPA=%v disagree", trial, errP, errQ)
+		}
+		if errR := refQPA(ds); !sameVerdict(errQ, errR) {
+			t.Fatalf("trial %d: QPA=%v, reference QPA=%v", trial, errQ, errR)
 		}
 		if errP == nil {
 			feasible++

@@ -125,10 +125,6 @@ func MaxInstant(a, b Instant) Instant {
 	return b
 }
 
-// Rat returns the duration as an exact rational number of microseconds,
-// for use in exact schedulability arithmetic.
-func (d Duration) Rat() *big.Rat { return new(big.Rat).SetInt64(int64(d)) }
-
 // Ratio returns the exact rational num/den of two durations.
 // It panics if den is zero.
 func Ratio(num, den Duration) *big.Rat {
