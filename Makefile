@@ -2,12 +2,13 @@ GO ?= go
 
 # The micro-benchmarks recorded in BENCH.json that run at the default
 # benchmark time, five times each: the demand-analysis engine (QPA and
-# the Theorem-3 sum) and the admit-large-shaped re-decision replay
-# (internal/core's edgeChurn with the exact upgrade on and off), the
-# scheduler engine, the admission churn and service, and the MCKP core
-# solver's cold and warm curves.
+# the Theorem-3 sum), the admit-large-shaped re-decision replay
+# (internal/core's edgeChurn with the exact upgrade on and off) and
+# its steady-state write with full QPA runs per write (LightChurn),
+# the scheduler engine, the admission churn and service, and the MCKP
+# core solver's cold and warm curves.
 # The campaign cells run separately in `bench`, at fixed iterations.
-MICROBENCH = BenchmarkQPA$$|BenchmarkTheorem3$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn|BenchmarkAdmissionEdgeChurn|BenchmarkSchedSplitEDF|BenchmarkSchedNaiveEDF|BenchmarkSchedAbortAtDeadline|BenchmarkFigure2$$|BenchmarkAdmitdChurn|BenchmarkAdmitdService|BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve
+MICROBENCH = BenchmarkQPA$$|BenchmarkTheorem3$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn|BenchmarkAdmissionEdgeChurn|BenchmarkAdmissionLightChurn|BenchmarkSchedSplitEDF|BenchmarkSchedNaiveEDF|BenchmarkSchedAbortAtDeadline|BenchmarkFigure2$$|BenchmarkAdmitdChurn|BenchmarkAdmitdService|BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve
 
 # Scratch directory for the campaign kill-and-resume smoke.
 CAMP_SMOKE_DIR = .smoke-campaign
@@ -17,7 +18,7 @@ CAMP_SMOKE_ARGS = -campaign 3 -campaign-tasks 10 -parallel 2
 FLEET_SMOKE_DIR = .smoke-fleet
 FLEET_SMOKE_ARGS = -fleet -campaign 2 -campaign-tasks 10 -parallel 2
 
-.PHONY: build test vet race verify lint alloc-gate bench bench-smoke smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
+.PHONY: build test vet race verify lint alloc-gate fma-gate bench bench-smoke smoke-mckp smoke-campaign smoke-fleet profile fmt fmt-check cover fuzz-smoke
 
 build:
 	$(GO) build ./...
@@ -62,6 +63,23 @@ alloc-gate:
 		./internal/mckp ./internal/sched ./internal/sched/eventq \
 		./internal/trace ./internal/admitd ./internal/dbf ./internal/core
 
+# Decisions bit-identical across CPU architectures: the Go spec lets
+# the compiler fuse x*y + z into one rounding, even across statements.
+# amd64 never fuses, but arm64 does, so a fused site could move an
+# objective or a tie-break on an arm64 host. Cross-build cmd/admitd
+# for arm64 (the toolchain cross-compiles the standard library, so
+# nothing is downloaded) and fail on any FMADD, FMSUB, FNMADD or
+# FNMSUB in a module function; round such a product explicitly with
+# float64(x*y). The arm64 output itself is not run.
+fma-gate:
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && \
+	GOARCH=arm64 $(GO) build -o "$$tmp/admitd" ./cmd/admitd && \
+	$(GO) tool objdump "$$tmp/admitd" > "$$tmp/admitd.s" && \
+	awk '/^TEXT / { fn = $$2; if (fn ~ /^rtoffload\//) n++ } \
+		/\t(FMADD|FMSUB|FNMADD|FNMSUB)[SD]? / && fn ~ /^rtoffload\// { print "fused:", fn, $$0; bad = 1 } \
+		END { if (n == 0) { print "fma-gate: no module functions in the disassembly"; exit 1 } \
+			if (!bad) print "fma-gate: no fused multiply-add in " n " module functions"; exit bad }' "$$tmp/admitd.s"
+
 # Fast functional pass over the core-solver differential tests: the
 # solver-vs-BnB/brute agreement, the incremental bit-identity churn,
 # the admission wiring, and Decide against its from-scratch reference,
@@ -102,7 +120,7 @@ smoke-fleet:
 # The pre-merge gate. It also vets the _perfbench module, which builds
 # against this module's internal packages: a change to an exported type
 # there would otherwise only show when the benchmark runs.
-verify: vet lint build race alloc-gate smoke-mckp smoke-campaign smoke-fleet
+verify: vet lint build race alloc-gate fma-gate smoke-mckp smoke-campaign smoke-fleet
 	$(GO) -C _perfbench vet ./...
 
 # The one benchmark ledger. Runs every recorded benchmark and merges

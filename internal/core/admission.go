@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"rtoffload/internal/dbf"
 	"rtoffload/internal/mckp"
@@ -34,6 +35,16 @@ var (
 // Decide's own certify step, so the decisions are bit-identical to a
 // from-scratch Decide over the same task set — the differential
 // contract TestAdmissionMatchesRebuild enforces.
+//
+// Admitted tasks are private: Add and Update store a cloneTask copy
+// (and its fleet expansion), and nothing writes an admitted task
+// afterwards — the only writers of a level's Response, PerturbSet and
+// the budget estimators, work on clones or on the caller's own set,
+// Tasks hands out deep copies, and a Decision's choices, which point
+// at the admitted tasks, are read-only to callers. So a caller mutating the task it
+// passed in changes no later decision, and Update and Remove build the
+// tentative set by copying the slice of pointers, sharing the
+// unchanged tasks with the committed set instead of deep-copying them.
 //
 // Atomicity invariant: Add, Update, and Remove either commit fully —
 // the task set, the caches, the analyzer, and the decision all advance
@@ -167,10 +178,10 @@ func (a *Admission) Update(t *task.Task) error {
 	}
 	origs := a.origs
 	if !a.opts.Fleet.Empty() {
-		origs = a.origs.Clone()
+		origs = slices.Clone(a.origs)
 		origs[idx] = orig
 	}
-	tasks := a.tasks.Clone()
+	tasks := slices.Clone(a.tasks)
 	tasks[idx] = t
 	caches := append([]taskCache(nil), a.caches...)
 	caches[idx] = buildTaskCache(t)
@@ -202,9 +213,9 @@ func (a *Admission) Remove(id int) (bool, error) {
 	}
 	origs := a.origs
 	if !a.opts.Fleet.Empty() {
-		origs = append(a.origs[:idx:idx].Clone(), a.origs[idx+1:].Clone()...)
+		origs = removeAt(a.origs, idx)
 	}
-	tasks := append(a.tasks[:idx:idx].Clone(), a.tasks[idx+1:].Clone()...)
+	tasks := removeAt(a.tasks, idx)
 	caches := removeAt(a.caches, idx)
 	if err := a.redecide(origs, tasks, caches, structOp{kind: opShrink, idx: idx}); err != nil {
 		return false, fmt.Errorf("core: re-decision after removing %d failed: %w", id, err)

@@ -364,3 +364,56 @@ func TestAdmissionUpdate(t *testing.T) {
 		t.Fatalf("task 1 WCET %v after rejected update, want %v", got, ms(99))
 	}
 }
+
+// TestAdmissionIgnoresCallerMutation pins the aliasing argument behind
+// Update and Remove copying only the task slice: the Admission keeps
+// private copies, so a caller that scribbles over every task it passed
+// to Add or Update — WCETs, benefits, weights and each level's Response
+// — changes no later decision. Two Admissions take the same churn, one
+// from pristine inputs; the other's inputs are mutated right after
+// each call, and every decision must stay bit-identical, on one server
+// and on a fleet.
+func TestAdmissionIgnoresCallerMutation(t *testing.T) {
+	scribble := func(tk *task.Task) {
+		tk.LocalWCET, tk.Setup, tk.Compensation = tk.Deadline, 1, tk.Deadline
+		tk.LocalBenefit, tk.Weight = 1e9, 1e9
+		for j := range tk.Levels {
+			tk.Levels[j].Response = tk.Deadline
+			tk.Levels[j].Benefit = -1
+		}
+	}
+	for _, opts := range []Options{
+		{Solver: SolverCore, ExactUpgrade: true},
+		{Solver: SolverCore, ExactUpgrade: true, Fleet: churnFleet()},
+	} {
+		stream := edgeChurn(t, opts, stats.DeriveSeed(5, 0x1a46e), 150)
+		clean, dirty := NewAdmission(opts), NewAdmission(opts)
+		for n, op := range stream {
+			var errC, errD error
+			switch op.kind {
+			case 0, 1:
+				in := task.Set{op.task}.Clone()[0]
+				if op.kind == 0 {
+					errC, errD = clean.Add(op.task), dirty.Add(in)
+				} else {
+					errC, errD = clean.Update(op.task), dirty.Update(in)
+				}
+				scribble(in)
+			default:
+				_, errC = clean.Remove(op.id)
+				_, errD = dirty.Remove(op.id)
+			}
+			ctx := fmt.Sprintf("fleet=%v op %d kind %d", !opts.Fleet.Empty(), n, op.kind)
+			if (errC == nil) != (errD == nil) {
+				t.Fatalf("%s: outcomes differ: %v vs %v", ctx, errC, errD)
+			}
+			if clean.Decision() == nil || dirty.Decision() == nil {
+				if clean.Decision() != dirty.Decision() {
+					t.Fatalf("%s: one decision is nil", ctx)
+				}
+				continue
+			}
+			requireSameFleetDecision(t, dirty.Decision(), clean.Decision(), ctx)
+		}
+	}
+}

@@ -392,14 +392,17 @@ func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options
 
 // certifyScratch is certify's reusable state: the Theorem-3
 // accumulator, the exact upgrade's candidate buffers (every task's,
-// and one task's fresh candidates), its batch and its counters.
-// Admission keeps one across re-decisions so a warm pass allocates
-// none of them.
+// and one task's fresh candidates), its batch, its witness windows and
+// its counters. Admission keeps one across re-decisions so a warm
+// pass allocates none of them and its probes are screened against
+// the windows earlier re-decisions' QPA runs reported; Decide starts
+// from an empty one.
 type certifyScratch struct {
 	t3         theorem3Sum
 	upgradeBuf []upgradeCand
 	taskBuf    []upgradeCand
 	batch      []batchMember
+	wit        witnesses
 	stats      upgradeStats
 }
 
@@ -477,7 +480,8 @@ func downgrade(d *Decision, caches []taskCache, t3 *theorem3Sum, idx int) {
 	d.TotalExpected -= c.Expected
 	c.Offload = false
 	c.Level = 0
-	c.Expected = c.Task.EffectiveWeight() * c.Task.LocalBenefit
+	//rtlint:allow floatexact -- float64→float64 rounds the benefit product so arm64 cannot fuse it into the add (make fma-gate)
+	c.Expected = float64(c.Task.EffectiveWeight() * c.Task.LocalBenefit)
 	d.TotalExpected += c.Expected
 	d.Repaired++
 }
@@ -583,7 +587,8 @@ func cheapestDowngrade(choices []Choice, in func(i int) bool) int {
 		if !c.Offload || (in != nil && !in(i)) {
 			continue
 		}
-		loss := c.Expected - c.Task.EffectiveWeight()*c.Task.LocalBenefit
+		//rtlint:allow floatexact -- float64→float64 rounds the benefit product so arm64 cannot fuse it into the add (make fma-gate)
+		loss := c.Expected - float64(c.Task.EffectiveWeight()*c.Task.LocalBenefit)
 		if best == -1 || loss < bestLoss { //rtlint:allow floatexact -- repair ordering over float benefits; the result is re-certified exactly
 			best, bestLoss = i, loss
 		}

@@ -2,9 +2,11 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"rtoffload/internal/dbf"
+	"rtoffload/internal/rtime"
 	"rtoffload/internal/task"
 )
 
@@ -152,7 +154,8 @@ func taskCands(buf []upgradeCand, i int, t *task.Task, from int, c *taskCache) [
 		cur = t.EffectiveWeight() * t.Levels[from].Benefit
 	}
 	for lv := from + 1; lv < len(t.Levels); lv++ {
-		gain := t.EffectiveWeight()*t.Levels[lv].Benefit - cur
+		//rtlint:allow floatexact -- float64→float64 rounds the benefit product so arm64 cannot fuse it into the add (make fma-gate)
+		gain := float64(t.EffectiveWeight()*t.Levels[lv].Benefit) - cur
 		//rtlint:allow floatexact -- benefit objective is float64 by design; exactness guards time arithmetic only
 		if !(gain > 0) || c.levels[lv] == nil {
 			continue
@@ -169,12 +172,92 @@ type batchMember struct {
 	i, lv int
 }
 
-// upgradeStats counts an exact-upgrade pass's work: its passes, QPA
-// probes, batches cut by a non-dominating head, batches whose last
-// configuration QPA rejected, and batches of two or more members in
-// which the guard vetoed a candidate ranked above a head.
+// upgradeStats counts an exact-upgrade pass's work: its passes,
+// feasibility probes, the probes a witness window settled and those
+// that ran a full QPA, batches cut by a non-dominating head, batches
+// whose last configuration QPA rejected, and batches of two or more
+// members in which the guard vetoed a candidate ranked above a head.
 type upgradeStats struct {
-	passes, probes, cuts, bisects, vetoedRuns int
+	passes, probes, screened, qpa, cuts, rejects, vetoedRuns int
+}
+
+// witnesses are the last windows QPA reported violated, the exact
+// upgrade's screen: a configuration whose exact ΣDBF(w) exceeds a
+// window w is one Feasible rejects (dbf.Analyzer.DemandAt), so a probe
+// that fails at a remembered window needs no QPA. Verdicts hold for
+// any windows, so the set is cache state: it may carry windows across
+// re-decisions and tasks without changing a decision. A zero slot is
+// empty, since a violated window is positive.
+type witnesses struct {
+	w    [nWitness]rtime.Duration
+	next int
+}
+
+// nWitness is how many violated windows the screen remembers.
+const nWitness = 4
+
+// record remembers window t in place of the oldest, unless it is
+// already held; it returns the slot t went into, or −1.
+func (ws *witnesses) record(t rtime.Duration) int {
+	for _, w := range ws.w {
+		if w == t {
+			return -1
+		}
+	}
+	k := ws.next
+	ws.w[k], ws.next = t, (k+1)%nWitness
+	return k
+}
+
+// rejects reports whether the configuration in effect on az exceeds
+// some remembered window.
+func (ws *witnesses) rejects(az *dbf.Analyzer) bool {
+	for _, w := range ws.w {
+		if w == 0 {
+			continue
+		}
+		if dem, ok := az.DemandAt(w); ok && dem > w {
+			return true
+		}
+	}
+	return false
+}
+
+// rest is, for each remembered window w of a round, w minus the
+// committed configuration's ΣDBF(w), or noScreen where the slot is
+// empty or the sum inexact. A swap of one demand from cur to cand
+// violates w exactly when cand.DBF(w) − cur.DBF(w) > rest, so a round
+// screens each candidate without swapping it in.
+type rest [nWitness]rtime.Duration
+
+// noScreen marks a rest slot that screens nothing: no DBF difference
+// exceeds it.
+const noScreen = rtime.Duration(math.MaxInt64)
+
+// fill sets slot k of r from az's configuration in effect.
+func (r *rest) fill(k int, ws *witnesses, az *dbf.Analyzer) {
+	r[k] = noScreen
+	if w := ws.w[k]; w > 0 {
+		if dem, ok := az.DemandAt(w); ok {
+			r[k] = w - dem
+		}
+	}
+}
+
+// rejectsSwap reports whether replacing demand cur by cand violates a
+// remembered window of r. The committed sum includes cur.DBF(w), so
+// cur.DBF(w) ≤ w − r[k] and the difference cannot overflow; a
+// saturated cand.DBF(w) is still above every finite rest.
+func (r *rest) rejectsSwap(ws *witnesses, cur, cand dbf.Demand) bool {
+	for k, w := range ws.w {
+		if r[k] == noScreen {
+			continue
+		}
+		if cand.DBF(w)-cur.DBF(w) > r[k] {
+			return true
+		}
+	}
+	return false
 }
 
 // upgrader is improveLoop's state. sc.upgradeBuf holds the candidates
@@ -208,11 +291,17 @@ type upgrader struct {
 // its task's current demand (dbf.Dominates). The configurations
 // C1 ≤ … ≤ Cm then grow pointwise, so one QPA on Cm proves every Ck
 // and thus every head the per-round greedy would accept. When Cm
-// fails, bisect finds the longest feasible prefix and a per-candidate
-// round continues from it past its rejected head. The horizon keeps
-// the same order: dbf.Dominates also guarantees long-run rate and
-// burst at or above, so no Ck has a horizon beyond Cm's, and no Ck
-// fails on an overload or horizon overflow that Cm passes.
+// fails, retreat finds the longest feasible prefix and a
+// per-candidate round continues from it past its rejected head. The
+// horizon keeps the same order: dbf.Dominates also guarantees
+// long-run rate and burst at or above, so no Ck has a horizon beyond
+// Cm's, and no Ck fails on an overload or horizon overflow that Cm
+// passes.
+//
+// Every probe is first screened against sc.wit, the windows recent
+// QPA rejections reported: most rejections recur at one of them, and
+// an exact ΣDBF(w) > w is a rejection without the scan, so the
+// verdicts are QPA's own.
 //
 // The objective, choices' Expected and sc.t3 change only when members
 // are confirmed, in member order, so the float objective adds in the
@@ -240,7 +329,7 @@ func improveLoop(out *Decision, az *dbf.Analyzer, caches []taskCache, guard upgr
 				continue
 			}
 		case m > 0:
-			u.bisect()
+			u.retreat()
 		}
 		// The head over the committed configuration is known rejected.
 		if !u.round() {
@@ -361,30 +450,41 @@ func (u *upgrader) moved(i, at int) {
 	sc.upgradeBuf = buf
 }
 
-// probe runs QPA on the configuration in effect.
+// probe decides the configuration in effect: a remembered witness
+// window settles a rejection, and otherwise a full QPA runs, whose
+// violated window is remembered.
 func (u *upgrader) probe() bool {
 	u.sc.stats.probes++
-	return u.az.Feasible() == nil
+	if u.sc.wit.rejects(u.az) {
+		u.sc.stats.screened++
+		return false
+	}
+	u.sc.stats.qpa++
+	err := u.az.Feasible()
+	if v, ok := err.(*dbf.Violation); ok {
+		u.sc.wit.record(v.T)
+	}
+	return err == nil
 }
 
-// bisect handles a batch whose last configuration QPA rejected. The
-// members' configurations grow pointwise, so the feasible ones are a
-// prefix C1 … Ck (C0 is committed); bisect finds the longest, puts it
-// into effect and confirms it. Head k+1 is then known rejected.
-func (u *upgrader) bisect() {
-	u.sc.stats.bisects++
-	lo, hi := 0, len(u.sc.batch)
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		u.seek(mid)
+// retreat handles a batch whose last configuration Cm QPA rejected.
+// The members' configurations grow pointwise, so the feasible ones
+// are a prefix C1 … Ck (C0 is committed), and the longest is unique.
+// retreat walks down from Cm−1 to it, one undo per probe: a rejected
+// Ck usually still violates Cm's window, so the witness screen
+// settles most steps without a QPA. It then confirms the prefix, and
+// head k+1 is known rejected.
+func (u *upgrader) retreat() {
+	u.sc.stats.rejects++
+	k := len(u.sc.batch) - 1
+	for ; k > 0; k-- {
+		u.seek(k)
 		if u.probe() {
-			lo = mid
-		} else {
-			hi = mid
+			break
 		}
 	}
-	u.seek(lo)
-	u.sc.batch = u.sc.batch[:lo]
+	u.seek(k)
+	u.sc.batch = u.sc.batch[:k]
 	u.confirm()
 }
 
@@ -407,7 +507,8 @@ func (u *upgrader) confirm() {
 		c := &u.out.Choices[m.i]
 		u.sc.t3.move(&u.caches[m.i], m.prev.point(), m.lv)
 		old := c.Expected
-		c.Expected = c.Task.EffectiveWeight() * c.Task.Levels[m.lv].Benefit
+		//rtlint:allow floatexact -- float64→float64 rounds the benefit product so arm64 cannot fuse it into the add (make fma-gate)
+		c.Expected = float64(c.Task.EffectiveWeight() * c.Task.Levels[m.lv].Benefit)
 		u.out.TotalExpected += c.Expected - old
 	}
 	u.sc.batch = u.sc.batch[:0]
@@ -417,9 +518,17 @@ func (u *upgrader) confirm() {
 // round is one per-candidate round of the greedy from the committed
 // configuration, whose head is known rejected: it probes the
 // guard-allowed candidates after the head in byGain order and applies
-// and confirms the first QPA admits. It reports whether one did.
+// and confirms the first QPA admits. It reports whether one did. Each
+// candidate is first screened against the witness windows from the
+// committed sums, without swapping it in; a window a QPA rejection
+// replaces mid-round gets its committed sum at once.
 func (u *upgrader) round() bool {
 	feasible := (*dbf.Analyzer).Feasible
+	ws := &u.sc.wit
+	var r rest
+	for k := range r {
+		r.fill(k, ws, u.az)
+	}
 	skipped := false
 	for _, c := range u.sc.upgradeBuf {
 		if u.guard != nil && !u.guard.allows(c.i, c.lv) {
@@ -430,7 +539,19 @@ func (u *upgrader) round() bool {
 			continue
 		}
 		u.sc.stats.probes++
-		if u.az.With(c.i, u.caches[c.i].levels[c.lv], feasible) != nil {
+		cand := u.caches[c.i].levels[c.lv]
+		if r.rejectsSwap(ws, u.az.At(c.i), cand) {
+			u.sc.stats.screened++
+			continue
+		}
+		u.sc.stats.qpa++
+		err := u.az.With(c.i, cand, feasible)
+		if v, ok := err.(*dbf.Violation); ok {
+			if k := ws.record(v.T); k >= 0 {
+				r.fill(k, ws, u.az) // With restored the committed configuration
+			}
+		}
+		if err != nil {
 			continue
 		}
 		if !u.push(c) {

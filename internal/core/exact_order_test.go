@@ -35,11 +35,12 @@ func tiedEdgeSet(rng *stats.RNG, n int) task.Set {
 // upgradeCoverage counts the ordering hazards an upgrade pass met, and
 // the batch events the shipped loop met: batches cut by a
 // non-dominating head, batches whose last configuration QPA rejected
-// (so the bisect ran), and fleet batches of two or more members in
-// which the guard vetoed a candidate ranked above a head.
+// (so retreat ran), fleet batches of two or more members in which the
+// guard vetoed a candidate ranked above a head, and probes a witness
+// window settled without a QPA.
 type upgradeCoverage struct {
 	tieTasks, tieLevels, infeasibleTop, vetoed int
-	cuts, bisects, vetoedRuns                  int
+	cuts, rejects, vetoedRuns, screened        int
 }
 
 // note replays the upgrade rounds over a copy of d's choices and
@@ -109,8 +110,9 @@ func (cv *upgradeCoverage) note(d *Decision, caches []taskCache, guard upgradeGu
 // ordering hazard: gain ties across tasks and across levels, a
 // top-ranked candidate QPA rejects, and a pool-ledger veto; and each
 // batch event: a batch cut by a non-dominating head, a batch whose
-// last configuration QPA rejects, and a fleet batch of two or more
-// members past a vetoed candidate.
+// last configuration QPA rejects, a fleet batch of two or more
+// members past a vetoed candidate, and a probe the witness screen
+// settles.
 func TestImproveLoopMatchesReference(t *testing.T) {
 	var cv upgradeCoverage
 	rng := stats.NewRNG(90210)
@@ -138,8 +140,9 @@ func TestImproveLoopMatchesReference(t *testing.T) {
 			got := exactUpgrade(d, caches, freshAnalyzer, guard, &sc)
 			got.Theorem3Total = sc.t3.total()
 			cv.cuts += sc.stats.cuts
-			cv.bisects += sc.stats.bisects
+			cv.rejects += sc.stats.rejects
 			cv.vetoedRuns += sc.stats.vetoedRuns
+			cv.screened += sc.stats.screened
 			want := refImproveWithExact(d, func(out *Decision) upgradeGuard {
 				if shape == "" {
 					return nil
@@ -170,7 +173,7 @@ func TestImproveLoopMatchesReference(t *testing.T) {
 	if cv.tieTasks == 0 || cv.tieLevels == 0 || cv.infeasibleTop == 0 || cv.vetoed == 0 {
 		t.Fatalf("sweep missed an ordering hazard: %+v", cv)
 	}
-	if cv.cuts == 0 || cv.bisects == 0 || cv.vetoedRuns == 0 {
+	if cv.cuts == 0 || cv.rejects == 0 || cv.vetoedRuns == 0 || cv.screened == 0 {
 		t.Fatalf("sweep missed a batch event: %+v", cv)
 	}
 }

@@ -333,7 +333,7 @@ func (l *poolLedger) rerouteCheapest(d *Decision, oi int, t3 *theorem3Sum) bool 
 			if !l.drains(oi, from, to) || t3.sum.CmpAfter(wFrom, wTo, theorem3Bound) > 0 {
 				continue
 			}
-			loss := c.Expected - t.EffectiveWeight()*t.Levels[lv].Benefit
+			loss := c.Expected - float64(t.EffectiveWeight()*t.Levels[lv].Benefit)
 			if bestIdx == -1 || loss < bestLoss {
 				bestIdx, bestLv, bestLoss = i, lv, loss
 			}
@@ -346,7 +346,7 @@ func (l *poolLedger) rerouteCheapest(d *Decision, oi int, t3 *theorem3Sum) bool 
 	t3.move(&l.caches[bestIdx], c.Level, bestLv)
 	d.TotalExpected -= c.Expected
 	c.Level = bestLv
-	c.Expected = c.Task.EffectiveWeight() * c.Task.Levels[bestLv].Benefit
+	c.Expected = float64(c.Task.EffectiveWeight() * c.Task.Levels[bestLv].Benefit)
 	d.TotalExpected += c.Expected
 	l.commit(bestIdx, bestLv)
 	return true

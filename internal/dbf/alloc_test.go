@@ -8,9 +8,9 @@ import (
 )
 
 // TestSwapFeasibleZeroAlloc gates the //rtlint:hotpath contract on
-// Analyzer.Swap and Analyzer.Feasible: a warm trial swap plus the
-// incremental QPA re-test must not allocate, whether the test accepts
-// or rejects. The alternates are pre-boxed Demand values so the
+// Analyzer.Swap, Analyzer.Feasible and Analyzer.DemandAt: a warm trial
+// swap plus the incremental QPA re-test and the witness screen's read
+// must not allocate, whether the test accepts or rejects. The alternates are pre-boxed Demand values so the
 // measured loop pays only the analyzer's own work.
 func TestSwapFeasibleZeroAlloc(t *testing.T) {
 	t.Run("three-sporadic", func(t *testing.T) {
@@ -92,8 +92,9 @@ func lightDemand(rng *stats.RNG, p rtime.Duration, offload bool) Demand {
 
 // assertSwapFeasibleZeroAlloc warms an Analyzer over ds with both
 // alternates in slot i, checking each verdict against the reference
-// QPA, then requires the two Swap+Feasible trials to allocate nothing
-// and to repeat the warm verdicts. Exactly rejects of the verdicts
+// QPA, then requires the two Swap+Feasible trials, each with a
+// DemandAt read at its violated window, to allocate nothing and to
+// repeat the warm verdicts. Exactly rejects of the verdicts
 // must be Violations, and none may be ErrOverloaded or another error.
 func assertSwapFeasibleZeroAlloc(t *testing.T, ds []Demand, i int, alt [2]Demand, rejects int) {
 	t.Helper()
@@ -137,9 +138,14 @@ func assertSwapFeasibleZeroAlloc(t *testing.T, ds []Demand, i int, alt [2]Demand
 			if got != want[k] {
 				t.Errorf("alternate %d: violation %+v, want %+v", k, got, want[k])
 			}
+			// The witness screen's read at the violated window is the
+			// scan's own demand there.
+			if dem, ok := a.DemandAt(want[k].T); want[k].T > 0 && (!ok || dem != want[k].Demand) {
+				t.Errorf("alternate %d: DemandAt(%v) = %v, %v; violation %+v", k, want[k].T, dem, ok, want[k])
+			}
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("warm Swap+Feasible pair allocates %.1f times per run; the hotpath contract is 0", allocs)
+		t.Fatalf("warm Swap+Feasible+DemandAt pair allocates %.1f times per run; the hotpath contract is 0", allocs)
 	}
 }

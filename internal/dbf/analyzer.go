@@ -277,6 +277,20 @@ func (a *Analyzer) Horizon() (rtime.Duration, error) {
 
 var bigIntOne = big.NewInt(1)
 
+// DemandAt returns ΣDBF(t) over the configuration in effect and
+// whether that sum is exact: false when it reaches the int64 ceiling,
+// where TotalDBF saturates. An exact sum above t proves that Feasible rejects this
+// configuration, since any such t lies below the horizon, where QPA
+// is exact, unless the overload or horizon error fires first. A
+// recorded Violation window can thus settle a later probe in one
+// pass over the demands.
+//
+//rtlint:hotpath -- screens exact-upgrade probes before a full QPA; must not allocate
+func (a *Analyzer) DemandAt(t rtime.Duration) (rtime.Duration, bool) {
+	dem := TotalDBF(a.ds, t)
+	return dem, dem < math.MaxInt64
+}
+
 // Feasible runs the exact QPA processor-demand test (Zhang & Burns'
 // backward scan from the horizon) on the current configuration using
 // the cached aggregates: nil means every deadline is guaranteed, a

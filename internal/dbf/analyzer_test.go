@@ -2,6 +2,7 @@ package dbf
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -407,5 +408,113 @@ func TestAnalyzerNearInt64Ceiling(t *testing.T) {
 			t.Fatalf("%s: With verdict %v vs reference %v", st.name, got, want)
 		}
 		checkAnalyzerAgainstFresh(t, az, st.name+" after With")
+	}
+}
+
+// TestDemandAtScreensExactly holds Analyzer.DemandAt to TotalDBF and
+// its screening claim to the big.Rat reference QPA: wherever the sum
+// is exact and above its window, the configuration is infeasible.
+// Random sets supply both verdicts and every rejection's window; a
+// padded set puts ΣDBF(w) exactly at w, which must not screen, since
+// such sets can be feasible; and near the int64 ceiling a saturated
+// sum must report itself inexact.
+func TestDemandAtScreensExactly(t *testing.T) {
+	rng := stats.NewRNG(4242)
+	var feasible, rejected, screened, ties, tiesFeasible int
+	check := func(ds []Demand, ref error, w rtime.Duration, ctx string) (rtime.Duration, bool) {
+		t.Helper()
+		az, err := NewAnalyzer(ds)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dem, ok := az.DemandAt(w)
+		if want := TotalDBF(ds, w); dem != want || ok != (want < math.MaxInt64) {
+			t.Fatalf("%s: DemandAt(%v) = %v, %v; TotalDBF %v", ctx, w, dem, ok, want)
+		}
+		if ok && dem > w {
+			screened++
+			if ref == nil {
+				t.Fatalf("%s: ΣDBF(%v) = %v screens a set the reference QPA accepts", ctx, w, dem)
+			}
+		}
+		return dem, ok
+	}
+	for trial := 0; trial < 300; trial++ {
+		ds := randomDemands(rng, 4+rng.IntN(12), rng.Uniform(0.6, 1.02))
+		if len(ds) == 0 {
+			continue
+		}
+		ref := refQPA(ds)
+		ctx := fmt.Sprintf("trial %d", trial)
+		if v, isViol := ref.(*Violation); isViol {
+			rejected++
+			if dem, ok := check(ds, ref, v.T, ctx); !ok || dem <= v.T {
+				t.Fatalf("%s: the reference's window %v does not screen: ΣDBF %v, exact %v", ctx, v.T, dem, ok)
+			}
+		} else if ref == nil {
+			feasible++
+		}
+		// Walk the largest steps below a window beyond every first step,
+		// then pad one of them to ΣDBF(w) == w with a sporadic job.
+		w := ms(2000)
+		for k := 0; k < 8; k++ {
+			if w = prevStepAll(ds, w); w == 0 {
+				break
+			}
+			check(ds, ref, w, ctx)
+			check(ds, ref, w+rtime.Duration(rng.Int64N(int64(ms(5)))), ctx)
+		}
+		if w == 0 {
+			continue
+		}
+		dem := TotalDBF(ds, w)
+		if dem >= w {
+			continue
+		}
+		pad, err := NewSporadic(w-dem, w, ms(100000))
+		if err != nil {
+			t.Fatal(err)
+		}
+		padded := append(append([]Demand(nil), ds...), pad)
+		pref := refQPA(padded)
+		if got, ok := check(padded, pref, w, ctx+" padded"); !ok || got != w {
+			t.Fatalf("%s padded: ΣDBF(%v) = %v, want the window itself", ctx, w, got)
+		}
+		ties++
+		if pref == nil {
+			tiesFeasible++
+		}
+	}
+	t.Logf("%d feasible, %d rejected, %d screened windows, %d ties (%d feasible)",
+		feasible, rejected, screened, ties, tiesFeasible)
+	if feasible == 0 || rejected == 0 || screened == 0 || tiesFeasible == 0 {
+		t.Fatal("the sweep missed a verdict, a screen or a feasible tie")
+	}
+
+	// Near the ceiling: 2^62 + (2^62 − 2) is exact, one more saturates,
+	// and three such jobs overflow.
+	const p = 1 << 62
+	for _, tc := range []struct {
+		cs   []rtime.Duration
+		want rtime.Duration
+		ok   bool
+	}{
+		{[]rtime.Duration{p, p - 2}, math.MaxInt64 - 1, true},
+		{[]rtime.Duration{p, p - 1}, math.MaxInt64, false},
+		{[]rtime.Duration{p, p, p}, math.MaxInt64, false},
+	} {
+		var ds []Demand
+		for _, c := range tc.cs {
+			s, err := NewSporadic(c, p, math.MaxInt64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ds = append(ds, s)
+		}
+		ctx := fmt.Sprintf("ceiling %v", tc.cs)
+		dem, ok := check(ds, refQPA(ds), p, ctx)
+		if dem != tc.want || ok != tc.ok {
+			t.Fatalf("%s: DemandAt = %v, %v; want %v, %v", ctx, dem, ok, tc.want, tc.ok)
+		}
 	}
 }

@@ -181,7 +181,7 @@ func (s Server) Benefit(local, benefit float64) float64 {
 	if rel == 1 {
 		return benefit
 	}
-	return local + rel*(benefit-local)
+	return local + float64(rel*(benefit-local))
 }
 
 // Validate checks the fleet's structural invariants.

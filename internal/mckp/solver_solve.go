@@ -136,7 +136,7 @@ func (s *Solver) Solve() (Solution, error) {
 	for i := range s.classes {
 		scale += s.classes[i].maxAbsP
 	}
-	eps := 1e-9 + 3e-11*scale
+	eps := 1e-9 + float64(3e-11*scale)
 
 	lambda, dual, allCore := s.solveLP()
 	s.scanPhi(lambda)
@@ -249,7 +249,7 @@ func (s *Solver) solveLP() (lambda, dual float64, allCore bool) {
 		profit += u.dp
 		lp.lpPos[u.class] = u.pos
 	}
-	return lambda, profit + lambda*rem, false
+	return lambda, profit + float64(lambda*rem), false
 }
 
 // buildCore applies reduced-cost fixing with the current floor ℓ: a
@@ -281,13 +281,13 @@ func (s *Solver) scanPhi(lambda float64) {
 	for i := range s.classes {
 		sc := &s.classes[i]
 		b := sc.lpFront[lp.lpPos[i]]
-		phiBest := b.profit - lambda*b.weight
+		phiBest := b.profit - float64(lambda*b.weight)
 		second := math.Inf(-1)
 		for _, it := range sc.ipFront {
 			if it.idx == b.idx {
 				continue
 			}
-			if phi := it.profit - lambda*it.weight; phi > second {
+			if phi := it.profit - float64(lambda*it.weight); phi > second {
 				second = phi
 			}
 		}
