@@ -2,13 +2,14 @@ GO ?= go
 
 # The micro-benchmarks recorded in BENCH.json that run at the default
 # benchmark time, five times each: the demand-analysis engine (QPA and
-# the Theorem-3 sum), the admit-large-shaped re-decision replay
+# the Theorem-3 sum, and internal/dbf's Analyzer under the exact
+# upgrade's swap/screen/undo probes), the admit-large-shaped re-decision replay
 # (internal/core's edgeChurn with the exact upgrade on and off) and
 # its steady-state write with full QPA runs per write (LightChurn),
 # the scheduler engine, the admission churn and service, and the MCKP
 # core solver's cold and warm curves.
 # The campaign cells run separately in `bench`, at fixed iterations.
-MICROBENCH = BenchmarkQPA$$|BenchmarkTheorem3$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn|BenchmarkAdmissionEdgeChurn|BenchmarkAdmissionLightChurn|BenchmarkSchedSplitEDF|BenchmarkSchedNaiveEDF|BenchmarkSchedAbortAtDeadline|BenchmarkFigure2$$|BenchmarkAdmitdChurn|BenchmarkAdmitdService|BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve
+MICROBENCH = BenchmarkQPA$$|BenchmarkTheorem3$$|BenchmarkImproveWithExact|BenchmarkAdmissionChurn|BenchmarkAdmissionEdgeChurn|BenchmarkAdmissionLightChurn|BenchmarkSchedSplitEDF|BenchmarkSchedNaiveEDF|BenchmarkSchedAbortAtDeadline|BenchmarkFigure2$$|BenchmarkAdmitdChurn|BenchmarkAdmitdService|BenchmarkMCKPCoreSolve|BenchmarkMCKPCoreResolve|BenchmarkAnalyzerSwapProbe
 
 # Scratch directory for the campaign kill-and-resume smoke.
 CAMP_SMOKE_DIR = .smoke-campaign
@@ -135,7 +136,7 @@ verify: vet lint build race alloc-gate fma-gate smoke-mckp smoke-campaign smoke-
 bench:
 	$(GO) test -count=1 -run Test100kUnderMemoryCeiling ./internal/sched
 	$(GO) test -run='^$$' -bench='$(MICROBENCH)' -benchmem -count=5 \
-		. ./internal/core ./internal/mckp > BENCH.txt.tmp || { cat BENCH.txt.tmp; exit 1; }
+		. ./internal/core ./internal/mckp ./internal/dbf > BENCH.txt.tmp || { cat BENCH.txt.tmp; exit 1; }
 	$(GO) test -run='^$$' -bench='BenchmarkCampaignCellStreaming|BenchmarkStreamCheckerCell' \
 		-benchmem -count=3 -benchtime=2x ./internal/sched >> BENCH.txt.tmp || { cat BENCH.txt.tmp; exit 1; }
 	$(GO) run ./cmd/benchjson -label current -merge BENCH.json < BENCH.txt.tmp > BENCH.json.tmp

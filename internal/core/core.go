@@ -367,7 +367,7 @@ func certify(tasks task.Set, caches []taskCache, sol mckp.Solution, opts Options
 	sc.t3.fill(caches, d.Choices)
 	var ledger *poolLedger
 	if opts.Fleet.Empty() {
-		if err := repairDecision(d, caches, &sc.t3); err != nil {
+		if err := repairDecision(d, &sc.t3); err != nil {
 			return nil, err
 		}
 	} else {
@@ -461,22 +461,22 @@ func assembleDecision(set task.Set, caches []taskCache, sol mckp.Solution, solve
 // a hair over 1. Downgrade the offloaded choice with the smallest
 // benefit loss until the exact test passes. t3 holds the Theorem-3
 // total of d.Choices and is patched by each downgrade's delta.
-func repairDecision(d *Decision, caches []taskCache, t3 *theorem3Sum) error {
+func repairDecision(d *Decision, t3 *theorem3Sum) error {
 	for !t3.ok() {
 		idx := cheapestDowngrade(d.Choices, nil)
 		if idx < 0 {
 			return ErrInfeasible
 		}
-		downgrade(d, caches, t3, idx)
+		downgrade(d, t3, idx)
 	}
 	return nil
 }
 
 // downgrade switches choice idx to local execution, updating the
 // objective, the repair count and the Theorem-3 total t3.
-func downgrade(d *Decision, caches []taskCache, t3 *theorem3Sum, idx int) {
+func downgrade(d *Decision, t3 *theorem3Sum, idx int) {
 	c := &d.Choices[idx]
-	t3.move(&caches[idx], c.point(), -1)
+	t3.move(idx, -1)
 	d.TotalExpected -= c.Expected
 	c.Offload = false
 	c.Level = 0
@@ -514,21 +514,30 @@ func choiceCaches(choices []Choice) []taskCache {
 	return caches
 }
 
-// theorem3Sum is the running exact Theorem-3 total (3) of one choice
-// vector: the cached weights of its chosen points in one dbf.Sum,
-// filled once per decision and patched by the delta of every move,
-// plus the number of chosen points without a weight (no valid demand
-// model), any of which fails the test.
+// theorem3Sum is the running Theorem-3 total (3) of one choice
+// vector: the chosen point of every task over its cache, filled once
+// per decision and moved by every downgrade, reroute and upgrade, the
+// number of chosen points without a weight (no valid demand model),
+// any of which fails the test, and the other points' weights in a
+// dbf.FixedSum. Verdicts read the fixed-point enclosure and fall back
+// to an exact dbf.Sum over the tracked points only when 1 lies inside
+// it, so each is the exact sum's own; total builds the exact sum once.
 type theorem3Sum struct {
-	sum     dbf.Sum
+	fx      dbf.FixedSum
+	caches  []taskCache
+	points  []int
 	missing int
+	exact   dbf.Sum
 }
 
 // fill sets s to the total of choices over their caches.
 func (s *theorem3Sum) fill(caches []taskCache, choices []Choice) {
-	s.sum.Reset()
+	s.caches = caches
+	s.points = s.points[:0]
+	s.fx.Reset()
 	s.missing = 0
 	for i, c := range choices {
+		s.points = append(s.points, c.point())
 		s.add(caches[i].weight(c.point()), false)
 	}
 }
@@ -540,17 +549,18 @@ func (s *theorem3Sum) add(w dbf.Frac, sub bool) {
 	case w.Den == 0:
 		s.missing++
 	case sub:
-		s.sum.Sub(w)
+		s.fx.Sub(w)
 	default:
-		s.sum.Add(w)
+		s.fx.Add(w)
 	}
 }
 
-// move re-accounts a choice over cache c from point from to point to
-// (−1: local execution).
-func (s *theorem3Sum) move(c *taskCache, from, to int) {
-	s.add(c.weight(from), true)
+// move re-accounts choice i at point to (−1: local execution).
+func (s *theorem3Sum) move(i, to int) {
+	c := &s.caches[i]
+	s.add(c.weight(s.points[i]), true)
 	s.add(c.weight(to), false)
+	s.points[i] = to
 }
 
 // theorem3Bound is the bound 1 of test (3).
@@ -558,7 +568,41 @@ var theorem3Bound = dbf.Frac{Num: 1, Den: 1}
 
 // ok reports whether the total passes Theorem 3: every chosen point
 // has a weight and their sum is at most 1.
-func (s *theorem3Sum) ok() bool { return s.missing == 0 && s.sum.Cmp(theorem3Bound) <= 0 }
+func (s *theorem3Sum) ok() bool {
+	if s.missing > 0 {
+		return false
+	}
+	if le, decided := s.fx.AtMostOne(); decided {
+		return le
+	}
+	return s.exactSum(-1, 0).Cmp(theorem3Bound) <= 0
+}
+
+// okAfter reports whether the weights of the chosen points, with
+// choice i moved to point to, sum to at most 1; both of choice i's
+// points must have a weight. s is unchanged.
+func (s *theorem3Sum) okAfter(i, to int) bool {
+	c := &s.caches[i]
+	if le, decided := s.fx.AtMostOneAfter(c.weight(s.points[i]), c.weight(to)); decided {
+		return le
+	}
+	return s.exactSum(i, to).Cmp(theorem3Bound) <= 0
+}
+
+// exactSum sums the weights of the chosen points exactly, with choice
+// i at point to when i ≥ 0; a point without a weight adds nothing.
+func (s *theorem3Sum) exactSum(i, to int) *dbf.Sum {
+	s.exact.Reset()
+	for k, p := range s.points {
+		if k == i {
+			p = to
+		}
+		if w := s.caches[k].weight(p); w.Den != 0 {
+			s.exact.Add(w)
+		}
+	}
+	return &s.exact
+}
 
 // total returns the exact total, normalised once; 2 when a chosen
 // point has no weight.
@@ -566,7 +610,7 @@ func (s *theorem3Sum) total() *big.Rat {
 	if s.missing > 0 {
 		return big.NewRat(2, 1)
 	}
-	return s.sum.Rat()
+	return s.exactSum(-1, 0).Rat()
 }
 
 // theorem3Total evaluates the exact Theorem-3 test (3) of a choice

@@ -388,7 +388,7 @@ func TestRepairDecisionMatchesReference(t *testing.T) {
 			caches := choiceCaches(got.Choices)
 			var t3 theorem3Sum
 			t3.fill(caches, got.Choices)
-			gotErr := repairDecision(got, caches, &t3)
+			gotErr := repairDecision(got, &t3)
 			got.Theorem3Total = t3.total()
 			wantErr := refRepairDecision(want, theorem3Of)
 			if !errors.Is(gotErr, tc.wantErr) || !errors.Is(wantErr, tc.wantErr) {

@@ -173,12 +173,13 @@ type batchMember struct {
 }
 
 // upgradeStats counts an exact-upgrade pass's work: its passes,
-// feasibility probes, the probes a witness window settled and those
-// that ran a full QPA, batches cut by a non-dominating head, batches
-// whose last configuration QPA rejected, and batches of two or more
-// members in which the guard vetoed a candidate ranked above a head.
+// feasibility probes, the probes a witness window settled, those that
+// ran a full QPA and those of them QPA rejected, batches cut by a
+// non-dominating head, batches whose last configuration QPA rejected,
+// and batches of two or more members in which the guard vetoed a
+// candidate ranked above a head.
 type upgradeStats struct {
-	passes, probes, screened, qpa, cuts, rejects, vetoedRuns int
+	passes, probes, screened, qpa, qpaRejected, cuts, rejects, vetoedRuns int
 }
 
 // witnesses are the last windows QPA reported violated, the exact
@@ -462,6 +463,7 @@ func (u *upgrader) probe() bool {
 	u.sc.stats.qpa++
 	err := u.az.Feasible()
 	if v, ok := err.(*dbf.Violation); ok {
+		u.sc.stats.qpaRejected++
 		u.sc.wit.record(v.T)
 	}
 	return err == nil
@@ -505,7 +507,7 @@ func (u *upgrader) seek(k int) {
 func (u *upgrader) confirm() {
 	for _, m := range u.sc.batch {
 		c := &u.out.Choices[m.i]
-		u.sc.t3.move(&u.caches[m.i], m.prev.point(), m.lv)
+		u.sc.t3.move(m.i, m.lv)
 		old := c.Expected
 		//rtlint:allow floatexact -- float64→float64 rounds the benefit product so arm64 cannot fuse it into the add (make fma-gate)
 		c.Expected = float64(c.Task.EffectiveWeight() * c.Task.Levels[m.lv].Benefit)
@@ -547,6 +549,7 @@ func (u *upgrader) round() bool {
 		u.sc.stats.qpa++
 		err := u.az.With(c.i, cand, feasible)
 		if v, ok := err.(*dbf.Violation); ok {
+			u.sc.stats.qpaRejected++
 			if k := ws.record(v.T); k >= 0 {
 				r.fill(k, ws, u.az) // With restored the committed configuration
 			}

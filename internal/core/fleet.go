@@ -63,7 +63,7 @@ import (
 // and follows every reroute and downgrade by its delta, so no step
 // re-sums the vector.
 func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache, t3 *theorem3Sum) (*poolLedger, error) {
-	if err := repairDecision(d, caches, t3); err != nil {
+	if err := repairDecision(d, t3); err != nil {
 		return nil, err
 	}
 	l := newPoolLedger(f, d.Choices, caches)
@@ -83,9 +83,9 @@ func repairFleetDecision(d *Decision, f fleet.Fleet, caches []taskCache, t3 *the
 		if idx < 0 {
 			return nil, ErrInfeasible
 		}
-		downgrade(d, caches, t3, idx)
+		downgrade(d, t3, idx)
 		l.commit(idx, -1)
-		if err := repairDecision(d, caches, t3); err != nil {
+		if err := repairDecision(d, t3); err != nil {
 			return nil, err
 		}
 		l.sync(d.Choices) // the Theorem-3 repair may downgrade more
@@ -330,7 +330,7 @@ func (l *poolLedger) rerouteCheapest(d *Decision, oi int, t3 *theorem3Sum) bool 
 			}
 			to := l.point(i, lv)
 			// Σ − wFrom + wTo ≤ 1, judged without changing Σ.
-			if !l.drains(oi, from, to) || t3.sum.CmpAfter(wFrom, wTo, theorem3Bound) > 0 {
+			if !l.drains(oi, from, to) || !t3.okAfter(i, lv) {
 				continue
 			}
 			loss := c.Expected - float64(t.EffectiveWeight()*t.Levels[lv].Benefit)
@@ -343,7 +343,7 @@ func (l *poolLedger) rerouteCheapest(d *Decision, oi int, t3 *theorem3Sum) bool 
 		return false
 	}
 	c := &d.Choices[bestIdx]
-	t3.move(&l.caches[bestIdx], c.Level, bestLv)
+	t3.move(bestIdx, bestLv)
 	d.TotalExpected -= c.Expected
 	c.Level = bestLv
 	c.Expected = float64(c.Task.EffectiveWeight() * c.Task.Levels[bestLv].Benefit)

@@ -77,14 +77,26 @@ func newDemandStat(d Demand) (demandStat, bool) {
 // Sum also runs on: a multiple of every demand's period. Updates add
 // or subtract scaled numerators and never normalise, so no gcd runs on
 // a swap and the reused scratch keeps the steady state
-// allocation-free. The sums and scratch are held by value, so an
-// Analyzer must not be copied.
+// allocation-free. The sums settle when they are read: Swap and With
+// only install the slot's demand and mark it dirty, and Horizon (so
+// Feasible) first settles each dirty slot against the stat the sums
+// last accounted for it. A slot swapped back to that stat — a screened
+// probe, an undone trial, a With restore — costs no big-integer work.
+// The sums and scratch are held by value, so an Analyzer must not be
+// copied.
 type Analyzer struct {
 	ds    []Demand
 	stats []demandStat
-	// ΣRate = rateN/den and ΣBurst = burstN/den, where den is a common
-	// multiple of every stats[i].den and mult[i] = den/stats[i].den.
-	// t3 is reusable scratch beside the commonDen's own.
+	// acct[i] is the stat the sums last accounted for slot i; it
+	// differs from stats[i] only while dirty[i] is set, and every
+	// dirty slot is listed once in todo.
+	acct  []demandStat
+	dirty []bool
+	todo  []int
+	// ΣRate = rateN/den and ΣBurst = burstN/den over the accounted
+	// stats, where den is a common multiple of every acct[i].den and
+	// mult[i] = den/acct[i].den. t3 is reusable scratch beside the
+	// commonDen's own.
 	commonDen
 	rateN, burstN big.Int
 	//rtlint:arena
@@ -124,28 +136,40 @@ func (a *Analyzer) At(i int) Demand { return a.ds[i] }
 
 // recompute rebuilds the aggregates from the per-demand stats: den
 // becomes the lcm of every stat's den and stays fixed while later
-// updates use denominators that divide it.
+// updates use denominators that divide it. Every slot is then
+// accounted at its current stat, so none is dirty.
 func (a *Analyzer) recompute() {
-	if cap(a.mult) < len(a.stats) {
-		a.mult = make([]big.Int, len(a.stats))
+	n := len(a.stats)
+	if cap(a.mult) < n {
+		a.mult = make([]big.Int, n)
 	}
-	a.mult = a.mult[:len(a.stats)]
+	a.mult = a.mult[:n]
+	a.acct = append(a.acct[:0], a.stats...)
+	if cap(a.dirty) < n {
+		a.dirty = make([]bool, n)
+	}
+	a.dirty = a.dirty[:n]
+	clear(a.dirty)
+	if cap(a.todo) < n {
+		a.todo = make([]int, 0, n)
+	}
+	a.todo = a.todo[:0]
 	a.den.SetInt64(1)
-	for i := range a.stats {
-		a.cover(&a.t3, a.stats[i].den)
+	for i := range a.acct {
+		a.cover(&a.t3, a.acct[i].den)
 	}
 	a.rateN.SetInt64(0)
 	a.burstN.SetInt64(0)
-	for i := range a.stats {
-		a.scale(&a.mult[i], a.stats[i].den)
+	for i := range a.acct {
+		a.scale(&a.mult[i], a.acct[i].den)
 		a.account(i, false)
 	}
 }
 
-// account adds stat i's share — its numerators times mult[i] — to the
-// sums, or removes it when sub is set.
+// account adds slot i's accounted share — acct[i]'s numerators times
+// mult[i] — to the sums, or removes it when sub is set.
 func (a *Analyzer) account(i int, sub bool) {
-	st, m := &a.stats[i], &a.mult[i]
+	st, m := &a.acct[i], &a.mult[i]
 	r := a.t1.Mul(a.t2.SetInt64(st.rate), m)
 	b := a.t3.Mul(st.burst.setBig(&a.t2, &a.t3), m)
 	if sub {
@@ -157,7 +181,7 @@ func (a *Analyzer) account(i int, sub bool) {
 	a.burstN.Add(&a.burstN, b)
 }
 
-// Swap replaces demand i, updating the cached aggregates in O(1).
+// Swap replaces demand i. The sums follow when they are next read.
 //
 //rtlint:hotpath -- O(1) aggregate delta behind every trial decision; the warm steady state must not allocate
 func (a *Analyzer) Swap(i int, d Demand) error {
@@ -172,19 +196,39 @@ func (a *Analyzer) Swap(i int, d Demand) error {
 	return nil
 }
 
-// swapStat installs (d, st) at index i: it removes the old share and
-// adds the new one, recomputing only when den does not cover the new
-// period.
+// swapStat installs (d, st) at index i and marks the slot dirty; the
+// next settle accounts for it.
 func (a *Analyzer) swapStat(i int, d Demand, st demandStat) {
-	a.account(i, true) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
-	oldDen := a.stats[i].den
 	a.ds[i] = d
 	a.stats[i] = st
-	if st.den != oldDen && !a.scale(&a.mult[i], st.den) { //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
-		a.recompute() //rtlint:allow hotalloc -- full rebuild when den must grow, not the O(1) steady-state delta
-		return
+	if !a.dirty[i] {
+		a.dirty[i] = true
+		a.todo = append(a.todo, i)
 	}
-	a.account(i, false) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
+}
+
+// settle brings the sums up to the current stats: each dirty slot
+// whose stat differs from its accounted one has its old share removed
+// and its new one added, and a period den does not cover recomputes
+// everything, which also settles the slots still listed.
+func (a *Analyzer) settle() {
+	for k := 0; k < len(a.todo); k++ {
+		i := a.todo[k]
+		a.dirty[i] = false
+		st := a.stats[i]
+		if st == a.acct[i] {
+			continue // swapped back to the stat the sums hold
+		}
+		a.account(i, true) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
+		oldDen := a.acct[i].den
+		a.acct[i] = st
+		if st.den != oldDen && !a.scale(&a.mult[i], st.den) { //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
+			a.recompute() //rtlint:allow hotalloc -- full rebuild when den must grow, not the O(1) steady-state delta
+			return
+		}
+		a.account(i, false) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
+	}
+	a.todo = a.todo[:0]
 }
 
 // Append grows the configuration by one demand at the end, adding its
@@ -195,8 +239,11 @@ func (a *Analyzer) Append(d Demand) error {
 	if !ok {
 		return fmt.Errorf("dbf: nil or invalid demand")
 	}
+	a.settle()
 	a.ds = append(a.ds, d)
 	a.stats = append(a.stats, st)
+	a.acct = append(a.acct, st)
+	a.dirty = append(a.dirty, false)
 	a.mult = append(a.mult, big.Int{})
 	if i := len(a.stats) - 1; a.scale(&a.mult[i], st.den) {
 		a.account(i, false)
@@ -214,12 +261,16 @@ func (a *Analyzer) Remove(i int) error {
 	if i < 0 || i >= len(a.ds) {
 		return fmt.Errorf("dbf: demand index %d out of range [0,%d)", i, len(a.ds))
 	}
+	a.settle()
 	a.account(i, true)
 	copy(a.ds[i:], a.ds[i+1:])
 	a.ds[len(a.ds)-1] = nil
 	a.ds = a.ds[:len(a.ds)-1]
 	copy(a.stats[i:], a.stats[i+1:])
 	a.stats = a.stats[:len(a.stats)-1]
+	copy(a.acct[i:], a.acct[i+1:])
+	a.acct = a.acct[:len(a.acct)-1]
+	a.dirty = a.dirty[:len(a.dirty)-1] // settled: every flag is clear
 	copy(a.mult[i:], a.mult[i+1:])
 	// Zero the vacated tail slot: the struct shift leaves it aliasing
 	// the last live entry's backing array, and a later recompute that
@@ -232,8 +283,9 @@ func (a *Analyzer) Remove(i int) error {
 
 // With runs f with demand i temporarily replaced by d, restoring the
 // previous configuration afterwards, and returns f's result. The
-// restore reuses the cached stat, so a full trial costs two O(1)
-// swaps plus whatever f does.
+// restore reinstalls the cached stat, so a trial whose f reads no sum
+// does no aggregate work, and one that does settles slot i back to
+// its accounted stat at the next read.
 func (a *Analyzer) With(i int, d Demand, f func(*Analyzer) error) error {
 	if i < 0 || i >= len(a.ds) {
 		return fmt.Errorf("dbf: demand index %d out of range [0,%d)", i, len(a.ds))
@@ -252,9 +304,10 @@ func (a *Analyzer) With(i int, d Demand, f func(*Analyzer) error) error {
 // Horizon returns a rigorous upper bound on the length of any window
 // that can witness a demand violation, as any t with ΣDBF(t) > t has
 // t < ΣBurst/(1−ΣRate): max(1, ⌈burstN/(den−rateN)⌉), with overload
-// iff rateN ≥ den (⟺ ΣRate ≥ 1). It reuses the scratch and allocates
-// nothing in steady state.
+// iff rateN ≥ den (⟺ ΣRate ≥ 1). It settles the sums first, reuses
+// the scratch and allocates nothing in steady state.
 func (a *Analyzer) Horizon() (rtime.Duration, error) {
+	a.settle()
 	slack := a.t1.Sub(&a.den, &a.rateN) //rtlint:allow hotalloc -- reuses big.Int scratch; word-slice growth is amortized
 	if slack.Sign() <= 0 {
 		return 0, ErrOverloaded

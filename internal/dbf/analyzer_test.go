@@ -66,9 +66,10 @@ func sameVerdict(a, b error) bool {
 
 // checkAnalyzerAgainstFresh asserts the Analyzer's cached-aggregate
 // verdicts are identical to the big.Rat reference analysis of its
-// current demands: same Horizon, same QPA verdict including the exact
-// Violation window (from the Analyzer and from a fresh QPA), and PDC
-// feasibility agreement.
+// current demands: same Horizon as the reference and a fresh Analyzer,
+// same QPA verdict including the exact Violation window (from the
+// Analyzer and from a fresh QPA), and PDC feasibility agreement. The
+// Horizon read is the first, so it settles whatever swaps came before.
 func checkAnalyzerAgainstFresh(t *testing.T, az *Analyzer, ctx string) {
 	t.Helper()
 	ds := append([]Demand(nil), az.ds...)
@@ -78,6 +79,13 @@ func checkAnalyzerAgainstFresh(t *testing.T, az *Analyzer, ctx string) {
 	if hGot != hWant || !sameVerdict(errGot, errWant) {
 		t.Fatalf("%s: Horizon: analyzer (%v, %v) vs reference (%v, %v)",
 			ctx, hGot, errGot, hWant, errWant)
+	}
+	fresh, err := NewAnalyzer(ds)
+	if err != nil {
+		t.Fatalf("%s: NewAnalyzer: %v", ctx, err)
+	}
+	if h, err := fresh.Horizon(); h != hGot || !sameVerdict(err, errGot) {
+		t.Fatalf("%s: Horizon: analyzer (%v, %v) vs fresh (%v, %v)", ctx, hGot, errGot, h, err)
 	}
 
 	got := az.Feasible()
@@ -96,11 +104,47 @@ func checkAnalyzerAgainstFresh(t *testing.T, az *Analyzer, ctx string) {
 	}
 }
 
+// unreadSwaps swaps a few random slots of az without reading a sum in
+// between, as a screened probe or an undone batch does: a slot to a
+// fresh demand (A→B), away and back to the demand it held (A→B→A) or
+// to one of the same rate and period but another burst (A→B→A'), or
+// away twice (A→B→C). The sums then hold dirty slots, some at the
+// stat they account and some not, for the next operation to settle.
+func unreadSwaps(t *testing.T, rng *stats.RNG, az *Analyzer) {
+	t.Helper()
+	for k := rng.IntN(4); k > 0; k-- {
+		i := rng.IntN(az.Len())
+		held := az.At(i)
+		for hops := rng.IntN(2) + 1; hops > 0; hops-- {
+			if d := randomSwapDemand(rng); d != nil {
+				if err := az.Swap(i, d); err != nil {
+					t.Fatalf("unread Swap(%d): %v", i, err)
+				}
+			}
+		}
+		back, ok := held.(Sporadic)
+		if ok && back.T <= ms(500) && rng.Bool(0.3) {
+			// Back to the held rate and period with another deadline,
+			// so only the burst differs from the accounted stat. The
+			// huge periods keep D = T: a constrained one would push
+			// the horizon, and PDC's step count, past millions.
+			back.D = back.C + rtime.Duration(rng.Int64N(int64(back.T-back.C)+1))
+			held = back
+		}
+		if rng.Bool(0.4) {
+			if err := az.Swap(i, held); err != nil {
+				t.Fatalf("unread Swap(%d) back: %v", i, err)
+			}
+		}
+	}
+}
+
 // runAnalyzerDifferential drives one differential scenario: a random
-// initial configuration, then a sequence of random swaps (through both
-// Swap and With) with the Analyzer checked against fresh analyses
-// after every step. Individual demands use up to half their period, so
-// larger n covers overloaded systems as well as feasible ones.
+// initial configuration, then a sequence of random operations (Swap,
+// With, Append, Remove), each preceded by a few unread swaps, with the
+// Analyzer checked against fresh analyses after every step.
+// Individual demands use up to half their period, so larger n covers
+// overloaded systems as well as feasible ones.
 func runAnalyzerDifferential(t *testing.T, seed uint64, n, swaps int) {
 	t.Helper()
 	rng := stats.NewRNG(seed)
@@ -119,6 +163,7 @@ func runAnalyzerDifferential(t *testing.T, seed uint64, n, swaps int) {
 	}
 	checkAnalyzerAgainstFresh(t, az, "initial")
 	for s := 0; s < swaps; s++ {
+		unreadSwaps(t, rng, az)
 		// Churn ops first: grow and shrink the configuration so the
 		// append/remove delta paths (and their recomputes) see the same
 		// differential scrutiny as swaps.
@@ -517,4 +562,68 @@ func TestDemandAtScreensExactly(t *testing.T) {
 			t.Fatalf("%s: DemandAt = %v, %v; want %v, %v", ctx, dem, ok, tc.want, tc.ok)
 		}
 	}
+}
+
+// TestAnalyzerSettlesOnRead pins the lazy sums on the cases random
+// churn reaches only by chance, checking each against a fresh Analyzer
+// and the reference QPA: a slot swapped away and back to its accounted
+// stat (A→B→A); one swapped back to a demand of the same rate and
+// period but another burst (A→B→A'); a swap whose period the common
+// denominator does not cover, settled in the middle of the dirty list,
+// after which a later dirty slot must still be swappable; and Append
+// and Remove over dirty slots.
+func TestAnalyzerSettlesOnRead(t *testing.T) {
+	spor := func(c, d, p int64) Demand {
+		t.Helper()
+		s, err := NewSporadic(ms(c), ms(d), ms(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	base := []Demand{spor(1, 10, 10), spor(3, 20, 20), spor(5, 40, 40), spor(10, 50, 50)}
+	az, err := NewAnalyzer(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkAnalyzerAgainstFresh(t, az, "initial")
+	swap := func(i int, d Demand) {
+		t.Helper()
+		if err := az.Swap(i, d); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	swap(0, spor(4, 10, 10))
+	swap(0, base[0])
+	checkAnalyzerAgainstFresh(t, az, "A→B→A")
+
+	swap(1, spor(9, 20, 20))
+	swap(1, spor(3, 12, 20)) // same rate 3/20, burst 3·8/20 instead of 0
+	checkAnalyzerAgainstFresh(t, az, "A→B→A'")
+
+	swap(0, spor(2, 10, 10))
+	swap(1, spor(2, 7, 7)) // 7 ms does not divide the common denominator
+	swap(2, spor(15, 30, 40))
+	checkAnalyzerAgainstFresh(t, az, "den grown mid-list")
+	swap(2, spor(1, 40, 40))
+	checkAnalyzerAgainstFresh(t, az, "swap after a mid-list recompute")
+
+	swap(3, spor(20, 45, 50))
+	swap(1, spor(1, 20, 20))
+	if err := az.Append(spor(2, 25, 25)); err != nil {
+		t.Fatal(err)
+	}
+	checkAnalyzerAgainstFresh(t, az, "Append over dirty slots")
+	swap(4, spor(6, 30, 33)) // the appended slot, to an uncovered period
+	swap(0, spor(3, 9, 10))
+	if err := az.Remove(2); err != nil {
+		t.Fatal(err)
+	}
+	checkAnalyzerAgainstFresh(t, az, "Remove over dirty slots")
+	swap(0, spor(1, 10, 10))
+	if err := az.Remove(0); err != nil {
+		t.Fatal(err)
+	}
+	checkAnalyzerAgainstFresh(t, az, "Remove of a dirty slot")
 }

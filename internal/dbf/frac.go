@@ -263,3 +263,95 @@ func (s *Sum) CmpAfter(sub, add, bound Frac) int {
 // Rat returns the sum as a fresh normalised big.Rat: the one gcd the
 // sum pays.
 func (s *Sum) Rat() *big.Rat { return new(big.Rat).SetFrac(&s.num, &s.den) }
+
+// FixedSum is a certified fixed-point enclosure of a running sum of
+// non-negative Fracs at scale 2⁶⁴: lo sums each term rounded down,
+// ⌊f·2⁶⁴⌋, and hi each term rounded up, ⌈f·2⁶⁴⌉, so the exact sum lies
+// in [lo, hi]·2⁻⁶⁴. Its compare with 1 is exact whenever 1 lies outside
+// that band, and costs two divisions per term and no allocation. A
+// term is rounded the same way whenever it is added or subtracted, so
+// a Sub undoes its Add exactly and the band does not drift.
+//
+// Each rounded term is below 2¹²⁷ (a numerator up to MaxInt64 over a
+// denominator of at least 1, times 2⁶⁴), and the sum holds fewer than
+// 2⁶³ of them, so every sum the caller can form is below 2¹⁹⁰. The
+// sums are kept modulo 2¹⁹², so they are exact, and a subtraction of a
+// term the sum holds borrows through the wrap correctly. A FixedSum
+// must be Reset before use.
+type FixedSum struct{ lo, hi u192 }
+
+// u192 is an unsigned 192-bit integer in three words, w2 the highest.
+type u192 struct{ w2, w1, w0 uint64 }
+
+// add returns x+y modulo 2¹⁹².
+func (x u192) add(y u192) u192 {
+	w0, c := bits.Add64(x.w0, y.w0, 0)
+	w1, c := bits.Add64(x.w1, y.w1, c)
+	w2, _ := bits.Add64(x.w2, y.w2, c)
+	return u192{w2, w1, w0}
+}
+
+// sub returns x−y modulo 2¹⁹².
+func (x u192) sub(y u192) u192 {
+	w0, b := bits.Sub64(x.w0, y.w0, 0)
+	w1, b := bits.Sub64(x.w1, y.w1, b)
+	w2, _ := bits.Sub64(x.w2, y.w2, b)
+	return u192{w2, w1, w0}
+}
+
+// cmpOne compares x with 1 at scale 2⁶⁴, that is with 2⁶⁴.
+func (x u192) cmpOne() int {
+	return cmp.Or(cmp.Compare(x.w2, 0), cmp.Compare(x.w1, 1), cmp.Compare(x.w0, 0))
+}
+
+// fixed returns ⌊f·2⁶⁴⌋ and ⌈f·2⁶⁴⌉ for f.Num ≥ 0 and f.Den > 0: the
+// integer part Num/Den in the middle word and the fraction's 64 bits
+// below it.
+func (f Frac) fixed() (lo, hi u192) {
+	n, d := uint64(f.Num), uint64(f.Den)
+	q0, r0 := bits.Div64(0, n, d)
+	q1, r1 := bits.Div64(r0, 0, d) // r0 < d, so the quotient fits
+	lo = u192{w1: q0, w0: q1}
+	if r1 == 0 {
+		return lo, lo
+	}
+	return lo, lo.add(u192{w0: 1})
+}
+
+// Reset empties the sum.
+func (s *FixedSum) Reset() { *s = FixedSum{} }
+
+// Add adds f, with f.Num ≥ 0, to the sum.
+func (s *FixedSum) Add(f Frac) {
+	lo, hi := f.fixed()
+	s.lo, s.hi = s.lo.add(lo), s.hi.add(hi)
+}
+
+// Sub subtracts f, a term the sum holds, from it.
+func (s *FixedSum) Sub(f Frac) {
+	lo, hi := f.fixed()
+	s.lo, s.hi = s.lo.sub(lo), s.hi.sub(hi)
+}
+
+// AtMostOne reports whether the exact sum is at most 1 and whether the
+// enclosure decides that: decided is false exactly when
+// lo·2⁻⁶⁴ ≤ 1 < hi·2⁻⁶⁴, where only an exact sum can tell.
+func (s *FixedSum) AtMostOne() (le, decided bool) { return atMostOne(s.lo, s.hi) }
+
+// AtMostOneAfter is AtMostOne for the sum minus sub, a term the sum
+// holds, plus add; the sum itself is unchanged.
+func (s *FixedSum) AtMostOneAfter(sub, add Frac) (le, decided bool) {
+	sl, sh := sub.fixed()
+	al, ah := add.fixed()
+	return atMostOne(s.lo.add(al).sub(sl), s.hi.add(ah).sub(sh))
+}
+
+func atMostOne(lo, hi u192) (le, decided bool) {
+	switch {
+	case hi.cmpOne() <= 0:
+		return true, true
+	case lo.cmpOne() > 0:
+		return false, true
+	}
+	return false, false
+}

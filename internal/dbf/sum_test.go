@@ -237,3 +237,180 @@ func FuzzSumMatchesRat(f *testing.F) {
 		}
 	})
 }
+
+// fixedOracle drives a FixedSum beside an exact Sum and a big.Rat
+// reference through the same non-negative terms, counting how often
+// the enclosure decided each verdict and how often it left the compare
+// to the exact sum.
+type fixedOracle struct {
+	fx                FixedSum
+	s                 Sum
+	ref               big.Rat
+	le, gt, undecided int
+	afterLe, afterGt  int
+	afterUndecided    int
+}
+
+func newFixedOracle() *fixedOracle {
+	o := &fixedOracle{}
+	o.fx.Reset()
+	o.s.Reset()
+	return o
+}
+
+// apply adds or subtracts f on every side and checks the enclosure:
+// it must contain the exact sum, and a decided verdict must be the
+// exact one. It then probes AtMostOneAfter(sub, add), sub a held term,
+// against the reference.
+func (o *fixedOracle) apply(t *testing.T, f Frac, neg bool, sub, add Frac) {
+	t.Helper()
+	if neg {
+		o.fx.Sub(f)
+		o.s.Sub(f)
+		o.ref.Sub(&o.ref, fracRat(f))
+	} else {
+		o.fx.Add(f)
+		o.s.Add(f)
+		o.ref.Add(&o.ref, fracRat(f))
+	}
+	lo, hi := o.fx.lo.rat(), o.fx.hi.rat()
+	if lo.Cmp(&o.ref) > 0 || hi.Cmp(&o.ref) < 0 {
+		t.Fatalf("after %v (sub=%v): [%v, %v] does not hold the sum %v", f, neg, lo, hi, &o.ref)
+	}
+	want := o.ref.Cmp(big.NewRat(1, 1)) <= 0
+	if got := o.s.Cmp(Frac{Num: 1, Den: 1}) <= 0; got != want {
+		t.Fatalf("after %v: Sum says ≤ 1 is %v, reference %v", f, got, want)
+	}
+	o.count(t, want, &o.le, &o.gt, &o.undecided, o.fx.AtMostOne)
+	after := new(big.Rat).Sub(&o.ref, fracRat(sub))
+	after.Add(after, fracRat(add))
+	o.count(t, after.Cmp(big.NewRat(1, 1)) <= 0, &o.afterLe, &o.afterGt, &o.afterUndecided,
+		func() (bool, bool) { return o.fx.AtMostOneAfter(sub, add) })
+}
+
+func (o *fixedOracle) count(t *testing.T, want bool, le, gt, undecided *int, verdict func() (bool, bool)) {
+	t.Helper()
+	got, decided := verdict()
+	switch {
+	case !decided:
+		*undecided++
+	case got != want:
+		t.Fatalf("the enclosure decides ≤ 1 is %v on %v; exactly it is %v", got, &o.ref, want)
+	case got:
+		*le++
+	default:
+		*gt++
+	}
+}
+
+// rat returns x·2⁻⁶⁴ as a big.Rat.
+func (x u192) rat() *big.Rat {
+	n := new(big.Int).SetUint64(x.w2)
+	n.Lsh(n, 64).Or(n, new(big.Int).SetUint64(x.w1))
+	n.Lsh(n, 64).Or(n, new(big.Int).SetUint64(x.w0))
+	return new(big.Rat).SetFrac(n, new(big.Int).Lsh(big.NewInt(1), 64))
+}
+
+// TestFixedSumMatchesExact is the fixed-point enclosure's differential
+// test against Sum, a big.Rat sum and refTheorem3. Random runs draw
+// non-negative terms from drawFrac's regimes, many far above 1 or with
+// numerators near MaxInt64, and subtract held ones; near-tie runs put
+// the sum exactly at 1, a hair above or below it inside the rounding
+// band, and at 1 again after a subtraction. Both decided verdicts and
+// the band, where only the exact sum can tell, must each occur.
+func TestFixedSumMatchesExact(t *testing.T) {
+	rng := stats.NewRNG(0xf1ced)
+	o := newFixedOracle()
+	var total fixedOracle
+	merge := func() {
+		total.le += o.le
+		total.gt += o.gt
+		total.undecided += o.undecided
+		total.afterLe += o.afterLe
+		total.afterGt += o.afterGt
+		total.afterUndecided += o.afterUndecided
+	}
+	for run := 0; run < 300; run++ {
+		o = newFixedOracle()
+		var live []Frac
+		for step := 0; step < 30; step++ {
+			f, neg := drawFrac(rng), false
+			if rng.Bool(0.5) {
+				// Light terms, so sums near 1 are common.
+				f = NewFrac(rng.Int64N(1000)+1, rng.Int64N(1e6)+4000)
+			}
+			if len(live) > 0 && rng.Bool(0.4) {
+				k := rng.IntN(len(live))
+				f, neg = live[k], true
+				live = append(live[:k], live[k+1:]...)
+			} else {
+				live = append(live, f)
+			}
+			sub, add := Frac{Num: 0, Den: 1}, drawFrac(rng)
+			if len(live) > 0 {
+				sub = live[rng.IntN(len(live))]
+			}
+			o.apply(t, f, neg, sub, add)
+		}
+		merge()
+	}
+	const d1, d2 = int64(1)<<62 - 57, int64(1)<<62 - 87
+	const big64 = int64(math.MaxInt64)
+	for _, ops := range [][]Frac{
+		{{1, 3}, {1, 3}, {1, 3}},                          // exactly 1, the band straddles it
+		{{12345, d1}, {d1 - 12345, d1}},                   // exactly 1 over a huge denominator
+		{{d1 - 1, d1}, {1, d1 + 1}},                       // below 1 by 1/(d1·(d1+1))
+		{{d1 - 1, d1}, {1, d1 - 1}},                       // above 1 by 1/(d1·(d1−1))
+		{{d1 - 1, d1}, {1, d2}, {-1, d2}, {1, d1}},        // back to exactly 1
+		{{big64, 3}, {big64 - 1, big64}, {-big64, 3}},     // a weight far above 1, then gone
+		{{big64, big64 - 1}, {big64 - 2, big64}},          // numerators at the int64 ceiling
+		{{big64 - 1, big64}, {1, big64}},                  // 1 by two terms at the ceiling
+		{{big64, 1}, {big64, 1}, {big64, 2}, {-big64, 1}}, // integer parts beyond 2⁶⁴
+	} {
+		// Each probe swaps a term for itself, so it asks about the sum
+		// just formed, ties included.
+		o = newFixedOracle()
+		for _, f := range ops {
+			if f.Num < 0 {
+				o.apply(t, Frac{Num: -f.Num, Den: f.Den}, true, Frac{Num: 0, Den: 1}, Frac{Num: 0, Den: 1})
+				continue
+			}
+			o.apply(t, f, false, f, f)
+		}
+		merge()
+	}
+	// refTheorem3 over demands: the weights of random task-shaped sets
+	// near full utilisation, judged on the enclosure with the exact sum
+	// behind it.
+	for trial := 0; trial < 300; trial++ {
+		o = newFixedOracle()
+		var off []Offloaded
+		var loc []Sporadic
+		for _, d := range randomDemands(rng, 3+rng.IntN(10), rng.Uniform(0.7, 1)) {
+			switch d := d.(type) {
+			case Offloaded:
+				off = append(off, d)
+				o.apply(t, d.Theorem1Rate(), false, d.Theorem1Rate(), Frac{Num: 0, Den: 1})
+			case Sporadic:
+				loc = append(loc, d)
+				w := NewFrac(int64(d.C), int64(d.D))
+				o.apply(t, w, false, w, Frac{Num: 0, Den: 1})
+			}
+		}
+		want, wantOK := refTheorem3(off, loc)
+		got, decided := o.fx.AtMostOne()
+		if decided && got != wantOK {
+			t.Fatalf("trial %d: the enclosure decides %v; refTheorem3 %v with total %v", trial, got, wantOK, want)
+		}
+		if o.ref.Cmp(want) != 0 {
+			t.Fatalf("trial %d: oracle sum %v, refTheorem3 %v", trial, &o.ref, want)
+		}
+		merge()
+	}
+	t.Logf("AtMostOne: %d ≤ 1, %d > 1, %d in the band; AtMostOneAfter: %d, %d, %d",
+		total.le, total.gt, total.undecided, total.afterLe, total.afterGt, total.afterUndecided)
+	if total.le == 0 || total.gt == 0 || total.undecided == 0 ||
+		total.afterLe == 0 || total.afterGt == 0 || total.afterUndecided == 0 {
+		t.Fatal("a verdict or the exact fallback never occurred")
+	}
+}

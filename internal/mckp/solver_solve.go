@@ -60,6 +60,17 @@ type coreSearch struct {
 	fullCumW, fullCumP     []float64
 	kStop                  int
 
+	// Lagrangian suffix bounds at the LP's break efficiency lambda:
+	// lagSuf[k] = Σ (lpP − λ·lpW) over core depths ≥ k, so
+	// lagSuf[k] + λ·rem bounds the suffix LP in O(1). lagSlack is the
+	// pruning slack, twice eps plus the float error of those sums;
+	// lagOn is false when the bound does not hold (allCore) or is not
+	// finite.
+	lagSuf   []float64
+	lambda   float64
+	lagSlack float64
+	lagOn    bool
+
 	// Pareto state pool, flat across levels. A level-k state is an
 	// undominated canonical prefix through every class before
 	// coreIdx[k]; stItem is the original item index chosen at the
@@ -166,6 +177,7 @@ func (s *Solver) Solve() (Solution, error) {
 
 	s.buildFixedSuffixes()
 	s.buildCoreBounds()
+	s.buildLagrangian(lambda, eps, allCore)
 
 	cs.bestProfit = math.Inf(-1)
 	cs.bestWeight = 0
@@ -462,6 +474,39 @@ func (s *Solver) buildCoreBounds() {
 	}
 }
 
+// buildLagrangian fills the O(1) screen in front of ubCore. For any
+// λ ≥ 0 and suffix of core classes, Σ_c max_x (p − λ·w) + λ·rem bounds
+// the suffix's LP optimum within residual capacity rem from above
+// (weak duality), and at the LP's own break efficiency the dual-best
+// item attains each class's max over its whole IP frontier. The
+// screen is off when solveLP found no slack (allCore: the positions
+// are then not dual-best) and when λ or a sum is not finite.
+func (s *Solver) buildLagrangian(lambda, eps float64, allCore bool) {
+	cs := &s.srch
+	K := len(cs.coreIdx)
+	cs.lagOn = false
+	if allCore || !(lambda >= 0) {
+		return
+	}
+	cs.lagSuf = growFloats(cs.lagSuf, K+1)
+	cs.lagSuf[K] = 0
+	// mag bounds the magnitude of every term a screened bound adds, so
+	// (K+4)·2⁻⁵⁰·mag covers its float rounding generously.
+	mag := float64(lambda * s.capacity)
+	for k := K - 1; k >= 0; k-- {
+		c := cs.coreIdx[k]
+		lw := float64(lambda * s.lp.lpW[c])
+		cs.lagSuf[k] = cs.lagSuf[k+1] + (s.lp.lpP[c] - lw)
+		mag += math.Abs(s.lp.lpP[c]) + lw
+	}
+	rel := float64(K+4) * 0x1p-50
+	slack := float64(2*eps) + float64(rel*mag)
+	if math.IsInf(slack, 0) || math.IsNaN(slack) || math.IsInf(cs.lagSuf[0], 0) || math.IsNaN(cs.lagSuf[0]) {
+		return
+	}
+	cs.lambda, cs.lagSlack, cs.lagOn = lambda, slack, true
+}
+
 // ubCore returns an upper bound on the profit attainable by core
 // classes at depths ≥ k within residual capacity rem: every class at
 // its lightest hull item plus the greedy fractional fill over the
@@ -582,8 +627,14 @@ func (s *Solver) sweepCore() {
 					floor = cs.bestProfit
 				}
 				// Suffix LP bound against the floor (ℓ-slack pruning
-				// never cuts an achiever of the final maximum).
-				ub := cs.ubCore(k+1, s.capacity-w1-cs.fixedSufW[ci+1])
+				// never cuts an achiever of the final maximum), first
+				// the O(1) Lagrangian bound, which is never below the
+				// suffix's LP optimum.
+				rem := s.capacity - w1 - cs.fixedSufW[ci+1]
+				if cs.lagOn && p1+cs.fixedSufP[ci+1]+cs.lagSuf[k+1]+float64(cs.lambda*rem) < floor-cs.lagSlack {
+					continue
+				}
+				ub := cs.ubCore(k+1, rem)
 				if p1+cs.fixedSufP[ci+1]+ub < floor-cs.eps {
 					continue
 				}
